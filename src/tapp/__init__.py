@@ -17,10 +17,8 @@ from .core import (
     validate_view,
 )
 from .engine import (
-    BinaryPlan,
     ContractionPlan,
     StatusRecord,
-    UnaryPlan,
     binary_op,
     contract,
     make_binary_plan,

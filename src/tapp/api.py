@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from typing import Sequence
 
 import numpy as np
@@ -82,16 +81,11 @@ class Handle:
         self.vkv = VKVStore()
         self._lock = threading.Lock()
         self._alive = True
-        self._objects: weakref.WeakSet = weakref.WeakSet()
         self._default_executor = Executor(self)
 
     @property
     def alive(self) -> bool:
         return self._alive
-
-    def _register(self, obj) -> None:
-        with self._lock:
-            self._objects.add(obj)
 
     def _destroy(self) -> None:
         with self._lock:
@@ -115,7 +109,6 @@ class TensorInfo:
         self.handle = handle
         self.desc = desc
         self.vkv = VKVStore()
-        handle._register(self)
 
 
 class OperationDescriptor:
@@ -127,7 +120,6 @@ class OperationDescriptor:
         self.kind = kind
         self.plan = plan
         self.vkv = VKVStore()
-        handle._register(self)
 
 
 def tapp_create_handle() -> Handle:
@@ -339,15 +331,15 @@ def tapp_execute_binary(
     code = _valid_execution(op, executor, "binary")
     if code is not ErrorCode.OK:
         return code
-    plan = op.plan
+    plan = op.plan  # the unit operand holds A's slot; A, B, C sit in B's, C's, D's
     try:
         status = engine.run_binary(
             plan,
             alpha,
-            _as_view(plan.desc_a, data_a),
+            _as_view(plan.desc_b, data_a),
             beta,
-            _as_view(plan.desc_b, data_b),
-            _as_view(plan.desc_out, data_c),
+            _as_view(plan.desc_c, data_b),
+            _as_view(plan.desc_d, data_c),
         )
     except TappError as err:
         return _finish(StatusRecord(error=err.code), status_out, executor)
@@ -365,13 +357,13 @@ def tapp_execute_unary(
     code = _valid_execution(op, executor, "unary")
     if code is not ErrorCode.OK:
         return code
-    plan = op.plan
+    plan = op.plan  # the unit operand holds A's slot; A and B sit in B's and D's
     try:
         status = engine.run_unary(
             plan,
             alpha,
-            _as_view(plan.desc_a, data_a),
-            _as_view(plan.desc_out, data_b),
+            _as_view(plan.desc_b, data_a),
+            _as_view(plan.desc_d, data_b),
         )
     except TappError as err:
         return _finish(StatusRecord(error=err.code), status_out, executor)

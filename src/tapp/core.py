@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,17 +90,17 @@ def round_to(value: float | complex, dtype: DType) -> float | complex:
     return float(value)
 
 
-def compute_rounder(dtype: DType) -> Callable[[float | complex], float | complex] | None:
+def compute_rounder(dtype: DType) -> Callable[[float | complex], float | complex]:
     """Per-operation rounding for arithmetic carried out in ``dtype``.
 
-    Returns ``None`` for 64-bit dtypes: Python floats and complexes are
-    already double precision, so no rounding step is needed.
+    For 64-bit dtypes this is the builtin ``float`` or ``complex``:
+    Python numbers are already double precision, so it changes no value.
     """
     if dtype is DType.R32:
         return lambda x: float(np.float32(x))
     if dtype is DType.C32:
         return lambda z: complex(np.complex64(z))
-    return None
+    return complex if dtype.is_complex else float
 
 
 @dataclass(frozen=True)
@@ -131,35 +132,6 @@ class ScalarValue:
     @property
     def value(self) -> float | complex:
         return complex(self.re, self.im) if self.dtype.is_complex else self.re
-
-    def cast(self, dtype: DType) -> "ScalarValue":
-        v = round_to(self.value, dtype)
-        if dtype.is_complex:
-            return ScalarValue(dtype, v.real, v.imag)
-        return ScalarValue(dtype, v)
-
-    def add(self, other: "ScalarValue") -> "ScalarValue":
-        dt = dtype_promote(self.dtype, other.dtype)
-        return _from_number(round_to(self.value + other.value, dt), dt)
-
-    def mul(self, other: "ScalarValue") -> "ScalarValue":
-        dt = dtype_promote(self.dtype, other.dtype)
-        return _from_number(round_to(self.value * other.value, dt), dt)
-
-    def scale(self, factor: float) -> "ScalarValue":
-        return _from_number(round_to(self.value * factor, self.dtype), self.dtype)
-
-    def __add__(self, other: "ScalarValue") -> "ScalarValue":
-        return self.add(other)
-
-    def __mul__(self, other: "ScalarValue") -> "ScalarValue":
-        return self.mul(other)
-
-
-def _from_number(v: float | complex, dtype: DType) -> ScalarValue:
-    if isinstance(v, complex):
-        return ScalarValue(dtype, v.real, v.imag)
-    return ScalarValue(dtype, v)
 
 
 @dataclass(frozen=True)
@@ -198,14 +170,19 @@ class TensorDesc:
             acc *= int(e)
         return cls(tuple(extents), tuple(strides), dtype)
 
-    def reach_bounds(self, base: int = 0) -> tuple[int, int]:
-        """Inclusive (lowest, highest) element offset addressable from ``base``."""
-        lo = hi = base
+    @cached_property
+    def _reach(self) -> tuple[int, int]:
+        lo = hi = 0
         for e, s in zip(self.extents, self.strides):
             span = s * (e - 1)
             lo += min(0, span)
             hi += max(0, span)
         return lo, hi
+
+    def reach_bounds(self, base: int = 0) -> tuple[int, int]:
+        """Inclusive (lowest, highest) element offset addressable from ``base``."""
+        lo, hi = self._reach
+        return base + lo, base + hi
 
 
 @dataclass(frozen=True, eq=False)

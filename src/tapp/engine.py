@@ -1,19 +1,23 @@
 """Strided contraction engine.
 
 Executes the ternary update ``D := alpha * A B + beta * C`` over
-general strided views, plus the analogous binary (``C := alpha*A +
-beta*B``) and unary (``B := alpha*A``) operations.
+general strided views.  The binary (``C := alpha*A + beta*B``) and
+unary (``B := alpha*A``) operations run as the same contraction: the
+operand takes B's place, and a read-only one-element r32 unit operand U
+takes A's place, with stride zero along every output label the operand
+lacks.  The binary update takes C's place; unary runs with
+``beta = 0``.  ``1 * x == x`` exactly for real x, so this changes no
+real bits; for complex x CPython forms the full product ``(1+0j) * x``,
+which can flip the sign of a zero component, or give NaN (``0 * inf``)
+next to an infinite one.
 
-A validated, immutable plan is built once per operation shape.  Plan
-creation merges repeated labels (summing their strides), classifies the
-distinct labels into groups, checks extent consistency, verifies that C
-matches D, rejects output-only labels, and proves the output
-address map injective by full enumeration.  Execution then walks four
-nested index loops -- batch, free-of-A, free-of-B outside, contracted
-inside -- in reverse-lexicographic (first label fastest) order, with
-optional inner reductions over input-only labels accumulated before
-each multiplication.  Offsets for each loop level are precomputed per
-tensor, so a loop body only adds deltas to running base offsets.
+A validated, immutable plan (see :func:`make_plan`) is built once per
+operation shape.  Execution first sums the input-only reductions once
+per read position, then walks four nested index loops -- batch,
+free-of-A, free-of-B outside, contracted inside -- in
+reverse-lexicographic (first label fastest) order.  Offsets for each
+loop level are precomputed per tensor, so a loop body only adds deltas
+to running base offsets.
 
 Arithmetic happens in the plan's compute dtype (each operation result
 is rounded to that precision) and each output element is cast to D's
@@ -24,10 +28,12 @@ are never read.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     DType,
@@ -36,19 +42,15 @@ from .core import (
     TensorView,
     compute_rounder,
     dtype_promote,
-    element_offset,
-    odometer_increment,
     round_to,
     validate_view,
 )
 from .errors import ErrorCode, TappError
-from .labels import ClassifiedLabels, LabelSpec, MergedTensorLabels, classify, merge_repeats
+from .labels import ClassifiedLabels, LabelSpec, classify, merge_repeats
 
 __all__ = [
     "StatusRecord",
     "ContractionPlan",
-    "BinaryPlan",
-    "UnaryPlan",
     "make_plan",
     "contract",
     "make_binary_plan",
@@ -66,7 +68,8 @@ class StatusRecord:
 
     ``multiply_adds`` counts products of (possibly pre-reduced) input
     values accumulated into outputs; it is exact for the loops actually
-    executed, i.e. zero when ``alpha == 0``.
+    executed, i.e. zero when ``alpha == 0``.  A binary or unary op counts
+    one product (with the unit operand) per written element.
     """
 
     seconds_elapsed: float = 0.0
@@ -76,31 +79,13 @@ class StatusRecord:
     executor: object | None = None
 
 
-def _offset_table(
-    extents: Sequence[int], *stride_vectors: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Per-tensor offsets for every multi-index of a label group, in
-    odometer order.  The empty group yields a single all-zero entry."""
-    idx = [0] * len(extents)
-    rows = []
-    for _ in range(math.prod(extents)):
-        rows.append(tuple(element_offset(idx, sv) for sv in stride_vectors))
-        odometer_increment(idx, extents)
-    return tuple(rows)
-
-
-def _check_output_addresses_injective(merged: MergedTensorLabels) -> None:
-    seen: set[int] = set()
-    idx = [0] * len(merged.extents)
-    for _ in range(math.prod(merged.extents)):
-        off = element_offset(idx, merged.strides)
-        if off in seen:
-            raise TappError(
-                ErrorCode.ERR_ALIASING,
-                "two output element indices map to one address",
-            )
-        seen.add(off)
-        odometer_increment(idx, merged.extents)
+def _offsets(extents: Sequence[int], strides: Sequence[int]) -> tuple[int, ...]:
+    """``sum(i_k * s_k)`` for every multi-index, first index fastest,
+    built one mode at a time.  No modes yield the single offset 0."""
+    offsets = (0,)
+    for e, s in zip(extents, strides):
+        offsets = tuple(o + i * s for i in range(e) for o in offsets)
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -114,7 +99,8 @@ class ContractionPlan:
     desc_d: TensorDesc
     classified: ClassifiedLabels
     compute_dtype: DType
-    # Offset deltas per loop level, one row per multi-index.
+    # Offset deltas per loop level, one row per multi-index; the first
+    # row of every table is the all-zero multi-index.
     table_batch: tuple[tuple[int, int, int, int], ...] = field(repr=False)
     table_free_a: tuple[tuple[int, int, int, int], ...] = field(repr=False)
     table_free_b: tuple[tuple[int, int, int, int], ...] = field(repr=False)
@@ -138,23 +124,9 @@ class ContractionPlan:
     def size_contracted(self) -> int:
         return self.classified.contracted.size
 
-    @property
-    def size_reduced_a(self) -> int:
-        return self.classified.reduced_a.size
-
-    @property
-    def size_reduced_b(self) -> int:
-        return self.classified.reduced_b.size
-
-    @property
-    def output_size(self) -> int:
-        return self.size_batch * self.size_free_a * self.size_free_b
-
 
 def _resolve_compute_dtype(requested: DType | None, *operands: DType) -> DType:
-    promoted = operands[0]
-    for dt in operands[1:]:
-        promoted = dtype_promote(promoted, dt)
+    promoted = reduce(dtype_promote, operands)
     if requested is None:
         return promoted
     if dtype_promote(requested, promoted) is not requested:
@@ -196,7 +168,11 @@ def make_plan(
             ErrorCode.ERR_UNSUPPORTED,
             f"output-only labels {classified.broadcast_out.labels} are not supported",
         )
-    _check_output_addresses_injective(merged_d)
+    out_offsets = _offsets(merged_d.extents, merged_d.strides)
+    if len(set(out_offsets)) != len(out_offsets):
+        raise TappError(
+            ErrorCode.ERR_ALIASING, "two output element indices map to one address"
+        )
 
     cdt = _resolve_compute_dtype(
         compute_dtype, desc_a.dtype, desc_b.dtype, desc_c.dtype, desc_d.dtype
@@ -204,10 +180,11 @@ def make_plan(
 
     def d_side_table(group):
         strides_c = tuple(merged_c.stride_of(l) for l in group.labels)
-        return _offset_table(
-            group.extents, group.strides_a, group.strides_b, strides_c, group.strides_d
-        )
+        vectors = (group.strides_a, group.strides_b, strides_c, group.strides_d)
+        columns = {sv: _offsets(group.extents, sv) for sv in vectors}  # C is often D
+        return tuple(zip(*(columns[sv] for sv in vectors)))
 
+    con, red_a, red_b = classified.contracted, classified.reduced_a, classified.reduced_b
     return ContractionPlan(
         spec=spec,
         desc_a=desc_a,
@@ -219,30 +196,11 @@ def make_plan(
         table_batch=d_side_table(classified.batch),
         table_free_a=d_side_table(classified.free_a),
         table_free_b=d_side_table(classified.free_b),
-        table_contracted=_offset_table(
-            classified.contracted.extents,
-            classified.contracted.strides_a,
-            classified.contracted.strides_b,
+        table_contracted=tuple(
+            zip(_offsets(con.extents, con.strides_a), _offsets(con.extents, con.strides_b))
         ),
-        table_reduced_a=tuple(
-            row[0]
-            for row in _offset_table(
-                classified.reduced_a.extents, classified.reduced_a.strides_a
-            )
-        ),
-        table_reduced_b=tuple(
-            row[0]
-            for row in _offset_table(
-                classified.reduced_b.extents, classified.reduced_b.strides_b
-            )
-        ),
-    )
-
-
-def _buffer_anchor(view: TensorView) -> int:
-    return (
-        view.buffer.__array_interface__["data"][0]
-        + view.base * view.buffer.itemsize
+        table_reduced_a=_offsets(red_a.extents, red_a.strides_a),
+        table_reduced_b=_offsets(red_b.extents, red_b.strides_b),
     )
 
 
@@ -251,10 +209,6 @@ def _byte_range(view: TensorView) -> tuple[int, int]:
     start = view.buffer.__array_interface__["data"][0]
     item = view.buffer.itemsize
     return start + lo * item, start + hi * item
-
-
-def _overlaps(r1: tuple[int, int], r2: tuple[int, int]) -> bool:
-    return r1[0] <= r2[1] and r2[0] <= r1[1]
 
 
 def _check_view(view: TensorView, desc: TensorDesc, name: str) -> None:
@@ -271,25 +225,6 @@ def _check_view(view: TensorView, desc: TensorDesc, name: str) -> None:
         raise TappError(code, f"{name}: view escapes its buffer")
 
 
-def _check_output_disjoint(
-    out: TensorView, inputs: Sequence[tuple[TensorView, str]], in_place_with: TensorView | None
-) -> None:
-    """Reject detectable overlap between the output and any operand it
-    is not explicitly allowed to alias (cheap interval comparison)."""
-    out_range = _byte_range(out)
-    for view, name in inputs:
-        if in_place_with is not None and view is in_place_with:
-            continue
-        if _overlaps(out_range, _byte_range(view)):
-            raise TappError(
-                ErrorCode.ERR_ALIASING, f"output storage overlaps operand {name}"
-            )
-
-
-def _is_identical_view(x: TensorView, y: TensorView) -> bool:
-    return x.desc == y.desc and _buffer_anchor(x) == _buffer_anchor(y)
-
-
 def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
     sv = ScalarValue.of(value)
     if sv.im != 0.0 and not compute_dtype.is_complex:
@@ -297,10 +232,29 @@ def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
             ErrorCode.ERR_DTYPE_MISMATCH,
             f"{name} has a nonzero imaginary part but all operands are real",
         )
-    v = sv.value
-    if not compute_dtype.is_complex and isinstance(v, complex):
-        v = v.real
-    return round_to(v, compute_dtype)
+    return round_to(sv.value, compute_dtype)
+
+
+def _reduced(plan: ContractionPlan, view: TensorView, k: int, rnd):
+    """The buffer of operand A (``k == 0``) or B (``k == 1``) as a list;
+    with input-only labels, a map from each read position to its
+    reduction, summed once in table order."""
+    buf = view.buffer.tolist()
+    offsets = (plan.table_reduced_a, plan.table_reduced_b)[k]
+    if len(offsets) == 1:
+        return buf
+    free = (plan.table_free_a, plan.table_free_b)[k]
+    reduced = {}
+    for h in plan.table_batch:
+        for f in free:
+            for c in plan.table_contracted:
+                p = view.base + h[k] + f[k] + c[k]
+                if p not in reduced:
+                    v = buf[p]
+                    for m in offsets[1:]:
+                        v = rnd(v + buf[p + m])
+                    reduced[p] = v
+    return reduced
 
 
 def contract(
@@ -315,7 +269,8 @@ def contract(
     """Run the planned contraction over concrete views.
 
     C and D may be the identical view (in-place update); any other
-    detectable overlap between D and an operand is rejected.
+    overlap between D and an operand, detected by comparing byte
+    intervals, is rejected.
     """
     t0 = time.perf_counter()
     al = _scalar_for(alpha, plan.compute_dtype, "alpha")
@@ -325,30 +280,32 @@ def contract(
     _check_view(b, plan.desc_b, "B")
     _check_view(c, plan.desc_c, "C")
     _check_view(d, plan.desc_d, "D")
-    in_place = _is_identical_view(c, d)
-    _check_output_disjoint(
-        d, [(a, "A"), (b, "B"), (c, "C")], in_place_with=c if in_place else None
-    )
+    lo, hi = _byte_range(d)
+    for view, name in ((a, "A"), (b, "B"), (c, "C")):
+        r = _byte_range(view)
+        if r[0] <= hi and lo <= r[1]:
+            if view is c and r == (lo, hi) and c.desc == d.desc:
+                continue
+            raise TappError(
+                ErrorCode.ERR_ALIASING, f"output storage overlaps operand {name}"
+            )
 
-    rnd = compute_rounder(plan.compute_dtype) or (lambda x: x)
-    read_ab = al != 0
-    read_c = be != 0
-    abuf = a.buffer.tolist() if read_ab else None
-    bbuf = b.buffer.tolist() if read_ab else None
-    cbuf = c.buffer.tolist() if read_c else None
-    dbuf = d.buffer
-    d_complex = plan.desc_d.dtype.is_complex
-
+    rnd = compute_rounder(plan.compute_dtype)
     t_batch = plan.table_batch
     t_fa = plan.table_free_a
     t_fb = plan.table_free_b
-    t_p = plan.table_contracted
-    red_a0 = plan.table_reduced_a[0]
-    red_a_rest = plan.table_reduced_a[1:]
-    red_b0 = plan.table_reduced_b[0]
-    red_b_rest = plan.table_reduced_b[1:]
-
+    t_p_rest = plan.table_contracted[1:]
     base_a, base_b, base_c, base_d = a.base, b.base, c.base, d.base
+
+    read_ab = al != 0
+    read_c = be != 0
+    if read_ab:
+        abuf = _reduced(plan, a, 0, rnd)
+        bbuf = _reduced(plan, b, 1, rnd)
+    cbuf = c.buffer.tolist() if read_c else None
+    dbuf = d.buffer
+    drop_imag = plan.compute_dtype.is_complex and not plan.desc_d.dtype.is_complex
+
     for h_a, h_b, h_c, h_d in t_batch:
         ha = base_a + h_a
         hb = base_b + h_b
@@ -359,51 +316,28 @@ def contract(
             ic = hc + f_c
             idx_d = hd + f_d
             for _, g_b, g_c, g_d in t_fb:
-                off_d = idx_d + g_d
                 if read_ab:
                     jb = hb + g_b
-                    acc = 0.0
-                    for k_a, k_b in t_p:
-                        pa = ia + k_a
-                        av = abuf[pa + red_a0]
-                        for m in red_a_rest:
-                            av = rnd(av + abuf[pa + m])
-                        pb = jb + k_b
-                        bv = bbuf[pb + red_b0]
-                        for m in red_b_rest:
-                            bv = rnd(bv + bbuf[pb + m])
-                        acc = rnd(acc + rnd(av * bv))
+                    acc = rnd(abuf[ia] * bbuf[jb])
+                    for k_a, k_b in t_p_rest:
+                        acc = rnd(acc + rnd(abuf[ia + k_a] * bbuf[jb + k_b]))
                     v = rnd(al * acc)
                 else:
                     v = 0.0
                 if read_c:
                     v = rnd(v + rnd(be * cbuf[ic + g_c]))
-                if d_complex:
-                    dbuf[off_d] = v
-                else:
-                    dbuf[off_d] = v.real if isinstance(v, complex) else v
+                dbuf[idx_d + g_d] = v.real if drop_imag else v
 
     writes = len(t_batch) * len(t_fa) * len(t_fb)
     return StatusRecord(
         seconds_elapsed=time.perf_counter() - t0,
         elements_written=writes,
-        multiply_adds=writes * len(t_p) if read_ab else 0,
+        multiply_adds=writes * len(plan.table_contracted) if read_ab else 0,
     )
 
 
-@dataclass(frozen=True)
-class BinaryPlan:
-    """Preprocessed form of ``C := alpha*A + beta*B`` (B's labels name C)."""
-
-    labels_a: tuple[str, ...]
-    labels_b: tuple[str, ...]
-    labels_out: tuple[str, ...]
-    desc_a: TensorDesc
-    desc_b: TensorDesc
-    desc_out: TensorDesc
-    compute_dtype: DType
-    table_out: tuple[tuple[int, int, int], ...] = field(repr=False)
-    table_reduced_a: tuple[int, ...] = field(repr=False)
+_UNIT = np.ones(1, dtype=np.float32)
+_UNIT.flags.writeable = False
 
 
 def make_binary_plan(
@@ -413,104 +347,40 @@ def make_binary_plan(
     desc_b: TensorDesc,
     labels_out: Sequence[str],
     desc_out: TensorDesc,
-) -> BinaryPlan:
+) -> ContractionPlan:
+    """Plan ``C := alpha*A + beta*B`` (B's labels name C); extents are
+    checked across A, B and C before B must match C."""
     labels_a = tuple(labels_a)
     labels_b = tuple(labels_b)
     labels_out = tuple(labels_out)
     merged_a = merge_repeats(labels_a, desc_a)
     merged_b = merge_repeats(labels_b, desc_b)
-    merged_out = merge_repeats(labels_out, desc_out)
-    classify(merged_a, merged_b, merged_out)  # cross-tensor extent check
+    classify(merged_a, merged_b, merge_repeats(labels_out, desc_out))
     if labels_b != labels_out or desc_b.extents != desc_out.extents:
         raise TappError(
             ErrorCode.ERR_OUTPUT_MISMATCH,
             "binary output must carry B's labels, in order, with equal extents",
         )
-    _check_output_addresses_injective(merged_out)
-    stride_a = tuple(merged_a.stride_of(l) for l in merged_out.labels)
-    return BinaryPlan(
-        labels_a=labels_a,
-        labels_b=labels_b,
-        labels_out=labels_out,
-        desc_a=desc_a,
-        desc_b=desc_b,
-        desc_out=desc_out,
-        compute_dtype=_resolve_compute_dtype(
-            None, desc_a.dtype, desc_b.dtype, desc_out.dtype
-        ),
-        table_out=_offset_table(
-            merged_out.extents, stride_a, merged_b.strides, merged_out.strides
-        ),
-        table_reduced_a=tuple(
-            row[0]
-            for row in _offset_table(
-                tuple(
-                    e
-                    for l, e in zip(merged_a.labels, merged_a.extents)
-                    if l not in merged_out.labels
-                ),
-                tuple(
-                    s
-                    for l, s in zip(merged_a.labels, merged_a.strides)
-                    if l not in merged_out.labels
-                ),
-            )
-        ),
+    # The unit operand U carries, at stride zero, each output label A lacks.
+    lacking = [k for k, l in enumerate(labels_out) if l not in labels_a]
+    desc_u = TensorDesc(
+        tuple(desc_out.extents[k] for k in lacking), (0,) * len(lacking), DType.R32
     )
+    labels_u = tuple(labels_out[k] for k in lacking)
+    spec = LabelSpec(labels_u, labels_a, labels_out, labels_out)
+    return make_plan(spec, desc_u, desc_a, desc_b, desc_out)
 
 
 def run_binary(
-    plan: BinaryPlan,
+    plan: ContractionPlan,
     alpha: ScalarValue | int | float | complex,
     a: TensorView,
     beta: ScalarValue | int | float | complex,
     b: TensorView,
     out: TensorView,
 ) -> StatusRecord:
-    t0 = time.perf_counter()
-    al = _scalar_for(alpha, plan.compute_dtype, "alpha")
-    be = _scalar_for(beta, plan.compute_dtype, "beta")
-    _check_view(a, plan.desc_a, "A")
-    _check_view(b, plan.desc_b, "B")
-    _check_view(out, plan.desc_out, "C")
-    in_place = _is_identical_view(b, out)
-    _check_output_disjoint(
-        out, [(a, "A"), (b, "B")], in_place_with=b if in_place else None
-    )
-
-    rnd = compute_rounder(plan.compute_dtype) or (lambda x: x)
-    read_a = al != 0
-    read_b = be != 0
-    abuf = a.buffer.tolist() if read_a else None
-    bbuf = b.buffer.tolist() if read_b else None
-    obuf = out.buffer
-    out_complex = plan.desc_out.dtype.is_complex
-    red0 = plan.table_reduced_a[0]
-    red_rest = plan.table_reduced_a[1:]
-
-    for d_a, d_b, d_o in plan.table_out:
-        if read_a:
-            pa = a.base + d_a
-            av = abuf[pa + red0]
-            for m in red_rest:
-                av = rnd(av + abuf[pa + m])
-            v = rnd(al * av)
-        else:
-            v = 0.0
-        if read_b:
-            v = rnd(v + rnd(be * bbuf[b.base + d_b]))
-        off = out.base + d_o
-        if out_complex:
-            obuf[off] = v
-        else:
-            obuf[off] = v.real if isinstance(v, complex) else v
-
-    writes = len(plan.table_out)
-    return StatusRecord(
-        seconds_elapsed=time.perf_counter() - t0,
-        elements_written=writes,
-        multiply_adds=writes * (int(read_a) + int(read_b)),
-    )
+    """Execute a binary plan; B may be the output's identical view."""
+    return contract(plan, alpha, TensorView(plan.desc_a, _UNIT), a, beta, b, out)
 
 
 def binary_op(
@@ -528,107 +398,38 @@ def binary_op(
     return run_binary(plan, alpha, a, beta, b, out)
 
 
-@dataclass(frozen=True)
-class UnaryPlan:
-    """Preprocessed form of ``B := alpha*A`` with permutation, diagonal
-    access (repeated labels in A) and reduction (labels dropped in B)."""
-
-    labels_a: tuple[str, ...]
-    labels_out: tuple[str, ...]
-    desc_a: TensorDesc
-    desc_out: TensorDesc
-    compute_dtype: DType
-    table_out: tuple[tuple[int, int], ...] = field(repr=False)
-    table_reduced: tuple[int, ...] = field(repr=False)
-
-
 def make_unary_plan(
     labels_a: Sequence[str],
     desc_a: TensorDesc,
     labels_out: Sequence[str],
     desc_out: TensorDesc,
-) -> UnaryPlan:
+) -> ContractionPlan:
+    """Plan ``B := alpha*A`` with permutation, diagonal access (repeated
+    labels in A) and reduction (labels dropped in B) as the binary op
+    ``B := alpha*A + 0*B``; output-only labels are rejected first."""
     labels_a = tuple(labels_a)
     labels_out = tuple(labels_out)
     merged_a = merge_repeats(labels_a, desc_a)
-    merged_out = merge_repeats(labels_out, desc_out)
-    for lbl in merged_out.labels:
+    for lbl in merge_repeats(labels_out, desc_out).labels:
         if lbl not in merged_a.labels:
             raise TappError(
                 ErrorCode.ERR_UNSUPPORTED,
                 f"output-only label {lbl!r} is not supported",
             )
-    for lbl, ext in zip(merged_out.labels, merged_out.extents):
-        if merged_a.extents[merged_a.labels.index(lbl)] != ext:
-            raise TappError(
-                ErrorCode.ERR_EXTENT_MISMATCH,
-                f"label {lbl!r} extents differ between input and output",
-            )
-    _check_output_addresses_injective(merged_out)
-    stride_a = tuple(merged_a.stride_of(l) for l in merged_out.labels)
-    reduced = [
-        (e, s)
-        for l, e, s in zip(merged_a.labels, merged_a.extents, merged_a.strides)
-        if l not in merged_out.labels
-    ]
-    return UnaryPlan(
-        labels_a=labels_a,
-        labels_out=labels_out,
-        desc_a=desc_a,
-        desc_out=desc_out,
-        compute_dtype=dtype_promote(desc_a.dtype, desc_out.dtype),
-        table_out=_offset_table(merged_out.extents, stride_a, merged_out.strides),
-        table_reduced=tuple(
-            row[0]
-            for row in _offset_table(
-                tuple(e for e, _ in reduced), tuple(s for _, s in reduced)
-            )
-        ),
-    )
+    return make_binary_plan(labels_a, desc_a, labels_out, desc_out, labels_out, desc_out)
 
 
 def run_unary(
-    plan: UnaryPlan,
+    plan: ContractionPlan,
     alpha: ScalarValue | int | float | complex,
     a: TensorView,
     out: TensorView,
 ) -> StatusRecord:
-    t0 = time.perf_counter()
-    al = _scalar_for(alpha, plan.compute_dtype, "alpha")
-    _check_view(a, plan.desc_a, "A")
-    _check_view(out, plan.desc_out, "B")
-    in_place = _is_identical_view(a, out)
-    _check_output_disjoint(out, [(a, "A")], in_place_with=a if in_place else None)
-
-    rnd = compute_rounder(plan.compute_dtype) or (lambda x: x)
-    read_a = al != 0
-    abuf = a.buffer.tolist() if read_a else None
-    obuf = out.buffer
-    out_complex = plan.desc_out.dtype.is_complex
-    red0 = plan.table_reduced[0]
-    red_rest = plan.table_reduced[1:]
-
-    for d_a, d_o in plan.table_out:
-        if read_a:
-            pa = a.base + d_a
-            av = abuf[pa + red0]
-            for m in red_rest:
-                av = rnd(av + abuf[pa + m])
-            v = rnd(al * av)
-        else:
-            v = 0.0
-        off = out.base + d_o
-        if out_complex:
-            obuf[off] = v
-        else:
-            obuf[off] = v.real if isinstance(v, complex) else v
-
-    writes = len(plan.table_out)
-    return StatusRecord(
-        seconds_elapsed=time.perf_counter() - t0,
-        elements_written=writes,
-        multiply_adds=writes if read_a else 0,
-    )
+    """Execute a unary plan.  A may be the output's identical view (in
+    place); it then fills C's unread slot as well, which exempts it from
+    the overlap check as an in-place C is exempt."""
+    c = a if a.desc == out.desc and _byte_range(a) == _byte_range(out) else out
+    return contract(plan, alpha, TensorView(plan.desc_a, _UNIT), a, 0.0, c, out)
 
 
 def unary_op(

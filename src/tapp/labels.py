@@ -43,20 +43,14 @@ _LABEL_CHARS = frozenset(string.ascii_letters + string.digits)
 
 @dataclass(frozen=True)
 class LabelSpec:
-    """Per-tensor label lists; C's labels always equal D's."""
+    """Per-tensor label lists of one contraction.  The constructor takes
+    any labels (binary and unary plans keep their caller's); :meth:`of`
+    and :func:`parse_einsum` accept only single ASCII letters and digits."""
 
     labels_a: tuple[str, ...]
     labels_b: tuple[str, ...]
     labels_c: tuple[str, ...]
     labels_d: tuple[str, ...]
-
-    def __post_init__(self):
-        for seg in (self.labels_a, self.labels_b, self.labels_c, self.labels_d):
-            for ch in seg:
-                if len(ch) != 1 or ch not in _LABEL_CHARS:
-                    raise TappError(
-                        ErrorCode.ERR_PARSE, f"invalid label {ch!r}"
-                    )
 
     @classmethod
     def of(
@@ -67,7 +61,12 @@ class LabelSpec:
         labels_c: Sequence[str] | None = None,
     ) -> "LabelSpec":
         c = tuple(labels_d) if labels_c is None else tuple(labels_c)
-        return cls(tuple(labels_a), tuple(labels_b), c, tuple(labels_d))
+        spec = cls(tuple(labels_a), tuple(labels_b), c, tuple(labels_d))
+        for seg in (spec.labels_a, spec.labels_b, spec.labels_c, spec.labels_d):
+            for ch in seg:
+                if len(ch) != 1 or ch not in _LABEL_CHARS:
+                    raise TappError(ErrorCode.ERR_PARSE, f"invalid label {ch!r}")
+        return spec
 
 
 def parse_einsum(expr: str) -> LabelSpec:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tapp import (
+    DenseTensor,
     DType,
     LabelSpec,
     ScalarValue,
@@ -308,6 +309,132 @@ def test_unary_rejects_output_only_label():
     with pytest.raises(TappError) as err:
         unary_op(1.0, view([2], [1, 2]), "i", view([2, 2]), "ij")
     assert err.value.code is ErrorCode.ERR_UNSUPPORTED
+
+
+@pytest.mark.parametrize(
+    "labels, extents, code",
+    [
+        # Extents are compared across A, B and C before B must match C
+        # in labels and extents.
+        (("i", "i", "j"), ((2,), (3,), (3,)), ErrorCode.ERR_EXTENT_MISMATCH),
+        (("i", "j", "j"), ((2,), (3,), (2,)), ErrorCode.ERR_EXTENT_MISMATCH),
+    ],
+)
+def test_binary_error_precedence(labels, extents, code):
+    a, b, out = (view(e) for e in extents)
+    with pytest.raises(TappError) as err:
+        binary_op(1.0, a, labels[0], 1.0, b, labels[1], out, labels[2])
+    assert err.value.code is code
+
+
+@pytest.mark.parametrize(
+    "labels, extents, code",
+    [
+        # Output-only labels are rejected before extents are compared.
+        (("i", "ij"), ((2,), (3, 2)), ErrorCode.ERR_UNSUPPORTED),
+        (("ij", "i"), ((2, 2), (3,)), ErrorCode.ERR_EXTENT_MISMATCH),
+    ],
+)
+def test_unary_error_precedence(labels, extents, code):
+    a, out = (view(e) for e in extents)
+    with pytest.raises(TappError) as err:
+        unary_op(1.0, a, labels[0], out, labels[1])
+    assert err.value.code is code
+
+
+def _random_view(rng, labels, extents, dtype, negative=False):
+    shape = [extents[l] for l in labels]
+    data = [rng.uniform(-1, 1) for _ in range(math.prod(shape))]
+    if dtype.is_complex:
+        data = [complex(x, rng.uniform(-1, 1)) for x in data]
+    v = view(shape, data, dtype=dtype)
+    if not negative:
+        return v
+    # Same elements, first mode read backwards from the far end.
+    strides = list(v.desc.strides)
+    base = strides[0] * (shape[0] - 1)
+    strides[0] = -strides[0]
+    return TensorView(TensorDesc(tuple(shape), tuple(strides), dtype), v.buffer, base)
+
+
+def _oracle_binary(alpha, a, labels_a, beta, b, labels_out, out_dtype):
+    """``alpha*A + beta*B`` by the oracle, as ``alpha * U A + beta * B``
+    with a one-element unit tensor U and output-only labels broadcast."""
+    unit = DenseTensor((), (1.0,), DType.R32)
+    dense_a, ua = densify(a, labels_a)
+    dense_b, ub = densify(b, labels_out)
+    spec = LabelSpec.of((), ua, tuple(labels_out), ub)
+    return oracle_contract(spec, unit, dense_a, dense_b, alpha, beta, out_dtype)
+
+
+@pytest.mark.parametrize("dtype", list(DType))
+@pytest.mark.parametrize(
+    "labels_a, labels_out, negative",
+    [
+        ("ij", "ji", False),
+        ("ij", "ji", True),
+        ("rij", "ji", False),  # reduction
+        ("ii", "i", False),  # diagonal
+        ("ri", "", False),  # full reduction
+        ("i", "ij", False),  # A broadcast (binary only)
+        ("", "ij", False),
+    ],
+)
+def test_binary_and_unary_match_oracle(dtype, labels_a, labels_out, negative):
+    rng = random.Random(f"{dtype}{labels_a}{labels_out}{negative}")
+    extents = {"i": 3, "j": 2, "r": 4}
+    alpha, beta = (0.75 + 0.5j, -1.25 - 0.25j) if dtype.is_complex else (0.75, -1.25)
+    tol = 1e-4 if dtype.width == 32 else 1e-12
+    shape_out = [extents[l] for l in labels_out]
+    a = _random_view(rng, labels_a, extents, dtype, negative)
+    b = _random_view(rng, labels_out, extents, dtype)
+
+    outputs = []
+    out = view(shape_out, dtype=dtype)
+    binary_op(alpha, a, labels_a, beta, b, labels_out, out, labels_out)
+    outputs.append((out, _oracle_binary(alpha, a, labels_a, beta, b, labels_out, dtype)))
+    if set(labels_out) <= set(labels_a):
+        out = view(shape_out, dtype=dtype)
+        unary_op(alpha, a, labels_a, out, labels_out)
+        outputs.append((out, _oracle_binary(alpha, a, labels_a, 0.0, b, labels_out, dtype)))
+
+    for out, expected in outputs:
+        got = densify(out, labels_out)[0].elements
+        for x, y in zip(got, expected.elements):
+            assert abs(x - y) / max(abs(y), 1.0) <= tol
+
+
+def test_unary_in_place_on_the_identical_view():
+    buf = np.array([1.0, 2.0, 3.0, 4.0])
+    desc = TensorDesc.column_major([2, 2], DType.R64)
+    # Two view objects over the same storage: B is A's identical view.
+    unary_op(1.0, TensorView(desc, buf), "ij", TensorView(desc, buf), "ji")
+    assert buf.tolist() == [1.0, 3.0, 2.0, 4.0]
+
+
+def test_binary_in_place_on_the_identical_view():
+    buf = np.array([10.0, 20.0])
+    desc = TensorDesc.column_major([2], DType.R64)
+    a = view([2], [1.0, 2.0])
+    binary_op(1.0, a, "i", 1.0, TensorView(desc, buf), "i", TensorView(desc, buf), "i")
+    assert buf.tolist() == [11.0, 22.0]
+
+
+@pytest.mark.parametrize("dtype", [DType.R32, DType.R64])
+def test_real_copies_keep_negative_zero(dtype):
+    src = view([2], [-0.0, 1.0], dtype=dtype)
+    out_u, out_b = view([2], dtype=dtype), view([2], dtype=dtype)
+    unary_op(1.0, src, "i", out_u, "i")
+    binary_op(1.0, src, "i", 0.0, view([2], dtype=dtype), "i", out_b, "i")
+    for out in (out_u, out_b):
+        assert np.signbit(out.buffer).tolist() == [True, False]
+
+
+def test_cell_of_negative_zero_products_stores_negative_zero():
+    a = view([2], [-0.0, 1.0])
+    b = view([2], [1.0, -0.0])
+    d, _ = run("i,i->", a, b, d=view([]))
+    assert np.signbit(d.buffer[0])
 
 
 def test_repeated_executions_are_identical():
