@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,19 +88,6 @@ def round_to(value: float | complex, dtype: DType) -> float | complex:
     if dtype is DType.C64:
         return complex(value)
     return float(value)
-
-
-def compute_rounder(dtype: DType) -> Callable[[float | complex], float | complex]:
-    """Per-operation rounding for arithmetic carried out in ``dtype``.
-
-    For 64-bit dtypes this is the builtin ``float`` or ``complex``:
-    Python numbers are already double precision, so it changes no value.
-    """
-    if dtype is DType.R32:
-        return lambda x: float(np.float32(x))
-    if dtype is DType.C32:
-        return lambda z: complex(np.complex64(z))
-    return complex if dtype.is_complex else float
 
 
 @dataclass(frozen=True)

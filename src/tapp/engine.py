@@ -7,27 +7,48 @@ operand takes B's place, and a read-only one-element r32 unit operand U
 takes A's place, with stride zero along every output label the operand
 lacks.  The binary update takes C's place; unary runs with
 ``beta = 0``.  ``1 * x == x`` exactly for real x, so this changes no
-real bits; for complex x CPython forms the full product ``(1+0j) * x``,
-which can flip the sign of a zero component, or give NaN (``0 * inf``)
-next to an infinite one.
+real bits; for complex x the product is the full complex product
+``(1+0j) * x``, which can flip the sign of a zero component, or give NaN
+(``0 * inf``) next to an infinite one.
 
 A validated, immutable plan (see :func:`make_plan`) is built once per
-operation shape.  Execution first sums the input-only reductions once
-per read position, then walks four nested index loops -- batch,
-free-of-A, free-of-B outside, contracted inside -- in
-reverse-lexicographic (first label fastest) order.  Offsets for each
-loop level are precomputed per tensor, so a loop body only adds deltas
-to running base offsets.
+operation shape.  It holds window-relative int64 gather indices, built by
+broadcasting per-label offsets: A's of shape ``(R_a, K, H, F)``, B's of
+shape ``(R_b, K, H, G)``, C's and D's of shape ``(H, F, G)``, where R is
+the operand's input-only reduction, K the contracted labels, H the batch
+labels, and F and G the free labels of A and of B.  Within each group
+the first label varies fastest.
 
-Arithmetic happens in the plan's compute dtype (each operation result
-is rounded to that precision) and each output element is cast to D's
-dtype exactly once, after accumulation.  Following BLAS convention,
-``beta == 0`` means C is never read and ``alpha == 0`` means A and B
-are never read.
+Execution gathers each operand from its reachable window
+``buffer[base+lo : base+hi+1]``, never the whole buffer, and sums A's and
+B's input-only reductions in index order.  It then walks the output cells
+in blocks, forming at most ``_CHUNK`` products ``A[k, h, f] * B[k, h, g]``
+at once and summing them over k from left to right.  Every cell thus
+keeps the summation order of a scalar loop that runs batch, free-of-A and
+free-of-B outside and the contracted labels inside.  Then come
+``alpha * acc``, ``+ beta * C`` and one cast on store into D's window.
+
+Arithmetic happens in the plan's compute dtype, each operation rounded to
+it, and the bits are those of the same scalar loop in Python numbers
+(NaN signs aside):
+
+* Real compute dtypes use native float32 or float64 operations.  A
+  float32 sum or product equals the float64 one rounded to float32.
+* Complex compute dtypes keep real and imaginary parts in a first axis
+  of two and multiply as CPython 3.11 does (``re = ar*br - ai*bi``,
+  ``im = ar*bi + ai*br``); numpy's complex multiply differs in the last
+  bits.  A real value that meets a complex one is promoted to
+  ``(x, +0.0)``; a real-by-real product stays real until it is rounded
+  to complex with imaginary part ``+0.0``.
+* c32 products are formed in float64 and then rounded to float32.
+
+Following BLAS convention, ``beta == 0`` means C is never read and
+``alpha == 0`` means A and B are never read.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -40,13 +61,12 @@ from .core import (
     ScalarValue,
     TensorDesc,
     TensorView,
-    compute_rounder,
     dtype_promote,
     round_to,
     validate_view,
 )
 from .errors import ErrorCode, TappError
-from .labels import ClassifiedLabels, LabelSpec, classify, merge_repeats
+from .labels import ClassifiedLabels, LabelSpec, check_labels, classify, merge_repeats
 
 __all__ = [
     "StatusRecord",
@@ -60,6 +80,11 @@ __all__ = [
     "unary_op",
     "run_unary",
 ]
+
+# Products formed at once.  It bounds the (K, cells) temporaries of a
+# block, whatever the extents, to a few MB: a complex product takes four
+# float64 partial products.
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -79,13 +104,35 @@ class StatusRecord:
     executor: object | None = None
 
 
-def _offsets(extents: Sequence[int], strides: Sequence[int]) -> tuple[int, ...]:
-    """``sum(i_k * s_k)`` for every multi-index, first index fastest,
-    built one mode at a time.  No modes yield the single offset 0."""
-    offsets = (0,)
-    for e, s in zip(extents, strides):
-        offsets = tuple(o + i * s for i in range(e) for o in offsets)
-    return offsets
+def _gather_index(desc: TensorDesc, *groups) -> np.ndarray:
+    """``sum(i_k * s_k)`` over the labels of ``desc`` relative to its lowest
+    reachable element, one axis per ``(extents, strides)`` group, the first
+    label of a group fastest; read-only, since plans are shared."""
+    axes = [
+        np.arange(e, dtype=np.int64) * s
+        for extents, strides in groups
+        for e, s in reversed(tuple(zip(extents, strides)))
+    ]
+    index = reduce(np.add.outer, axes, np.array(-desc.reach_bounds()[0], np.int64))
+    index = index.reshape([math.prod(extents) for extents, _ in groups])
+    index.flags.writeable = False
+    return index
+
+
+def _blocks(k: int, h: int, f: int, g: int):
+    """The (H, F, G) output cells as blocks of at most ``_CHUNK`` cells, G
+    filled first, and the contracted step that keeps a block's products
+    within ``_CHUNK``."""
+    bg = min(g, _CHUNK)
+    bf = min(f, max(1, _CHUNK // bg))
+    bh = min(h, max(1, _CHUNK // (bg * bf)))
+    blocks = tuple(
+        (slice(i, i + bh), slice(j, j + bf), slice(l, l + bg))
+        for i in range(0, h, bh)
+        for j in range(0, f, bf)
+        for l in range(0, g, bg)
+    )
+    return blocks, min(k, max(1, _CHUNK // (bh * bf * bg)))
 
 
 @dataclass(frozen=True)
@@ -99,14 +146,15 @@ class ContractionPlan:
     desc_d: TensorDesc
     classified: ClassifiedLabels
     compute_dtype: DType
-    # Offset deltas per loop level, one row per multi-index; the first
-    # row of every table is the all-zero multi-index.
-    table_batch: tuple[tuple[int, int, int, int], ...] = field(repr=False)
-    table_free_a: tuple[tuple[int, int, int, int], ...] = field(repr=False)
-    table_free_b: tuple[tuple[int, int, int, int], ...] = field(repr=False)
-    table_contracted: tuple[tuple[int, int], ...] = field(repr=False)
-    table_reduced_a: tuple[int, ...] = field(repr=False)
-    table_reduced_b: tuple[int, ...] = field(repr=False)
+    # Window-relative gather indices (see the module docstring): A is
+    # (R_a, K, H, F), B is (R_b, K, H, G), C and D are (H, F, G).
+    index_a: np.ndarray = field(repr=False, compare=False)
+    index_b: np.ndarray = field(repr=False, compare=False)
+    index_c: np.ndarray = field(repr=False, compare=False)
+    index_d: np.ndarray = field(repr=False, compare=False)
+    # Output-cell blocks as (H, F, G) slices, and the contracted step.
+    blocks: tuple[tuple[slice, slice, slice], ...] = field(repr=False, compare=False)
+    step: int = field(repr=False, compare=False)
 
     @property
     def size_batch(self) -> int:
@@ -168,8 +216,10 @@ def make_plan(
             ErrorCode.ERR_UNSUPPORTED,
             f"output-only labels {classified.broadcast_out.labels} are not supported",
         )
-    out_offsets = _offsets(merged_d.extents, merged_d.strides)
-    if len(set(out_offsets)) != len(out_offsets):
+    cells = (classified.batch, classified.free_a, classified.free_b)
+    index_d = _gather_index(desc_d, *((g.extents, g.strides_d) for g in cells))
+    addresses = np.sort(index_d, axis=None)
+    if (addresses[1:] == addresses[:-1]).any():
         raise TappError(
             ErrorCode.ERR_ALIASING, "two output element indices map to one address"
         )
@@ -178,13 +228,17 @@ def make_plan(
         compute_dtype, desc_a.dtype, desc_b.dtype, desc_c.dtype, desc_d.dtype
     )
 
-    def d_side_table(group):
-        strides_c = tuple(merged_c.stride_of(l) for l in group.labels)
-        vectors = (group.strides_a, group.strides_b, strides_c, group.strides_d)
-        columns = {sv: _offsets(group.extents, sv) for sv in vectors}  # C is often D
-        return tuple(zip(*(columns[sv] for sv in vectors)))
-
-    con, red_a, red_b = classified.contracted, classified.reduced_a, classified.reduced_b
+    if desc_c.strides == desc_d.strides:  # C is often D
+        index_c = index_d
+    else:
+        index_c = _gather_index(
+            desc_c,
+            *((g.extents, tuple(map(merged_c.stride_of, g.labels))) for g in cells),
+        )
+    con, batch = classified.contracted, classified.batch
+    red_a, free_a = classified.reduced_a, classified.free_a
+    red_b, free_b = classified.reduced_b, classified.free_b
+    blocks, step = _blocks(con.size, batch.size, free_a.size, free_b.size)
     return ContractionPlan(
         spec=spec,
         desc_a=desc_a,
@@ -193,14 +247,16 @@ def make_plan(
         desc_d=desc_d,
         classified=classified,
         compute_dtype=cdt,
-        table_batch=d_side_table(classified.batch),
-        table_free_a=d_side_table(classified.free_a),
-        table_free_b=d_side_table(classified.free_b),
-        table_contracted=tuple(
-            zip(_offsets(con.extents, con.strides_a), _offsets(con.extents, con.strides_b))
+        index_a=_gather_index(
+            desc_a, *((g.extents, g.strides_a) for g in (red_a, con, batch, free_a))
         ),
-        table_reduced_a=_offsets(red_a.extents, red_a.strides_a),
-        table_reduced_b=_offsets(red_b.extents, red_b.strides_b),
+        index_b=_gather_index(
+            desc_b, *((g.extents, g.strides_b) for g in (red_b, con, batch, free_b))
+        ),
+        index_c=index_c,
+        index_d=index_d,
+        blocks=blocks,
+        step=step,
     )
 
 
@@ -212,11 +268,16 @@ def _byte_range(view: TensorView) -> tuple[int, int]:
 
 
 def _check_view(view: TensorView, desc: TensorDesc, name: str) -> None:
-    if view.desc.dtype is not desc.dtype or view.buffer.dtype != desc.dtype.np_dtype:
+    own = view.desc is desc  # as the API binds buffers to a plan's descriptors
+    if view.buffer.dtype != desc.dtype.np_dtype or (
+        not own and view.desc.dtype is not desc.dtype
+    ):
         raise TappError(
             ErrorCode.ERR_DTYPE_MISMATCH, f"{name}: buffer dtype differs from plan"
         )
-    if view.desc.extents != desc.extents or view.desc.strides != desc.strides:
+    if not own and (
+        view.desc.extents != desc.extents or view.desc.strides != desc.strides
+    ):
         raise TappError(
             ErrorCode.ERR_OUT_OF_BOUNDS, f"{name}: view layout differs from plan"
         )
@@ -226,35 +287,69 @@ def _check_view(view: TensorView, desc: TensorDesc, name: str) -> None:
 
 
 def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
-    sv = ScalarValue.of(value)
-    if sv.im != 0.0 and not compute_dtype.is_complex:
+    """``ScalarValue.of(value).value`` rounded to the compute dtype, without
+    building the ScalarValue."""
+    if isinstance(value, ScalarValue):
+        value = value.value
+    elif not isinstance(value, complex):
+        value = float(value)
+    elif value.imag == 0.0:
+        value = value.real
+    if not compute_dtype.is_complex and isinstance(value, complex) and value.imag != 0:
         raise TappError(
             ErrorCode.ERR_DTYPE_MISMATCH,
             f"{name} has a nonzero imaginary part but all operands are real",
         )
-    return round_to(sv.value, compute_dtype)
+    return round_to(value, compute_dtype)
 
 
-def _reduced(plan: ContractionPlan, view: TensorView, k: int, rnd):
-    """The buffer of operand A (``k == 0``) or B (``k == 1``) as a list;
-    with input-only labels, a map from each read position to its
-    reduction, summed once in table order."""
-    buf = view.buffer.tolist()
-    offsets = (plan.table_reduced_a, plan.table_reduced_b)[k]
-    if len(offsets) == 1:
-        return buf
-    free = (plan.table_free_a, plan.table_free_b)[k]
-    reduced = {}
-    for h in plan.table_batch:
-        for f in free:
-            for c in plan.table_contracted:
-                p = view.base + h[k] + f[k] + c[k]
-                if p not in reduced:
-                    v = buf[p]
-                    for m in offsets[1:]:
-                        v = rnd(v + buf[p + m])
-                    reduced[p] = v
-    return reduced
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+def _window(view: TensorView) -> np.ndarray:
+    """The reachable elements of ``view``, as a view of its buffer."""
+    lo, hi = view.desc.reach_bounds(view.base)
+    return view.buffer[lo : hi + 1]
+
+
+def _gather(view: TensorView, index: np.ndarray, part: np.dtype):
+    """The elements of ``view`` at ``index`` with ``part`` precision, and
+    whether they are complex; complex ones get a first axis ``(re, im)``."""
+    x = _window(view)[index]
+    if x.dtype.kind != "c":
+        return (x if x.dtype == part else x.astype(part)), False
+    parts = np.empty((2, *x.shape), part)
+    parts[0], parts[1] = x.real, x.imag
+    return parts, True
+
+
+def _promoted(x: np.ndarray) -> np.ndarray:
+    """Real values as Python promotes a float to complex: ``(x, +0.0)``."""
+    parts = np.zeros((2, *x.shape), x.dtype)
+    parts[0] = x
+    return parts
+
+
+def _sum_k(x: np.ndarray) -> np.ndarray:
+    """``(x[0] + x[1]) + x[2] + ...`` along the fourth axis from the end
+    (K, or R before a reduction), left to right."""
+    if x.shape[-4] == 1:
+        return x[..., 0, :, :, :]
+    return np.add.accumulate(x, axis=-4)[..., -1, :, :, :]
+
+
+def _cmul(x: np.ndarray, y, part: np.dtype) -> np.ndarray:
+    """CPython's complex product ``(xr*yr - xi*yi, xr*yi + xi*yr)`` of
+    ``(re, im)`` parts, formed in float64 and rounded to ``part`` once;
+    ``y`` may be a pair of Python floats."""
+    if part is _F32:  # a float scalar is weak: widen the arrays first
+        x = x.astype(_F64)
+        y = y.astype(_F64) if isinstance(y, np.ndarray) else y
+    x_yr, x_yi = x * y[0], x * y[1]  # (xr*yr, xi*yr) and (xr*yi, xi*yi)
+    out = np.empty(x_yr.shape, part)
+    np.subtract(x_yr[0], x_yi[1], out=out[0])
+    np.add(x_yi[0], x_yr[1], out=out[1])
+    return out
 
 
 def contract(
@@ -280,59 +375,84 @@ def contract(
     _check_view(b, plan.desc_b, "B")
     _check_view(c, plan.desc_c, "C")
     _check_view(d, plan.desc_d, "D")
-    lo, hi = _byte_range(d)
-    for view, name in ((a, "A"), (b, "B"), (c, "C")):
-        r = _byte_range(view)
-        if r[0] <= hi and lo <= r[1]:
-            if view is c and r == (lo, hi) and c.desc == d.desc:
-                continue
-            raise TappError(
-                ErrorCode.ERR_ALIASING, f"output storage overlaps operand {name}"
-            )
-
-    rnd = compute_rounder(plan.compute_dtype)
-    t_batch = plan.table_batch
-    t_fa = plan.table_free_a
-    t_fb = plan.table_free_b
-    t_p_rest = plan.table_contracted[1:]
-    base_a, base_b, base_c, base_d = a.base, b.base, c.base, d.base
+    shared = [
+        (view, name)
+        for view, name in ((a, "A"), (b, "B"), (c, "C"))
+        if np.may_share_memory(view.buffer, d.buffer)
+    ]
+    if shared:
+        lo, hi = _byte_range(d)
+        for view, name in shared:
+            r = _byte_range(view)
+            if r[0] <= hi and lo <= r[1]:
+                if view is c and r == (lo, hi) and c.desc == d.desc:
+                    continue
+                raise TappError(
+                    ErrorCode.ERR_ALIASING, f"output storage overlaps operand {name}"
+                )
 
     read_ab = al != 0
     read_c = be != 0
-    if read_ab:
-        abuf = _reduced(plan, a, 0, rnd)
-        bbuf = _reduced(plan, b, 1, rnd)
-    cbuf = c.buffer.tolist() if read_c else None
-    dbuf = d.buffer
-    drop_imag = plan.compute_dtype.is_complex and not plan.desc_d.dtype.is_complex
-
-    for h_a, h_b, h_c, h_d in t_batch:
-        ha = base_a + h_a
-        hb = base_b + h_b
-        hc = base_c + h_c
-        hd = base_d + h_d
-        for f_a, _, f_c, f_d in t_fa:
-            ia = ha + f_a
-            ic = hc + f_c
-            idx_d = hd + f_d
-            for _, g_b, g_c, g_d in t_fb:
-                if read_ab:
-                    jb = hb + g_b
-                    acc = rnd(abuf[ia] * bbuf[jb])
-                    for k_a, k_b in t_p_rest:
-                        acc = rnd(acc + rnd(abuf[ia + k_a] * bbuf[jb + k_b]))
-                    v = rnd(al * acc)
+    cdt = plan.compute_dtype
+    part = _F32 if cdt.width == 32 else _F64
+    cplx = cdt.is_complex
+    dwin = _window(d)
+    with np.errstate(all="ignore"):
+        if read_ab:
+            # A and B are read whole before the first store, so that an
+            # operand that is D's identical view (in-place unary) is read intact.
+            av, a_cplx = _gather(a, plan.index_a, part)
+            bv, b_cplx = _gather(b, plan.index_b, part)
+            if cplx:
+                # A real reduction is complex from its first rounding on,
+                # with imaginary part +0.0, and a real operand that meets a
+                # complex one is promoted alike.
+                cmul_ab = a_cplx or b_cplx or av.shape[-4] > 1 or bv.shape[-4] > 1
+                if cmul_ab:
+                    av = av if a_cplx else _promoted(av)
+                    bv = bv if b_cplx else _promoted(bv)
+            av, bv = _sum_k(av), _sum_k(bv)  # (K, H, F) and (K, H, G)
+        if cplx:
+            al, be = (al.real, al.imag), (be.real, be.imag)
+        size_k, step = plan.size_contracted, plan.step
+        for hs, fs, gs in plan.blocks:
+            v = 0.0
+            if read_ab:
+                acc = None
+                for k in range(0, size_k, step):
+                    x = av[..., k : k + step, hs, fs, None]
+                    y = bv[..., k : k + step, hs, None, gs]
+                    if not cplx:
+                        p = x * y
+                    elif cmul_ab:
+                        p = _cmul(x, y, part)
+                    else:  # a real product, rounded to complex
+                        p = _promoted(x * y)
+                    if acc is not None:
+                        p[..., 0, :, :, :] += acc
+                    acc = _sum_k(p)
+                v = _cmul(acc, al, part) if cplx else acc * al
+            if read_c:
+                cv, c_cplx = _gather(c, plan.index_c[hs, fs, gs], part)
+                if cplx:
+                    cv = _cmul(cv if c_cplx else _promoted(cv), be, part)
                 else:
-                    v = 0.0
-                if read_c:
-                    v = rnd(v + rnd(be * cbuf[ic + g_c]))
-                dbuf[idx_d + g_d] = v.real if drop_imag else v
+                    cv = cv * be
+                v = v + cv  # 0.0 + (re, im) == (0.0 + re, 0.0 + im)
+            # One cast on store; a real D drops the imaginary part.
+            index = plan.index_d[hs, fs, gs]
+            if not cplx or isinstance(v, float):
+                dwin[index] = v
+            elif dwin.dtype.kind == "c":
+                dwin.real[index], dwin.imag[index] = v
+            else:
+                dwin[index] = v[0]
 
-    writes = len(t_batch) * len(t_fa) * len(t_fb)
+    writes = plan.size_batch * plan.size_free_a * plan.size_free_b
     return StatusRecord(
         seconds_elapsed=time.perf_counter() - t0,
         elements_written=writes,
-        multiply_adds=writes * len(plan.table_contracted) if read_ab else 0,
+        multiply_adds=writes * plan.size_contracted if read_ab else 0,
     )
 
 
@@ -348,11 +468,12 @@ def make_binary_plan(
     labels_out: Sequence[str],
     desc_out: TensorDesc,
 ) -> ContractionPlan:
-    """Plan ``C := alpha*A + beta*B`` (B's labels name C); extents are
-    checked across A, B and C before B must match C."""
+    """Plan ``C := alpha*A + beta*B`` (B's labels name C); labels are
+    checked first, then extents across A, B and C, then B must match C."""
     labels_a = tuple(labels_a)
     labels_b = tuple(labels_b)
     labels_out = tuple(labels_out)
+    check_labels(labels_a, labels_b, labels_out)
     merged_a = merge_repeats(labels_a, desc_a)
     merged_b = merge_repeats(labels_b, desc_b)
     classify(merged_a, merged_b, merge_repeats(labels_out, desc_out))
@@ -406,9 +527,11 @@ def make_unary_plan(
 ) -> ContractionPlan:
     """Plan ``B := alpha*A`` with permutation, diagonal access (repeated
     labels in A) and reduction (labels dropped in B) as the binary op
-    ``B := alpha*A + 0*B``; output-only labels are rejected first."""
+    ``B := alpha*A + 0*B``; labels are checked first, then output-only
+    labels are rejected."""
     labels_a = tuple(labels_a)
     labels_out = tuple(labels_out)
+    check_labels(labels_a, labels_out)
     merged_a = merge_repeats(labels_a, desc_a)
     for lbl in merge_repeats(labels_out, desc_out).labels:
         if lbl not in merged_a.labels:
@@ -428,7 +551,12 @@ def run_unary(
     """Execute a unary plan.  A may be the output's identical view (in
     place); it then fills C's unread slot as well, which exempts it from
     the overlap check as an in-place C is exempt."""
-    c = a if a.desc == out.desc and _byte_range(a) == _byte_range(out) else out
+    identical = (
+        a.desc == out.desc
+        and np.may_share_memory(a.buffer, out.buffer)
+        and _byte_range(a) == _byte_range(out)
+    )
+    c = a if identical else out
     return contract(plan, alpha, TensorView(plan.desc_a, _UNIT), a, 0.0, c, out)
 
 

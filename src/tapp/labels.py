@@ -30,6 +30,7 @@ from .errors import ErrorCode, TappError
 
 __all__ = [
     "LabelSpec",
+    "check_labels",
     "MergedTensorLabels",
     "LabelGroup",
     "ClassifiedLabels",
@@ -41,11 +42,19 @@ __all__ = [
 _LABEL_CHARS = frozenset(string.ascii_letters + string.digits)
 
 
+def check_labels(*segments: Sequence[str]) -> None:
+    """Raise ERR_PARSE unless every label is one ASCII letter or digit."""
+    for seg in segments:
+        for ch in seg:
+            if not isinstance(ch, str) or ch not in _LABEL_CHARS:
+                raise TappError(ErrorCode.ERR_PARSE, f"invalid label {ch!r}")
+
+
 @dataclass(frozen=True)
 class LabelSpec:
     """Per-tensor label lists of one contraction.  The constructor takes
-    any labels (binary and unary plans keep their caller's); :meth:`of`
-    and :func:`parse_einsum` accept only single ASCII letters and digits."""
+    any labels; :meth:`of` and :func:`parse_einsum` accept only single
+    ASCII letters and digits (see :func:`check_labels`)."""
 
     labels_a: tuple[str, ...]
     labels_b: tuple[str, ...]
@@ -62,10 +71,7 @@ class LabelSpec:
     ) -> "LabelSpec":
         c = tuple(labels_d) if labels_c is None else tuple(labels_c)
         spec = cls(tuple(labels_a), tuple(labels_b), c, tuple(labels_d))
-        for seg in (spec.labels_a, spec.labels_b, spec.labels_c, spec.labels_d):
-            for ch in seg:
-                if len(ch) != 1 or ch not in _LABEL_CHARS:
-                    raise TappError(ErrorCode.ERR_PARSE, f"invalid label {ch!r}")
+        check_labels(spec.labels_a, spec.labels_b, spec.labels_c, spec.labels_d)
         return spec
 
 

@@ -150,6 +150,19 @@ def test_output_only_label_is_rejected(handle):
     assert op is ErrorCode.ERR_UNSUPPORTED
 
 
+@pytest.mark.parametrize("bad", ["$", ("ab",), (1,)])
+def test_binary_and_unary_ops_reject_invalid_labels(handle, bad):
+    # The contraction's label rule: one ASCII letter or digit per mode.
+    i1 = tapp_create_tensor_info(handle, DType.R64, 1, (2,), (1,))
+    assert tapp_create_binary_op(handle, i1, bad, i1, bad, i1, bad) is ErrorCode.ERR_PARSE
+    assert tapp_create_binary_op(handle, i1, bad, i1, "i", i1, "i") is ErrorCode.ERR_PARSE
+    assert tapp_create_unary_op(handle, i1, bad, i1, bad) is ErrorCode.ERR_PARSE
+    assert tapp_create_unary_op(handle, i1, "i", i1, bad) is ErrorCode.ERR_PARSE
+    assert tapp_create_contraction(handle, i1, bad, i1, "i", i1, "i", i1, "i") is (
+        ErrorCode.ERR_PARSE
+    )
+
+
 def test_destroyed_handle_invalidates_everything(handle):
     op = _matmul_setup(handle)
     ex = tapp_get_default_executor(handle)

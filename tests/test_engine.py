@@ -222,6 +222,25 @@ def test_output_overlapping_an_input_is_rejected():
     assert err.value.code is ErrorCode.ERR_ALIASING
 
 
+def test_overlap_is_judged_by_address_not_by_array_object():
+    # Distinct ndarray objects that slice one base share memory.
+    base = np.zeros(8)
+    desc = TensorDesc.column_major([2], DType.R64)
+    plan = make_plan(parse_einsum("i,i->i"), desc, desc, desc, desc)
+    ones = view([2], [1.0, 1.0])
+    with pytest.raises(TappError) as err:
+        contract(plan, 1.0, TensorView(desc, base[0:3]), ones, 0.0, view([2]),
+                 TensorView(desc, base[1:4]))
+    assert err.value.code is ErrorCode.ERR_ALIASING
+    base[:] = [1, 2, 3, 4, 5, 6, 7, 8]
+    d = TensorView(desc, base[2:4])
+    contract(plan, 1.0, TensorView(desc, base[0:2]), ones, 0.0, view([2]), d)
+    assert base.tolist() == [1, 2, 1, 2, 5, 6, 7, 8]
+    # C in place through another array object over D's elements.
+    contract(plan, 1.0, ones, ones, 1.0, TensorView(desc, base[2:4]), d)
+    assert base.tolist() == [1, 2, 2, 3, 5, 6, 7, 8]
+
+
 def test_partially_overlapping_c_and_d_are_rejected():
     buf = np.zeros(4)
     desc = TensorDesc.column_major([2], DType.R64)
@@ -410,6 +429,13 @@ def test_unary_in_place_on_the_identical_view():
     # Two view objects over the same storage: B is A's identical view.
     unary_op(1.0, TensorView(desc, buf), "ij", TensorView(desc, buf), "ji")
     assert buf.tolist() == [1.0, 3.0, 2.0, 4.0]
+
+
+def test_unary_in_place_through_distinct_array_objects():
+    base = np.array([1.0, 2.0, 3.0, 4.0])
+    desc = TensorDesc.column_major([2, 2], DType.R64)
+    unary_op(1.0, TensorView(desc, base[0:4]), "ij", TensorView(desc, base[:]), "ji")
+    assert base.tolist() == [1.0, 3.0, 2.0, 4.0]
 
 
 def test_binary_in_place_on_the_identical_view():

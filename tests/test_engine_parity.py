@@ -1,0 +1,218 @@
+"""Bitwise parity of ``engine.contract`` with the scalar reference loop.
+
+Every case runs the same plan through the engine and through
+``scalar_engine.scalar_contract`` on equal copies of the output buffer, and
+requires equal bits everywhere, guard elements included.  NaN is compared
+by position only: its sign and payload are not part of the contract.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from scalar_engine import scalar_contract
+from tapp import (
+    DType,
+    TensorDesc,
+    TensorView,
+    contract,
+    dtype_promote,
+    engine,
+    make_binary_plan,
+    make_plan,
+    make_unary_plan,
+    parse_einsum,
+)
+
+SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+def _values(rng, count, dtype, special):
+    def one():
+        if rng.random() < special:
+            return rng.choice(SPECIALS)
+        return rng.uniform(-2.0, 2.0)
+
+    if dtype.is_complex:
+        data = [complex(one(), one()) for _ in range(count)]
+    else:
+        data = [one() for _ in range(count)]
+    return np.array(data, dtype=dtype.np_dtype)
+
+
+def _layout(rng, extents, output=False):
+    """Column-major strides with random mode order, sign flips, padding of
+    the leading dimension (a sub-view) and, for inputs, zero strides."""
+    order = list(range(len(extents)))
+    rng.shuffle(order)
+    strides = [0] * len(extents)
+    acc = 1
+    for k in order:
+        strides[k] = acc
+        acc *= extents[k] + (rng.randint(1, 3) if rng.random() < 0.3 else 0)
+    for k in range(len(extents)):
+        if rng.random() < 0.3:
+            strides[k] = -strides[k]
+        if not output and rng.random() < 0.15:
+            strides[k] = 0
+    return tuple(strides)
+
+
+def _view(rng, extents, dtype, special, output=False):
+    desc = TensorDesc(tuple(extents), _layout(rng, extents, output), dtype)
+    lo, hi = desc.reach_bounds()
+    pad = rng.randint(0, 2), rng.randint(0, 2)
+    buffer = _values(rng, pad[0] + hi - lo + 1 + pad[1], dtype, special)
+    return TensorView(desc, buffer, pad[0] - lo)
+
+
+def _copy(v):
+    return TensorView(v.desc, v.buffer.copy(), v.base)
+
+
+def _assert_same_bits(got, want):
+    if got.dtype.kind == "c":
+        got, want = got.view(got.real.dtype), want.view(want.real.dtype)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _scalar(rng, cdt):
+    kind = rng.random()
+    if kind < 0.25:
+        return 0.0
+    if kind < 0.35:
+        return 1.0
+    if cdt.is_complex and kind < 0.7:
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return rng.uniform(-2, 2)
+
+
+def _check(plan, alpha, a, b, beta, c, d, in_place=False):
+    """Run the engine and the reference on equal copies of D (C is D's
+    copy too when ``in_place``)."""
+    sides = []
+    for _ in range(2):
+        dd = _copy(d)
+        sides.append((c if not in_place else dd, dd))
+    contract(plan, alpha, a, b, beta, *sides[0])
+    scalar_contract(plan, alpha, a, b, beta, *sides[1])
+    _assert_same_bits(sides[0][1].buffer, sides[1][1].buffer)
+
+
+def _random_product(rng, einsum, extents, dtypes, special):
+    spec = parse_einsum(einsum)
+    labels = (spec.labels_a, spec.labels_b, spec.labels_c, spec.labels_d)
+    views = [
+        _view(rng, [extents[l] for l in ls], dt, special, output=(k == 3))
+        for k, (ls, dt) in enumerate(zip(labels, dtypes))
+    ]
+    in_place = rng.random() < 0.2
+    if in_place:
+        views[2] = views[3]
+    cdt = dtype_promote(dtype_promote(*dtypes[:2]), views[3].desc.dtype)
+    cdt = dtype_promote(cdt, views[2].desc.dtype)
+    if rng.random() < 0.2 and cdt is not DType.C64:
+        cdt = DType.C64  # a requested compute dtype wider than the promotion
+    plan = make_plan(spec, *(v.desc for v in views), compute_dtype=cdt)
+    _check(plan, _scalar(rng, cdt), *views[:2], _scalar(rng, cdt), *views[2:], in_place)
+
+
+CASES = [
+    ("ij,jk->ik", {"i": 3, "j": 4, "k": 2}),
+    ("ijr,jk->ik", {"i": 2, "j": 3, "k": 2, "r": 3}),
+    ("iij,jk->ik", {"i": 3, "j": 2, "k": 2}),
+    ("bij,bjk->bik", {"b": 2, "i": 2, "j": 3, "k": 2}),
+    ("i,i->", {"i": 5}),
+    ("ij,kr->ikj", {"i": 2, "j": 2, "k": 3, "r": 2}),
+    ("ii,ij->ij", {"i": 3, "j": 2}),
+    (",->", {}),
+]
+
+
+@pytest.mark.parametrize("einsum, extents", CASES)
+@pytest.mark.parametrize("dtypes", [[dt] * 4 for dt in DType] + [list(DType)])
+def test_product_matches_scalar_loop(einsum, extents, dtypes):
+    rng = random.Random(f"{einsum}{dtypes}")
+    for special in (0.0, 0.3):
+        for _ in range(6):
+            _random_product(rng, einsum, extents, dtypes, special)
+
+
+def test_mixed_dtype_op_with_beta_matches_scalar_loop():
+    # A float alpha or beta is a weak scalar to numpy, so a c32 operand must
+    # be widened before it meets one; this op caught the narrow product.
+    rng = random.Random(3)
+    spec = parse_einsum("ij,jk->ik")
+    dtypes = (DType.R32, DType.R64, DType.C32, DType.C64)
+    for _ in range(20):
+        a, b, c, d = (
+            _view(rng, [3, 3], dt, 0.0, output=(k == 3)) for k, dt in enumerate(dtypes)
+        )
+        plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
+        beta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        _check(plan, rng.uniform(0.5, 1.5), a, b, beta, c, d)
+
+
+def _random_labels(rng):
+    pool = iter("abcdefgh")
+    groups = [[next(pool) for _ in range(rng.randint(lo, hi))]
+              for lo, hi in ((0, 1), (0, 2), (0, 2), (0, 1), (0, 1), (0, 1))]
+    batch, con, free_a, free_b, red_a, red_b = groups
+    la = batch + con + free_a + red_a
+    lb = batch + con + free_b + red_b
+    ld = batch + free_a + free_b
+    for labels in (la, lb, ld):
+        rng.shuffle(labels)
+    if la and rng.random() < 0.3:  # a repeated label: A's diagonal
+        la.insert(rng.randrange(len(la) + 1), rng.choice(la))
+    extents = {l: rng.randint(1, 3) for l in "abcdefgh"}
+    return "".join(la) + "," + "".join(lb) + "->" + "".join(ld), extents
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, engine._CHUNK])
+def test_random_products_match_scalar_loop_at_every_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for _ in range(60):
+        einsum, extents = _random_labels(rng)
+        dtypes = [rng.choice(list(DType)) for _ in range(4)]
+        _random_product(rng, einsum, extents, dtypes, rng.choice((0.0, 0.2)))
+
+
+@pytest.mark.parametrize(
+    "einsum, extents",
+    [
+        # cells x K spans three steps of the contracted loop
+        ("ij,jk->ik", {"i": 64, "j": 48, "k": 64}),
+        # more cells than one block holds
+        ("i,j->ij", {"i": 300, "j": 240}),
+    ],
+)
+def test_products_spanning_several_chunks_match_scalar_loop(einsum, extents):
+    assert math.prod(extents.values()) > engine._CHUNK
+    rng = random.Random(einsum)
+    _random_product(rng, einsum, extents, [DType.R64] * 4, 0.0)
+
+
+@pytest.mark.parametrize("dtype", list(DType))
+def test_binary_and_unary_match_scalar_loop(dtype):
+    rng = random.Random(str(dtype))
+    unit = np.ones(1, np.float32)
+    shapes = [("ij", "ji"), ("rij", "ji"), ("ii", "i"), ("ri", ""), ("i", "ij"), ("", "ij")]
+    extents = {"i": 3, "j": 2, "r": 2}
+    for labels_a, labels_out in shapes:
+        for special in (0.0, 0.3):
+            a = _view(rng, [extents[l] for l in labels_a], dtype, special)
+            b = _view(rng, [extents[l] for l in labels_out], dtype, special)
+            out = _view(rng, [extents[l] for l in labels_out], dtype, special, output=True)
+            alpha, beta = _scalar(rng, dtype), _scalar(rng, dtype)
+            plan = make_binary_plan(labels_a, a.desc, labels_out, b.desc, labels_out, out.desc)
+            u = TensorView(plan.desc_a, unit)
+            _check(plan, alpha, u, a, beta, b, out)
+            if set(labels_out) <= set(labels_a):
+                plan = make_unary_plan(labels_a, a.desc, labels_out, out.desc)
+                _check(plan, alpha, u, a, 0.0, out, out, in_place=True)
