@@ -159,6 +159,8 @@ def tapp_create_tensor_info(
     """
     if not _live_handle(handle):
         return ErrorCode.ERR_INVALID_HANDLE
+    if not isinstance(dtype, DType):
+        return ErrorCode.ERR_DTYPE_MISMATCH
     if nmodes != len(extents) or (strides is not None and nmodes != len(strides)):
         return ErrorCode.ERR_EXTENT_MISMATCH
     try:
@@ -178,6 +180,14 @@ def _owned(handle: Handle, *infos) -> bool:
     )
 
 
+def _label_tuples(*labels) -> list[tuple]:
+    """Each label string or sequence as a tuple; anything else is ERR_PARSE."""
+    try:
+        return [tuple(l) for l in labels]
+    except TypeError:
+        raise TappError(ErrorCode.ERR_PARSE, "labels must be sequences") from None
+
+
 def tapp_create_contraction(
     handle,
     info_a,
@@ -194,9 +204,8 @@ def tapp_create_contraction(
     if not _live_handle(handle) or not _owned(handle, info_a, info_b, info_c, info_d):
         return ErrorCode.ERR_INVALID_HANDLE
     try:
-        spec = LabelSpec.of(
-            tuple(labels_a), tuple(labels_b), tuple(labels_d), tuple(labels_c)
-        )
+        la, lb, lc, ld = _label_tuples(labels_a, labels_b, labels_c, labels_d)
+        spec = LabelSpec.of(la, lb, ld, lc)
         plan = engine.make_plan(
             spec, info_a.desc, info_b.desc, info_c.desc, info_d.desc, compute_dtype
         )
@@ -218,10 +227,8 @@ def tapp_create_binary_op(
     if not _live_handle(handle) or not _owned(handle, info_a, info_b, info_c):
         return ErrorCode.ERR_INVALID_HANDLE
     try:
-        plan = engine.make_binary_plan(
-            tuple(labels_a), info_a.desc, tuple(labels_b), info_b.desc,
-            tuple(labels_c), info_c.desc,
-        )
+        la, lb, lc = _label_tuples(labels_a, labels_b, labels_c)
+        plan = engine.make_binary_plan(la, info_a.desc, lb, info_b.desc, lc, info_c.desc)
     except TappError as err:
         return err.code
     return OperationDescriptor(handle, "binary", plan)
@@ -238,9 +245,8 @@ def tapp_create_unary_op(
     if not _live_handle(handle) or not _owned(handle, info_a, info_b):
         return ErrorCode.ERR_INVALID_HANDLE
     try:
-        plan = engine.make_unary_plan(
-            tuple(labels_a), info_a.desc, tuple(labels_b), info_b.desc
-        )
+        la, lb = _label_tuples(labels_a, labels_b)
+        plan = engine.make_unary_plan(la, info_a.desc, lb, info_b.desc)
     except TappError as err:
         return err.code
     return OperationDescriptor(handle, "unary", plan)

@@ -121,6 +121,18 @@ class ScalarValue:
         return complex(self.re, self.im) if self.dtype.is_complex else self.re
 
 
+def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as Python ints; a value that is not integral is an error."""
+    try:
+        values = tuple(values)
+        ints = tuple(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != values:
+        raise TappError(ErrorCode.ERR_EXTENT_MISMATCH, f"{what} must be integers")
+    return ints
+
+
 @dataclass(frozen=True)
 class TensorDesc:
     """Logical shape, strided physical layout and dtype of one operand."""
@@ -130,8 +142,8 @@ class TensorDesc:
     dtype: DType
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
-        object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
+        object.__setattr__(self, "extents", _integers(self.extents, "extents"))
+        object.__setattr__(self, "strides", _integers(self.strides, "strides"))
         if len(self.extents) != len(self.strides):
             raise TappError(
                 ErrorCode.ERR_EXTENT_MISMATCH,
@@ -186,7 +198,9 @@ class TensorView:
 
     def __post_init__(self):
         if self.buffer.ndim != 1:
-            raise ValueError("tensor storage must be a flat 1-D buffer")
+            raise TappError(
+                ErrorCode.ERR_EXTENT_MISMATCH, "tensor storage must be a flat 1-D buffer"
+            )
 
 
 def element_offset(indices: Sequence[int], strides: Sequence[int]) -> int:

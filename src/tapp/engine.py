@@ -22,11 +22,23 @@ the first label varies fastest.
 Execution gathers each operand from its reachable window
 ``buffer[base+lo : base+hi+1]``, never the whole buffer, and sums A's and
 B's input-only reductions in index order.  It then walks the output cells
-in blocks, forming at most ``_CHUNK`` products ``A[k, h, f] * B[k, h, g]``
-at once and summing them over k from left to right.  Every cell thus
-keeps the summation order of a scalar loop that runs batch, free-of-A and
-free-of-B outside and the contracted labels inside.  Then come
-``alpha * acc``, ``+ beta * C`` and one cast on store into D's window.
+in blocks of at most ``_CHUNK`` cells, forming at most ``_CHUNK`` products
+``A[k, h, f] * B[k, h, g]`` at once and summing them over k from left to
+right, ``((p0 + p1) + p2) + ...``.  Every cell thus keeps the summation
+order of a scalar loop that runs batch, free-of-A and free-of-B outside
+and the contracted labels inside.  Then come ``alpha * acc``,
+``+ beta * C`` and one cast on store into D's window.
+
+A sum of rows (K products, or R reduced values, per cell) runs one of two
+ways, chosen by one rule on its shape, :func:`_row_adds`: wide rows, of a
+few hundred cells or more, are added in place one row at a time
+(``acc += p[k]``, one numpy call per row); narrow ones, such as a long dot
+product into one cell, go through ``np.add.accumulate`` (one inner loop
+per cell).  On wide blocks a complex product is fused into the sum: its
+re and then its im part are formed in reused float64 buffers and
+row-summed straight away, so the block never holds all K complex products
+at once, and ``alpha`` and ``beta`` scale in those buffers too.  Both ways
+add the same values in the same order, so they give the same bits.
 
 Arithmetic happens in the plan's compute dtype, each operation rounded to
 it, and the bits are those of the same scalar loop in Python numbers
@@ -38,9 +50,11 @@ it, and the bits are those of the same scalar loop in Python numbers
   of two and multiply as CPython 3.11 does (``re = ar*br - ai*bi``,
   ``im = ar*bi + ai*br``); numpy's complex multiply differs in the last
   bits.  A real value that meets a complex one is promoted to
-  ``(x, +0.0)``; a real-by-real product stays real until it is rounded
-  to complex with imaginary part ``+0.0``.
-* c32 products are formed in float64 and then rounded to float32.
+  ``(x, +0.0)``; real-by-real products, and their sum, stay real until
+  the sum is rounded to complex with imaginary part ``+0.0`` (what a sum
+  of ``+0.0`` parts gives).
+* c32 products are formed in float64, each part rounded to float32 once,
+  and then summed in float32.
 
 Following BLAS convention, ``beta == 0`` means C is never read and
 ``alpha == 0`` means A and B are never read.
@@ -81,10 +95,11 @@ __all__ = [
     "run_unary",
 ]
 
-# Products formed at once.  It bounds the (K, cells) temporaries of a
-# block, whatever the extents, to a few MB: a complex product takes four
-# float64 partial products.
-_CHUNK = 1 << 16
+# The most cells in a block, and products formed at once.  A block's
+# float64 temporaries then take at most 64 KB each (complex pairs 128 KB):
+# they stay in cache, and malloc serves them from its heap instead of
+# mapping fresh, page-faulting memory on every call.
+_CHUNK = 1 << 13
 
 
 @dataclass
@@ -119,15 +134,33 @@ def _gather_index(desc: TensorDesc, *groups) -> np.ndarray:
     return index
 
 
+def _row_adds(rows: int, cells: int) -> bool:
+    """The shape rule: a block of ``rows`` rows of ``cells`` cells each is
+    wide, summed by in-place row adds (and complex products fused into the
+    sum), rather than by ``np.add.accumulate`` on stacked products.
+
+    A row add is one numpy call, about a microsecond, over all cells, where
+    accumulate runs one strided inner loop per cell at about 4-5 ns a sum:
+    row adds win from about 256 cells a row.  The wide path also pays a
+    fixed cost per block, about 4096 cells' worth of work, which few rows
+    do not earn back."""
+    return cells >= max(256, 4096 // rows)
+
+
 def _blocks(k: int, h: int, f: int, g: int):
     """The (H, F, G) output cells as blocks of at most ``_CHUNK`` cells, G
-    filled first, and the contracted step that keeps a block's products
-    within ``_CHUNK``."""
+    filled first, each with whether the shape rule calls it wide, and the
+    contracted step that keeps a block's products within ``_CHUNK``."""
     bg = min(g, _CHUNK)
     bf = min(f, max(1, _CHUNK // bg))
     bh = min(h, max(1, _CHUNK // (bg * bf)))
     blocks = tuple(
-        (slice(i, i + bh), slice(j, j + bf), slice(l, l + bg))
+        (
+            slice(i, i + bh),
+            slice(j, j + bf),
+            slice(l, l + bg),
+            _row_adds(k, min(bh, h - i) * min(bf, f - j) * min(bg, g - l)),
+        )
         for i in range(0, h, bh)
         for j in range(0, f, bf)
         for l in range(0, g, bg)
@@ -152,8 +185,11 @@ class ContractionPlan:
     index_b: np.ndarray = field(repr=False, compare=False)
     index_c: np.ndarray = field(repr=False, compare=False)
     index_d: np.ndarray = field(repr=False, compare=False)
-    # Output-cell blocks as (H, F, G) slices, and the contracted step.
-    blocks: tuple[tuple[slice, slice, slice], ...] = field(repr=False, compare=False)
+    # Output-cell blocks as (H, F, G) slices and whether each is wide, and
+    # the contracted step.
+    blocks: tuple[tuple[slice, slice, slice, bool], ...] = field(
+        repr=False, compare=False
+    )
     step: int = field(repr=False, compare=False)
 
     @property
@@ -261,10 +297,22 @@ def make_plan(
 
 
 def _byte_range(view: TensorView) -> tuple[int, int]:
+    """The first and last byte of memory that ``view`` can reach; the
+    buffer's byte stride may exceed its item size, or be negative."""
     lo, hi = view.desc.reach_bounds(view.base)
     start = view.buffer.__array_interface__["data"][0]
-    item = view.buffer.itemsize
-    return start + lo * item, start + hi * item
+    step = view.buffer.strides[0]
+    first, last = sorted((start + lo * step, start + hi * step))
+    return first, last + view.buffer.itemsize - 1
+
+
+def _same_elements(x: TensorView, y: TensorView) -> bool:
+    """Whether ``x`` and ``y`` address the same memory for every element."""
+    return (
+        x.desc == y.desc
+        and x.buffer.strides == y.buffer.strides
+        and _byte_range(x) == _byte_range(y)
+    )
 
 
 def _check_view(view: TensorView, desc: TensorDesc, name: str) -> None:
@@ -292,7 +340,12 @@ def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
     if isinstance(value, ScalarValue):
         value = value.value
     elif not isinstance(value, complex):
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise TappError(
+                ErrorCode.ERR_DTYPE_MISMATCH, f"{name} is not a number"
+            ) from None
     elif value.imag == 0.0:
         value = value.real
     if not compute_dtype.is_complex and isinstance(value, complex) and value.imag != 0:
@@ -318,6 +371,12 @@ def _gather(view: TensorView, index: np.ndarray, part: np.dtype):
     x = _window(view)[index]
     if x.dtype.kind != "c":
         return (x if x.dtype == part else x.astype(part)), False
+    if x.size > _CHUNK:
+        # x's own storage as the (re, im) pairs: a large array is not
+        # copied, though numpy calls on the strided parts cost a little more.
+        pairs = x.view(x.real.dtype).reshape(*x.shape, 2)
+        parts = pairs.transpose(x.ndim, *range(x.ndim))
+        return (parts if parts.dtype == part else parts.astype(part)), True
     parts = np.empty((2, *x.shape), part)
     parts[0], parts[1] = x.real, x.imag
     return parts, True
@@ -330,11 +389,31 @@ def _promoted(x: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _sum_k(x: np.ndarray) -> np.ndarray:
-    """``(x[0] + x[1]) + x[2] + ...`` along the fourth axis from the end
-    (K, or R before a reduction), left to right."""
-    if x.shape[-4] == 1:
+def _add_rows(rows, acc: np.ndarray) -> np.ndarray:
+    """``acc += row`` for each row in order."""
+    for row in rows:
+        np.add(acc, row, out=acc)
+    return acc
+
+
+def _sum_k(x: np.ndarray, acc: np.ndarray | None = None, wide: bool | None = None):
+    """``acc + x[0] + x[1] + ...`` (without ``acc``, from ``x[0]``) along
+    the fourth axis from the end (K, or R before a reduction), left to
+    right: by in-place row adds when ``wide`` (by default, when the shape
+    rule calls x's own rows wide), else by accumulate.  The sum is formed
+    in ``x``'s storage, so ``x`` must be a temporary."""
+    rows = x.shape[-4]
+    if acc is None and rows == 1:
         return x[..., 0, :, :, :]
+    if wide is None:
+        wide = _row_adds(rows, x.size // rows)
+    if wide:
+        rows = x if x.ndim == 4 else x.swapaxes(0, 1)  # rows before (re, im)
+        if acc is None:
+            acc, rows = rows[0], rows[1:]
+        return _add_rows(rows, acc)
+    if acc is not None:
+        x[..., 0, :, :, :] += acc
     return np.add.accumulate(x, axis=-4)[..., -1, :, :, :]
 
 
@@ -350,6 +429,51 @@ def _cmul(x: np.ndarray, y, part: np.dtype) -> np.ndarray:
     np.subtract(x_yr[0], x_yi[1], out=out[0])
     np.add(x_yi[0], x_yr[1], out=out[1])
     return out
+
+
+def _cmul_sum(x: np.ndarray, y: np.ndarray, acc, part: np.dtype, bufs) -> np.ndarray:
+    """``acc + x[k]*y[k]`` over k (the fourth axis from the end), with the
+    bits of :func:`_cmul` and :func:`_sum_k` but without their stacked
+    temporaries: each part of the products, re and then im, is formed in
+    float64 in the buffers ``u`` and ``w`` and rounded to ``part`` once
+    into ``q``, which holds both parts of a row side by side; then the rows
+    of ``q`` are added.  Without ``acc``, a single row is written straight
+    into the new ``(2, H, F, G)`` sum."""
+    if part is _F32:
+        x, y = x.astype(_F64), y.astype(_F64)
+    shape = np.broadcast_shapes(x.shape[1:], y.shape[1:])
+    rows, size = shape[0], math.prod(shape)
+    u, w = (b[:size].reshape(shape) for b in bufs[:2])
+    direct = acc is None and rows == 1  # one product a cell: nothing to add
+    if direct:
+        acc = np.empty((2, *shape[1:]), part)
+    q = acc[None] if direct else bufs[2][: 2 * size].reshape(rows, 2, *shape[1:])
+    for i, (xa, yb, xc, yd, op) in enumerate(
+        ((x[0], y[0], x[1], y[1], np.subtract), (x[0], y[1], x[1], y[0], np.add))
+    ):
+        np.multiply(xa, yb, out=u)
+        np.multiply(xc, yd, out=w)
+        op(u, w, out=q[:, i])
+    if direct:
+        return acc
+    if acc is None:
+        acc, q = np.add(q[0], q[1]), q[2:]
+    return _add_rows(q, acc)
+
+
+def _cscale(v: np.ndarray, s, bufs) -> np.ndarray:
+    """:func:`_cmul` of ``(re, im)`` parts ``v`` by the pair of Python
+    floats ``s``, in place, with its float64 products in the buffers."""
+    u, w = (b[: v[0].size].reshape(v.shape[1:]) for b in bufs[:2])
+    vr, vi = v
+    np.multiply(vr, s[0], out=u, dtype=_F64)  # dtype: a float scalar is weak
+    np.multiply(vi, s[1], out=w, dtype=_F64)
+    np.subtract(u, w, out=u)
+    np.multiply(vr, s[1], out=w, dtype=_F64)
+    vr[...] = u
+    np.multiply(vi, s[0], out=u, dtype=_F64)
+    np.add(w, u, out=vi)
+    return v
 
 
 def contract(
@@ -375,6 +499,8 @@ def contract(
     _check_view(b, plan.desc_b, "B")
     _check_view(c, plan.desc_c, "C")
     _check_view(d, plan.desc_d, "D")
+    if not d.buffer.flags.writeable:
+        raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "D: buffer is read-only")
     shared = [
         (view, name)
         for view, name in ((a, "A"), (b, "B"), (c, "C"))
@@ -383,10 +509,10 @@ def contract(
     if shared:
         lo, hi = _byte_range(d)
         for view, name in shared:
+            if view is c and (c is d or _same_elements(c, d)):
+                continue  # an in-place update
             r = _byte_range(view)
             if r[0] <= hi and lo <= r[1]:
-                if view is c and r == (lo, hi) and c.desc == d.desc:
-                    continue
                 raise TappError(
                     ErrorCode.ERR_ALIASING, f"output storage overlaps operand {name}"
                 )
@@ -398,6 +524,7 @@ def contract(
     cplx = cdt.is_complex
     dwin = _window(d)
     with np.errstate(all="ignore"):
+        cmul_ab = False
         if read_ab:
             # A and B are read whole before the first store, so that an
             # operand that is D's identical view (in-place unary) is read intact.
@@ -415,32 +542,41 @@ def contract(
         if cplx:
             al, be = (al.real, al.imag), (be.real, be.imag)
         size_k, step = plan.size_contracted, plan.step
-        for hs, fs, gs in plan.blocks:
+        bufs = None
+        for hs, fs, gs, wide in plan.blocks:
+            index = plan.index_d[hs, fs, gs]
+            if wide and cplx and bufs is None:
+                # Scratch (u, w, q) of _cmul_sum and _cscale, sized by the
+                # first block, which is the largest.
+                n = step * index.size
+                bufs = np.empty(n, _F64), np.empty(n, _F64), np.empty(2 * n, part)
             v = 0.0
             if read_ab:
                 acc = None
                 for k in range(0, size_k, step):
                     x = av[..., k : k + step, hs, fs, None]
                     y = bv[..., k : k + step, hs, None, gs]
-                    if not cplx:
-                        p = x * y
-                    elif cmul_ab:
-                        p = _cmul(x, y, part)
-                    else:  # a real product, rounded to complex
-                        p = _promoted(x * y)
-                    if acc is not None:
-                        p[..., 0, :, :, :] += acc
-                    acc = _sum_k(p)
-                v = _cmul(acc, al, part) if cplx else acc * al
+                    if not cmul_ab:  # real products, also when rounded to complex
+                        acc = _sum_k(x * y, acc, wide)
+                    elif wide:
+                        acc = _cmul_sum(x, y, acc, part, bufs)
+                    else:
+                        acc = _sum_k(_cmul(x, y, part), acc, wide)
+                if not cplx:
+                    v = acc * al
+                else:
+                    acc = acc if cmul_ab else _promoted(acc)
+                    v = _cscale(acc, al, bufs) if wide else _cmul(acc, al, part)
             if read_c:
                 cv, c_cplx = _gather(c, plan.index_c[hs, fs, gs], part)
-                if cplx:
-                    cv = _cmul(cv if c_cplx else _promoted(cv), be, part)
-                else:
+                if not cplx:
                     cv = cv * be
-                v = v + cv  # 0.0 + (re, im) == (0.0 + re, 0.0 + im)
+                else:
+                    cv = cv if c_cplx else _promoted(cv)
+                    cv = _cscale(cv, be, bufs) if wide else _cmul(cv, be, part)
+                cv += v  # 0.0 + (re, im) == (0.0 + re, 0.0 + im)
+                v = cv
             # One cast on store; a real D drops the imaginary part.
-            index = plan.index_d[hs, fs, gs]
             if not cplx or isinstance(v, float):
                 dwin[index] = v
             elif dwin.dtype.kind == "c":
@@ -554,7 +690,7 @@ def run_unary(
     identical = (
         a.desc == out.desc
         and np.may_share_memory(a.buffer, out.buffer)
-        and _byte_range(a) == _byte_range(out)
+        and _same_elements(a, out)
     )
     c = a if identical else out
     return contract(plan, alpha, TensorView(plan.desc_a, _UNIT), a, 0.0, c, out)

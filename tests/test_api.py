@@ -255,3 +255,56 @@ def test_base_offsets_through_the_api(handle):
     assert code is ErrorCode.OK
     # A read backwards from base 1: [2, 1]
     assert d.tolist() == [20.0, 20.0]
+
+
+def test_execute_boundary_failures_return_codes_and_leave_d_untouched(handle):
+    op = _matmul_setup(handle)
+    ex = tapp_get_default_executor(handle)
+    ones, zeros = np.ones(4), np.zeros(4)
+    d = np.full(4, 7.0)
+
+    def product(alpha=1.0, a=ones, beta=0.0, out=d):
+        status = StatusRecord()
+        code = tapp_execute_product(op, ex, alpha, a, ones, beta, zeros, out, status)
+        assert status.error is code
+        return code
+
+    read_only = np.full(4, 7.0)
+    read_only.flags.writeable = False
+    assert product(out=read_only) is ErrorCode.ERR_OUT_OF_BOUNDS
+    flat_2d = np.full((2, 2), 7.0)
+    assert product(out=flat_2d) is ErrorCode.ERR_EXTENT_MISMATCH
+    assert product(a=np.ones((2, 2))) is ErrorCode.ERR_EXTENT_MISMATCH
+    for bad in ("x", None, [1.0]):
+        assert product(alpha=bad) is ErrorCode.ERR_DTYPE_MISMATCH
+        assert product(beta=bad) is ErrorCode.ERR_DTYPE_MISMATCH
+    assert d.tolist() == read_only.tolist() == [7.0] * 4
+    assert flat_2d.tolist() == [[7.0, 7.0], [7.0, 7.0]]
+
+    iv = tapp_create_tensor_info(handle, DType.R64, 1, (2,), (1,))
+    add = tapp_create_binary_op(handle, iv, "i", iv, "i", iv, "i")
+    neg = tapp_create_unary_op(handle, iv, "i", iv, "i")
+    out = np.full(2, 7.0)
+    assert tapp_execute_binary(add, ex, None, ones[:2], 1.0, ones[:2], out) is (
+        ErrorCode.ERR_DTYPE_MISMATCH
+    )
+    assert tapp_execute_binary(add, ex, 1.0, ones[:2], "x", ones[:2], out) is (
+        ErrorCode.ERR_DTYPE_MISMATCH
+    )
+    assert tapp_execute_unary(neg, ex, "x", ones[:2], out) is ErrorCode.ERR_DTYPE_MISMATCH
+    assert out.tolist() == [7.0, 7.0]
+
+
+def test_create_boundary_codes(handle):
+    assert tapp_create_tensor_info(handle, "r64", 1, (2,), (1,)) is ErrorCode.ERR_DTYPE_MISMATCH
+    for extents, strides in (((2.5,), (1,)), ((2.5,), None), ((2,), (1.5,)), (("2",), (1,))):
+        code = tapp_create_tensor_info(handle, DType.R64, 1, extents, strides)
+        assert code is ErrorCode.ERR_EXTENT_MISMATCH
+    integral = tapp_create_tensor_info(handle, DType.R64, 1, (2.0,), (np.int64(1),))
+    assert integral.desc.extents == (2,) and integral.desc.strides == (1,)
+    i1 = tapp_create_tensor_info(handle, DType.R64, 1, (2,), (1,))
+    assert tapp_create_contraction(handle, i1, None, i1, "i", i1, "i", i1, "i") is (
+        ErrorCode.ERR_PARSE
+    )
+    assert tapp_create_binary_op(handle, i1, "i", i1, None, i1, "i") is ErrorCode.ERR_PARSE
+    assert tapp_create_unary_op(handle, i1, 3, i1, "i") is ErrorCode.ERR_PARSE

@@ -241,6 +241,29 @@ def test_overlap_is_judged_by_address_not_by_array_object():
     assert base.tolist() == [1, 2, 2, 3, 5, 6, 7, 8]
 
 
+def test_overlap_on_strided_buffers_is_judged_by_byte_stride():
+    big = np.arange(8.0)
+    desc = TensorDesc.column_major([4], DType.R64)
+    # big[::2] holds elements 0, 2, 4, 6 and big[4:8] elements 4 to 7.
+    for a_buf in (big[::2], big[::-2]):
+        with pytest.raises(TappError) as err:
+            unary_op(1.0, TensorView(desc, a_buf), "i", TensorView(desc, big[4:8]), "i")
+        assert err.value.code is ErrorCode.ERR_ALIASING
+        assert big.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+    # Disjoint: elements 0 and 2 against 4 and 5.
+    pair = TensorDesc.column_major([2], DType.R64)
+    unary_op(2.0, TensorView(pair, big[0:3:2]), "i", TensorView(pair, big[4:6]), "i")
+    assert big.tolist() == [0, 1, 2, 3, 0, 4, 6, 7]
+    # In place through the identical strided view: elements 0, 2, 4, 6 as 2x2.
+    square = TensorDesc.column_major([2, 2], DType.R64)
+    unary_op(1.0, TensorView(square, big[::2]), "ij", TensorView(square, big[::2]), "ji")
+    assert big.tolist() == [0, 1, 0, 3, 2, 4, 6, 7]
+    # The same elements in reverse order are not the identical view.
+    with pytest.raises(TappError) as err:
+        unary_op(1.0, TensorView(desc, big[::2]), "i", TensorView(desc, big[6::-2]), "i")
+    assert err.value.code is ErrorCode.ERR_ALIASING
+
+
 def test_partially_overlapping_c_and_d_are_rejected():
     buf = np.zeros(4)
     desc = TensorDesc.column_major([2], DType.R64)

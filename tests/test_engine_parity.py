@@ -173,7 +173,7 @@ def _random_labels(rng):
     return "".join(la) + "," + "".join(lb) + "->" + "".join(ld), extents
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64, engine._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 5, 64, engine._CHUNK, 1 << 16])
 def test_random_products_match_scalar_loop_at_every_chunk_size(monkeypatch, chunk):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rng = random.Random(chunk)
@@ -216,3 +216,102 @@ def test_binary_and_unary_match_scalar_loop(dtype):
             if set(labels_out) <= set(labels_a):
                 plan = make_unary_plan(labels_a, a.desc, labels_out, out.desc)
                 _check(plan, alpha, u, a, 0.0, out, out, in_place=True)
+
+
+# Blocks of `rows` rows of `cells` cells on each side of the shape rule:
+# the contracted sum (rows K, cells H*F*G) and an input-only reduction
+# (rows R, cells K*H*F; a complex row holds twice as many, both parts).
+RULE_SIDES = [
+    ("ij,jk->ik", {"i": 15, "j": 16, "k": 17}, 16, 255, False),
+    ("ij,jk->ik", {"i": 16, "j": 16, "k": 16}, 16, 256, True),
+    ("ij,jk->ik", {"i": 32, "j": 2, "k": 63}, 2, 2016, False),
+    ("ij,jk->ik", {"i": 32, "j": 2, "k": 64}, 2, 2048, True),
+    ("i,j->ij", {"i": 64, "j": 63}, 1, 4032, False),
+    ("i,j->ij", {"i": 64, "j": 64}, 1, 4096, True),
+    ("ijr,jk->ik", {"i": 8, "j": 31, "k": 2, "r": 16}, 16, 248, False),
+    ("ijr,jk->ik", {"i": 8, "j": 32, "k": 2, "r": 16}, 16, 256, True),
+]
+
+
+@pytest.mark.parametrize("einsum, extents, rows, cells, wide", RULE_SIDES)
+@pytest.mark.parametrize("dtype", list(DType))
+def test_both_sides_of_the_shape_rule_match_scalar_loop(
+    einsum, extents, rows, cells, wide, dtype
+):
+    assert engine._row_adds(rows, cells) is wide
+    rng = random.Random(f"{einsum}{extents}{dtype}")
+    for special in (0.0, 0.05):
+        _random_product(rng, einsum, extents, [dtype] * 4, special)
+
+
+@pytest.mark.parametrize(
+    "dtypes", [[DType.C32] * 4, [DType.C64] * 4, [DType.R32, DType.R64, DType.C32, DType.C64]]
+)
+def test_fused_complex_sum_with_beta_matches_scalar_loop(dtypes):
+    rng = random.Random(str(dtypes))
+    spec = parse_einsum("ij,jk->ik")
+    for special in (0.0, 0.05):
+        a, b, c, d = (
+            _view(rng, [16, 16], dt, special, output=(k == 3)) for k, dt in enumerate(dtypes)
+        )
+        plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
+        assert engine._row_adds(plan.size_contracted, 256)
+        beta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        _check(plan, complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)), a, b, beta, c, d)
+        _check(plan, 0.0, a, b, beta, c, d)
+
+
+@pytest.mark.parametrize("chunk", [256, 512, 1000])
+@pytest.mark.parametrize("dtype", [DType.C32, DType.C64])
+def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    rng = random.Random(f"{chunk}{dtype}")
+    extents = {"i": 16, "j": 24, "k": 16}
+    blocks, step = engine._blocks(24, 1, 16, 16)  # 256-cell blocks, K = 24
+    assert step < 24 and all(wide for *_, wide in blocks)
+    for special in (0.0, 0.05):
+        _random_product(rng, "ij,jk->ik", extents, [dtype] * 4, special)
+
+
+@pytest.mark.parametrize("dtype", list(DType))
+@pytest.mark.parametrize("specials", [(0.0, -0.0), (0.0, -0.0, math.inf), SPECIALS])
+def test_long_narrow_sum_matches_scalar_loop(dtype, specials):
+    # 50,000 terms in one cell: accumulate, over several contracted steps.
+    rng = random.Random(f"{dtype}{specials}")
+    n = 50_000
+    assert n > engine._CHUNK and not engine._row_adds(n, 1)
+
+    def values(count):
+        data = [rng.choice(specials) if rng.random() < 0.9 else rng.uniform(-2, 2)
+                for _ in range(count * (2 if dtype.is_complex else 1))]
+        if dtype.is_complex:
+            data = [complex(x, y) for x, y in zip(data[::2], data[1::2])]
+        return np.array(data, dtype=dtype.np_dtype)
+
+    desc = TensorDesc((n,), (1,), dtype)
+    a, b = TensorView(desc, values(n)), TensorView(desc, values(n))
+    scalar = TensorDesc((), (), dtype)
+    c, d = TensorView(scalar, values(1)), TensorView(scalar, values(1))
+    plan = make_plan(parse_einsum("i,i->"), desc, desc, scalar, scalar)
+    _check(plan, 1.0, a, b, 0.5, c, d)
+
+
+@pytest.mark.parametrize(
+    "dtypes", [[DType.C64] * 4, [DType.C32] * 4, [DType.C32, DType.C64, DType.C32, DType.C64]]
+)
+def test_complex_operands_larger_than_a_block_match_scalar_loop(dtypes):
+    # A is gathered through its own storage as (re, im) pairs, not copied.
+    extents = {"i": 128, "j": 72, "k": 4}
+    assert extents["i"] * extents["j"] > engine._CHUNK
+    _random_product(random.Random(str(dtypes)), "ij,jk->ik", extents, dtypes, 0.05)
+
+
+@pytest.mark.parametrize("dtype", [DType.C32, DType.C64])
+def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dtype):
+    rng = random.Random(str(dtype))
+    a = _view(rng, [96, 96], dtype, 0.05)
+    out = _view(rng, [96, 96], dtype, 0.05, output=True)
+    plan = make_unary_plan("ij", a.desc, "ji", out.desc)
+    assert [wide for *_, wide in plan.blocks] == [True, False]  # 8192 + 1024 cells
+    u = TensorView(plan.desc_a, np.ones(1, np.float32))
+    _check(plan, complex(rng.uniform(0.5, 1.5), 0.25), u, a, 0.0, out, out, in_place=True)
