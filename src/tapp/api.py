@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine
-from .core import DType, TensorDesc, TensorView
+from .core import DType, TensorDesc, TensorView, integral
 from .engine import StatusRecord
 from .errors import ErrorCode, TappError, error_string
 from .labels import LabelSpec
@@ -253,38 +253,38 @@ def tapp_create_unary_op(
 
 
 def _as_view(desc: TensorDesc, data) -> TensorView:
-    """Bind descriptor to data: a flat numpy array or (array, base)."""
-    if isinstance(data, tuple):
-        buffer, base = data
-    else:
-        buffer, base = data, 0
+    """Bind a descriptor to a flat numpy array or an ``(array, base)`` pair."""
+    buffer, base = data if isinstance(data, tuple) and len(data) == 2 else (data, 0)
     if not isinstance(buffer, np.ndarray):
         raise TappError(
-            ErrorCode.ERR_DTYPE_MISMATCH, "tensor data must be a numpy array"
+            ErrorCode.ERR_DTYPE_MISMATCH,
+            "tensor data must be a numpy array or an (array, base) pair",
         )
-    return TensorView(desc, buffer, int(base))
+    if type(base) is not int:  # 2.0 and np.int64(2) bind as 2
+        base = integral(base)
+        if base is None:
+            raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "base offset must be an integer")
+    return TensorView(desc, buffer, base)
 
 
-def _valid_execution(op, executor, kind: str) -> ErrorCode:
-    if not isinstance(op, OperationDescriptor) or not op.handle.alive:
+def _execute(op, executor, kind: str, status_out, run) -> ErrorCode:
+    """Check ``op`` and ``executor``, run ``run(op.plan)`` and report its
+    status; a ``TappError`` from binding or running becomes the code."""
+    if (
+        not isinstance(op, OperationDescriptor)
+        or not op.handle.alive
+        or op.kind != kind
+        or not isinstance(executor, Executor)
+        or executor.handle is not op.handle
+    ):
         return ErrorCode.ERR_INVALID_HANDLE
-    if op.kind != kind:
-        return ErrorCode.ERR_INVALID_HANDLE
-    if not isinstance(executor, Executor) or executor.handle is not op.handle:
-        return ErrorCode.ERR_INVALID_HANDLE
-    return ErrorCode.OK
-
-
-def _finish(
-    status: StatusRecord, status_out: StatusRecord | None, executor
-) -> ErrorCode:
+    try:
+        status = run(op.plan)
+    except TappError as err:
+        status = StatusRecord(error=err.code)
     status.executor = executor
     if status_out is not None:
-        status_out.seconds_elapsed = status.seconds_elapsed
-        status_out.elements_written = status.elements_written
-        status_out.multiply_adds = status.multiply_adds
-        status_out.error = status.error
-        status_out.executor = status.executor
+        vars(status_out).update(vars(status))
     return status.error
 
 
@@ -305,23 +305,13 @@ def tapp_execute_product(
     ``(array, base_offset)``.  ``status_out``, when given, receives the
     execution metadata; passing None suppresses it.
     """
-    code = _valid_execution(op, executor, "contraction")
-    if code is not ErrorCode.OK:
-        return code
-    plan = op.plan
-    try:
-        status = engine.contract(
-            plan,
-            alpha,
-            _as_view(plan.desc_a, data_a),
-            _as_view(plan.desc_b, data_b),
-            beta,
-            _as_view(plan.desc_c, data_c),
-            _as_view(plan.desc_d, data_d),
-        )
-    except TappError as err:
-        return _finish(StatusRecord(error=err.code), status_out, executor)
-    return _finish(status, status_out, executor)
+    return _execute(
+        op, executor, "contraction", status_out,
+        lambda plan: engine.contract(
+            plan, alpha, _as_view(plan.desc_a, data_a), _as_view(plan.desc_b, data_b),
+            beta, _as_view(plan.desc_c, data_c), _as_view(plan.desc_d, data_d),
+        ),
+    )
 
 
 def tapp_execute_binary(
@@ -334,22 +324,14 @@ def tapp_execute_binary(
     data_c,
     status_out: StatusRecord | None = None,
 ) -> ErrorCode:
-    code = _valid_execution(op, executor, "binary")
-    if code is not ErrorCode.OK:
-        return code
-    plan = op.plan  # the unit operand holds A's slot; A, B, C sit in B's, C's, D's
-    try:
-        status = engine.run_binary(
-            plan,
-            alpha,
-            _as_view(plan.desc_b, data_a),
-            beta,
-            _as_view(plan.desc_c, data_b),
-            _as_view(plan.desc_d, data_c),
-        )
-    except TappError as err:
-        return _finish(StatusRecord(error=err.code), status_out, executor)
-    return _finish(status, status_out, executor)
+    # The unit operand holds A's slot; A, B, C sit in B's, C's, D's.
+    return _execute(
+        op, executor, "binary", status_out,
+        lambda plan: engine.run_binary(
+            plan, alpha, _as_view(plan.desc_b, data_a),
+            beta, _as_view(plan.desc_c, data_b), _as_view(plan.desc_d, data_c),
+        ),
+    )
 
 
 def tapp_execute_unary(
@@ -360,20 +342,13 @@ def tapp_execute_unary(
     data_b,
     status_out: StatusRecord | None = None,
 ) -> ErrorCode:
-    code = _valid_execution(op, executor, "unary")
-    if code is not ErrorCode.OK:
-        return code
-    plan = op.plan  # the unit operand holds A's slot; A and B sit in B's and D's
-    try:
-        status = engine.run_unary(
-            plan,
-            alpha,
-            _as_view(plan.desc_b, data_a),
-            _as_view(plan.desc_d, data_b),
-        )
-    except TappError as err:
-        return _finish(StatusRecord(error=err.code), status_out, executor)
-    return _finish(status, status_out, executor)
+    # The unit operand holds A's slot; A and B sit in B's and D's.
+    return _execute(
+        op, executor, "unary", status_out,
+        lambda plan: engine.run_unary(
+            plan, alpha, _as_view(plan.desc_b, data_a), _as_view(plan.desc_d, data_b)
+        ),
+    )
 
 
 def tapp_create_vkv() -> VKVStore:

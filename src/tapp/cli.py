@@ -31,6 +31,7 @@ import json
 import math
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +46,9 @@ from .api import (
     tapp_get_default_executor,
 )
 from .core import DType, ScalarValue, TensorDesc, TensorView, allocate_buffer
-from .errors import ErrorCode, TappError, error_string
+from .errors import ErrorCode, TappError
 from .labels import LabelSpec, parse_einsum
-from .oracle import DenseTensor, densify, oracle_contract
+from .oracle import DenseTensor, _diagonal_weights, densify, oracle_contract
 
 __all__ = [
     "load_case",
@@ -111,31 +112,24 @@ CATEGORY_TITLES = {
 # Case parsing
 
 
-def _parse_scalar(raw) -> ScalarValue:
-    if isinstance(raw, (int, float)):
-        return ScalarValue(DType.R64, float(raw))
-    if (
-        isinstance(raw, (list, tuple))
-        and len(raw) == 2
-        and all(isinstance(x, (int, float)) for x in raw)
-    ):
-        if raw[1] == 0:
-            return ScalarValue(DType.R64, float(raw[0]))
-        return ScalarValue(DType.C64, float(raw[0]), float(raw[1]))
-    raise TappError(ErrorCode.ERR_PARSE, f"bad scalar {raw!r}")
-
-
-def _parse_element(raw, dtype: DType) -> float | complex:
+def _parse_number(raw, what: str, pair_ok: bool = True) -> float | complex:
+    """A JSON number as a float, or (where ``pair_ok``) a ``[re, im]``
+    pair of numbers as a complex."""
     if isinstance(raw, (int, float)):
         return float(raw)
     if (
-        dtype.is_complex
+        pair_ok
         and isinstance(raw, (list, tuple))
         and len(raw) == 2
         and all(isinstance(x, (int, float)) for x in raw)
     ):
         return complex(raw[0], raw[1])
-    raise TappError(ErrorCode.ERR_PARSE, f"bad element {raw!r}")
+    raise TappError(ErrorCode.ERR_PARSE, f"bad {what} {raw!r}")
+
+
+def _parse_scalar(raw) -> ScalarValue:
+    # A pair with a zero imaginary part is the real scalar R64.
+    return ScalarValue.of(_parse_number(raw, "scalar"))
 
 
 def _emit_element(value, dtype: DType):
@@ -164,11 +158,7 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad dtype/extents") from None
     strides = raw.get("strides")
     if strides is None:
-        acc, out = 1, []
-        for e in extents:
-            out.append(acc)
-            acc *= max(e, 1)
-        strides = tuple(out)
+        strides = _dense_strides(extents)
     else:
         try:
             strides = tuple(int(s) for s in strides)
@@ -182,13 +172,14 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         raw_data = raw.get("data")
         if not isinstance(raw_data, list):
             raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: missing data")
-        data = [_parse_element(v, dtype) for v in raw_data]
+        pair_ok = dtype.is_complex
+        data = [_parse_number(v, "element", pair_ok) for v in raw_data]
     return _TensorEntry(dtype, extents, strides, base, data)
 
 
 @dataclass
 class Case:
-    """Parsed case file plus the raw document it came from."""
+    """Parsed case file."""
 
     spec: LabelSpec
     alpha: ScalarValue
@@ -197,7 +188,6 @@ class Case:
     b: _TensorEntry
     c: _TensorEntry | None
     d: _TensorEntry
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def parse_case(doc) -> Case:
@@ -215,7 +205,7 @@ def parse_case(doc) -> Case:
         raise TappError(ErrorCode.ERR_PARSE, f"missing case field {missing}") from None
     except TypeError:
         raise TappError(ErrorCode.ERR_PARSE, "malformed case document") from None
-    return Case(spec, alpha, beta, a, b, c, d, raw=doc)
+    return Case(spec, alpha, beta, a, b, c, d)
 
 
 def load_case(path: str) -> Case:
@@ -228,6 +218,7 @@ def load_case(path: str) -> Case:
 
 
 def _dense_strides(extents) -> tuple[int, ...]:
+    """Column-major strides; an extent below 1 counts as 1."""
     acc, out = 1, []
     for e in extents:
         out.append(acc)
@@ -235,30 +226,26 @@ def _dense_strides(extents) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _span(extents, strides, base=0) -> int:
+    """One past the highest element address a view reaches from ``base``."""
+    return base + 1 + sum(max(0, s * (e - 1)) for e, s in zip(extents, strides))
+
+
 def _c_entry(case: Case) -> _TensorEntry:
     if case.c is not None:
         return case.c
-    span = 1
-    for e, s in zip(case.d.extents, _dense_strides(case.d.extents)):
-        span += s * (max(e, 1) - 1)
+    strides = _dense_strides(case.d.extents)
     return _TensorEntry(
         dtype=case.d.dtype,
         extents=case.d.extents,
-        strides=_dense_strides(case.d.extents),
+        strides=strides,
         base=0,
-        data=[0.0] * span,
+        data=[0.0] * _span(case.d.extents, strides),
     )
 
 
 def _entry_buffer(entry: _TensorEntry) -> np.ndarray:
     return np.array(entry.data, dtype=entry.dtype.np_dtype)
-
-
-def _d_span(entry: _TensorEntry) -> int:
-    hi = entry.base
-    for e, s in zip(entry.extents, entry.strides):
-        hi += max(0, s * (e - 1))
-    return hi + 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,29 +264,25 @@ def execute_case(case: Case) -> EngineRun:
     c = _c_entry(case)
     handle = tapp_create_handle()
     try:
-        infos = {}
-        for name, entry, labels in (
-            ("a", case.a, case.spec.labels_a),
-            ("b", case.b, case.spec.labels_b),
-            ("c", c, case.spec.labels_c),
-            ("d", case.d, case.spec.labels_d),
+        operands = []  # info and labels of A, B, C and D in turn
+        for entry, labels in (
+            (case.a, case.spec.labels_a),
+            (case.b, case.spec.labels_b),
+            (c, case.spec.labels_c),
+            (case.d, case.spec.labels_d),
         ):
             info = tapp_create_tensor_info(
                 handle, entry.dtype, len(entry.extents), entry.extents, entry.strides
             )
             if isinstance(info, ErrorCode):
                 return EngineRun(info)
-            infos[name] = info
-        op = tapp_create_contraction(
-            handle,
-            infos["a"], case.spec.labels_a,
-            infos["b"], case.spec.labels_b,
-            infos["c"], case.spec.labels_c,
-            infos["d"], case.spec.labels_d,
-        )
+            operands += [info, labels]
+        op = tapp_create_contraction(handle, *operands)
         if isinstance(op, ErrorCode):
             return EngineRun(op)
-        d_buffer = allocate_buffer(case.d.dtype, _d_span(case.d))
+        d_buffer = allocate_buffer(
+            case.d.dtype, _span(case.d.extents, case.d.strides, case.d.base)
+        )
         status = StatusRecord()
         code = tapp_execute_product(
             op,
@@ -322,19 +305,12 @@ def execute_case(case: Case) -> EngineRun:
 # ---------------------------------------------------------------------------
 # Oracle path
 
-def _merge_unique(labels, extents, strides):
-    """Distinct labels with summed strides (plain re-derivation, kept
-    independent of the engine's preprocessing)."""
-    uniq, uext, ustr = [], [], []
-    for lbl, e, s in zip(labels, extents, strides):
-        if lbl in uniq:
-            k = uniq.index(lbl)
-            ustr[k] += s
-        else:
-            uniq.append(lbl)
-            uext.append(e)
-            ustr.append(s)
-    return uniq, uext, ustr
+def _output_modes(case: Case):
+    """Extents and summed strides of D's distinct labels, merged on the
+    oracle side so that they stay independent of the engine."""
+    labels = case.spec.labels_d
+    uniq, weights = _diagonal_weights(labels, case.d.strides)
+    return [case.d.extents[labels.index(l)] for l in uniq], weights
 
 
 def _validate_case_contract(case: Case) -> ErrorCode:
@@ -370,9 +346,7 @@ def _validate_case_contract(case: Case) -> ErrorCode:
     if any(lbl not in in_inputs for lbl in case.spec.labels_d):
         return ErrorCode.ERR_UNSUPPORTED
     # Output addresses must be injective.
-    uniq, uext, ustr = _merge_unique(
-        case.spec.labels_d, case.d.extents, case.d.strides
-    )
+    uext, ustr = _output_modes(case)
     seen_offsets = set()
     for idx in itertools.product(*[range(e) for e in uext]):
         off = sum(i * s for i, s in zip(idx, ustr))
@@ -425,9 +399,8 @@ def oracle_case(case: Case) -> OracleRun:
         dense_a, ua = densify(views["a"], case.spec.labels_a)
         dense_b, ub = densify(views["b"], case.spec.labels_b)
         dense_c, uc = densify(views["c"], case.spec.labels_c)
-        ud, _, _ = _merge_unique(case.spec.labels_d, case.d.extents, case.d.strides)
         dense = oracle_contract(
-            LabelSpec.of(ua, ub, tuple(ud), uc),
+            LabelSpec.of(ua, ub, uc, uc),  # C carries D's labels
             dense_a,
             dense_b,
             dense_c,
@@ -451,20 +424,27 @@ def default_tolerance(case: Case) -> float:
     return TOLERANCE_32 if any(dt.width == 32 for dt in dtypes) else TOLERANCE_64
 
 
-def _output_positions(case: Case):
-    """Pairs (engine offset, dense position) for every output element."""
-    uniq, uext, ustr = _merge_unique(
-        case.spec.labels_d, case.d.extents, case.d.strides
-    )
-    dense_w = _dense_strides(uext)
-    rev = itertools.product(*[range(e) for e in reversed(uext)])
-    for idx_r in rev:
+def _output_values(case: Case, run: EngineRun):
+    """(index, value) of every element of the engine's D, over D's
+    distinct labels with the first fastest: the oracle's dense order."""
+    uext, ustr = _output_modes(case)
+    to_number = complex if case.d.dtype.is_complex else float
+    for idx_r in itertools.product(*[range(e) for e in reversed(uext)]):
         idx = idx_r[::-1]
-        yield (
-            case.d.base + sum(i * s for i, s in zip(idx, ustr)),
-            sum(i * w for i, w in zip(idx, dense_w)),
-            idx,
-        )
+        off = case.d.base + sum(i * s for i, s in zip(idx, ustr))
+        yield idx, to_number(run.d_buffer[off])
+
+
+def _max_rel_err(case: Case, run: EngineRun, expected) -> tuple[float, tuple | None]:
+    """Largest relative error of the engine's D against
+    ``expected(dense position, index)``, and the index where it occurs."""
+    max_rel, worst = 0.0, None
+    for pos, (idx, got) in enumerate(_output_values(case, run)):
+        want = expected(pos, idx)
+        rel = abs(got - want) / max(abs(want), 1.0)
+        if rel > max_rel:
+            max_rel, worst = rel, idx
+    return max_rel, worst
 
 
 @dataclass
@@ -475,6 +455,7 @@ class CheckResult:
     worst_index: tuple | None = None
     passed: bool = False
     detail: str = ""
+    run: EngineRun | None = field(default=None, repr=False, compare=False)
 
 
 def check_case(
@@ -496,16 +477,11 @@ def check_case(
             detail="error codes agree" if agreed else (
                 f"engine {run.code.name} vs oracle {orun.code.name}"
             ),
+            run=run,
         )
     tol = default_tolerance(case) if tolerance is None else tolerance
-    max_rel, worst = 0.0, None
-    for off, pos, idx in _output_positions(case):
-        expected = orun.dense.elements[pos] + perturb
-        got = run.d_buffer[off]
-        got = complex(got) if case.d.dtype.is_complex else float(got)
-        rel = abs(got - expected) / max(abs(expected), 1.0)
-        if rel > max_rel:
-            max_rel, worst = rel, idx
+    elements = orun.dense.elements
+    max_rel, worst = _max_rel_err(case, run, lambda pos, _: elements[pos] + perturb)
     return CheckResult(
         ErrorCode.OK,
         ErrorCode.OK,
@@ -513,15 +489,21 @@ def check_case(
         worst_index=worst,
         passed=max_rel <= tol,
         detail=f"max relative error {max_rel:.3e} (tolerance {tol:.0e})",
+        run=run,
     )
+
+
+def _exit_code(result: CheckResult) -> int:
+    """0 for a clean pass; else the engine's code, else the oracle's, else 1."""
+    if result.engine_code is not ErrorCode.OK:
+        return int(result.engine_code)
+    if result.oracle_code is not ErrorCode.OK:
+        return int(result.oracle_code)
+    return 0 if result.passed else 1
 
 
 # ---------------------------------------------------------------------------
 # Case generation
-
-
-def _rng_for(seed, category: int) -> random.Random:
-    return random.Random(f"{seed}:{category}")
 
 
 def _draw_extents(rng, labels, reduce_labels, uniform: int | None = None):
@@ -599,15 +581,8 @@ def _view_layout(rng, extents, signs="pos", parent="none"):
     if parent == "same":
         parent_extents = [e + rng.randint(1, 2) for e in extents]
         offsets = [rng.randint(0, pe - e) for e, pe in zip(extents, parent_extents)]
-    extra: list[tuple[int, int]] = []
-    if parent == "fewer":
-        for _ in range(rng.randint(1, 2)):
-            extra.append((rng.randint(2, 3), 0))
-    col, acc = [], 1
-    for e in parent_extents + [x[0] for x in extra]:
-        col.append(acc)
-        acc *= e
-    buffer_len = acc
+    extra = [rng.randint(2, 3) for _ in range(rng.randint(1, 2))] if parent == "fewer" else []
+    col = _dense_strides(parent_extents + extra)
     if signs == "neg":
         flips = [True] * n
     elif signs == "mixed":
@@ -628,9 +603,9 @@ def _view_layout(rng, extents, signs="pos", parent="none"):
         else:
             strides.append(s)
             base += offsets[k] * s
-    for k, (ext_e, _) in enumerate(extra):
-        base += rng.randrange(ext_e) * col[n + k]
-    return strides, base, buffer_len
+    for k, e in enumerate(extra):
+        base += rng.randrange(e) * col[n + k]
+    return strides, base, _span(parent_extents + extra, col)
 
 
 def _random_values(rng, count, dtype: DType):
@@ -642,206 +617,177 @@ def _random_values(rng, count, dtype: DType):
 def _tensor_doc(rng, labels, extent_of, dtype, signs="pos", parent="none", data=True):
     extents = [extent_of[l] for l in labels]
     doc = {"dtype": dtype.value, "extents": extents}
-    if signs == "pos" and parent == "none":
-        if data:
-            doc["data"] = _random_values(rng, math.prod(extents), dtype)
-        return doc
-    strides, base, buffer_len = _view_layout(rng, extents, signs, parent)
-    doc["strides"] = strides
-    if base:
-        doc["base"] = base
+    buffer_len = math.prod(extents)
+    if signs != "pos" or parent != "none":
+        doc["strides"], base, buffer_len = _view_layout(rng, extents, signs, parent)
+        if base:
+            doc["base"] = base
     if data:
         doc["data"] = _random_values(rng, buffer_len, dtype)
     return doc
 
 
-def _scalar_doc(rng, dtype: DType, allow_zero=True):
-    if allow_zero and rng.random() < 0.1:
+def _scalar_doc(rng, dtype: DType):
+    if rng.random() < 0.1:
         return 0.0
     if dtype.is_complex:
         return [rng.uniform(-1, 1), rng.uniform(-1, 1)]
     return rng.uniform(-1, 1)
 
 
-def _assemble(rng, structure: _Structure, dtype: DType, signs="pos", parent="none",
-              layout_d=True, layout_c=True):
+def _einsum(labels_a, labels_b, labels_d) -> str:
+    return "".join(labels_a) + "," + "".join(labels_b) + "->" + "".join(labels_d)
+
+
+def _assemble(rng, structure: _Structure, dtype: DType, signs="pos", parent="none"):
     """Build a case document from a label structure.
 
-    Layout variants apply to the inputs; ``layout_d``/``layout_c``
-    extend them to the output side (only safe variants are used there).
+    Layout variants apply to the inputs; C and D take the stride signs
+    only, and only when the inputs are not sub-tensor views.
     """
-    einsum = (
-        "".join(structure.labels_a)
-        + ","
-        + "".join(structure.labels_b)
-        + "->"
-        + "".join(structure.labels_d)
-    )
-    d_signs = signs if (layout_d and parent == "none") else "pos"
-    c_signs = signs if (layout_c and parent == "none") else "pos"
-    doc = {
-        "einsum": einsum,
+    out_signs = signs if parent == "none" else "pos"
+    labels_d, extent_of = structure.labels_d, structure.extent_of
+    return {
+        "einsum": _einsum(structure.labels_a, structure.labels_b, labels_d),
         "alpha": _scalar_doc(rng, dtype),
         "beta": _scalar_doc(rng, dtype),
-        "a": _tensor_doc(rng, structure.labels_a, structure.extent_of, dtype, signs, parent),
-        "b": _tensor_doc(rng, structure.labels_b, structure.extent_of, dtype, signs, parent),
-        "c": _tensor_doc(rng, structure.labels_d, structure.extent_of, dtype, c_signs, "none"),
-        "d": _tensor_doc(
-            rng, structure.labels_d, structure.extent_of, dtype, d_signs, "none", data=False
-        ),
+        "a": _tensor_doc(rng, structure.labels_a, extent_of, dtype, signs, parent),
+        "b": _tensor_doc(rng, structure.labels_b, extent_of, dtype, signs, parent),
+        "c": _tensor_doc(rng, labels_d, extent_of, dtype, out_signs),
+        "d": _tensor_doc(rng, labels_d, extent_of, dtype, out_signs, data=False),
     }
+
+
+def _zero_stride(rng, st: _Structure, dtype: DType) -> dict:
+    """Category 21: one mode of A or B gets stride 0."""
+    doc = _assemble(rng, st, dtype)
+    entry = doc[rng.choice(["a", "b"])]
+    entry["strides"] = list(_dense_strides(entry["extents"]))
+    entry["strides"][rng.randrange(len(entry["strides"]))] = 0
+    entry["data"] = _random_values(rng, _span(entry["extents"], entry["strides"]), dtype)
     return doc
 
 
-def _basic_counts(rng):
-    return dict(
-        n_contracted=rng.randint(1, 2),
-        n_free_a=rng.randint(1, 2),
-        n_free_b=rng.randint(1, 2),
-    )
+def _repeat_label(rng, st: _Structure, dtype: DType) -> dict:
+    """Category 23: A or B carries one of its labels twice."""
+    labels = rng.choice([st.labels_a, st.labels_b])
+    repeat = rng.choice(labels)
+    labels.insert(rng.randrange(len(labels) + 1), repeat)
+    return _assemble(rng, st, dtype)
+
+
+def _bump_extent(rng, doc: dict, name: str, mode: int, dtype: DType) -> dict:
+    """Grow (at 8 shrink) one extent of a tensor and redraw it dense."""
+    entry = doc[name]
+    old = entry["extents"][mode]
+    entry["extents"][mode] = old + 1 if old < 8 else old - 1
+    entry["data"] = _random_values(rng, math.prod(entry["extents"]), dtype)
+    entry.pop("strides", None)
+    entry.pop("base", None)
+    return doc
+
+
+def _mismatch_b(rng, st: _Structure, dtype: DType) -> dict:
+    """Category 26: a contracted label's extent differs between A and B."""
+    doc = _assemble(rng, st, dtype)
+    victim = rng.choice([l for l in st.labels_a if l in st.labels_b])
+    return _bump_extent(rng, doc, "b", st.labels_b.index(victim), dtype)
+
+
+def _mismatch_c(rng, st: _Structure, dtype: DType) -> dict:
+    """Category 27: one extent of C differs from D's."""
+    doc = _assemble(rng, st, dtype)
+    return _bump_extent(rng, doc, "c", rng.randrange(len(doc["c"]["extents"])), dtype)
+
+
+def _alias_d(rng, st: _Structure, dtype: DType) -> dict:
+    """Category 28: a mode of D of extent 2 or more gets stride 0."""
+    doc = _assemble(rng, st, dtype)
+    extents = doc["d"]["extents"]
+    aliased = rng.choice([k for k, e in enumerate(extents) if e >= 2])
+    doc["d"]["strides"] = list(_dense_strides(extents))
+    doc["d"]["strides"][aliased] = 0
+    return doc
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """How to generate one category's cases.
+
+    ``counts`` are ``_make_structure`` arguments; a ``(lo, hi)`` pair is
+    drawn with ``rng.randint``, in order, and a list of variants is first
+    narrowed by ``rng.choice``.  ``fix`` builds the document in place of
+    ``_assemble`` where a category needs more than a layout variant.
+    """
+
+    counts: dict | list
+    signs: str = "pos"
+    parent: str = "none"
+    dtype: DType = DType.R32
+    fix: Callable | None = None
+
+
+_BASIC = dict(n_contracted=(1, 2), n_free_a=(1, 2), n_free_b=(1, 2))
+_ONE_EACH = dict(n_contracted=1, n_free_a=1, n_free_b=1)
+
+_RECIPES = {
+    1: _Recipe(dict(n_batch=(1, 3))),
+    2: _Recipe(_BASIC),
+    3: _Recipe(_BASIC),
+    4: _Recipe(dict(n_contracted=(0, 1), n_free_a=(1, 2), n_free_b=1)),
+    5: _Recipe(dict(_ONE_EACH, uniform_extent=(2, 8))),
+    6: _Recipe(dict(n_free_a=(1, 2), n_free_b=(1, 2))),
+    7: _Recipe(dict(n_contracted=(1, 3))),
+    8: _Recipe([  # A, B or D has no modes
+        dict(n_free_b=(1, 2)),
+        dict(n_free_a=(1, 2)),
+        dict(n_contracted=(1, 2)),
+    ]),
+    9: _Recipe([  # A, B or D has one mode
+        dict(n_contracted=1, n_free_b=(1, 2)),
+        dict(n_contracted=1, n_free_a=(1, 2)),
+        dict(n_contracted=(0, 1), n_free_a=1),
+    ]),
+    10: _Recipe(_ONE_EACH, parent="same"),
+    11: _Recipe(_ONE_EACH, parent="fewer"),
+    12: _Recipe(_ONE_EACH, signs="neg"),
+    13: _Recipe(_ONE_EACH, signs="neg", parent="same"),
+    14: _Recipe(_ONE_EACH, signs="neg", parent="fewer"),
+    15: _Recipe(_ONE_EACH, signs="mixed"),
+    16: _Recipe(_ONE_EACH, signs="mixed", parent="same"),
+    17: _Recipe(_ONE_EACH, signs="mixed", parent="fewer"),
+    18: _Recipe(_BASIC, dtype=DType.R64),
+    19: _Recipe(_BASIC, dtype=DType.C32),
+    20: _Recipe(_BASIC, dtype=DType.C64),
+    21: _Recipe(_BASIC, fix=_zero_stride),
+    22: _Recipe(dict(n_contracted=(0, 1), n_free_a=(0, 1), n_free_b=(0, 1),
+                     n_reduced_a=(1, 2), n_reduced_b=(0, 1))),
+    23: _Recipe(dict(n_contracted=1, n_free_a=1, n_free_b=(0, 1)), fix=_repeat_label),
+    24: _Recipe(dict(n_batch=(1, 2), n_free_a=(1, 2), n_free_b=(0, 1))),
+    25: _Recipe(dict(n_batch=(1, 2), n_contracted=(1, 2))),
+    26: _Recipe(_BASIC, fix=_mismatch_b),
+    27: _Recipe(dict(n_contracted=(1, 2), n_free_a=1, n_free_b=(0, 1)), fix=_mismatch_c),
+    28: _Recipe(dict(n_contracted=(0, 1), n_free_a=1, n_free_b=(0, 1),
+                     min_extent_first_free_a=2), fix=_alias_d),
+}
 
 
 def generate_case(category: int, seed) -> dict:
     """Emit one reproducible random case for a conformance category."""
-    if not 1 <= category <= 28:
+    if category not in _RECIPES:
         raise ValueError(f"category must be in 1..28, got {category}")
-    rng = _rng_for(seed, category)
-    dtype = {
-        18: DType.R64,
-        19: DType.C32,
-        20: DType.C64,
-    }.get(category, DType.R32)
-
-    if category == 1:
-        st = _make_structure(rng, n_batch=rng.randint(1, 3))
-        doc = _assemble(rng, st, dtype)
-    elif category in (2, 3, 18, 19, 20):
-        st = _make_structure(rng, **_basic_counts(rng))
-        doc = _assemble(rng, st, dtype)
-    elif category == 4:
-        st = _make_structure(
-            rng, n_contracted=rng.randint(0, 1), n_free_a=rng.randint(1, 2), n_free_b=1
-        )
-        doc = _assemble(rng, st, dtype)
-    elif category == 5:
-        st = _make_structure(
-            rng, n_contracted=1, n_free_a=1, n_free_b=1,
-            uniform_extent=rng.randint(2, 8),
-        )
-        doc = _assemble(rng, st, dtype)
-    elif category == 6:
-        st = _make_structure(rng, n_free_a=rng.randint(1, 2), n_free_b=rng.randint(1, 2))
-        doc = _assemble(rng, st, dtype)
-    elif category == 7:
-        st = _make_structure(rng, n_contracted=rng.randint(1, 3))
-        doc = _assemble(rng, st, dtype)
-    elif category == 8:
-        variant = rng.choice(["a", "b", "d"])
-        if variant == "a":
-            st = _make_structure(rng, n_free_b=rng.randint(1, 2))
-        elif variant == "b":
-            st = _make_structure(rng, n_free_a=rng.randint(1, 2))
-        else:
-            st = _make_structure(rng, n_contracted=rng.randint(1, 2))
-        doc = _assemble(rng, st, dtype)
-    elif category == 9:
-        variant = rng.choice(["a", "b", "d"])
-        if variant == "a":
-            st = _make_structure(rng, n_contracted=1, n_free_b=rng.randint(1, 2))
-        elif variant == "b":
-            st = _make_structure(rng, n_contracted=1, n_free_a=rng.randint(1, 2))
-        else:
-            st = _make_structure(rng, n_contracted=rng.randint(0, 1), n_free_a=1)
-        doc = _assemble(rng, st, dtype)
-    elif category in (10, 11, 13, 14, 16, 17):
-        parent = "same" if category in (10, 13, 16) else "fewer"
-        signs = {10: "pos", 11: "pos", 13: "neg", 14: "neg", 16: "mixed", 17: "mixed"}[
-            category
-        ]
-        st = _make_structure(rng, n_contracted=1, n_free_a=1, n_free_b=1)
-        doc = _assemble(rng, st, dtype, signs=signs, parent=parent)
-    elif category in (12, 15):
-        st = _make_structure(rng, n_contracted=1, n_free_a=1, n_free_b=1)
-        doc = _assemble(rng, st, dtype, signs="neg" if category == 12 else "mixed")
-    elif category == 21:
-        st = _make_structure(rng, **_basic_counts(rng))
-        doc = _assemble(rng, st, dtype)
-        target = rng.choice(["a", "b"])
-        labels = st.labels_a if target == "a" else st.labels_b
-        mode = rng.randrange(len(labels))
-        entry = doc[target]
-        entry["strides"] = list(_dense_strides(entry["extents"]))
-        entry["strides"][mode] = 0
-        span = 1 + sum(
-            max(0, s * (e - 1)) for e, s in zip(entry["extents"], entry["strides"])
-        )
-        entry["data"] = _random_values(rng, span, dtype)
-    elif category == 22:
-        st = _make_structure(
-            rng,
-            n_contracted=rng.randint(0, 1),
-            n_free_a=rng.randint(0, 1),
-            n_free_b=rng.randint(0, 1),
-            n_reduced_a=rng.randint(1, 2),
-            n_reduced_b=rng.randint(0, 1),
-        )
-        doc = _assemble(rng, st, dtype)
-    elif category == 23:
-        st = _make_structure(rng, n_contracted=1, n_free_a=1, n_free_b=rng.randint(0, 1))
-        target = rng.choice(["a", "b"])
-        labels = st.labels_a if target == "a" else st.labels_b
-        repeat = rng.choice(labels)
-        labels.insert(rng.randrange(len(labels) + 1), repeat)
-        doc = _assemble(rng, st, dtype)
-    elif category == 24:
-        st = _make_structure(
-            rng,
-            n_batch=rng.randint(1, 2),
-            n_free_a=rng.randint(1, 2),
-            n_free_b=rng.randint(0, 1),
-        )
-        doc = _assemble(rng, st, dtype)
-    elif category == 25:
-        st = _make_structure(
-            rng, n_batch=rng.randint(1, 2), n_contracted=rng.randint(1, 2)
-        )
-        doc = _assemble(rng, st, dtype)
-    elif category == 26:
-        st = _make_structure(rng, **_basic_counts(rng))
-        doc = _assemble(rng, st, dtype)
-        victim = rng.choice([l for l in st.labels_a if l in st.labels_b])
-        mode = st.labels_b.index(victim)
-        old = doc["b"]["extents"][mode]
-        doc["b"]["extents"][mode] = old + 1 if old < 8 else old - 1
-        doc["b"]["data"] = _random_values(
-            rng, math.prod(doc["b"]["extents"]), dtype
-        )
-        doc["b"].pop("strides", None)
-        doc["b"].pop("base", None)
-    elif category == 27:
-        st = _make_structure(rng, n_contracted=rng.randint(1, 2), n_free_a=1,
-                             n_free_b=rng.randint(0, 1))
-        doc = _assemble(rng, st, dtype)
-        mode = rng.randrange(len(doc["c"]["extents"]))
-        old = doc["c"]["extents"][mode]
-        doc["c"]["extents"][mode] = old + 1 if old < 8 else old - 1
-        doc["c"]["data"] = _random_values(
-            rng, math.prod(doc["c"]["extents"]), dtype
-        )
-        doc["c"].pop("strides", None)
-        doc["c"].pop("base", None)
-    else:  # category == 28
-        st = _make_structure(
-            rng, n_contracted=rng.randint(0, 1), n_free_a=1,
-            n_free_b=rng.randint(0, 1), min_extent_first_free_a=2,
-        )
-        doc = _assemble(rng, st, dtype)
-        aliased = rng.choice(
-            [k for k, e in enumerate(doc["d"]["extents"]) if e >= 2]
-        )
-        doc["d"]["strides"] = list(_dense_strides(doc["d"]["extents"]))
-        doc["d"]["strides"][aliased] = 0
-
+    rng = random.Random(f"{seed}:{category}")
+    recipe = _RECIPES[category]
+    counts = recipe.counts
+    if isinstance(counts, list):
+        counts = rng.choice(counts)
+    st = _make_structure(
+        rng, **{k: rng.randint(*v) if isinstance(v, tuple) else v for k, v in counts.items()}
+    )
+    if recipe.fix is not None:
+        doc = recipe.fix(rng, st, recipe.dtype)
+    else:
+        doc = _assemble(rng, st, recipe.dtype, recipe.signs, recipe.parent)
     doc["category"] = category
     doc["seed"] = str(seed)
     if category in EXPECTED_ERROR:
@@ -853,120 +799,74 @@ def generate_case(category: int, seed) -> dict:
 # Suite
 
 
-def _swap_operands(doc: dict) -> dict:
+def _swap_operands(doc: dict):
+    """Category 3's transform: A and B trade places; D's index is kept."""
     spec = parse_einsum(doc["einsum"])
-    swapped = dict(doc)
-    swapped["einsum"] = (
-        "".join(spec.labels_b) + "," + "".join(spec.labels_a) + "->" + "".join(spec.labels_d)
-    )
-    swapped["a"], swapped["b"] = doc["b"], doc["a"]
-    return swapped
+    swapped = dict(doc, a=doc["b"], b=doc["a"])
+    swapped["einsum"] = _einsum(spec.labels_b, spec.labels_a, spec.labels_d)
+    return swapped, lambda idx: idx
 
 
-def _permute_output(doc: dict, rng: random.Random) -> tuple[dict, list[int]]:
+def _permute_output(doc: dict, rng: random.Random):
+    """Category 4's transform: C's and D's modes are permuted (never to
+    the identity when there are two or more); D's index is permuted alike."""
     spec = parse_einsum(doc["einsum"])
     n = len(spec.labels_d)
     perm = list(range(n))
     while n >= 2 and perm == list(range(n)):
         rng.shuffle(perm)
     permuted = dict(doc)
-    permuted["einsum"] = (
-        "".join(spec.labels_a)
-        + ","
-        + "".join(spec.labels_b)
-        + "->"
-        + "".join(spec.labels_d[k] for k in perm)
+    permuted["einsum"] = _einsum(
+        spec.labels_a, spec.labels_b, [spec.labels_d[k] for k in perm]
     )
-    c_strides = doc["c"].get("strides") or list(_dense_strides(doc["c"]["extents"]))
-    permuted["c"] = dict(doc["c"])
-    permuted["c"]["extents"] = [doc["c"]["extents"][k] for k in perm]
-    permuted["c"]["strides"] = [c_strides[k] for k in perm]
-    permuted["d"] = {
-        "dtype": doc["d"]["dtype"],
-        "extents": [doc["d"]["extents"][k] for k in perm],
-    }
-    return permuted, perm
-
-
-def _compare_buffers(case1: Case, run1: EngineRun, case2: Case, run2: EngineRun,
-                     tolerance: float, index_map=None) -> tuple[bool, float]:
-    """Elementwise comparison of two engine outputs over the logical
-    output index space; ``index_map`` maps an index of case1 to the
-    corresponding index of case2."""
-    uniq, uext, ustr = _merge_unique(
-        case1.spec.labels_d, case1.d.extents, case1.d.strides
+    c_strides = doc["c"].get("strides") or _dense_strides(doc["c"]["extents"])
+    permuted["c"] = dict(
+        doc["c"],
+        extents=[doc["c"]["extents"][k] for k in perm],
+        strides=[c_strides[k] for k in perm],
     )
-    _, _, ustr2 = _merge_unique(case2.spec.labels_d, case2.d.extents, case2.d.strides)
-    max_rel = 0.0
-    complex_out = case1.d.dtype.is_complex
-    for idx_r in itertools.product(*[range(e) for e in reversed(uext)]):
-        idx = idx_r[::-1]
-        idx2 = index_map(idx) if index_map is not None else idx
-        off1 = case1.d.base + sum(i * s for i, s in zip(idx, ustr))
-        off2 = case2.d.base + sum(i * s for i, s in zip(idx2, ustr2))
-        v1 = run1.d_buffer[off1]
-        v2 = run2.d_buffer[off2]
-        v1 = complex(v1) if complex_out else float(v1)
-        v2 = complex(v2) if complex_out else float(v2)
-        rel = abs(v1 - v2) / max(abs(v2), 1.0)
-        max_rel = max(max_rel, rel)
-    return max_rel <= tolerance, max_rel
+    permuted["d"] = {"dtype": doc["d"]["dtype"], "extents": [doc["d"]["extents"][k] for k in perm]}
+    return permuted, lambda idx: tuple(idx[k] for k in perm)
 
 
 def _check_instance(doc: dict, category: int, tolerance: float | None) -> CheckResult:
     case = parse_case(doc)
-    if category in EXPECTED_ERROR:
-        expected = EXPECTED_ERROR[category]
-        result = check_case(case, tolerance)
-        ok = (
-            result.engine_code == expected
-            and result.oracle_code == expected
-        )
-        result.passed = ok
-        if not ok:
+    result = check_case(case, tolerance)
+    expected = EXPECTED_ERROR.get(category)
+    if expected is not None:
+        result.passed = result.engine_code == expected and result.oracle_code == expected
+        if not result.passed:
             result.detail = (
                 f"expected {expected.name}, engine {result.engine_code.name},"
                 f" oracle {result.oracle_code.name}"
             )
         return result
-
-    result = check_case(case, tolerance)
     if not result.passed:
         return result
-    tol = default_tolerance(case) if tolerance is None else tolerance
 
+    # Metamorphic checks: the engine's D for a transformed document must
+    # match this case's D under an index map, within a tolerance.
     if category == 3:
-        swapped = parse_case(_swap_operands(doc))
-        run1, run2 = execute_case(case), execute_case(swapped)
-        if run1.code is not ErrorCode.OK or run2.code is not ErrorCode.OK:
-            result.passed = False
-            result.detail = "operand swap failed to execute"
-            return result
-        ok, max_rel = _compare_buffers(case, run1, swapped, run2, tol)
-        if not ok:
-            result.passed = False
-            result.detail = f"operand swap diverged ({max_rel:.3e})"
-        return result
-
-    if category == 4 and len(case.spec.labels_d) >= 2:
+        what = "operand swap"
+        tol = default_tolerance(case) if tolerance is None else tolerance
+        other, index_map = _swap_operands(doc)
+    elif category == 4 and len(case.spec.labels_d) >= 2:
+        what, tol = "output permutation", 0.0
         rng = random.Random(f"{doc.get('seed')}:{category}:perm")
-        permuted_doc, perm = _permute_output(doc, rng)
-        permuted = parse_case(permuted_doc)
-        run1, run2 = execute_case(case), execute_case(permuted)
-        if run1.code is not ErrorCode.OK or run2.code is not ErrorCode.OK:
-            result.passed = False
-            result.detail = "output permutation failed to execute"
-            return result
-
-        def index_map(idx):
-            return tuple(idx[perm[k]] for k in range(len(perm)))
-
-        ok, max_rel = _compare_buffers(case, run1, permuted, run2, 0.0, index_map)
-        if not ok:
-            result.passed = False
-            result.detail = f"output permutation diverged ({max_rel:.3e})"
+        other, index_map = _permute_output(doc, rng)
+    else:
         return result
-
+    other_case = parse_case(other)
+    other_run = execute_case(other_case)
+    if result.engine_code is not ErrorCode.OK or other_run.code is not ErrorCode.OK:
+        result.passed = False
+        result.detail = f"{what} failed to execute"
+        return result
+    values = dict(_output_values(other_case, other_run))
+    max_rel, _ = _max_rel_err(case, result.run, lambda _, idx: values[index_map(idx)])
+    if max_rel > tol:
+        result.passed = False
+        result.detail = f"{what} diverged ({max_rel:.3e})"
     return result
 
 
@@ -1014,12 +914,7 @@ def run_suite(
                 }
             )
             if exit_code == 0:
-                if result.engine_code is not ErrorCode.OK:
-                    exit_code = int(result.engine_code)
-                elif result.oracle_code is not ErrorCode.OK:
-                    exit_code = int(result.oracle_code)
-                else:
-                    exit_code = 1
+                exit_code = _exit_code(result)
         report["categories"][str(category)] = {
             "title": CATEGORY_TITLES[category],
             "passed": passed,
@@ -1041,15 +936,10 @@ def run_suite(
 
 
 def _cmd_run(args) -> int:
-    try:
-        case = load_case(args.case)
-    except TappError as err:
-        print(json.dumps({"error": int(err.code), "message": str(err)}))
-        return int(err.code)
+    case = load_case(args.case)
     run = execute_case(case)
     if run.code is not ErrorCode.OK:
-        print(json.dumps({"error": int(run.code), "message": error_string(run.code)}))
-        return int(run.code)
+        raise TappError(run.code)
     doc = {
         "d": [_emit_element(v, case.d.dtype) for v in run.d_buffer.tolist()],
         "status": {
@@ -1070,12 +960,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        case = load_case(args.case)
-    except TappError as err:
-        print(json.dumps({"error": int(err.code), "message": str(err)}))
-        return int(err.code)
-    result = check_case(case, args.tolerance, args.perturb)
+    result = check_case(load_case(args.case), args.tolerance, args.perturb)
     print(
         json.dumps(
             {
@@ -1088,15 +973,7 @@ def _cmd_check(args) -> int:
             }
         )
     )
-    if result.passed and result.engine_code is ErrorCode.OK:
-        return 0
-    if result.passed:
-        return int(result.engine_code)
-    if result.engine_code is not ErrorCode.OK:
-        return int(result.engine_code)
-    if result.oracle_code is not ErrorCode.OK:
-        return int(result.oracle_code)
-    return 1
+    return _exit_code(result)
 
 
 def _cmd_suite(args) -> int:
@@ -1142,7 +1019,11 @@ def main(argv=None) -> int:
     if args.command == "suite" and args.case_filter is not None:
         if not 1 <= args.case_filter <= 28:
             parser.error("--case must be in 1..28")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TappError as err:  # a case that cannot be loaded, or a failed run
+        print(json.dumps({"error": int(err.code), "message": str(err)}))
+        return int(err.code)
 
 
 if __name__ == "__main__":

@@ -121,14 +121,23 @@ class ScalarValue:
         return complex(self.re, self.im) if self.dtype.is_complex else self.re
 
 
+def integral(value) -> int | None:
+    """``value`` as a Python int if it is integral (2.0 is; 2.5 and "2"
+    are not), else None."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
+
+
 def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
     """``values`` as Python ints; a value that is not integral is an error."""
     try:
-        values = tuple(values)
-        ints = tuple(int(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints is None or ints != values:
+        ints = tuple(integral(v) for v in values)
+    except TypeError:  # not a sequence
+        ints = (None,)
+    if None in ints:
         raise TappError(ErrorCode.ERR_EXTENT_MISMATCH, f"{what} must be integers")
     return ints
 

@@ -257,6 +257,40 @@ def test_base_offsets_through_the_api(handle):
     assert d.tolist() == [20.0, 20.0]
 
 
+def test_malformed_array_base_pairs_return_codes(handle):
+    iv = tapp_create_tensor_info(handle, DType.R64, 1, (2,), (1,))
+    ex = tapp_get_default_executor(handle)
+    product = tapp_create_contraction(handle, iv, "i", iv, "i", iv, "i", iv, "i")
+    add = tapp_create_binary_op(handle, iv, "i", iv, "i", iv, "i")
+    neg = tapp_create_unary_op(handle, iv, "i", iv, "i")
+    a, ones = np.arange(6.0), np.ones(2)
+    calls = (
+        lambda data, out, st: tapp_execute_product(
+            product, ex, 1.0, data, ones, 0.0, ones, out, st
+        ),
+        lambda data, out, st: tapp_execute_binary(add, ex, 1.0, data, 0.0, ones, out, st),
+        lambda data, out, st: tapp_execute_unary(neg, ex, 1.0, data, out, st),
+    )
+    cases = (
+        ((a, "x"), ErrorCode.ERR_OUT_OF_BOUNDS),
+        ((a, None), ErrorCode.ERR_OUT_OF_BOUNDS),
+        ((a, 2.5), ErrorCode.ERR_OUT_OF_BOUNDS),  # not truncated to base 2
+        ((a, 1, 2), ErrorCode.ERR_DTYPE_MISMATCH),
+        ((a,), ErrorCode.ERR_DTYPE_MISMATCH),
+        ([1.0, 2.0], ErrorCode.ERR_DTYPE_MISMATCH),
+    )
+    for call in calls:
+        for data, expected in cases:
+            out, status = np.full(2, 7.0), StatusRecord()
+            assert call(data, out, status) is expected, (data, expected)
+            assert status.error is expected
+            assert out.tolist() == [7.0, 7.0]
+        for base in (2.0, np.int64(2)):  # integral bases bind as 2
+            out = np.zeros(2)
+            assert call((a, base), out, None) is ErrorCode.OK
+            assert out.tolist() == [2.0, 3.0]
+
+
 def test_execute_boundary_failures_return_codes_and_leave_d_untouched(handle):
     op = _matmul_setup(handle)
     ex = tapp_get_default_executor(handle)

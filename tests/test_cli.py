@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from tapp import cli
 from tapp.cli import (
     CATEGORY_TITLES,
     EXPECTED_ERROR,
@@ -89,6 +91,18 @@ def test_gen_is_deterministic(capsys):
     assert first == second
     main(["gen", "5", "--seed", "12"])
     assert capsys.readouterr().out != first
+
+
+def test_generated_documents_are_pinned():
+    # sha256 of every generated document, categories 1..28 x seeds 0..19,
+    # so that a change to the generator's draws or layout shows here.
+    digest = hashlib.sha256()
+    for category in range(1, 29):
+        for seed in range(20):
+            digest.update(json.dumps(generate_case(category, seed), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "9a3535e331fe0d084c25bc283a372b87445ea8fb8e21a070338c699526e37cda"
+    )
 
 
 def test_gen_rejects_unknown_category(capsys):
@@ -219,6 +233,37 @@ def test_suite_exit_code_on_numeric_mismatch():
     code, report = run_suite(seed=3, iterations=1, categories=[2], tolerance=0.0)
     assert code == 1
     assert report["failures"]
+
+
+@pytest.mark.parametrize(
+    "category, detail",
+    [(3, "operand swap diverged"), (4, "output permutation diverged")],
+)
+def test_metamorphic_checks_catch_a_corrupted_transformed_run(
+    monkeypatch, category, detail
+):
+    # Corrupt only the run of the transformed case, told apart by its
+    # labels, which differ from those of the document just generated.
+    real_generate, real_execute = cli.generate_case, cli.execute_case
+    latest = {}
+
+    def generate(category, seed):
+        doc = real_generate(category, seed)
+        latest["spec"] = parse_einsum(doc["einsum"])
+        return doc
+
+    def execute(case):
+        run = real_execute(case)
+        if case.spec != latest["spec"] and run.code is ErrorCode.OK:
+            run.d_buffer[case.d.base] += 1.0  # D's element at index 0
+        return run
+
+    monkeypatch.setattr(cli, "generate_case", generate)
+    monkeypatch.setattr(cli, "execute_case", execute)
+    code, report = run_suite(seed=3, iterations=4, categories=[category])
+    assert code == 1
+    assert len(report["failures"]) == 4
+    assert all(f["detail"].startswith(detail) for f in report["failures"])
 
 
 def test_suite_via_main(capsys):
