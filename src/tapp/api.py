@@ -122,6 +122,15 @@ class OperationDescriptor:
         self.vkv = VKVStore()
 
 
+def _internal(err: Exception) -> ErrorCode:
+    """ERR_INTERNAL for an exception that is not a TappError, logged with
+    its traceback under the ``tapp`` logger."""
+    import logging  # only on this path: importing it costs milliseconds
+
+    logging.getLogger("tapp").error("tapp call failed", exc_info=err)
+    return ErrorCode.ERR_INTERNAL
+
+
 def tapp_create_handle() -> Handle:
     return Handle()
 
@@ -161,15 +170,19 @@ def tapp_create_tensor_info(
         return ErrorCode.ERR_INVALID_HANDLE
     if not isinstance(dtype, DType):
         return ErrorCode.ERR_DTYPE_MISMATCH
-    if nmodes != len(extents) or (strides is not None and nmodes != len(strides)):
-        return ErrorCode.ERR_EXTENT_MISMATCH
     try:
+        if nmodes != len(extents) or (strides is not None and nmodes != len(strides)):
+            return ErrorCode.ERR_EXTENT_MISMATCH
         if strides is None:
             desc = TensorDesc.column_major(tuple(extents), dtype)
         else:
             desc = TensorDesc(tuple(extents), tuple(strides), dtype)
+    except TypeError:  # extents or strides that are not sequences
+        return ErrorCode.ERR_EXTENT_MISMATCH
     except TappError as err:
         return err.code
+    except Exception as err:  # such as MemoryError: a code all the same
+        return _internal(err)
     return TensorInfo(handle, desc)
 
 
@@ -188,6 +201,19 @@ def _label_tuples(*labels) -> list[tuple]:
         raise TappError(ErrorCode.ERR_PARSE, "labels must be sequences") from None
 
 
+def _create(handle, infos, kind: str, labels, plan) -> OperationDescriptor | ErrorCode:
+    """Check ``handle`` and ``infos``, then wrap ``plan(*label_tuples)``; a
+    TappError becomes its code, any other exception ERR_INTERNAL."""
+    if not _live_handle(handle) or not _owned(handle, *infos):
+        return ErrorCode.ERR_INVALID_HANDLE
+    try:
+        return OperationDescriptor(handle, kind, plan(*_label_tuples(*labels)))
+    except TappError as err:
+        return err.code
+    except Exception as err:  # such as MemoryError: a code all the same
+        return _internal(err)
+
+
 def tapp_create_contraction(
     handle,
     info_a,
@@ -201,17 +227,13 @@ def tapp_create_contraction(
     compute_dtype: DType | None = None,
 ) -> OperationDescriptor | ErrorCode:
     """Plan ``D := alpha*A B + beta*C`` over the given descriptors."""
-    if not _live_handle(handle) or not _owned(handle, info_a, info_b, info_c, info_d):
-        return ErrorCode.ERR_INVALID_HANDLE
-    try:
-        la, lb, lc, ld = _label_tuples(labels_a, labels_b, labels_c, labels_d)
-        spec = LabelSpec.of(la, lb, ld, lc)
-        plan = engine.make_plan(
-            spec, info_a.desc, info_b.desc, info_c.desc, info_d.desc, compute_dtype
-        )
-    except TappError as err:
-        return err.code
-    return OperationDescriptor(handle, "contraction", plan)
+    descs = info_a, info_b, info_c, info_d
+    return _create(
+        handle, descs, "contraction", (labels_a, labels_b, labels_c, labels_d),
+        lambda la, lb, lc, ld: engine.make_plan(
+            LabelSpec.of(la, lb, ld, lc), *(i.desc for i in descs), compute_dtype
+        ),
+    )
 
 
 def tapp_create_binary_op(
@@ -224,14 +246,12 @@ def tapp_create_binary_op(
     labels_c: Sequence[str] | str,
 ) -> OperationDescriptor | ErrorCode:
     """Plan ``C := alpha*A + beta*B``."""
-    if not _live_handle(handle) or not _owned(handle, info_a, info_b, info_c):
-        return ErrorCode.ERR_INVALID_HANDLE
-    try:
-        la, lb, lc = _label_tuples(labels_a, labels_b, labels_c)
-        plan = engine.make_binary_plan(la, info_a.desc, lb, info_b.desc, lc, info_c.desc)
-    except TappError as err:
-        return err.code
-    return OperationDescriptor(handle, "binary", plan)
+    return _create(
+        handle, (info_a, info_b, info_c), "binary", (labels_a, labels_b, labels_c),
+        lambda la, lb, lc: engine.make_binary_plan(
+            la, info_a.desc, lb, info_b.desc, lc, info_c.desc
+        ),
+    )
 
 
 def tapp_create_unary_op(
@@ -242,14 +262,10 @@ def tapp_create_unary_op(
     labels_b: Sequence[str] | str,
 ) -> OperationDescriptor | ErrorCode:
     """Plan ``B := alpha*A`` (permutation, diagonal, reduction)."""
-    if not _live_handle(handle) or not _owned(handle, info_a, info_b):
-        return ErrorCode.ERR_INVALID_HANDLE
-    try:
-        la, lb = _label_tuples(labels_a, labels_b)
-        plan = engine.make_unary_plan(la, info_a.desc, lb, info_b.desc)
-    except TappError as err:
-        return err.code
-    return OperationDescriptor(handle, "unary", plan)
+    return _create(
+        handle, (info_a, info_b), "unary", (labels_a, labels_b),
+        lambda la, lb: engine.make_unary_plan(la, info_a.desc, lb, info_b.desc),
+    )
 
 
 def _as_view(desc: TensorDesc, data) -> TensorView:
@@ -269,7 +285,8 @@ def _as_view(desc: TensorDesc, data) -> TensorView:
 
 def _execute(op, executor, kind: str, status_out, run) -> ErrorCode:
     """Check ``op`` and ``executor``, run ``run(op.plan)`` and report its
-    status; a ``TappError`` from binding or running becomes the code."""
+    status; a ``TappError`` from binding or running becomes its code, any
+    other exception ERR_INTERNAL."""
     if (
         not isinstance(op, OperationDescriptor)
         or not op.handle.alive
@@ -282,6 +299,8 @@ def _execute(op, executor, kind: str, status_out, run) -> ErrorCode:
         status = run(op.plan)
     except TappError as err:
         status = StatusRecord(error=err.code)
+    except Exception as err:  # such as MemoryError: a code all the same
+        status = StatusRecord(error=_internal(err))
     status.executor = executor
     if status_out is not None:
         vars(status_out).update(vars(status))

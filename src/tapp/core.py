@@ -142,6 +142,9 @@ def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
     return ints
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
 @dataclass(frozen=True)
 class TensorDesc:
     """Logical shape, strided physical layout and dtype of one operand."""
@@ -160,6 +163,10 @@ class TensorDesc:
             )
         if any(e < 1 for e in self.extents):
             raise TappError(ErrorCode.ERR_EXTENT_MISMATCH, "extents must be >= 1")
+        lo, hi = self._reach
+        reach = (hi - lo + 1) * self.dtype.np_dtype.itemsize
+        if max(self.size, reach) > _INT64_MAX:
+            raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "size or reach exceeds int64")
 
     @property
     def nmodes(self) -> int:

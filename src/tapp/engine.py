@@ -12,22 +12,30 @@ real bits; for complex x the product is the full complex product
 (``0 * inf``) next to an infinite one.
 
 A validated, immutable plan (see :func:`make_plan`) is built once per
-operation shape.  It holds window-relative int64 gather indices, built by
-broadcasting per-label offsets: A's of shape ``(R_a, K, H, F)``, B's of
-shape ``(R_b, K, H, G)``, C's and D's of shape ``(H, F, G)``, where R is
-the operand's input-only reduction, K the contracted labels, H the batch
-labels, and F and G the free labels of A and of B.  Within each group
-the first label varies fastest.
+operation shape, in time and memory that grow with the number of modes,
+not of elements.  It records how each operand's label groups lie in its
+buffer: A's as ``(R_a, K, H, F)``, B's as ``(R_b, K, H, G)``, C's and
+D's as ``(H, F, G)``, where R is the operand's input-only reduction, K
+the contracted labels, H the batch labels, and F and G the free labels
+of A and of B, the first label of a group fastest.  A group's labels
+fold into one axis where each stride is the previous one's times its
+extent; otherwise the group keeps one axis per run of labels that fold.
 
-Execution gathers each operand from its reachable window
-``buffer[base+lo : base+hi+1]``, never the whole buffer, and sums A's and
-B's input-only reductions in index order.  It then walks the output cells
-in blocks of at most ``_CHUNK`` cells, forming at most ``_CHUNK`` products
-``A[k, h, f] * B[k, h, g]`` at once and summing them over k from left to
-right, ``((p0 + p1) + p2) + ...``.  Every cell thus keeps the summation
-order of a scalar loop that runs batch, free-of-A and free-of-B outside
-and the contracted labels inside.  Then come ``alpha * acc``,
-``+ beta * C`` and one cast on store into D's window.
+Execution views each operand in place, as a numpy array over its buffer
+with byte strides = element strides x the buffer's byte stride; complex
+elements are viewed as float ``(re, im)`` pairs on a first axis.  A and
+B are read whole before the first store, each as a C-contiguous copy
+unless it is one already or is a stride-0 view such as U (which takes
+no memory); an input whose groups do not fold is copied into the group
+shape.  Input-only reductions are summed in index order.  The output
+cells are then walked in blocks of at most ``_CHUNK`` cells, G filled
+first, forming at most ``_CHUNK`` products ``A[k, h, f] * B[k, h, g]``
+at once and summing them over k from left to right,
+``((p0 + p1) + p2) + ...``: every cell keeps the summation order of a
+scalar loop that runs batch, free-of-A and free-of-B outside and the
+contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C`` and
+one cast on store through a writable view of D; where D's groups do not
+fold, a block is a box of whole runs and a slice of the next.
 
 A sum of rows (K products, or R reduced values, per cell) runs one of two
 ways, chosen by one rule on its shape, :func:`_row_adds`: wide rows, of a
@@ -62,13 +70,15 @@ Following BLAS convention, ``beta == 0`` means C is never read and
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     DType,
@@ -101,6 +111,17 @@ __all__ = [
 # mapping fresh, page-faulting memory on every call.
 _CHUNK = 1 << 13
 
+# The most output addresses enumerated where the sorted-stride test cannot
+# decide injectivity (8 MB of int64); a larger layout is ERR_UNSUPPORTED.
+_ENUMERATION_BUDGET = 1 << 20
+
+# np.shares_memory's work bound; a harder overlap question is answered by
+# the byte intervals, which reject views that interleave.
+_OVERLAP_WORK = 1 << 12
+
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+_PARTS = {np.dtype(np.complex64): _F32, np.dtype(np.complex128): _F64}
+
 
 @dataclass
 class StatusRecord:
@@ -119,19 +140,78 @@ class StatusRecord:
     executor: object | None = None
 
 
-def _gather_index(desc: TensorDesc, *groups) -> np.ndarray:
-    """``sum(i_k * s_k)`` over the labels of ``desc`` relative to its lowest
-    reachable element, one axis per ``(extents, strides)`` group, the first
-    label of a group fastest; read-only, since plans are shared."""
-    axes = [
-        np.arange(e, dtype=np.int64) * s
-        for extents, strides in groups
-        for e, s in reversed(tuple(zip(extents, strides)))
-    ]
-    index = reduce(np.add.outer, axes, np.array(-desc.reach_bounds()[0], np.int64))
-    index = index.reshape([math.prod(extents) for extents, _ in groups])
-    index.flags.writeable = False
-    return index
+def _injective(extents, strides, budget: int) -> bool | None:
+    """Whether the offsets ``sum(i_k * s_k)`` of all multi-indices are
+    distinct; None where deciding it would enumerate more than ``budget``.
+
+    A stride 0 on an extent above 1 aliases.  With the modes sorted by
+    |stride|, one whose |stride| exceeds the span ``sum(|s_j| * (e_j - 1))``
+    of all modes below it shifts their addresses past that span with each
+    of its values, so it is injective if they are: such modes are peeled
+    off the top, and the modes left, if any, are enumerated."""
+    modes = sorted((abs(s), e) for e, s in zip(extents, strides) if e > 1)
+    if modes and modes[0][0] == 0:
+        return False
+    spans = list(itertools.accumulate((s * (e - 1) for s, e in modes), initial=0))
+    n = len(modes)
+    while n and modes[n - 1][0] > spans[n - 1]:
+        n -= 1
+    if n == 0:
+        return True
+    if math.prod(e for _, e in modes[:n]) > budget:
+        return None
+    offsets = np.zeros(1, np.int64)
+    for s, e in modes[:n]:
+        offsets = np.add.outer(np.arange(e, dtype=np.int64) * s, offsets).ravel()
+    return np.unique(offsets).size == offsets.size
+
+
+class _Layout(NamedTuple):
+    """How one operand's label groups lie in its buffer, and the numpy view
+    that shows them (complex elements as float ``(re, im)`` pairs)."""
+
+    runs: tuple[tuple[int, ...], ...]  # each group's axes' extents, fastest first
+    grouped: tuple[int, ...]  # the shape in groups, after (2,) if pairs
+    shape: tuple[int, ...]  # the view's: (2,) if pairs, then runs slowest first
+    strides: tuple[int, ...]  # its byte strides over contiguous elements
+    steps: tuple[int, ...]  # the runs' element strides
+    dtype: np.dtype  # the view's: the element's, or its part's if pairs
+    pairs: bool  # complex elements
+    folds: bool  # one axis per group: the view has the shape ``grouped``
+    broadcast: bool  # an axis has stride 0
+
+
+def _layout(dtype: DType, *groups) -> _Layout:
+    """The layout of ``(extents, strides)`` groups of ``dtype`` elements:
+    a group's labels join a run while each stride is the run's stride
+    times its extent; labels of extent 1 have no axis."""
+    runs = []  # each group's [extent, stride] runs, fastest first
+    for extents, strides in groups:
+        group = []
+        for e, s in zip(extents, strides):
+            if e == 1:
+                continue
+            if group and s == group[-1][0] * group[-1][1]:
+                group[-1][0] *= e
+            else:
+                group.append([e, s])
+        runs.append(group)
+    flat = tuple([math.prod(extents) for extents, _ in groups])
+    folds = all([len(group) <= 1 for group in runs])
+    if folds:
+        runs = [[[n, group[0][1] if group else 0]] for n, group in zip(flat, runs)]
+    axes = [run for group in runs for run in reversed(group)]
+    shape = tuple([e for e, _ in axes])
+    steps = tuple([s for _, s in axes])
+    element = dtype.np_dtype
+    strides = tuple([s * element.itemsize for s in steps])
+    broadcast = 0 in [s for e, s in axes if e > 1]
+    runs = tuple([tuple([e for e, _ in group]) for group in runs])
+    pairs = dtype.is_complex
+    if pairs:
+        element = _PARTS[element]
+        shape, strides, flat = (2, *shape), (element.itemsize, *strides), (2, *flat)
+    return _Layout(runs, flat, shape, strides, steps, element, pairs, folds, broadcast)
 
 
 def _row_adds(rows: int, cells: int) -> bool:
@@ -147,25 +227,63 @@ def _row_adds(rows: int, cells: int) -> bool:
     return cells >= max(256, 4096 // rows)
 
 
-def _blocks(k: int, h: int, f: int, g: int):
-    """The (H, F, G) output cells as blocks of at most ``_CHUNK`` cells, G
-    filled first, each with whether the shape rule calls it wide, and the
-    contracted step that keeps a block's products within ``_CHUNK``."""
-    bg = min(g, _CHUNK)
-    bf = min(f, max(1, _CHUNK // bg))
-    bh = min(h, max(1, _CHUNK // (bg * bf)))
-    blocks = tuple(
-        (
-            slice(i, i + bh),
-            slice(j, j + bf),
-            slice(l, l + bg),
-            _row_adds(k, min(bh, h - i) * min(bf, f - j) * min(bg, g - l)),
+def _cuts(runs: tuple[int, ...], cap: int):
+    """The boxes of at most ``cap`` (at least 1) cells that tile a group of
+    run extents ``runs`` in order, the first the largest: whole inner runs
+    and a slice of the next.  Each is a slice of the group's flat index
+    and a key into the group's axes, slowest run first."""
+    p, j = 1, 0
+    while j < len(runs) and p * runs[j] <= cap:
+        p *= runs[j]
+        j += 1
+    if j == len(runs):
+        yield slice(0, p), (slice(None),) * j
+        return
+    c, start = cap // p, 0
+    for outer in itertools.product(*map(range, reversed(runs[j + 1 :]))):
+        for t in range(0, runs[j], c):
+            n = p * min(c, runs[j] - t)
+            key = (*outer, slice(t, t + c), *(slice(None),) * j)
+            yield slice(start, start + n), key
+            start += n
+
+
+def _cells(*slices: slice) -> int:
+    return math.prod(s.stop - s.start for s in slices)
+
+
+class _Blocks:
+    """The (H, F, G) output cells, of D's run extents, in blocks of at most
+    ``_CHUNK`` cells, G filled first, derived from the trip counts as they
+    are iterated: each as its (H, F, G) slices, its key into D's view and
+    whether the shape rule calls it wide.  Only a block that is the whole
+    output is kept.  ``step`` is the contracted step that keeps a block's
+    products within ``_CHUNK``."""
+
+    def __init__(self, k: int, *runs):
+        self.k, self.runs, self.caps = k, runs, [_CHUNK] * 3
+        sizes = [math.prod(r) for r in runs]
+        box = list(sizes)
+        if math.prod(box) > _CHUNK:  # else the whole output is one block
+            for i in (2, 1, 0):  # G first
+                self.caps[i] = max(1, _CHUNK // math.prod(box[i + 1 :]))
+                box[i] = next(_cuts(runs[i], self.caps[i]))[0].stop
+        self.step = min(k, max(1, _CHUNK // math.prod(box)))
+        self.whole = None
+        if box == sizes:  # D's view is its own key
+            wide = _row_adds(k, math.prod(box))
+            self.whole = ((*(slice(0, n) for n in box), (), wide),)
+
+    def __iter__(self):
+        if self.whole is not None:
+            return iter(self.whole)
+        (runs_h, runs_f, runs_g), (cap_h, cap_f, cap_g) = self.runs, self.caps
+        return (
+            (hs, fs, gs, (*hk, *fk, *gk), _row_adds(self.k, _cells(hs, fs, gs)))
+            for hs, hk in _cuts(runs_h, cap_h)
+            for fs, fk in _cuts(runs_f, cap_f)
+            for gs, gk in _cuts(runs_g, cap_g)
         )
-        for i in range(0, h, bh)
-        for j in range(0, f, bf)
-        for l in range(0, g, bg)
-    )
-    return blocks, min(k, max(1, _CHUNK // (bh * bf * bg)))
 
 
 @dataclass(frozen=True)
@@ -179,18 +297,13 @@ class ContractionPlan:
     desc_d: TensorDesc
     classified: ClassifiedLabels
     compute_dtype: DType
-    # Window-relative gather indices (see the module docstring): A is
-    # (R_a, K, H, F), B is (R_b, K, H, G), C and D are (H, F, G).
-    index_a: np.ndarray = field(repr=False, compare=False)
-    index_b: np.ndarray = field(repr=False, compare=False)
-    index_c: np.ndarray = field(repr=False, compare=False)
-    index_d: np.ndarray = field(repr=False, compare=False)
-    # Output-cell blocks as (H, F, G) slices and whether each is wide, and
-    # the contracted step.
-    blocks: tuple[tuple[slice, slice, slice, bool], ...] = field(
-        repr=False, compare=False
-    )
-    step: int = field(repr=False, compare=False)
+    # Each operand's label groups (see the module docstring): A's are
+    # (R_a, K, H, F), B's (R_b, K, H, G), C's and D's (H, F, G).
+    layout_a: _Layout = field(repr=False, compare=False)
+    layout_b: _Layout = field(repr=False, compare=False)
+    layout_c: _Layout = field(repr=False, compare=False)
+    layout_d: _Layout = field(repr=False, compare=False)
+    blocks: _Blocks = field(repr=False, compare=False)
 
     @property
     def size_batch(self) -> int:
@@ -233,7 +346,9 @@ def make_plan(
 
     Checks run in a fixed order: label counts, per-tensor repeated-label
     merging, cross-tensor extent consistency, C-matches-D, rejection of
-    output-only labels, output address injectivity.
+    output-only labels, output address injectivity (ERR_ALIASING, or
+    ERR_UNSUPPORTED where deciding it would enumerate more than
+    ``_ENUMERATION_BUDGET`` addresses; see :func:`_injective`).
     """
     merged_a = merge_repeats(spec.labels_a, desc_a)
     merged_b = merge_repeats(spec.labels_b, desc_b)
@@ -252,10 +367,13 @@ def make_plan(
             ErrorCode.ERR_UNSUPPORTED,
             f"output-only labels {classified.broadcast_out.labels} are not supported",
         )
-    cells = (classified.batch, classified.free_a, classified.free_b)
-    index_d = _gather_index(desc_d, *((g.extents, g.strides_d) for g in cells))
-    addresses = np.sort(index_d, axis=None)
-    if (addresses[1:] == addresses[:-1]).any():
+    injective = _injective(merged_d.extents, merged_d.strides, _ENUMERATION_BUDGET)
+    if injective is None:
+        raise TappError(
+            ErrorCode.ERR_UNSUPPORTED,
+            f"deciding D's injectivity takes over {_ENUMERATION_BUDGET} addresses",
+        )
+    if not injective:
         raise TappError(
             ErrorCode.ERR_ALIASING, "two output element indices map to one address"
         )
@@ -263,18 +381,15 @@ def make_plan(
     cdt = _resolve_compute_dtype(
         compute_dtype, desc_a.dtype, desc_b.dtype, desc_c.dtype, desc_d.dtype
     )
-
-    if desc_c.strides == desc_d.strides:  # C is often D
-        index_c = index_d
-    else:
-        index_c = _gather_index(
-            desc_c,
-            *((g.extents, tuple(map(merged_c.stride_of, g.labels))) for g in cells),
-        )
-    con, batch = classified.contracted, classified.batch
-    red_a, free_a = classified.reduced_a, classified.free_a
-    red_b, free_b = classified.reduced_b, classified.free_b
-    blocks, step = _blocks(con.size, batch.size, free_a.size, free_b.size)
+    cl = classified
+    cells = (cl.batch, cl.free_a, cl.free_b)
+    layout_d = _layout(desc_d.dtype, *((g.extents, g.strides_d) for g in cells))
+    layout_c = layout_d  # C is often D
+    if desc_c != desc_d:
+        strides_c = [tuple(map(merged_c.stride_of, g.labels)) for g in cells]
+        layout_c = _layout(desc_c.dtype, *zip((g.extents for g in cells), strides_c))
+    a_groups = (cl.reduced_a, cl.contracted, cl.batch, cl.free_a)
+    b_groups = (cl.reduced_b, cl.contracted, cl.batch, cl.free_b)
     return ContractionPlan(
         spec=spec,
         desc_a=desc_a,
@@ -283,35 +398,22 @@ def make_plan(
         desc_d=desc_d,
         classified=classified,
         compute_dtype=cdt,
-        index_a=_gather_index(
-            desc_a, *((g.extents, g.strides_a) for g in (red_a, con, batch, free_a))
-        ),
-        index_b=_gather_index(
-            desc_b, *((g.extents, g.strides_b) for g in (red_b, con, batch, free_b))
-        ),
-        index_c=index_c,
-        index_d=index_d,
-        blocks=blocks,
-        step=step,
+        layout_a=_layout(desc_a.dtype, *((g.extents, g.strides_a) for g in a_groups)),
+        layout_b=_layout(desc_b.dtype, *((g.extents, g.strides_b) for g in b_groups)),
+        layout_c=layout_c,
+        layout_d=layout_d,
+        blocks=_Blocks(cl.contracted.size, *layout_d.runs),
     )
 
 
-def _byte_range(view: TensorView) -> tuple[int, int]:
-    """The first and last byte of memory that ``view`` can reach; the
-    buffer's byte stride may exceed its item size, or be negative."""
-    lo, hi = view.desc.reach_bounds(view.base)
-    start = view.buffer.__array_interface__["data"][0]
-    step = view.buffer.strides[0]
-    first, last = sorted((start + lo * step, start + hi * step))
-    return first, last + view.buffer.itemsize - 1
-
-
 def _same_elements(x: TensorView, y: TensorView) -> bool:
-    """Whether ``x`` and ``y`` address the same memory for every element."""
+    """Whether ``x`` and ``y`` address the same memory for every element:
+    equal layouts from the same first byte, with equal buffer strides."""
     return (
         x.desc == y.desc
         and x.buffer.strides == y.buffer.strides
-        and _byte_range(x) == _byte_range(y)
+        and x.base * x.buffer.strides[0] + x.buffer.__array_interface__["data"][0]
+        == y.base * y.buffer.strides[0] + y.buffer.__array_interface__["data"][0]
     )
 
 
@@ -356,30 +458,37 @@ def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
     return round_to(value, compute_dtype)
 
 
-_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+def _view(view: TensorView, layout: _Layout) -> np.ndarray:
+    """The elements of ``view`` on the axes of ``layout``, as a numpy view
+    of its buffer."""
+    buffer = view.buffer
+    step = buffer.strides[0]
+    if step == buffer.itemsize:  # contiguous: this constructor is many times faster
+        offset = view.base * step
+        return np.ndarray(layout.shape, layout.dtype, buffer, offset, layout.strides)
+    origin, strides = buffer[view.base :], [s * step for s in layout.steps]
+    if layout.pairs:
+        return as_strided(origin.real, layout.shape, [layout.dtype.itemsize, *strides])
+    return as_strided(origin, layout.shape, strides)
 
 
-def _window(view: TensorView) -> np.ndarray:
-    """The reachable elements of ``view``, as a view of its buffer."""
-    lo, hi = view.desc.reach_bounds(view.base)
-    return view.buffer[lo : hi + 1]
+def _grouped(view: TensorView, layout: _Layout) -> np.ndarray:
+    """The elements of ``view`` in ``layout``'s group shape: a view of its
+    buffer where the groups fold, else one strided copy."""
+    x = _view(view, layout)
+    return x if layout.folds else x.reshape(layout.grouped)
 
 
-def _gather(view: TensorView, index: np.ndarray, part: np.dtype):
-    """The elements of ``view`` at ``index`` with ``part`` precision, and
-    whether they are complex; complex ones get a first axis ``(re, im)``."""
-    x = _window(view)[index]
-    if x.dtype.kind != "c":
-        return (x if x.dtype == part else x.astype(part)), False
-    if x.size > _CHUNK:
-        # x's own storage as the (re, im) pairs: a large array is not
-        # copied, though numpy calls on the strided parts cost a little more.
-        pairs = x.view(x.real.dtype).reshape(*x.shape, 2)
-        parts = pairs.transpose(x.ndim, *range(x.ndim))
-        return (parts if parts.dtype == part else parts.astype(part)), True
-    parts = np.empty((2, *x.shape), part)
-    parts[0], parts[1] = x.real, x.imag
-    return parts, True
+def _operand(view: TensorView, layout: _Layout, part: np.dtype, copy: bool):
+    """The elements of A or B in ``layout``'s group shape with ``part``
+    precision.  Each meets many elements of the other operand, and numpy's
+    loops run several times slower over strided elements, so they are made
+    C-contiguous unless they are already, or are a stride-0 view (which
+    takes no memory); and copied anyway when ``copy``."""
+    x = _grouped(view, layout)
+    if copy or x.dtype != part or not (layout.broadcast or x.flags.c_contiguous):
+        return x.astype(part, order="C")
+    return x
 
 
 def _promoted(x: np.ndarray) -> np.ndarray:
@@ -400,8 +509,8 @@ def _sum_k(x: np.ndarray, acc: np.ndarray | None = None, wide: bool | None = Non
     """``acc + x[0] + x[1] + ...`` (without ``acc``, from ``x[0]``) along
     the fourth axis from the end (K, or R before a reduction), left to
     right: by in-place row adds when ``wide`` (by default, when the shape
-    rule calls x's own rows wide), else by accumulate.  The sum is formed
-    in ``x``'s storage, so ``x`` must be a temporary."""
+    rule calls x's own rows wide), else by accumulate.  ``x`` itself is
+    changed only when ``acc`` is given."""
     rows = x.shape[-4]
     if acc is None and rows == 1:
         return x[..., 0, :, :, :]
@@ -410,7 +519,7 @@ def _sum_k(x: np.ndarray, acc: np.ndarray | None = None, wide: bool | None = Non
     if wide:
         rows = x if x.ndim == 4 else x.swapaxes(0, 1)  # rows before (re, im)
         if acc is None:
-            acc, rows = rows[0], rows[1:]
+            acc, rows = rows[0] + rows[1], rows[2:]
         return _add_rows(rows, acc)
     if acc is not None:
         x[..., 0, :, :, :] += acc
@@ -488,8 +597,9 @@ def contract(
     """Run the planned contraction over concrete views.
 
     C and D may be the identical view (in-place update); any other
-    overlap between D and an operand, detected by comparing byte
-    intervals, is rejected.
+    overlap between D and an operand is rejected.  Overlap is decided
+    exactly by ``np.shares_memory`` on the operands' views, or by byte
+    intervals where that needs more than ``_OVERLAP_WORK``.
     """
     t0 = time.perf_counter()
     al = _scalar_for(alpha, plan.compute_dtype, "alpha")
@@ -501,54 +611,57 @@ def contract(
     _check_view(d, plan.desc_d, "D")
     if not d.buffer.flags.writeable:
         raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "D: buffer is read-only")
-    shared = [
-        (view, name)
-        for view, name in ((a, "A"), (b, "B"), (c, "C"))
-        if np.may_share_memory(view.buffer, d.buffer)
-    ]
-    if shared:
-        lo, hi = _byte_range(d)
-        for view, name in shared:
-            if view is c and (c is d or _same_elements(c, d)):
-                continue  # an in-place update
-            r = _byte_range(view)
-            if r[0] <= hi and lo <= r[1]:
-                raise TappError(
-                    ErrorCode.ERR_ALIASING, f"output storage overlaps operand {name}"
-                )
+    layout_a, layout_b, layout_c, layout_d = (
+        plan.layout_a, plan.layout_b, plan.layout_c, plan.layout_d
+    )
+    dv = _view(d, layout_d)
+    in_place = False  # C is D's identical view
+    for view, layout, name in zip((a, b, c), (layout_a, layout_b, layout_c), "ABC"):
+        if not np.may_share_memory(view.buffer, d.buffer):
+            continue
+        if view is c and (c is d or _same_elements(c, d)):
+            in_place = True
+            continue
+        try:
+            overlap = np.shares_memory(_view(view, layout), dv, max_work=_OVERLAP_WORK)
+        except np.exceptions.TooHardError:  # raised only where byte intervals overlap
+            overlap = True
+        if overlap:
+            raise TappError(ErrorCode.ERR_ALIASING, f"D overlaps operand {name}")
 
     read_ab = al != 0
     read_c = be != 0
     cdt = plan.compute_dtype
     part = _F32 if cdt.width == 32 else _F64
     cplx = cdt.is_complex
-    dwin = _window(d)
     with np.errstate(all="ignore"):
         cmul_ab = False
         if read_ab:
-            # A and B are read whole before the first store, so that an
-            # operand that is D's identical view (in-place unary) is read intact.
-            av, a_cplx = _gather(a, plan.index_a, part)
-            bv, b_cplx = _gather(b, plan.index_b, part)
+            # A and B are read whole before the first store; an operand
+            # that is also C, D's identical view (in-place unary), is copied.
+            av = _operand(a, layout_a, part, in_place and a is c)
+            bv = _operand(b, layout_b, part, in_place and b is c)
             if cplx:
                 # A real reduction is complex from its first rounding on,
                 # with imaginary part +0.0, and a real operand that meets a
                 # complex one is promoted alike.
-                cmul_ab = a_cplx or b_cplx or av.shape[-4] > 1 or bv.shape[-4] > 1
+                reduced = av.shape[-4] > 1 or bv.shape[-4] > 1
+                cmul_ab = layout_a.pairs or layout_b.pairs or reduced
                 if cmul_ab:
-                    av = av if a_cplx else _promoted(av)
-                    bv = bv if b_cplx else _promoted(bv)
+                    av = av if layout_a.pairs else _promoted(av)
+                    bv = bv if layout_b.pairs else _promoted(bv)
             av, bv = _sum_k(av), _sum_k(bv)  # (K, H, F) and (K, H, G)
+        if read_c:
+            call = _grouped(c, layout_c)
         if cplx:
             al, be = (al.real, al.imag), (be.real, be.imag)
-        size_k, step = plan.size_contracted, plan.step
+        size_k, step, whole = plan.size_contracted, plan.blocks.step, plan.blocks.whole
         bufs = None
-        for hs, fs, gs, wide in plan.blocks:
-            index = plan.index_d[hs, fs, gs]
+        for hs, fs, gs, key, wide in plan.blocks:
             if wide and cplx and bufs is None:
                 # Scratch (u, w, q) of _cmul_sum and _cscale, sized by the
                 # first block, which is the largest.
-                n = step * index.size
+                n = step * _cells(hs, fs, gs)
                 bufs = np.empty(n, _F64), np.empty(n, _F64), np.empty(2 * n, part)
             v = 0.0
             if read_ab:
@@ -568,27 +681,30 @@ def contract(
                     acc = acc if cmul_ab else _promoted(acc)
                     v = _cscale(acc, al, bufs) if wide else _cmul(acc, al, part)
             if read_c:
-                cv, c_cplx = _gather(c, plan.index_c[hs, fs, gs], part)
+                cv = call if whole else call[..., hs, fs, gs]
                 if not cplx:
-                    cv = cv * be
+                    cv = np.multiply(cv, be, dtype=part)
                 else:
-                    cv = cv if c_cplx else _promoted(cv)
+                    if cv.dtype != part or wide and layout_c.pairs:
+                        cv = cv.astype(part, order="C")  # _cscale works in place
+                    cv = cv if layout_c.pairs else _promoted(cv)
                     cv = _cscale(cv, be, bufs) if wide else _cmul(cv, be, part)
                 cv += v  # 0.0 + (re, im) == (0.0 + re, 0.0 + im)
                 v = cv
             # One cast on store; a real D drops the imaginary part.
-            if not cplx or isinstance(v, float):
-                dwin[index] = v
-            elif dwin.dtype.kind == "c":
-                dwin.real[index], dwin.imag[index] = v
+            if cplx and not layout_d.pairs and not isinstance(v, float):
+                v = v[0]
+            if layout_d.folds or isinstance(v, float):
+                dv[(Ellipsis, *key)] = v
             else:
-                dwin[index] = v[0]
+                out = dv[(Ellipsis, *key)]
+                out[...] = v.reshape(out.shape)
 
     writes = plan.size_batch * plan.size_free_a * plan.size_free_b
     return StatusRecord(
         seconds_elapsed=time.perf_counter() - t0,
         elements_written=writes,
-        multiply_adds=writes * plan.size_contracted if read_ab else 0,
+        multiply_adds=writes * size_k if read_ab else 0,
     )
 
 

@@ -27,6 +27,7 @@ class ErrorCode(IntEnum):
     ERR_OUT_OF_BOUNDS = 9
     ERR_INVALID_HANDLE = 10
     ERR_KEY_NOT_FOUND = 11
+    ERR_INTERNAL = 12
 
 
 _MESSAGES = {
@@ -40,6 +41,7 @@ _MESSAGES = {
     ErrorCode.ERR_OUT_OF_BOUNDS: "addressable element outside the backing buffer",
     ErrorCode.ERR_INVALID_HANDLE: "invalid, destroyed, or foreign object handle",
     ErrorCode.ERR_KEY_NOT_FOUND: "no value stored under the requested key",
+    ErrorCode.ERR_INTERNAL: "internal failure, such as running out of memory",
 }
 
 

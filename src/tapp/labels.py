@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .core import TensorDesc
@@ -148,7 +149,7 @@ class LabelGroup:
     strides_b: tuple[int, ...]
     strides_d: tuple[int, ...]
 
-    @property
+    @cached_property
     def size(self) -> int:
         return math.prod(self.extents)
 

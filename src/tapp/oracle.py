@@ -12,7 +12,6 @@ not tautology.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,10 +38,22 @@ class DenseTensor:
             )
 
 
-def _first_fastest(extents) -> "itertools.product":
-    """All multi-indices with the first position varying fastest."""
-    rev = itertools.product(*[range(e) for e in reversed(extents)])
-    return (idx[::-1] for idx in rev)
+def _colmajor(extents) -> list[int]:
+    """Dense column-major strides: ``s_k = prod(e_l for l < k)``."""
+    strides, acc = [], 1
+    for e in extents:
+        strides.append(acc)
+        acc *= e
+    return strides
+
+
+def _addresses(extents, weights, base: int = 0) -> list[int]:
+    """``base + sum(i_k * w_k)`` for every multi-index, the first index
+    fastest; built label by label, one add per address and label."""
+    addresses = [base]
+    for e, w in zip(extents, weights):
+        addresses = [p + i * w for i in range(e) for p in addresses]
+    return addresses
 
 
 def _diagonal_weights(labels, strides) -> tuple[tuple[str, ...], list[int]]:
@@ -87,10 +98,7 @@ def densify(view: TensorView, labels) -> tuple[DenseTensor, tuple[str, ...]]:
                 )
         extents.append(ext)
     buf = view.buffer.tolist()
-    elements = tuple(
-        buf[view.base + sum(i * w for i, w in zip(idx, weights))]
-        for idx in _first_fastest(extents)
-    )
+    elements = tuple(buf[p] for p in _addresses(extents, weights, view.base))
     return DenseTensor(tuple(extents), elements, view.desc.dtype), uniq
 
 
@@ -147,15 +155,8 @@ def oracle_contract(
         out_dtype = dtype_promote(dtype_promote(a.dtype, b.dtype), c.dtype)
 
     # Column-major address weights per distinct label and tensor.
-    def colmajor(extents):
-        strides, acc = [], 1
-        for e in extents:
-            strides.append(acc)
-            acc *= e
-        return strides
-
     def weight_map(labels, extents):
-        uniq, weights = _diagonal_weights(labels, colmajor(extents))
+        uniq, weights = _diagonal_weights(labels, _colmajor(extents))
         return dict(zip(uniq, weights))
 
     ua = weight_map(spec.labels_a, a.extents)

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -342,3 +345,73 @@ def test_create_boundary_codes(handle):
     )
     assert tapp_create_binary_op(handle, i1, "i", i1, None, i1, "i") is ErrorCode.ERR_PARSE
     assert tapp_create_unary_op(handle, i1, 3, i1, "i") is ErrorCode.ERR_PARSE
+
+
+def test_hostile_descriptor_costs_bounded_work(handle):
+    # An r64 (10^9, 10^9) operand: 8e18 bytes of reach, no buffer can hold it.
+    big = tapp_create_tensor_info(handle, DType.R64, 2, (10**9, 10**9))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        op = tapp_create_contraction(handle, big, "ij", big, "jk", big, "ik", big, "ik")
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and seconds < 0.5
+    assert not isinstance(op, ErrorCode)
+    ex = tapp_get_default_executor(handle)
+    d = np.zeros(16)
+    code = tapp_execute_product(op, ex, 1.0, np.ones(16), np.ones(16), 0.0, np.zeros(16), d)
+    assert code is ErrorCode.ERR_OUT_OF_BOUNDS
+    assert not d.any()
+
+
+@pytest.mark.parametrize(
+    "extents, strides",
+    [
+        ((2**32, 2**32), None),  # 2^64 elements
+        ((2,), (2**61,)),  # reach 2^61 elements, 2^64 bytes of r64
+        ((3, 2), (-(2**60), 2**60)),
+    ],
+)
+def test_descriptor_overflowing_int64_is_rejected(handle, extents, strides):
+    info = tapp_create_tensor_info(handle, DType.R64, len(extents), extents, strides)
+    assert info is ErrorCode.ERR_OUT_OF_BOUNDS
+
+
+@pytest.mark.parametrize("nmodes, extents, strides", [(1, None, None), (1, 5, None), (1, (2,), 3)])
+def test_extents_and_strides_that_are_not_sequences_return_codes(
+    handle, nmodes, extents, strides
+):
+    info = tapp_create_tensor_info(handle, DType.R64, nmodes, extents, strides)
+    assert info is ErrorCode.ERR_EXTENT_MISMATCH
+
+
+def test_unexpected_exceptions_become_codes(handle, monkeypatch):
+    from tapp import engine
+
+    def out_of_memory(*_args, **_kwargs):
+        raise MemoryError
+
+    info = tapp_create_tensor_info(handle, DType.R64, 1, (2,))
+    ex = tapp_get_default_executor(handle)
+    op = tapp_create_contraction(handle, info, "i", info, "i", info, "i", info, "i")
+    unary = tapp_create_unary_op(handle, info, "i", info, "i")
+    for name in ("make_plan", "make_binary_plan", "make_unary_plan", "contract"):
+        monkeypatch.setattr(engine, name, out_of_memory)
+    assert (
+        tapp_create_contraction(handle, info, "i", info, "i", info, "i", info, "i")
+        is ErrorCode.ERR_INTERNAL
+    )
+    assert tapp_create_binary_op(handle, info, "i", info, "i", info, "i") is ErrorCode.ERR_INTERNAL
+    assert tapp_create_unary_op(handle, info, "i", info, "i") is ErrorCode.ERR_INTERNAL
+    status = StatusRecord()
+    d = np.zeros(2)
+    code = tapp_execute_product(
+        op, ex, 1.0, np.ones(2), np.ones(2), 0.0, np.zeros(2), d, status_out=status
+    )
+    assert code is ErrorCode.ERR_INTERNAL and status.error is ErrorCode.ERR_INTERNAL
+    # unary runs through contract too
+    assert tapp_execute_unary(unary, ex, 1.0, np.ones(2), d) is ErrorCode.ERR_INTERNAL
+    assert not d.any()

@@ -1,8 +1,15 @@
+import itertools
 import math
 import random
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapp import (
     DenseTensor,
@@ -15,7 +22,9 @@ from tapp import (
     binary_op,
     contract,
     densify,
+    engine,
     make_plan,
+    make_unary_plan,
     oracle_contract,
     parse_einsum,
     unary_op,
@@ -600,3 +609,128 @@ def test_permuting_a_modes_preserves_result_within_tolerance():
     contract(plan2, 1.0, a_perm, b, 0.0, view([3]), d2)
     for x, y in zip(d1.buffer.tolist(), d2.buffer.tolist()):
         assert abs(x - y) / max(abs(y), 1.0) <= 1e-12
+
+
+def test_interleaved_views_do_not_overlap():
+    # Even and odd elements of one buffer share no byte, though their byte
+    # intervals interleave.
+    x = np.arange(8.0)
+    d4 = TensorDesc.column_major([4], DType.R64)
+    unary_op(1.0, TensorView(d4, x[::2]), "i", TensorView(d4, x[1::2]), "i")
+    assert x.tolist() == [0, 0, 2, 2, 4, 4, 6, 6]
+
+
+def test_overlap_too_hard_to_decide_falls_back_to_byte_intervals(monkeypatch):
+    monkeypatch.setattr(engine, "_OVERLAP_WORK", 0)  # np.shares_memory gives up
+    x = np.arange(8.0)
+    d4 = TensorDesc.column_major([4], DType.R64)
+    with pytest.raises(TappError) as err:
+        unary_op(1.0, TensorView(d4, x[::2]), "i", TensorView(d4, x[1::2]), "i")
+    assert err.value.code is ErrorCode.ERR_ALIASING
+    assert x.tolist() == list(range(8))
+
+
+def _collides(extents, strides) -> bool:
+    """Brute force: whether two multi-indices share an address."""
+    seen = set()
+    for idx in itertools.product(*map(range, extents)):
+        address = sum(i * s for i, s in zip(idx, strides))
+        if address in seen:
+            return True
+        seen.add(address)
+    return False
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 4), st.integers(-9, 9)), min_size=0, max_size=4
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_injectivity_proof_never_misses_a_collision(modes):
+    extents = [e for e, _ in modes]
+    strides = [s for _, s in modes]
+    collides = _collides(extents, strides)
+    if engine._injective(extents, strides, budget=0):  # the sorted-stride proof alone
+        assert not collides
+    assert engine._injective(extents, strides, budget=4**4) is (not collides)
+
+
+@pytest.mark.parametrize(
+    "extents, strides, injective",
+    [((2, 3), (3, 2), True), ((3, 3), (1, 2), False)],
+)
+def test_layouts_the_proof_cannot_decide_are_enumerated_within_the_budget(
+    monkeypatch, extents, strides, injective
+):
+    # i*s + j*t with neither stride above the other's span: enumerated.
+    assert engine._injective(extents, strides, budget=0) is None
+    size = math.prod(extents)
+    assert engine._injective(extents, strides, budget=size) is injective
+    assert engine._injective(extents, strides, budget=size - 1) is None
+    src = TensorDesc.column_major(extents, DType.R64)
+    out = TensorDesc(extents, strides, DType.R64)
+    monkeypatch.setattr(engine, "_ENUMERATION_BUDGET", size)
+    if injective:
+        make_unary_plan("ij", src, "ij", out)
+    else:
+        with pytest.raises(TappError) as err:
+            make_unary_plan("ij", src, "ij", out)
+        assert err.value.code is ErrorCode.ERR_ALIASING
+    monkeypatch.setattr(engine, "_ENUMERATION_BUDGET", size - 1)
+    with pytest.raises(TappError) as err:
+        make_unary_plan("ij", src, "ij", out)
+    assert err.value.code is ErrorCode.ERR_UNSUPPORTED
+
+
+def test_planning_does_not_grow_with_the_output():
+    # A 2048 x 2048 transpose: no structure the size of the tensor.
+    desc = TensorDesc.column_major([2048, 2048], DType.R32)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        make_unary_plan("ij", desc, "ji", desc)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert seconds < 0.5
+
+
+def test_one_plan_runs_from_several_threads_with_equal_bits():
+    rng = np.random.default_rng(5)
+    spec = parse_einsum("ij,jk->ik")
+    desc = TensorDesc.column_major([96, 96], DType.C64)
+    data = [
+        (rng.uniform(-1, 1, 96 * 96) + 1j * rng.uniform(-1, 1, 96 * 96)).astype(np.complex128)
+        for _ in range(3)
+    ]
+    a, b, c = (TensorView(desc, x) for x in data)
+    plan = make_plan(spec, desc, desc, desc, desc)
+    want = TensorView(desc, np.zeros(96 * 96, np.complex128))
+    contract(plan, 0.5 + 0.25j, a, b, 1.5, c, want)
+
+    outs = [np.full(96 * 96, np.nan, np.complex128) for _ in range(4)]
+    errors = []
+
+    def work(out):
+        try:
+            for _ in range(5):
+                contract(plan, 0.5 + 0.25j, a, b, 1.5, c, TensorView(desc, out))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in outs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for out in outs:
+        assert out.tobytes() == want.buffer.tobytes()

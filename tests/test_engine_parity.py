@@ -93,12 +93,15 @@ def _scalar(rng, cdt):
 
 def _check(plan, alpha, a, b, beta, c, d, in_place=False):
     """Run the engine and the reference on equal copies of D (C is D's
-    copy too when ``in_place``)."""
+    copy too when ``in_place``); the engine must leave its inputs intact."""
     sides = []
     for _ in range(2):
         dd = _copy(d)
         sides.append((c if not in_place else dd, dd))
+    inputs = (a, b) if in_place else (a, b, c)
+    before = [x.buffer.tobytes() for x in inputs]
     contract(plan, alpha, a, b, beta, *sides[0])
+    assert [x.buffer.tobytes() for x in inputs] == before
     scalar_contract(plan, alpha, a, b, beta, *sides[1])
     _assert_same_bits(sides[0][1].buffer, sides[1][1].buffer)
 
@@ -267,8 +270,8 @@ def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rng = random.Random(f"{chunk}{dtype}")
     extents = {"i": 16, "j": 24, "k": 16}
-    blocks, step = engine._blocks(24, 1, 16, 16)  # 256-cell blocks, K = 24
-    assert step < 24 and all(wide for *_, wide in blocks)
+    blocks = engine._Blocks(24, (1,), (16,), (16,))  # 256-cell blocks, K = 24
+    assert blocks.step < 24 and all(wide for *_, wide in blocks)
     for special in (0.0, 0.05):
         _random_product(rng, "ij,jk->ik", extents, [dtype] * 4, special)
 
@@ -315,3 +318,86 @@ def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dty
     assert [wide for *_, wide in plan.blocks] == [True, False]  # 8192 + 1024 cells
     u = TensorView(plan.desc_a, np.ones(1, np.float32))
     _check(plan, complex(rng.uniform(0.5, 1.5), 0.25), u, a, 0.0, out, out, in_place=True)
+
+
+@pytest.mark.parametrize(
+    "chunk, extents, strides_d",
+    [
+        # G = (j, k) in two runs (j's stride pads i), cut at k
+        (engine._CHUNK, {"i": 2, "j": 90, "k": 100}, (1, 3, 3 * 91)),
+        # G = (j, k, l, m) in four runs, cut at k with l and m one at a time
+        (100, {"i": 3, "j": 4, "k": 30, "l": 5, "m": 3}, (-1, 4, 20, 20 * 31, 20 * 31 * 6)),
+    ],
+)
+@pytest.mark.parametrize("dtype", [DType.R64, DType.C32])
+def test_output_groups_that_do_not_fold_are_stored_in_boxes(
+    monkeypatch, chunk, extents, strides_d, dtype
+):
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    labels = "".join(extents)
+    spec = parse_einsum(f"i,{labels[1:]}->{labels}")
+    rng = random.Random(f"{extents}{dtype}")
+    shape = [extents[l] for l in labels]
+    a = _view(rng, shape[:1], dtype, 0.05)
+    b = _view(rng, shape[1:], dtype, 0.05)
+    c = _view(rng, shape, dtype, 0.05, output=True)
+    desc_d = TensorDesc(tuple(shape), strides_d, dtype)
+    lo, hi = desc_d.reach_bounds()
+    d = TensorView(desc_d, _values(rng, hi - lo + 3, dtype, 0.0), 1 - lo)
+    plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
+    assert not plan.layout_d.folds and len(list(plan.blocks)) > 2
+    _check(plan, 1.5, a, b, 0.5, c, d)
+    plan = make_plan(spec, a.desc, b.desc, d.desc, d.desc)
+    _check(plan, 1.5, a, b, 0.5, d, d, in_place=True)
+
+
+@pytest.mark.parametrize("dtype", [DType.R64, DType.C64])
+@pytest.mark.parametrize("strides", [(1, 128), (128, 1)])
+def test_in_place_transpose_over_several_blocks_matches_scalar_loop(dtype, strides):
+    # Later blocks must read A as it was before the first store, also where
+    # A's view needs no copy (row-major: A's labels fold, D's do not).
+    rng = random.Random(f"{dtype}{strides}")
+    desc = TensorDesc((128, 128), strides, dtype)
+    x = TensorView(desc, _values(rng, 128 * 128, dtype, 0.05))
+    plan = make_unary_plan("ij", desc, "ji", desc)
+    assert len(list(plan.blocks)) > 1
+    want = _copy(x)
+    u = TensorView(plan.desc_a, np.ones(1, np.float32))
+    scalar_contract(plan, 1.5, u, _copy(x), 0.0, want, want)
+    engine.run_unary(plan, 1.5, x, x)
+    _assert_same_bits(x.buffer, want.buffer)
+
+
+@pytest.mark.parametrize("dtype", list(DType))
+def test_wide_reduction_of_a_contiguous_operand_matches_scalar_loop(dtype):
+    # A is viewed in place, not copied: its reduction must not sum into it.
+    rng = random.Random(str(dtype))
+    spec = parse_einsum("ijr,jk->ik")
+    desc_a = TensorDesc((8, 32, 16), (1, 8, 256), dtype)
+    a = TensorView(desc_a, _values(rng, 8 * 32 * 16, dtype, 0.05))
+    b, c, d = (
+        _view(rng, shape, dtype, 0.05, output=True) for shape in ([32, 2], [8, 2], [8, 2])
+    )
+    plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
+    assert plan.layout_a.folds and engine._row_adds(16, 8 * 32)
+    _check(plan, 1.5, a, b, 0.5, c, d)
+
+
+@pytest.mark.parametrize(
+    "strides_a",
+    [
+        (1, 1, 7),  # i and j share addresses: they must not fold
+        (4, 1, 12),  # j before i in memory
+        (0, 2, 6),  # i broadcast
+    ],
+)
+@pytest.mark.parametrize("dtype", [DType.R64, DType.C32])
+def test_inputs_whose_labels_share_or_skip_addresses_match_scalar_loop(strides_a, dtype):
+    rng = random.Random(f"{strides_a}{dtype}")
+    desc_a = TensorDesc((3, 4, 2), strides_a, dtype)
+    lo, hi = desc_a.reach_bounds()
+    a = TensorView(desc_a, _values(rng, hi - lo + 1, dtype, 0.05), -lo)
+    b = _view(rng, [2], dtype, 0.05)
+    c, d = (_view(rng, [3, 4], dtype, 0.05, output=True) for _ in range(2))
+    plan = make_plan(parse_einsum("ijk,k->ij"), a.desc, b.desc, c.desc, d.desc)
+    _check(plan, 1.5, a, b, 0.5, c, d)
