@@ -28,25 +28,24 @@ B are read whole before the first store, each as a C-contiguous copy
 unless it is one already or is a stride-0 view such as U (which takes
 no memory); an input whose groups do not fold is copied into the group
 shape.  Input-only reductions are summed in index order.  The output
-cells are then walked in blocks of at most ``_CHUNK`` cells, G filled
-first, forming at most ``_CHUNK`` products ``A[k, h, f] * B[k, h, g]``
-at once and summing them over k from left to right,
-``((p0 + p1) + p2) + ...``: every cell keeps the summation order of a
-scalar loop that runs batch, free-of-A and free-of-B outside and the
-contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C`` and
-one cast on store through a writable view of D; where D's groups do not
-fold, a block is a box of whole runs and a slice of the next.
+cells are then walked in blocks of at most ``_CHUNK`` cells, flat
+``(H, F, G)`` index ranges with G filled first, forming at most
+``_CHUNK`` products ``A[k, h, f] * B[k, h, g]`` at once and summing them
+over k from left to right, ``((p0 + p1) + p2) + ...``: every cell keeps
+the summation order of a scalar loop that runs batch, free-of-A and
+free-of-B outside and the contracted labels inside.  Then come
+``alpha * acc``, ``+ beta * C`` and one cast on store through a writable
+view of D.  Where D's groups do not fold, the blocks fill one
+C-contiguous array in D's group shape, as such a C is read, which is
+stored through D's view after the last block.
 
 A sum of rows (K products, or R reduced values, per cell) runs one of two
 ways, chosen by one rule on its shape, :func:`_row_adds`: wide rows, of a
 few hundred cells or more, are added in place one row at a time
 (``acc += p[k]``, one numpy call per row); narrow ones, such as a long dot
 product into one cell, go through ``np.add.accumulate`` (one inner loop
-per cell).  On wide blocks a complex product is fused into the sum: its
-re and then its im part are formed in reused float64 buffers and
-row-summed straight away, so the block never holds all K complex products
-at once, and ``alpha`` and ``beta`` scale in those buffers too.  Both ways
-add the same values in the same order, so they give the same bits.
+per cell).  Both ways add the same values in the same order, so they give
+the same bits.
 
 Arithmetic happens in the plan's compute dtype, each operation rounded to
 it, and the bits are those of the same scalar loop in Python numbers
@@ -90,7 +89,9 @@ from .core import (
     validate_view,
 )
 from .errors import ErrorCode, TappError
-from .labels import ClassifiedLabels, LabelSpec, check_labels, classify, merge_repeats
+from .labels import (
+    ClassifiedLabels, LabelSpec, check_labels, classify, label_extents, merge_repeats
+)
 
 __all__ = [
     "StatusRecord",
@@ -170,7 +171,6 @@ class _Layout(NamedTuple):
     """How one operand's label groups lie in its buffer, and the numpy view
     that shows them (complex elements as float ``(re, im)`` pairs)."""
 
-    runs: tuple[tuple[int, ...], ...]  # each group's axes' extents, fastest first
     grouped: tuple[int, ...]  # the shape in groups, after (2,) if pairs
     shape: tuple[int, ...]  # the view's: (2,) if pairs, then runs slowest first
     strides: tuple[int, ...]  # its byte strides over contiguous elements
@@ -206,12 +206,11 @@ def _layout(dtype: DType, *groups) -> _Layout:
     element = dtype.np_dtype
     strides = tuple([s * element.itemsize for s in steps])
     broadcast = 0 in [s for e, s in axes if e > 1]
-    runs = tuple([tuple([e for e, _ in group]) for group in runs])
     pairs = dtype.is_complex
     if pairs:
         element = _PARTS[element]
         shape, strides, flat = (2, *shape), (element.itemsize, *strides), (2, *flat)
-    return _Layout(runs, flat, shape, strides, steps, element, pairs, folds, broadcast)
+    return _Layout(flat, shape, strides, steps, element, pairs, folds, broadcast)
 
 
 def _row_adds(rows: int, cells: int) -> bool:
@@ -227,62 +226,41 @@ def _row_adds(rows: int, cells: int) -> bool:
     return cells >= max(256, 4096 // rows)
 
 
-def _cuts(runs: tuple[int, ...], cap: int):
-    """The boxes of at most ``cap`` (at least 1) cells that tile a group of
-    run extents ``runs`` in order, the first the largest: whole inner runs
-    and a slice of the next.  Each is a slice of the group's flat index
-    and a key into the group's axes, slowest run first."""
-    p, j = 1, 0
-    while j < len(runs) and p * runs[j] <= cap:
-        p *= runs[j]
-        j += 1
-    if j == len(runs):
-        yield slice(0, p), (slice(None),) * j
-        return
-    c, start = cap // p, 0
-    for outer in itertools.product(*map(range, reversed(runs[j + 1 :]))):
-        for t in range(0, runs[j], c):
-            n = p * min(c, runs[j] - t)
-            key = (*outer, slice(t, t + c), *(slice(None),) * j)
-            yield slice(start, start + n), key
-            start += n
-
-
 def _cells(*slices: slice) -> int:
     return math.prod(s.stop - s.start for s in slices)
 
 
 class _Blocks:
-    """The (H, F, G) output cells, of D's run extents, in blocks of at most
-    ``_CHUNK`` cells, G filled first, derived from the trip counts as they
-    are iterated: each as its (H, F, G) slices, its key into D's view and
-    whether the shape rule calls it wide.  Only a block that is the whole
-    output is kept.  ``step`` is the contracted step that keeps a block's
-    products within ``_CHUNK``."""
+    """The (H, F, G) output cells in blocks of at most ``_CHUNK`` cells:
+    flat index ranges cut from the three trip counts, G filled first,
+    derived as they are iterated, each as its (H, F, G) slices and whether
+    the shape rule calls it wide.  Only a block that is the whole output is
+    kept.  ``step`` is the contracted step that keeps a block's products
+    within ``_CHUNK``."""
 
-    def __init__(self, k: int, *runs):
-        self.k, self.runs, self.caps = k, runs, [_CHUNK] * 3
-        sizes = [math.prod(r) for r in runs]
-        box = list(sizes)
-        if math.prod(box) > _CHUNK:  # else the whole output is one block
-            for i in (2, 1, 0):  # G first
-                self.caps[i] = max(1, _CHUNK // math.prod(box[i + 1 :]))
-                box[i] = next(_cuts(runs[i], self.caps[i]))[0].stop
-        self.step = min(k, max(1, _CHUNK // math.prod(box)))
+    def __init__(self, k: int, *sizes: int):
+        self.k, self.sizes, self.box = k, sizes, list(sizes)
         self.whole = None
-        if box == sizes:  # D's view is its own key
-            wide = _row_adds(k, math.prod(box))
-            self.whole = ((*(slice(0, n) for n in box), (), wide),)
+        if math.prod(sizes) <= _CHUNK:
+            self.whole = ((*(slice(0, n) for n in sizes), _row_adds(k, math.prod(sizes))),)
+        else:
+            for i in (2, 1, 0):  # G first
+                cap = max(1, _CHUNK // math.prod(self.box[i + 1 :]))
+                self.box[i] = min(sizes[i], cap)
+        self.step = min(k, max(1, _CHUNK // math.prod(self.box)))
 
     def __iter__(self):
         if self.whole is not None:
             return iter(self.whole)
-        (runs_h, runs_f, runs_g), (cap_h, cap_f, cap_g) = self.runs, self.caps
+        hs, fs, gs = (
+            [slice(t, min(t + b, n)) for t in range(0, n, b)]
+            for n, b in zip(self.sizes, self.box)
+        )
         return (
-            (hs, fs, gs, (*hk, *fk, *gk), _row_adds(self.k, _cells(hs, fs, gs)))
-            for hs, hk in _cuts(runs_h, cap_h)
-            for fs, fk in _cuts(runs_f, cap_f)
-            for gs, gk in _cuts(runs_g, cap_g)
+            (h, f, g, _row_adds(self.k, _cells(h, f, g)))
+            for h in hs
+            for f in fs
+            for g in gs
         )
 
 
@@ -360,7 +338,6 @@ def make_plan(
             ErrorCode.ERR_OUTPUT_MISMATCH,
             "C must carry D's labels, in order, with equal extents",
         )
-    merged_c = merge_repeats(spec.labels_c, desc_c)
 
     if classified.broadcast_out.labels:
         raise TappError(
@@ -386,6 +363,7 @@ def make_plan(
     layout_d = _layout(desc_d.dtype, *((g.extents, g.strides_d) for g in cells))
     layout_c = layout_d  # C is often D
     if desc_c != desc_d:
+        merged_c = merge_repeats(spec.labels_c, desc_c)
         strides_c = [tuple(map(merged_c.stride_of, g.labels)) for g in cells]
         layout_c = _layout(desc_c.dtype, *zip((g.extents for g in cells), strides_c))
     a_groups = (cl.reduced_a, cl.contracted, cl.batch, cl.free_a)
@@ -402,7 +380,7 @@ def make_plan(
         layout_b=_layout(desc_b.dtype, *((g.extents, g.strides_b) for g in b_groups)),
         layout_c=layout_c,
         layout_d=layout_d,
-        blocks=_Blocks(cl.contracted.size, *layout_d.runs),
+        blocks=_Blocks(cl.contracted.size, cl.batch.size, cl.free_a.size, cl.free_b.size),
     )
 
 
@@ -498,13 +476,6 @@ def _promoted(x: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _add_rows(rows, acc: np.ndarray) -> np.ndarray:
-    """``acc += row`` for each row in order."""
-    for row in rows:
-        np.add(acc, row, out=acc)
-    return acc
-
-
 def _sum_k(x: np.ndarray, acc: np.ndarray | None = None, wide: bool | None = None):
     """``acc + x[0] + x[1] + ...`` (without ``acc``, from ``x[0]``) along
     the fourth axis from the end (K, or R before a reduction), left to
@@ -520,69 +491,29 @@ def _sum_k(x: np.ndarray, acc: np.ndarray | None = None, wide: bool | None = Non
         rows = x if x.ndim == 4 else x.swapaxes(0, 1)  # rows before (re, im)
         if acc is None:
             acc, rows = rows[0] + rows[1], rows[2:]
-        return _add_rows(rows, acc)
+        for row in rows:
+            np.add(acc, row, out=acc)
+        return acc
     if acc is not None:
         x[..., 0, :, :, :] += acc
     return np.add.accumulate(x, axis=-4)[..., -1, :, :, :]
 
 
-def _cmul(x: np.ndarray, y, part: np.dtype) -> np.ndarray:
+def _cmul(
+    x: np.ndarray, y, part: np.dtype, out: np.ndarray | None = None
+) -> np.ndarray:
     """CPython's complex product ``(xr*yr - xi*yi, xr*yi + xi*yr)`` of
-    ``(re, im)`` parts, formed in float64 and rounded to ``part`` once;
-    ``y`` may be a pair of Python floats."""
-    if part is _F32:  # a float scalar is weak: widen the arrays first
-        x = x.astype(_F64)
-        y = y.astype(_F64) if isinstance(y, np.ndarray) else y
-    x_yr, x_yi = x * y[0], x * y[1]  # (xr*yr, xi*yr) and (xr*yi, xi*yi)
-    out = np.empty(x_yr.shape, part)
+    ``(re, im)`` parts, formed in float64 and rounded to ``part`` once, into
+    ``out`` (which may be ``x``); ``y`` may be a pair of Python floats.  In
+    float64 ``out`` defaults to the first products' array, so that no third
+    temporary is made."""
+    x_yr = np.multiply(x, y[0], dtype=_F64)  # (xr*yr, xi*yr); a float is weak
+    x_yi = np.multiply(x, y[1], dtype=_F64)  # (xr*yi, xi*yi)
+    if out is None:
+        out = x_yr if part is _F64 else np.empty(x_yr.shape, part)
     np.subtract(x_yr[0], x_yi[1], out=out[0])
     np.add(x_yi[0], x_yr[1], out=out[1])
     return out
-
-
-def _cmul_sum(x: np.ndarray, y: np.ndarray, acc, part: np.dtype, bufs) -> np.ndarray:
-    """``acc + x[k]*y[k]`` over k (the fourth axis from the end), with the
-    bits of :func:`_cmul` and :func:`_sum_k` but without their stacked
-    temporaries: each part of the products, re and then im, is formed in
-    float64 in the buffers ``u`` and ``w`` and rounded to ``part`` once
-    into ``q``, which holds both parts of a row side by side; then the rows
-    of ``q`` are added.  Without ``acc``, a single row is written straight
-    into the new ``(2, H, F, G)`` sum."""
-    if part is _F32:
-        x, y = x.astype(_F64), y.astype(_F64)
-    shape = np.broadcast_shapes(x.shape[1:], y.shape[1:])
-    rows, size = shape[0], math.prod(shape)
-    u, w = (b[:size].reshape(shape) for b in bufs[:2])
-    direct = acc is None and rows == 1  # one product a cell: nothing to add
-    if direct:
-        acc = np.empty((2, *shape[1:]), part)
-    q = acc[None] if direct else bufs[2][: 2 * size].reshape(rows, 2, *shape[1:])
-    for i, (xa, yb, xc, yd, op) in enumerate(
-        ((x[0], y[0], x[1], y[1], np.subtract), (x[0], y[1], x[1], y[0], np.add))
-    ):
-        np.multiply(xa, yb, out=u)
-        np.multiply(xc, yd, out=w)
-        op(u, w, out=q[:, i])
-    if direct:
-        return acc
-    if acc is None:
-        acc, q = np.add(q[0], q[1]), q[2:]
-    return _add_rows(q, acc)
-
-
-def _cscale(v: np.ndarray, s, bufs) -> np.ndarray:
-    """:func:`_cmul` of ``(re, im)`` parts ``v`` by the pair of Python
-    floats ``s``, in place, with its float64 products in the buffers."""
-    u, w = (b[: v[0].size].reshape(v.shape[1:]) for b in bufs[:2])
-    vr, vi = v
-    np.multiply(vr, s[0], out=u, dtype=_F64)  # dtype: a float scalar is weak
-    np.multiply(vi, s[1], out=w, dtype=_F64)
-    np.subtract(u, w, out=u)
-    np.multiply(vr, s[1], out=w, dtype=_F64)
-    vr[...] = u
-    np.multiply(vi, s[0], out=u, dtype=_F64)
-    np.add(w, u, out=vi)
-    return v
 
 
 def contract(
@@ -656,49 +587,35 @@ def contract(
         if cplx:
             al, be = (al.real, al.imag), (be.real, be.imag)
         size_k, step, whole = plan.size_contracted, plan.blocks.step, plan.blocks.whole
-        bufs = None
-        for hs, fs, gs, key, wide in plan.blocks:
-            if wide and cplx and bufs is None:
-                # Scratch (u, w, q) of _cmul_sum and _cscale, sized by the
-                # first block, which is the largest.
-                n = step * _cells(hs, fs, gs)
-                bufs = np.empty(n, _F64), np.empty(n, _F64), np.empty(2 * n, part)
+        out = dv if layout_d.folds else np.empty(layout_d.grouped, layout_d.dtype)
+        for hs, fs, gs, wide in plan.blocks:
             v = 0.0
             if read_ab:
                 acc = None
                 for k in range(0, size_k, step):
                     x = av[..., k : k + step, hs, fs, None]
                     y = bv[..., k : k + step, hs, None, gs]
-                    if not cmul_ab:  # real products, also when rounded to complex
-                        acc = _sum_k(x * y, acc, wide)
-                    elif wide:
-                        acc = _cmul_sum(x, y, acc, part, bufs)
-                    else:
-                        acc = _sum_k(_cmul(x, y, part), acc, wide)
+                    # Real products are summed real, also when rounded to complex.
+                    acc = _sum_k(_cmul(x, y, part) if cmul_ab else x * y, acc, wide)
                 if not cplx:
                     v = acc * al
                 else:
                     acc = acc if cmul_ab else _promoted(acc)
-                    v = _cscale(acc, al, bufs) if wide else _cmul(acc, al, part)
+                    v = _cmul(acc, al, part, acc)
             if read_c:
                 cv = call if whole else call[..., hs, fs, gs]
                 if not cplx:
                     cv = np.multiply(cv, be, dtype=part)
                 else:
-                    if cv.dtype != part or wide and layout_c.pairs:
-                        cv = cv.astype(part, order="C")  # _cscale works in place
-                    cv = cv if layout_c.pairs else _promoted(cv)
-                    cv = _cscale(cv, be, bufs) if wide else _cmul(cv, be, part)
+                    cv = _cmul(cv if layout_c.pairs else _promoted(cv), be, part)
                 cv += v  # 0.0 + (re, im) == (0.0 + re, 0.0 + im)
                 v = cv
             # One cast on store; a real D drops the imaginary part.
             if cplx and not layout_d.pairs and not isinstance(v, float):
                 v = v[0]
-            if layout_d.folds or isinstance(v, float):
-                dv[(Ellipsis, *key)] = v
-            else:
-                out = dv[(Ellipsis, *key)]
-                out[...] = v.reshape(out.shape)
+            out[..., hs, fs, gs] = v
+        if out is not dv:
+            dv[...] = out.reshape(dv.shape)
 
     writes = plan.size_batch * plan.size_free_a * plan.size_free_b
     return StatusRecord(
@@ -728,7 +645,7 @@ def make_binary_plan(
     check_labels(labels_a, labels_b, labels_out)
     merged_a = merge_repeats(labels_a, desc_a)
     merged_b = merge_repeats(labels_b, desc_b)
-    classify(merged_a, merged_b, merge_repeats(labels_out, desc_out))
+    label_extents(merged_a, merged_b, merge_repeats(labels_out, desc_out))
     if labels_b != labels_out or desc_b.extents != desc_out.extents:
         raise TappError(
             ErrorCode.ERR_OUTPUT_MISMATCH,

@@ -37,6 +37,7 @@ __all__ = [
     "ClassifiedLabels",
     "parse_einsum",
     "merge_repeats",
+    "label_extents",
     "classify",
 ]
 
@@ -134,6 +135,20 @@ def merge_repeats(labels: Sequence[str], desc: TensorDesc) -> MergedTensorLabels
     return MergedTensorLabels(tuple(out_labels), tuple(out_extents), tuple(out_strides))
 
 
+def label_extents(*merged: MergedTensorLabels) -> dict[str, int]:
+    """Each distinct label's extent; raises ERR_EXTENT_MISMATCH where two
+    of the ``merged`` tensors give one label different extents."""
+    extent_of: dict[str, int] = {}
+    for m in merged:
+        for lbl, ext in zip(m.labels, m.extents):
+            if extent_of.setdefault(lbl, ext) != ext:
+                raise TappError(
+                    ErrorCode.ERR_EXTENT_MISMATCH,
+                    f"label {lbl!r} has extents {extent_of[lbl]} and {ext}",
+                )
+    return extent_of
+
+
 @dataclass(frozen=True)
 class LabelGroup:
     """One label class with its extents and per-tensor stride vectors.
@@ -192,15 +207,7 @@ def classify(
     loop nesting (and therefore summation order) downstream.
     """
     set_a, set_b, set_d = set(merged_a.labels), set(merged_b.labels), set(merged_d.labels)
-
-    extent_of: dict[str, int] = {}
-    for merged in (merged_a, merged_b, merged_d):
-        for lbl, ext in zip(merged.labels, merged.extents):
-            if extent_of.setdefault(lbl, ext) != ext:
-                raise TappError(
-                    ErrorCode.ERR_EXTENT_MISMATCH,
-                    f"label {lbl!r} has extents {extent_of[lbl]} and {ext}",
-                )
+    extent_of = label_extents(merged_a, merged_b, merged_d)
 
     def group(names: list[str]) -> LabelGroup:
         return LabelGroup(

@@ -270,7 +270,7 @@ def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rng = random.Random(f"{chunk}{dtype}")
     extents = {"i": 16, "j": 24, "k": 16}
-    blocks = engine._Blocks(24, (1,), (16,), (16,))  # 256-cell blocks, K = 24
+    blocks = engine._Blocks(24, 1, 16, 16)  # 256-cell blocks, K = 24
     assert blocks.step < 24 and all(wide for *_, wide in blocks)
     for special in (0.0, 0.05):
         _random_product(rng, "ij,jk->ik", extents, [dtype] * 4, special)
@@ -329,26 +329,36 @@ def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dty
         (100, {"i": 3, "j": 4, "k": 30, "l": 5, "m": 3}, (-1, 4, 20, 20 * 31, 20 * 31 * 6)),
     ],
 )
-@pytest.mark.parametrize("dtype", [DType.R64, DType.C32])
+@pytest.mark.parametrize(
+    "dtypes",
+    [
+        [DType.R64] * 4,
+        [DType.C32] * 4,
+        # complex compute into a real D: the imaginary part drops, and the
+        # float64 parts are cast to float32
+        [DType.C64, DType.C32, DType.R32, DType.R32],
+    ],
+)
+@pytest.mark.parametrize("alpha, beta", [(1.5, 0.5), (0.0, 0.5), (1.5, 0.0)])
 def test_output_groups_that_do_not_fold_are_stored_in_boxes(
-    monkeypatch, chunk, extents, strides_d, dtype
+    monkeypatch, chunk, extents, strides_d, dtypes, alpha, beta
 ):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     labels = "".join(extents)
     spec = parse_einsum(f"i,{labels[1:]}->{labels}")
-    rng = random.Random(f"{extents}{dtype}")
+    rng = random.Random(f"{extents}{dtypes}{alpha}{beta}")
     shape = [extents[l] for l in labels]
-    a = _view(rng, shape[:1], dtype, 0.05)
-    b = _view(rng, shape[1:], dtype, 0.05)
-    c = _view(rng, shape, dtype, 0.05, output=True)
-    desc_d = TensorDesc(tuple(shape), strides_d, dtype)
+    a = _view(rng, shape[:1], dtypes[0], 0.05)
+    b = _view(rng, shape[1:], dtypes[1], 0.05)
+    c = _view(rng, shape, dtypes[2], 0.05, output=True)
+    desc_d = TensorDesc(tuple(shape), strides_d, dtypes[3])
     lo, hi = desc_d.reach_bounds()
-    d = TensorView(desc_d, _values(rng, hi - lo + 3, dtype, 0.0), 1 - lo)
+    d = TensorView(desc_d, _values(rng, hi - lo + 3, dtypes[3], 0.0), 1 - lo)
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
     assert not plan.layout_d.folds and len(list(plan.blocks)) > 2
-    _check(plan, 1.5, a, b, 0.5, c, d)
+    _check(plan, alpha, a, b, beta, c, d)
     plan = make_plan(spec, a.desc, b.desc, d.desc, d.desc)
-    _check(plan, 1.5, a, b, 0.5, d, d, in_place=True)
+    _check(plan, alpha, a, b, beta, d, d, in_place=True)
 
 
 @pytest.mark.parametrize("dtype", [DType.R64, DType.C64])
