@@ -37,7 +37,8 @@ free-of-B outside and the contracted labels inside.  Then come
 ``alpha * acc``, ``+ beta * C`` and one cast on store through a writable
 view of D.  Where D's groups do not fold, the blocks fill one
 C-contiguous array in D's group shape, as such a C is read, which is
-stored through D's view after the last block.
+stored through D's view after the last block; it takes as much memory
+as D's elements, also when C is not read.
 
 A sum of rows (K products, or R reduced values, per cell) runs one of two
 ways, chosen by one rule on its shape, :func:`_row_adds`: wide rows, of a
@@ -213,17 +214,16 @@ def _layout(dtype: DType, *groups) -> _Layout:
     return _Layout(flat, shape, strides, steps, element, pairs, folds, broadcast)
 
 
-def _row_adds(rows: int, cells: int) -> bool:
-    """The shape rule: a block of ``rows`` rows of ``cells`` cells each is
-    wide, summed by in-place row adds (and complex products fused into the
-    sum), rather than by ``np.add.accumulate`` on stacked products.
+def _row_adds(cells: int) -> bool:
+    """The shape rule: a block of rows of ``cells`` cells each is wide,
+    summed by in-place row adds, rather than by ``np.add.accumulate`` on
+    stacked products.
 
     A row add is one numpy call, about a microsecond, over all cells, where
     accumulate runs one strided inner loop per cell at about 4-5 ns a sum:
-    row adds win from about 256 cells a row.  The wide path also pays a
-    fixed cost per block, about 4096 cells' worth of work, which few rows
-    do not earn back."""
-    return cells >= max(256, 4096 // rows)
+    row adds win from about 256 cells a row, whatever the number of rows
+    (measured through :func:`contract` for 2 to 64 rows in all dtypes)."""
+    return cells >= 256
 
 
 def _cells(*slices: slice) -> int:
@@ -239,10 +239,10 @@ class _Blocks:
     within ``_CHUNK``."""
 
     def __init__(self, k: int, *sizes: int):
-        self.k, self.sizes, self.box = k, sizes, list(sizes)
+        self.sizes, self.box = sizes, list(sizes)
         self.whole = None
         if math.prod(sizes) <= _CHUNK:
-            self.whole = ((*(slice(0, n) for n in sizes), _row_adds(k, math.prod(sizes))),)
+            self.whole = ((*(slice(0, n) for n in sizes), _row_adds(math.prod(sizes))),)
         else:
             for i in (2, 1, 0):  # G first
                 cap = max(1, _CHUNK // math.prod(self.box[i + 1 :]))
@@ -257,7 +257,7 @@ class _Blocks:
             for n, b in zip(self.sizes, self.box)
         )
         return (
-            (h, f, g, _row_adds(self.k, _cells(h, f, g)))
+            (h, f, g, _row_adds(_cells(h, f, g)))
             for h in hs
             for f in fs
             for g in gs
@@ -486,7 +486,7 @@ def _sum_k(x: np.ndarray, acc: np.ndarray | None = None, wide: bool | None = Non
     if acc is None and rows == 1:
         return x[..., 0, :, :, :]
     if wide is None:
-        wide = _row_adds(rows, x.size // rows)
+        wide = _row_adds(x.size // rows)
     if wide:
         rows = x if x.ndim == 4 else x.swapaxes(0, 1)  # rows before (re, im)
         if acc is None:
