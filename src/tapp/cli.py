@@ -32,7 +32,7 @@ import math
 import random
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,6 +69,9 @@ TOLERANCE_32 = 1e-4
 # comparison tolerances.
 TOTAL_EXTENT_BUDGET = 2500
 REDUCE_EXTENT_BUDGET = 128
+
+# The most D addresses the case contract enumerates to decide injectivity.
+ENUMERATION_BUDGET = 1 << 20
 
 EXPECTED_ERROR = {
     26: ErrorCode.ERR_EXTENT_MISMATCH,
@@ -127,11 +130,6 @@ def _parse_number(raw, what: str, pair_ok: bool = True) -> float | complex:
     raise TappError(ErrorCode.ERR_PARSE, f"bad {what} {raw!r}")
 
 
-def _parse_scalar(raw) -> ScalarValue:
-    # A pair with a zero imaginary part is the real scalar R64.
-    return ScalarValue.of(_parse_number(raw, "scalar"))
-
-
 def _emit_element(value, dtype: DType):
     if dtype.is_complex:
         v = complex(value)
@@ -139,13 +137,13 @@ def _emit_element(value, dtype: DType):
     return float(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _TensorEntry:
     dtype: DType
     extents: tuple[int, ...]
     strides: tuple[int, ...]
     base: int
-    data: list | None
+    data: np.ndarray | None  # read-only; None for D
 
 
 def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
@@ -173,20 +171,23 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         if not isinstance(raw_data, list):
             raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: missing data")
         pair_ok = dtype.is_complex
-        data = [_parse_number(v, "element", pair_ok) for v in raw_data]
+        data = np.array([_parse_number(v, "element", pair_ok) for v in raw_data], dtype.np_dtype)
+        data.flags.writeable = False
     return _TensorEntry(dtype, extents, strides, base, data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Case:
-    """Parsed case file."""
+    """Parsed case file.  Both conformance paths read its input buffers,
+    which are read-only; a document without ``c`` gets zeros in D's
+    dense layout."""
 
     spec: LabelSpec
     alpha: ScalarValue
     beta: ScalarValue
     a: _TensorEntry
     b: _TensorEntry
-    c: _TensorEntry | None
+    c: _TensorEntry
     d: _TensorEntry
 
 
@@ -195,8 +196,9 @@ def parse_case(doc) -> Case:
         raise TappError(ErrorCode.ERR_PARSE, "case document must be an object")
     try:
         spec = parse_einsum(doc["einsum"])
-        alpha = _parse_scalar(doc["alpha"])
-        beta = _parse_scalar(doc["beta"])
+        # A pair with a zero imaginary part is the real scalar R64.
+        alpha = ScalarValue.of(_parse_number(doc["alpha"], "scalar"))
+        beta = ScalarValue.of(_parse_number(doc["beta"], "scalar"))
         a = _parse_tensor(doc["a"], "a", want_data=True)
         b = _parse_tensor(doc["b"], "b", want_data=True)
         c = _parse_tensor(doc["c"], "c", want_data=True) if "c" in doc else None
@@ -205,6 +207,11 @@ def parse_case(doc) -> Case:
         raise TappError(ErrorCode.ERR_PARSE, f"missing case field {missing}") from None
     except TypeError:
         raise TappError(ErrorCode.ERR_PARSE, "malformed case document") from None
+    if c is None:
+        strides = _dense_strides(d.extents)
+        zeros = np.zeros(_span(d.extents, strides), d.dtype.np_dtype)
+        zeros.flags.writeable = False
+        c = _TensorEntry(d.dtype, d.extents, strides, 0, zeros)
     return Case(spec, alpha, beta, a, b, c, d)
 
 
@@ -231,23 +238,6 @@ def _span(extents, strides, base=0) -> int:
     return base + 1 + sum(max(0, s * (e - 1)) for e, s in zip(extents, strides))
 
 
-def _c_entry(case: Case) -> _TensorEntry:
-    if case.c is not None:
-        return case.c
-    strides = _dense_strides(case.d.extents)
-    return _TensorEntry(
-        dtype=case.d.dtype,
-        extents=case.d.extents,
-        strides=strides,
-        base=0,
-        data=[0.0] * _span(case.d.extents, strides),
-    )
-
-
-def _entry_buffer(entry: _TensorEntry) -> np.ndarray:
-    return np.array(entry.data, dtype=entry.dtype.np_dtype)
-
-
 # ---------------------------------------------------------------------------
 # Engine path
 
@@ -261,14 +251,13 @@ class EngineRun:
 
 def execute_case(case: Case) -> EngineRun:
     """Run a case through the full handle/descriptor/execute stack."""
-    c = _c_entry(case)
     handle = tapp_create_handle()
     try:
         operands = []  # info and labels of A, B, C and D in turn
         for entry, labels in (
             (case.a, case.spec.labels_a),
             (case.b, case.spec.labels_b),
-            (c, case.spec.labels_c),
+            (case.c, case.spec.labels_c),
             (case.d, case.spec.labels_d),
         ):
             info = tapp_create_tensor_info(
@@ -288,10 +277,10 @@ def execute_case(case: Case) -> EngineRun:
             op,
             tapp_get_default_executor(handle),
             case.alpha,
-            (_entry_buffer(case.a), case.a.base),
-            (_entry_buffer(case.b), case.b.base),
+            (case.a.data, case.a.base),
+            (case.b.data, case.b.base),
             case.beta,
-            (_entry_buffer(c), c.base),
+            (case.c.data, case.c.base),
             (d_buffer, case.d.base),
             status_out=status,
         )
@@ -316,8 +305,15 @@ def _output_modes(case: Case):
 def _validate_case_contract(case: Case) -> ErrorCode:
     """Re-derive the validity of a case against the operation contract,
     mirroring the engine's check order so that an invalid case yields
-    the same code from both conformance paths."""
-    c = _c_entry(case)
+    the same code from both conformance paths.
+
+    D's addresses over its distinct labels must be distinct.  A zero
+    stride on an extent above 1 aliases.  With the modes of extent above
+    1 sorted by |stride|, each top mode whose |stride| exceeds the span
+    ``sum(|s| * (e - 1))`` of the modes below it is peeled off: it moves
+    their addresses past that span with each of its values.  The modes
+    left are enumerated, unless their extents multiply to more than
+    ``ENUMERATION_BUDGET``, which is ERR_UNSUPPORTED."""
     tensors = {
         "a": (case.spec.labels_a, case.a),
         "b": (case.spec.labels_b, case.b),
@@ -339,39 +335,38 @@ def _validate_case_contract(case: Case) -> ErrorCode:
             if extent_of.setdefault(lbl, e) != e:
                 return ErrorCode.ERR_EXTENT_MISMATCH
     # C must mirror D (labels are shared by construction of the format).
-    if len(c.extents) != len(case.d.extents) or tuple(c.extents) != tuple(case.d.extents):
+    if case.c.extents != case.d.extents:
         return ErrorCode.ERR_OUTPUT_MISMATCH
     # Output-only labels are rejected by the engine contract.
     in_inputs = set(case.spec.labels_a) | set(case.spec.labels_b)
     if any(lbl not in in_inputs for lbl in case.spec.labels_d):
         return ErrorCode.ERR_UNSUPPORTED
     # Output addresses must be injective.
-    uext, ustr = _output_modes(case)
+    modes = sorted((abs(s), e) for e, s in zip(*_output_modes(case)) if e > 1)
+    if modes and modes[0][0] == 0:
+        return ErrorCode.ERR_ALIASING
+    while modes and modes[-1][0] > sum(s * (e - 1) for s, e in modes[:-1]):
+        modes.pop()
+    if math.prod(e for _, e in modes) > ENUMERATION_BUDGET:
+        return ErrorCode.ERR_UNSUPPORTED
     seen_offsets = set()
-    for idx in itertools.product(*[range(e) for e in uext]):
-        off = sum(i * s for i, s in zip(idx, ustr))
+    for idx in itertools.product(*[range(e) for _, e in modes]):
+        off = sum(i * s for i, (s, _) in zip(idx, modes))
         if off in seen_offsets:
             return ErrorCode.ERR_ALIASING
         seen_offsets.add(off)
     # Scalars must fit the arithmetic dtype.
     all_real = not any(
-        entry.dtype.is_complex for entry in (case.a, case.b, c, case.d)
+        entry.dtype.is_complex for entry in (case.a, case.b, case.c, case.d)
     )
     if all_real and (case.alpha.im != 0 or case.beta.im != 0):
         return ErrorCode.ERR_DTYPE_MISMATCH
-    # Buffers must cover every addressable element.
-    for name, (labels, entry) in (("a", tensors["a"]), ("b", tensors["b"]), ("c", (case.spec.labels_c, c))):
-        lo = hi = entry.base
-        for e, s in zip(entry.extents, entry.strides):
-            lo += min(0, s * (e - 1))
-            hi += max(0, s * (e - 1))
-        if lo < 0 or hi >= len(entry.data):
+    # Buffers must cover every addressable element; D's is allocated to fit.
+    for entry in (case.a, case.b, case.c, case.d):
+        lo = entry.base + sum(min(0, s * (e - 1)) for e, s in zip(entry.extents, entry.strides))
+        end = _span(entry.extents, entry.strides, entry.base)
+        if lo < 0 or (entry.data is not None and end > len(entry.data)):
             return ErrorCode.ERR_OUT_OF_BOUNDS
-    lo = case.d.base
-    for e, s in zip(case.d.extents, case.d.strides):
-        lo += min(0, s * (e - 1))
-    if lo < 0:
-        return ErrorCode.ERR_OUT_OF_BOUNDS
     return ErrorCode.OK
 
 
@@ -386,15 +381,14 @@ def oracle_case(case: Case) -> OracleRun:
     code = _validate_case_contract(case)
     if code is not ErrorCode.OK:
         return OracleRun(code)
-    c = _c_entry(case)
     try:
         views = {
             name: TensorView(
                 TensorDesc(entry.extents, entry.strides, entry.dtype),
-                _entry_buffer(entry),
+                entry.data,
                 entry.base,
             )
-            for name, entry in (("a", case.a), ("b", case.b), ("c", c))
+            for name, entry in (("a", case.a), ("b", case.b), ("c", case.c))
         }
         dense_a, ua = densify(views["a"], case.spec.labels_a)
         dense_b, ub = densify(views["b"], case.spec.labels_b)
@@ -418,9 +412,7 @@ def oracle_case(case: Case) -> OracleRun:
 
 
 def default_tolerance(case: Case) -> float:
-    dtypes = [case.a.dtype, case.b.dtype, case.d.dtype]
-    if case.c is not None:
-        dtypes.append(case.c.dtype)
+    dtypes = [case.a.dtype, case.b.dtype, case.c.dtype, case.d.dtype]
     return TOLERANCE_32 if any(dt.width == 32 for dt in dtypes) else TOLERANCE_64
 
 
@@ -799,34 +791,31 @@ def generate_case(category: int, seed) -> dict:
 # Suite
 
 
-def _swap_operands(doc: dict):
+def _swap_operands(case: Case):
     """Category 3's transform: A and B trade places; D's index is kept."""
-    spec = parse_einsum(doc["einsum"])
-    swapped = dict(doc, a=doc["b"], b=doc["a"])
-    swapped["einsum"] = _einsum(spec.labels_b, spec.labels_a, spec.labels_d)
-    return swapped, lambda idx: idx
+    spec = replace(case.spec, labels_a=case.spec.labels_b, labels_b=case.spec.labels_a)
+    return replace(case, spec=spec, a=case.b, b=case.a), lambda idx: idx
 
 
-def _permute_output(doc: dict, rng: random.Random):
+def _permute_output(case: Case, rng: random.Random):
     """Category 4's transform: C's and D's modes are permuted (never to
-    the identity when there are two or more); D's index is permuted alike."""
-    spec = parse_einsum(doc["einsum"])
-    n = len(spec.labels_d)
+    the identity when there are two or more), D dense from offset 0;
+    D's index is permuted alike."""
+    n = len(case.spec.labels_d)
     perm = list(range(n))
     while n >= 2 and perm == list(range(n)):
         rng.shuffle(perm)
-    permuted = dict(doc)
-    permuted["einsum"] = _einsum(
-        spec.labels_a, spec.labels_b, [spec.labels_d[k] for k in perm]
-    )
-    c_strides = doc["c"].get("strides") or _dense_strides(doc["c"]["extents"])
-    permuted["c"] = dict(
-        doc["c"],
-        extents=[doc["c"]["extents"][k] for k in perm],
-        strides=[c_strides[k] for k in perm],
-    )
-    permuted["d"] = {"dtype": doc["d"]["dtype"], "extents": [doc["d"]["extents"][k] for k in perm]}
-    return permuted, lambda idx: tuple(idx[k] for k in perm)
+
+    def permuted(values) -> tuple:
+        return tuple(values[k] for k in perm)
+
+    labels_d, extents = permuted(case.spec.labels_d), permuted(case.d.extents)
+    return replace(
+        case,
+        spec=replace(case.spec, labels_c=labels_d, labels_d=labels_d),
+        c=replace(case.c, extents=permuted(case.c.extents), strides=permuted(case.c.strides)),
+        d=replace(case.d, extents=extents, strides=_dense_strides(extents), base=0),
+    ), permuted
 
 
 def _check_instance(doc: dict, category: int, tolerance: float | None) -> CheckResult:
@@ -844,25 +833,24 @@ def _check_instance(doc: dict, category: int, tolerance: float | None) -> CheckR
     if not result.passed:
         return result
 
-    # Metamorphic checks: the engine's D for a transformed document must
+    # Metamorphic checks: the engine's D for a transformed case must
     # match this case's D under an index map, within a tolerance.
     if category == 3:
         what = "operand swap"
         tol = default_tolerance(case) if tolerance is None else tolerance
-        other, index_map = _swap_operands(doc)
+        other, index_map = _swap_operands(case)
     elif category == 4 and len(case.spec.labels_d) >= 2:
         what, tol = "output permutation", 0.0
         rng = random.Random(f"{doc.get('seed')}:{category}:perm")
-        other, index_map = _permute_output(doc, rng)
+        other, index_map = _permute_output(case, rng)
     else:
         return result
-    other_case = parse_case(other)
-    other_run = execute_case(other_case)
+    other_run = execute_case(other)
     if result.engine_code is not ErrorCode.OK or other_run.code is not ErrorCode.OK:
         result.passed = False
         result.detail = f"{what} failed to execute"
         return result
-    values = dict(_output_values(other_case, other_run))
+    values = dict(_output_values(other, other_run))
     max_rel, _ = _max_rel_err(case, result.run, lambda _, idx: values[index_map(idx)])
     if max_rel > tol:
         result.passed = False

@@ -108,9 +108,13 @@ __all__ = [
 ]
 
 # The most cells in a block, and products formed at once.  A block's
-# float64 temporaries then take at most 64 KB each (complex pairs 128 KB):
-# they stay in cache, and malloc serves them from its heap instead of
-# mapping fresh, page-faulting memory on every call.
+# float64 temporaries then take at most 64 KiB each, so they stay in
+# cache.  A complex pair array takes 128 KiB, at glibc's default mmap
+# threshold, so malloc may map it fresh.  Measured with getrusage over 50
+# `steady_large` rounds in one process: a round of 13 calls takes about
+# 128 minor page faults (r64 matmul 16, c32 matmul 48, c64 matmul 12,
+# c64 128x128 unary 52), and 127 with 8,128-cell blocks, whose pairs fit
+# under the threshold: the faults do not come from the block size.
 _CHUNK = 1 << 13
 
 # The most output addresses enumerated where the sorted-stride test cannot

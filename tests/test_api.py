@@ -343,6 +343,9 @@ def test_create_boundary_codes(handle):
     assert tapp_create_contraction(handle, i1, None, i1, "i", i1, "i", i1, "i") is (
         ErrorCode.ERR_PARSE
     )
+    assert tapp_create_contraction(handle, i1, "ij", i1, "i", i1, "i", i1, "i") is (
+        ErrorCode.ERR_EXTENT_MISMATCH
+    )
     assert tapp_create_binary_op(handle, i1, "i", i1, None, i1, "i") is ErrorCode.ERR_PARSE
     assert tapp_create_unary_op(handle, i1, 3, i1, "i") is ErrorCode.ERR_PARSE
 

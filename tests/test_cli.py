@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -201,6 +202,82 @@ def test_gen_valid_categories_round_trip_through_check():
         case = parse_case(generate_case(category, 1))
         result = check_case(case)
         assert result.passed, (category, result.detail)
+
+
+def _edited(doc, changes):
+    """A copy of ``doc`` with top-level fields replaced, or tensor entries
+    updated where a change is a dict."""
+    doc = json.loads(json.dumps(doc))
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "changes, code",
+    [
+        pytest.param(
+            {"a": {"extents": [2, 2, 1], "strides": [2, 1, 4]}},
+            ErrorCode.ERR_EXTENT_MISMATCH,
+            id="label-count",
+        ),
+        pytest.param({"a": {"extents": [0, 2]}}, ErrorCode.ERR_EXTENT_MISMATCH, id="extent-0"),
+        pytest.param(
+            {"einsum": "ii,ik->ik", "a": {"extents": [2, 3], "strides": [1, 2], "data": [1] * 6}},
+            ErrorCode.ERR_EXTENT_MISMATCH,
+            id="repeat-unequal",
+        ),
+        pytest.param({"einsum": "ij,jk->il"}, ErrorCode.ERR_UNSUPPORTED, id="output-only"),
+        pytest.param({"alpha": [1.0, 0.5]}, ErrorCode.ERR_DTYPE_MISMATCH, id="complex-alpha"),
+        pytest.param({"a": {"data": [1, 2, 3]}}, ErrorCode.ERR_OUT_OF_BOUNDS, id="short-a"),
+        pytest.param({"d": {"strides": [-2, 1]}}, ErrorCode.ERR_OUT_OF_BOUNDS, id="d-below-0"),
+    ],
+)
+def test_each_case_contract_check_gives_both_paths_the_same_code(changes, code):
+    result = check_case(parse_case(_edited(MATMUL_DOC, changes)))
+    assert result.passed, result.detail
+    assert result.engine_code is code and result.oracle_code is code
+
+
+@pytest.mark.parametrize(
+    "extents, strides, code",
+    [
+        # Neither stride exceeds the span below it: 2**21 addresses to try.
+        ((2048, 1024), (1, 1000), ErrorCode.ERR_UNSUPPORTED),
+        ((3, 3), (1, 2), ErrorCode.ERR_ALIASING),  # 2 = 2*1 + 0*2: enumerated
+        ((2, 3), (3, 2), ErrorCode.OK),
+    ],
+)
+def test_output_injectivity_is_decided_alike_within_the_enumeration_budget(
+    extents, strides, code
+):
+    broadcast = {"dtype": "r64", "extents": list(extents), "strides": [0, 0], "data": [1.5]}
+    doc = {
+        "einsum": "ij,->ij",
+        "alpha": 1.0,
+        "beta": 1.0,
+        "a": broadcast,
+        "b": {"dtype": "r64", "extents": [], "data": [2.0]},
+        "c": broadcast,
+        "d": {"dtype": "r64", "extents": list(extents), "strides": list(strides)},
+    }
+    t0 = time.perf_counter()
+    result = check_case(parse_case(doc))
+    assert time.perf_counter() - t0 < 0.5
+    assert result.passed, result.detail
+    assert result.engine_code is code and result.oracle_code is code
+
+
+def test_parsed_buffers_are_read_only_and_c_defaults_to_zeros():
+    case = parse_case(MATMUL_DOC)
+    for entry in (case.a, case.b, case.c):
+        assert not entry.data.flags.writeable
+    assert case.c.extents == case.d.extents and case.c.strides == (1, 2)
+    assert case.c.dtype is case.d.dtype and case.c.base == 0
+    assert case.c.data.tolist() == [0.0] * 4
 
 
 def test_error_parity_for_mismatched_paths(tmp_path, capsys):

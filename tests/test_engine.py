@@ -184,14 +184,16 @@ def test_plan_rejects_narrower_compute_dtype():
     assert plan.compute_dtype is DType.C64
 
 
-def test_contract_rejects_complex_scalar_on_real_operands():
+@pytest.mark.parametrize("alpha", [ScalarValue(DType.C64, 1.5, 0.0), 1.5 + 0j])
+def test_contract_rejects_complex_scalar_on_real_operands(alpha):
     a = view([2], [1.0, 2.0])
     with pytest.raises(TappError) as err:
         run("i,i->i", a, a, alpha=ScalarValue(DType.C64, 1.0, 2.0))
     assert err.value.code is ErrorCode.ERR_DTYPE_MISMATCH
     # A zero imaginary part degrades gracefully to the real value.
-    d, _ = run("i,i->i", a, a, alpha=ScalarValue(DType.C64, 2.0, 0.0))
-    assert d.buffer.tolist() == [2.0, 8.0]
+    d, _ = run("i,i->i", a, a, alpha=alpha)
+    assert d.buffer.tolist() == [1.5, 6.0]
+    assert d.buffer.tobytes() == run("i,i->i", a, a, alpha=1.5)[0].buffer.tobytes()
 
 
 def test_contract_rejects_wrong_buffer_dtype():
@@ -203,12 +205,19 @@ def test_contract_rejects_wrong_buffer_dtype():
     assert err.value.code is ErrorCode.ERR_DTYPE_MISMATCH
 
 
-def test_contract_rejects_view_escaping_buffer():
+@pytest.mark.parametrize(
+    "desc, length",
+    [
+        (TensorDesc((2,), (1,), DType.R64), 1),  # escapes its buffer
+        (TensorDesc((2,), (2,), DType.R64), 4),  # a layout other than the plan's
+    ],
+)
+def test_contract_rejects_view_escaping_buffer(desc, length):
     a = view([2], [1.0, 2.0])
-    short = TensorView(a.desc, np.zeros(1))
+    bad = TensorView(desc, np.zeros(length))
     plan = make_plan(parse_einsum("i,i->i"), a.desc, a.desc, a.desc, a.desc)
     with pytest.raises(TappError) as err:
-        contract(plan, 1.0, a, a, 0.0, a, short)
+        contract(plan, 1.0, a, a, 0.0, a, bad)
     assert err.value.code is ErrorCode.ERR_OUT_OF_BOUNDS
 
 

@@ -400,12 +400,13 @@ def test_wide_reduction_of_a_contiguous_operand_matches_scalar_loop(dtype):
         (0, 2, 6),  # i broadcast
     ],
 )
-@pytest.mark.parametrize("dtype", [DType.R64, DType.C32])
-def test_inputs_whose_labels_share_or_skip_addresses_match_scalar_loop(strides_a, dtype):
+@pytest.mark.parametrize("dtype", [DType.R64, DType.C32, DType.C64])
+@pytest.mark.parametrize("step", [1, 2])  # 2: A's buffer is every other element of another
+def test_inputs_whose_labels_share_or_skip_addresses_match_scalar_loop(strides_a, dtype, step):
     rng = random.Random(f"{strides_a}{dtype}")
     desc_a = TensorDesc((3, 4, 2), strides_a, dtype)
     lo, hi = desc_a.reach_bounds()
-    a = TensorView(desc_a, _values(rng, hi - lo + 1, dtype, 0.05), -lo)
+    a = TensorView(desc_a, _values(rng, step * (hi - lo + 1), dtype, 0.05)[::step], -lo)
     b = _view(rng, [2], dtype, 0.05)
     c, d = (_view(rng, [3, 4], dtype, 0.05, output=True) for _ in range(2))
     plan = make_plan(parse_einsum("ijk,k->ij"), a.desc, b.desc, c.desc, d.desc)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from tapp import (
     DenseTensor,
     DType,
+    LabelSpec,
     TappError,
     TensorDesc,
     TensorView,
@@ -45,10 +48,18 @@ def test_densify_reads_the_diagonal_for_repeated_labels():
     assert got.elements == (1, 4)
 
 
-def test_densify_rejects_views_escaping_the_buffer():
+@pytest.mark.parametrize(
+    "extents, labels, code",
+    [
+        ([3], "i", ErrorCode.ERR_OUT_OF_BOUNDS),  # 3 elements from a buffer of 2
+        ([2], "ij", ErrorCode.ERR_EXTENT_MISMATCH),  # two labels for one mode
+        ([2, 1], "ii", ErrorCode.ERR_EXTENT_MISMATCH),  # a repeat of unequal extents
+    ],
+)
+def test_densify_rejects_views_it_cannot_read(extents, labels, code):
     with pytest.raises(TappError) as err:
-        densify(view([3], [1.0, 2.0], strides=[1]), "i")
-    assert err.value.code is ErrorCode.ERR_OUT_OF_BOUNDS
+        densify(view(extents, [1.0, 2.0]), labels)
+    assert err.value.code is code
 
 
 def test_oracle_matmul():
@@ -113,9 +124,16 @@ def test_oracle_supports_output_only_labels():
     assert list(got.elements) == expected
 
 
-def test_oracle_rejects_extent_conflicts():
-    spec = parse_einsum("ij,jk->ik")
-    a = dense([2, 3], [0.0] * 6)
+@pytest.mark.parametrize(
+    "spec, extents_a",
+    [
+        (parse_einsum("ij,jk->ik"), [2, 3]),  # j is 3 in A and 4 in B
+        (parse_einsum("ij,jk->ik"), [2]),  # two labels for A's one mode
+        (LabelSpec.of("ij", "jk", "ik", labels_c="ki"), [2, 4]),  # C's labels are not D's
+    ],
+)
+def test_oracle_rejects_extent_conflicts(spec, extents_a):
+    a = dense(extents_a, [0.0] * math.prod(extents_a))
     b = dense([4, 2], [0.0] * 8)
     c = dense([2, 2], [0.0] * 4)
     with pytest.raises(TappError) as err:
