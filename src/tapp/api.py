@@ -54,6 +54,15 @@ __all__ = [
 _ids = itertools.count(1)
 
 
+def _key(key) -> int:
+    """``key`` as a Python int (2.0 and np.int64(2) are 2); a key that is
+    not a non-negative integer names no value: ERR_KEY_NOT_FOUND."""
+    as_int = integral(key)
+    if as_int is None or as_int < 0:
+        raise TappError(ErrorCode.ERR_KEY_NOT_FOUND, "keys are non-negative integers")
+    return as_int
+
+
 class VKVStore:
     """Mapping from non-negative integer keys to opaque byte strings."""
 
@@ -62,13 +71,21 @@ class VKVStore:
         self._lock = threading.Lock()
 
     def set(self, key: int, value: bytes) -> None:
+        """Store ``bytes(value)``; a value that ``bytes`` rejects is
+        ERR_DTYPE_MISMATCH."""
+        key = _key(key)
+        try:
+            value = bytes(value)
+        except (TypeError, ValueError, OverflowError):
+            raise TappError(ErrorCode.ERR_DTYPE_MISMATCH, "value must be bytes") from None
         with self._lock:
-            self._values[int(key)] = bytes(value)
+            self._values[key] = value
 
     def get(self, key: int) -> bytes:
+        key = _key(key)
         with self._lock:
             try:
-                return self._values[int(key)]
+                return self._values[key]
             except KeyError:
                 raise TappError(ErrorCode.ERR_KEY_NOT_FOUND) from None
 
@@ -386,7 +403,10 @@ def tapp_vkv_set(obj, key: int, value: bytes) -> ErrorCode:
     store = _store_of(obj)
     if store is None:
         return ErrorCode.ERR_INVALID_HANDLE
-    store.set(key, value)
+    try:
+        store.set(key, value)
+    except TappError as err:
+        return err.code
     return ErrorCode.OK
 
 

@@ -76,15 +76,30 @@ def dtype_promote(a: DType, b: DType) -> DType:
     return DType.R64 if max(a.width, b.width) == 64 else DType.R32
 
 
+# Finite values of at least this magnitude round to infinity in float32
+# (to nearest, ties to even), where numpy's cast would warn.
+_F32_OVERFLOW = (2 - 2.0**-24) * 2.0**127
+
+
+def _to_f32(x: float) -> float:
+    if abs(x) >= _F32_OVERFLOW:
+        return math.copysign(math.inf, x)
+    return float(np.float32(x))
+
+
 def round_to(value: float | complex, dtype: DType) -> float | complex:
     """Round ``value`` to ``dtype``'s precision, dropping an imaginary
-    part when the target is real."""
+    part when the target is real; beyond float32's range a 32-bit part
+    becomes an infinity, without numpy's overflow warning."""
     if isinstance(value, complex) and not dtype.is_complex:
         value = value.real
     if dtype is DType.R32:
-        return float(np.float32(value))
+        return _to_f32(value)
     if dtype is DType.C32:
-        return complex(np.complex64(value))
+        if abs(value) < _F32_OVERFLOW:  # both parts
+            return complex(np.complex64(value))
+        value = complex(value)
+        return complex(_to_f32(value.real), _to_f32(value.imag))
     if dtype is DType.C64:
         return complex(value)
     return float(value)
@@ -179,11 +194,12 @@ class TensorDesc:
     @classmethod
     def column_major(cls, extents: Sequence[int], dtype: DType) -> "TensorDesc":
         """Dense layout with ``s_k = prod(e_l for l < k)``."""
+        extents = _integers(extents, "extents")
         strides, acc = [], 1
         for e in extents:
             strides.append(acc)
-            acc *= int(e)
-        return cls(tuple(extents), tuple(strides), dtype)
+            acc *= e
+        return cls(extents, tuple(strides), dtype)
 
     @cached_property
     def _reach(self) -> tuple[int, int]:

@@ -14,12 +14,26 @@ real bits; for complex x the product is the full complex product
 A validated, immutable plan (see :func:`make_plan`) is built once per
 operation shape, in time and memory that grow with the number of modes,
 not of elements.  It records how each operand's label groups lie in its
-buffer: A's as ``(R_a, K, H, F)``, B's as ``(R_b, K, H, G)``, C's and
-D's as ``(H, F, G)``, where R is the operand's input-only reduction, K
-the contracted labels, H the batch labels, and F and G the free labels
-of A and of B, the first label of a group fastest.  A group's labels
-fold into one axis where each stride is the previous one's times its
-extent; otherwise the group keeps one axis per run of labels that fold.
+buffer: A's as ``(R_a, K, H, free_a)``, B's as ``(R_b, K, H, free_b)``,
+C's and D's as ``(H, F, G)``, where R is the operand's input-only
+reduction, K the contracted labels in A's order, H the batch labels, and
+G, the innermost cell axis, the free labels of whichever operand holds
+D's fastest label (its smallest |stride| of extent > 1), F the other
+operand's; the first label of a group is fastest.  By default F is A's
+and G is B's; where D's fastest label is one of A's free labels, A and
+B trade places for the loop (``ContractionPlan.swap_ab``), so the
+output cells are walked, and C read and D written, in D's memory order,
+as GETT and TBLIS order their loops.  That changes no bits: every cell
+still sums its products over K in A's label order, each operand's
+reduction in its own label order, and a product ``x*y`` of reals, or
+CPython's complex ``(xr*yr - xi*yi, xr*yi + xi*yr)``, is the same with x
+and y exchanged, as IEEE multiplication and addition commute.  A batch
+label that is D's fastest (a column-major ``bij,bjk->bik``) keeps the
+default order: putting it innermost would shorten the products' inner
+loops to the batch extent, which needs its own measurement.  A group's
+labels fold into one axis where each stride is the previous one's times
+its extent; otherwise the group keeps one axis per run of labels that
+fold.
 
 Execution views each operand in place, as a numpy array over its buffer
 with byte strides = element strides x the buffer's byte stride; complex
@@ -30,15 +44,16 @@ no memory); an input whose groups do not fold is copied into the group
 shape.  Input-only reductions are summed in index order.  The output
 cells are then walked in blocks of at most ``_CHUNK`` cells, flat
 ``(H, F, G)`` index ranges with G filled first, forming at most
-``_CHUNK`` products ``A[k, h, f] * B[k, h, g]`` at once and summing them
-over k from left to right, ``((p0 + p1) + p2) + ...``: every cell keeps
-the summation order of a scalar loop that runs batch, free-of-A and
-free-of-B outside and the contracted labels inside.  Then come
-``alpha * acc``, ``+ beta * C`` and one cast on store through a writable
-view of D.  Where D's groups do not fold, the blocks fill one
-C-contiguous array in D's group shape, as such a C is read, which is
-stored through D's view after the last block; it takes as much memory
-as D's elements, also when C is not read.
+``_CHUNK`` products ``A[k, h, f] * B[k, h, g]`` at once (with A and B
+exchanged when they trade places) and summing them over k from left to
+right, ``((p0 + p1) + p2) + ...``: every cell keeps the summation order
+of a scalar loop that runs batch, free-of-A and free-of-B outside and
+the contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C``
+and one cast on store through a writable view of D.  Where D's groups do
+not fold, the blocks fill one C-contiguous array in D's group shape, as
+such a C is read, which is stored through D's view after the last
+block; it takes as much memory as D's elements, also when C is not
+read.
 
 A sum of rows (K products, or R reduced values, per cell) runs one of two
 ways, chosen by one rule on its shape, :func:`_row_adds`: wide rows, of a
@@ -62,7 +77,9 @@ it, and the bits are those of the same scalar loop in Python numbers
   the sum is rounded to complex with imaginary part ``+0.0`` (what a sum
   of ``+0.0`` parts gives).
 * c32 products are formed in float64, each part rounded to float32 once,
-  and then summed in float32.
+  and then summed in float32.  Where neither operand has an input-only
+  reduction (which sums in float32), both are widened to float64 once
+  before the loop, which is exact.
 
 Following BLAS convention, ``beta == 0`` means C is never read and
 ``alpha == 0`` means A and B are never read.
@@ -280,12 +297,16 @@ class ContractionPlan:
     classified: ClassifiedLabels
     compute_dtype: DType
     # Each operand's label groups (see the module docstring): A's are
-    # (R_a, K, H, F), B's (R_b, K, H, G), C's and D's (H, F, G).
+    # (R_a, K, H, free_a), B's (R_b, K, H, free_b), C's and D's (H, F, G).
     layout_a: _Layout = field(repr=False, compare=False)
     layout_b: _Layout = field(repr=False, compare=False)
     layout_c: _Layout = field(repr=False, compare=False)
     layout_d: _Layout = field(repr=False, compare=False)
-    blocks: _Blocks = field(repr=False, compare=False)
+    blocks: _Blocks = field(repr=False, compare=False)  # over (H, F, G)
+    # Whether A and B trade places in the loop: False runs F = free_a
+    # outside and G = free_b inside; True, where D's fastest label is one
+    # of A's free labels, runs F = free_b and G = free_a.
+    swap_ab: bool = field(compare=False)
 
     @property
     def size_batch(self) -> int:
@@ -308,6 +329,8 @@ def _resolve_compute_dtype(requested: DType | None, *operands: DType) -> DType:
     promoted = reduce(dtype_promote, operands)
     if requested is None:
         return promoted
+    if not isinstance(requested, DType):
+        raise TappError(ErrorCode.ERR_DTYPE_MISMATCH, "compute dtype is not a DType")
     if dtype_promote(requested, promoted) is not requested:
         raise TappError(
             ErrorCode.ERR_DTYPE_MISMATCH,
@@ -363,7 +386,16 @@ def make_plan(
         compute_dtype, desc_a.dtype, desc_b.dtype, desc_c.dtype, desc_d.dtype
     )
     cl = classified
-    cells = (cl.batch, cl.free_a, cl.free_b)
+    # D's fastest label: the smallest |stride| of extent > 1 (no two are
+    # equal, as D is injective).
+    moving = [
+        (abs(s), l)
+        for l, e, s in zip(merged_d.labels, merged_d.extents, merged_d.strides)
+        if e > 1
+    ]
+    swap_ab = bool(moving) and min(moving)[1] in cl.free_a.labels
+    outer, inner = (cl.free_b, cl.free_a) if swap_ab else (cl.free_a, cl.free_b)
+    cells = (cl.batch, outer, inner)
     layout_d = _layout(desc_d.dtype, *((g.extents, g.strides_d) for g in cells))
     layout_c = layout_d  # C is often D
     if desc_c != desc_d:
@@ -384,7 +416,8 @@ def make_plan(
         layout_b=_layout(desc_b.dtype, *((g.extents, g.strides_b) for g in b_groups)),
         layout_c=layout_c,
         layout_d=layout_d,
-        blocks=_Blocks(cl.contracted.size, cl.batch.size, cl.free_a.size, cl.free_b.size),
+        blocks=_Blocks(cl.contracted.size, cl.batch.size, outer.size, inner.size),
+        swap_ab=swap_ab,
     )
 
 
@@ -461,21 +494,29 @@ def _grouped(view: TensorView, layout: _Layout) -> np.ndarray:
     return x if layout.folds else x.reshape(layout.grouped)
 
 
-def _operand(view: TensorView, layout: _Layout, part: np.dtype, copy: bool):
+def _operand(
+    view: TensorView, layout: _Layout, part: np.dtype, copy: bool, pairs: np.dtype | None
+):
     """The elements of A or B in ``layout``'s group shape with ``part``
-    precision.  Each meets many elements of the other operand, and numpy's
+    precision, summed over their input-only reduction: (K, H, F) or
+    (K, H, G).  Each meets many elements of the other operand, and numpy's
     loops run several times slower over strided elements, so they are made
     C-contiguous unless they are already, or are a stride-0 view (which
-    takes no memory); and copied anyway when ``copy``."""
+    takes no memory); and copied anyway when ``copy``.  With ``pairs`` the
+    operand meets complex ones: it is returned as ``(re, im)`` pairs of
+    that dtype, a real one promoted to ``(x, +0.0)``."""
+    promote = pairs is not None and not layout.pairs
+    load = part if promote or pairs is None else pairs
     x = _grouped(view, layout)
-    if copy or x.dtype != part or not (layout.broadcast or x.flags.c_contiguous):
-        return x.astype(part, order="C")
-    return x
+    if copy or x.dtype != load or not (layout.broadcast or x.flags.c_contiguous):
+        x = x.astype(load, order="C")
+    return _sum_k(_promoted(x, pairs) if promote else x)
 
 
-def _promoted(x: np.ndarray) -> np.ndarray:
-    """Real values as Python promotes a float to complex: ``(x, +0.0)``."""
-    parts = np.zeros((2, *x.shape), x.dtype)
+def _promoted(x: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
+    """Real values as Python promotes a float to complex: ``(x, +0.0)``, of
+    ``dtype`` (by default x's)."""
+    parts = np.zeros((2, *x.shape), x.dtype if dtype is None else dtype)
     parts[0] = x
     return parts
 
@@ -563,6 +604,8 @@ def contract(
             overlap = True
         if overlap:
             raise TappError(ErrorCode.ERR_ALIASING, f"D overlaps operand {name}")
+    if plan.swap_ab:  # B's free labels run outside (F), A's inside (G)
+        a, b, layout_a, layout_b = b, a, layout_b, layout_a
 
     read_ab = al != 0
     read_c = be != 0
@@ -572,20 +615,19 @@ def contract(
     with np.errstate(all="ignore"):
         cmul_ab = False
         if read_ab:
+            # A real reduction is complex from its first rounding on, with
+            # imaginary part +0.0, and a real operand that meets a complex
+            # one is promoted alike.  Complex products are formed in
+            # float64, so their operands are widened to it at once, which
+            # is exact, unless a reduction sums in ``part`` first (widening
+            # after it adds a numpy call, measured slower on tiny ops).
+            reduced = layout_a.grouped[-4] > 1 or layout_b.grouped[-4] > 1
+            cmul_ab = cplx and (layout_a.pairs or layout_b.pairs or reduced)
+            pairs = (part if reduced else _F64) if cmul_ab else None
             # A and B are read whole before the first store; an operand
             # that is also C, D's identical view (in-place unary), is copied.
-            av = _operand(a, layout_a, part, in_place and a is c)
-            bv = _operand(b, layout_b, part, in_place and b is c)
-            if cplx:
-                # A real reduction is complex from its first rounding on,
-                # with imaginary part +0.0, and a real operand that meets a
-                # complex one is promoted alike.
-                reduced = av.shape[-4] > 1 or bv.shape[-4] > 1
-                cmul_ab = layout_a.pairs or layout_b.pairs or reduced
-                if cmul_ab:
-                    av = av if layout_a.pairs else _promoted(av)
-                    bv = bv if layout_b.pairs else _promoted(bv)
-            av, bv = _sum_k(av), _sum_k(bv)  # (K, H, F) and (K, H, G)
+            av = _operand(a, layout_a, part, in_place and a is c, pairs)  # (K, H, F)
+            bv = _operand(b, layout_b, part, in_place and b is c, pairs)  # (K, H, G)
         if read_c:
             call = _grouped(c, layout_c)
         if cplx:

@@ -46,11 +46,11 @@ _MESSAGES = {
 
 
 def error_string(code: int) -> str:
-    """Plain-text description of ``code``; total over all integers."""
+    """Plain-text description of ``code``; total over all values."""
     try:
         return _MESSAGES[ErrorCode(code)]
-    except ValueError:
-        return f"unknown error code {int(code)}"
+    except (TypeError, ValueError):
+        return f"unknown error code {code}"
 
 
 class TappError(Exception):

@@ -237,12 +237,29 @@ def test_vkv_round_trip_on_every_object_type(handle):
     assert tapp_vkv_set(object(), 1, b"x") is ErrorCode.ERR_INVALID_HANDLE
 
 
+@pytest.mark.parametrize("key", ["x", None, 1.5, -1, float("nan"), float("inf"), "1", [1]])
+def test_vkv_keys_that_are_not_non_negative_integers_are_not_found(handle, key):
+    assert tapp_vkv_set(handle, key, b"") is ErrorCode.ERR_KEY_NOT_FOUND
+    assert tapp_vkv_get(handle, key) is ErrorCode.ERR_KEY_NOT_FOUND
+    assert tapp_vkv_get(handle, 1) is ErrorCode.ERR_KEY_NOT_FOUND  # 1.5 stored nothing
+
+
+def test_vkv_integral_keys_and_bytes_like_values(handle):
+    assert tapp_vkv_set(handle, 2.0, bytearray(b"ab")) is ErrorCode.OK
+    assert tapp_vkv_get(handle, np.int64(2)) == b"ab"
+    for value in ("str", None, -1, [300], 1.5):
+        assert tapp_vkv_set(handle, 2, value) is ErrorCode.ERR_DTYPE_MISMATCH
+    assert tapp_vkv_get(handle, 2) == b"ab"
+
+
 def test_error_string_is_total():
     assert tapp_error_string(ErrorCode.OK) == "success"
     assert "alias" in tapp_error_string(ErrorCode.ERR_ALIASING)
     for code in ErrorCode:
         assert tapp_error_string(code)
     assert "unknown" in tapp_error_string(9999)
+    for code in ("x", None, 2.5, [], 1 + 2j):
+        assert tapp_error_string(code).startswith("unknown error code")
 
 
 def test_base_offsets_through_the_api(handle):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,16 @@ def test_check_matmul_and_perturb(tmp_path, capsys):
     assert main(["check", path]) == 0
     capsys.readouterr()
     assert main(["check", path, "--perturb", "1e-3"]) == 1
+    capsys.readouterr()
+
+
+def test_readme_example_case_runs_and_checks(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme_case.json"
+    path.write_text(block)
+    assert main(["run", str(path)]) == 0
+    assert main(["check", str(path)]) == 0
     capsys.readouterr()
 
 

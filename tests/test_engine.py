@@ -293,6 +293,29 @@ def test_partially_overlapping_c_and_d_are_rejected():
     assert err.value.code is ErrorCode.ERR_ALIASING
 
 
+@pytest.mark.parametrize("strides_d", [(1, 2), (2, 1)])
+def test_errors_name_the_operand_as_given_whatever_the_loop_order(strides_d):
+    # With D column-major A and B trade places in the loop, row-major not:
+    # either way the checks see A and B as given.
+    desc = TensorDesc.column_major((2, 2), DType.R64)
+    desc_d = TensorDesc((2, 2), strides_d, DType.R64)
+    plan = make_plan(parse_einsum("ij,jk->ik"), desc, desc, desc, desc_d)
+    assert plan.swap_ab is (strides_d == (1, 2))
+    good, d = view([2, 2], [1.0] * 4), TensorView(desc_d, np.zeros(4))
+    cases = [
+        (np.zeros(4, np.float32), ErrorCode.ERR_DTYPE_MISMATCH, "{}: buffer dtype differs"),
+        (np.zeros(3), ErrorCode.ERR_OUT_OF_BOUNDS, "{}: view escapes its buffer"),
+        (d.buffer, ErrorCode.ERR_ALIASING, "D overlaps operand {}"),
+    ]
+    for buffer, code, message in cases:
+        bad = TensorView(desc, buffer)
+        for a, b, name in ((bad, bad, "A"), (good, bad, "B")):
+            with pytest.raises(TappError) as err:
+                contract(plan, 1.0, a, b, 0.0, good, d)
+            assert err.value.code is code and message.format(name) in str(err.value)
+    assert d.buffer.tolist() == [0.0] * 4
+
+
 def test_mixed_dtype_promotion_and_cast():
     a = view([2], [1.5, 2.5], dtype=DType.R32)
     b = view([2], [1j, 1j], dtype=DType.C64)

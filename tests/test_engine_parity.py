@@ -42,11 +42,15 @@ def _values(rng, count, dtype, special):
     return np.array(data, dtype=dtype.np_dtype)
 
 
-def _layout(rng, extents, output=False):
-    """Column-major strides with random mode order, sign flips, padding of
-    the leading dimension (a sub-view) and, for inputs, zero strides."""
+def _layout(rng, extents, output=False, first_fastest=False):
+    """Column-major strides with random mode order (the first mode first
+    when ``first_fastest``), sign flips, padding of the leading dimension
+    (a sub-view) and, for inputs, zero strides."""
     order = list(range(len(extents)))
     rng.shuffle(order)
+    if first_fastest:
+        order.remove(0)
+        order.insert(0, 0)
     strides = [0] * len(extents)
     acc = 1
     for k in order:
@@ -60,8 +64,8 @@ def _layout(rng, extents, output=False):
     return tuple(strides)
 
 
-def _view(rng, extents, dtype, special, output=False):
-    desc = TensorDesc(tuple(extents), _layout(rng, extents, output), dtype)
+def _view(rng, extents, dtype, special, output=False, first_fastest=False):
+    desc = TensorDesc(tuple(extents), _layout(rng, extents, output, first_fastest), dtype)
     lo, hi = desc.reach_bounds()
     pad = rng.randint(0, 2), rng.randint(0, 2)
     buffer = _values(rng, pad[0] + hi - lo + 1 + pad[1], dtype, special)
@@ -201,6 +205,93 @@ def test_products_spanning_several_chunks_match_scalar_loop(einsum, extents):
     _random_product(rng, einsum, extents, [DType.R64] * 4, 0.0)
 
 
+def test_plan_puts_the_operand_with_ds_fastest_label_innermost():
+    def plan(einsum, extents, strides_d=None):
+        spec = parse_einsum(einsum)
+        a, b, d = (
+            TensorDesc.column_major(tuple(extents[l] for l in ls), DType.R64)
+            for ls in (spec.labels_a, spec.labels_b, spec.labels_d)
+        )
+        if strides_d is not None:
+            d = TensorDesc(d.extents, strides_d, DType.R64)
+        return make_plan(spec, a, b, d, d)
+
+    # column-major D: its first label, A's, is fastest
+    assert plan("ij,jk->ik", {"i": 3, "j": 4, "k": 2}).swap_ab
+    assert plan("i,j->ij", {"i": 3, "j": 2}).swap_ab
+    # row-major D: B's label k is fastest
+    assert not plan("ij,jk->ik", {"i": 3, "j": 4, "k": 2}, (2, 1)).swap_ab
+    # i has extent 1, so k is D's fastest label
+    assert not plan("ij,jk->ik", {"i": 1, "j": 4, "k": 2}).swap_ab
+    # a batch label stays outside
+    assert not plan("bij,bjk->bik", {"b": 2, "i": 3, "j": 4, "k": 2}).swap_ab
+    swapped = plan("ij,jk->ik", {"i": 3, "j": 4, "k": 2})
+    assert swapped.blocks.sizes == (1, 2, 3)  # (H, F, G): G is A's free group
+    assert swapped.layout_a.grouped == (1, 4, 1, 3)  # A's groups keep their meaning
+
+
+# Cases where D's first label is A's and fastest, so A and B trade places.
+SWAP_CASES = [
+    # a contracted group in different orders in A and B: A's order sums
+    ("iab,bak->ik", {"i": 3, "a": 2, "b": 3, "k": 2}),
+    # input-only reductions on both sides
+    ("ijr,jks->ik", {"i": 3, "j": 2, "k": 2, "r": 3, "s": 2}),
+    # a batch label
+    ("bij,bjk->ibk", {"b": 2, "i": 3, "j": 2, "k": 2}),
+    ("i,j->ij", {"i": 4, "j": 3}),
+    # no free label of B: F is empty
+    ("ij,j->i", {"i": 4, "j": 3}),
+]
+SWAP_DTYPES = [
+    *([dt] * 4 for dt in DType),
+    # real-by-complex mixes
+    [DType.R32, DType.C64, DType.R64, DType.C32],
+    [DType.C32, DType.R32, DType.R32, DType.C32],
+    [DType.R64, DType.C32, DType.C64, DType.R64],
+]
+
+
+@pytest.mark.parametrize("einsum, extents", SWAP_CASES)
+@pytest.mark.parametrize("dtypes", SWAP_DTYPES + [None])  # None: c32 compute, r32 operands
+@pytest.mark.parametrize("beta", [0.0, 0.75])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_swapped_plans_match_scalar_loop(einsum, extents, dtypes, beta, in_place):
+    cdt = DType.C32 if dtypes is None else None
+    dtypes = dtypes or [DType.R32] * 4
+    rng = random.Random(f"{einsum}{dtypes}{beta}{in_place}")
+    spec = parse_einsum(einsum)
+    for special in (0.0, 0.3):
+        a, b, c, d = (
+            _view(rng, [extents[l] for l in ls], dt, special, output=(k == 3),
+                  first_fastest=(k == 3))
+            for k, (ls, dt) in enumerate(
+                zip((spec.labels_a, spec.labels_b, spec.labels_c, spec.labels_d), dtypes)
+            )
+        )
+        if in_place:
+            c = d
+        plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc, compute_dtype=cdt)
+        assert plan.swap_ab
+        alpha = _scalar(rng, plan.compute_dtype) or 1.5
+        _check(plan, alpha, a, b, beta, c, d, in_place)
+
+
+@pytest.mark.parametrize("dtype", list(DType))
+@pytest.mark.parametrize("labels_a", ["i", ""])
+def test_binary_with_unit_label_fastest_in_d_matches_scalar_loop(dtype, labels_a):
+    # U, in A's place, carries j at stride 0, and j is D's fastest label.
+    rng = random.Random(f"{dtype}{labels_a}")
+    unit = np.ones(1, np.float32)
+    for special in (0.0, 0.3):
+        a = _view(rng, [4][: len(labels_a)], dtype, special)
+        b = _view(rng, [4, 3], dtype, special)
+        out = TensorView(TensorDesc((4, 3), (-3, 1), dtype), _values(rng, 14, dtype, special), 10)
+        plan = make_binary_plan(labels_a, a.desc, "ij", b.desc, "ij", out.desc)
+        assert plan.swap_ab
+        _check(plan, _scalar(rng, dtype) or 1.5, TensorView(plan.desc_a, unit), a,
+               _scalar(rng, dtype), b, out)
+
+
 @pytest.mark.parametrize("dtype", list(DType))
 def test_binary_and_unary_match_scalar_loop(dtype):
     rng = random.Random(str(dtype))
@@ -322,10 +413,10 @@ def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dty
 @pytest.mark.parametrize(
     "chunk, extents, strides_d",
     [
-        # G = (j, k) in two runs (j's stride pads i), cut at k
-        (engine._CHUNK, {"i": 2, "j": 90, "k": 100}, (1, 3, 3 * 91)),
+        # G = (j, k) in two runs (k's stride skips i), cut at k
+        (engine._CHUNK, {"i": 2, "j": 90, "k": 100}, (90, 1, 181)),
         # G = (j, k, l, m) in four runs, cut at k with l and m one at a time
-        (100, {"i": 3, "j": 4, "k": 30, "l": 5, "m": 3}, (-1, 4, 20, 20 * 31, 20 * 31 * 6)),
+        (100, {"i": 3, "j": 4, "k": 30, "l": 5, "m": 3}, (-5, 1, 20, 20 * 31, 20 * 31 * 6)),
     ],
 )
 @pytest.mark.parametrize(
@@ -354,6 +445,7 @@ def test_output_groups_that_do_not_fold_are_stored_in_boxes(
     lo, hi = desc_d.reach_bounds()
     d = TensorView(desc_d, _values(rng, hi - lo + 3, dtypes[3], 0.0), 1 - lo)
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
+    assert not plan.swap_ab  # G holds B's labels, as the cases describe
     assert not plan.layout_d.folds and len(list(plan.blocks)) > 2
     _check(plan, alpha, a, b, beta, c, d)
     plan = make_plan(spec, a.desc, b.desc, d.desc, d.desc)
