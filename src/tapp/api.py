@@ -71,13 +71,14 @@ class VKVStore:
         self._lock = threading.Lock()
 
     def set(self, key: int, value: bytes) -> None:
-        """Store ``bytes(value)``; a value that ``bytes`` rejects is
-        ERR_DTYPE_MISMATCH."""
+        """Store a copy of a bytes-like ``value``; any other value, such
+        as an int (which ``bytes`` would read as a length), is
+        ERR_DTYPE_MISMATCH before anything is allocated."""
         key = _key(key)
         try:
-            value = bytes(value)
-        except (TypeError, ValueError, OverflowError):
-            raise TappError(ErrorCode.ERR_DTYPE_MISMATCH, "value must be bytes") from None
+            value = bytes(memoryview(value))
+        except (TypeError, ValueError, BufferError):
+            raise TappError(ErrorCode.ERR_DTYPE_MISMATCH, "value must be bytes-like") from None
         with self._lock:
             self._values[key] = value
 

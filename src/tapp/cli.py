@@ -26,7 +26,6 @@ numeric mismatch, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import random
@@ -45,10 +44,12 @@ from .api import (
     tapp_execute_product,
     tapp_get_default_executor,
 )
-from .core import DType, ScalarValue, TensorDesc, TensorView, allocate_buffer
+from .core import (
+    DType, ScalarValue, TensorDesc, TensorView, allocate_buffer, column_major_strides, reach
+)
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec, parse_einsum
-from .oracle import DenseTensor, _diagonal_weights, densify, oracle_contract
+from .oracle import DenseTensor, _addresses, _diagonal_weights, densify, oracle_contract
 
 __all__ = [
     "load_case",
@@ -156,7 +157,7 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad dtype/extents") from None
     strides = raw.get("strides")
     if strides is None:
-        strides = _dense_strides(extents)
+        strides = column_major_strides(extents)
     else:
         try:
             strides = tuple(int(s) for s in strides)
@@ -205,10 +206,10 @@ def parse_case(doc) -> Case:
         d = _parse_tensor(doc["d"], "d", want_data=False)
     except KeyError as missing:
         raise TappError(ErrorCode.ERR_PARSE, f"missing case field {missing}") from None
-    except TypeError:
+    except (TypeError, AttributeError):  # such as a number for a string
         raise TappError(ErrorCode.ERR_PARSE, "malformed case document") from None
     if c is None:
-        strides = _dense_strides(d.extents)
+        strides = column_major_strides(d.extents)
         zeros = np.zeros(_span(d.extents, strides), d.dtype.np_dtype)
         zeros.flags.writeable = False
         c = _TensorEntry(d.dtype, d.extents, strides, 0, zeros)
@@ -224,18 +225,15 @@ def load_case(path: str) -> Case:
     return parse_case(doc)
 
 
-def _dense_strides(extents) -> tuple[int, ...]:
-    """Column-major strides; an extent below 1 counts as 1."""
-    acc, out = 1, []
-    for e in extents:
-        out.append(acc)
-        acc *= max(e, 1)
-    return tuple(out)
-
-
 def _span(extents, strides, base=0) -> int:
     """One past the highest element address a view reaches from ``base``."""
-    return base + 1 + sum(max(0, s * (e - 1)) for e, s in zip(extents, strides))
+    return base + 1 + reach(extents, strides)[1]
+
+
+def _view(entry: _TensorEntry, buffer: np.ndarray | None = None) -> TensorView:
+    """``entry``'s view of ``buffer``, by default of its own data."""
+    desc = TensorDesc(entry.extents, entry.strides, entry.dtype)
+    return TensorView(desc, entry.data if buffer is None else buffer, entry.base)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +292,6 @@ def execute_case(case: Case) -> EngineRun:
 # ---------------------------------------------------------------------------
 # Oracle path
 
-def _output_modes(case: Case):
-    """Extents and summed strides of D's distinct labels, merged on the
-    oracle side so that they stay independent of the engine."""
-    labels = case.spec.labels_d
-    uniq, weights = _diagonal_weights(labels, case.d.strides)
-    return [case.d.extents[labels.index(l)] for l in uniq], weights
-
 
 def _validate_case_contract(case: Case) -> ErrorCode:
     """Re-derive the validity of a case against the operation contract,
@@ -341,20 +332,20 @@ def _validate_case_contract(case: Case) -> ErrorCode:
     in_inputs = set(case.spec.labels_a) | set(case.spec.labels_b)
     if any(lbl not in in_inputs for lbl in case.spec.labels_d):
         return ErrorCode.ERR_UNSUPPORTED
-    # Output addresses must be injective.
-    modes = sorted((abs(s), e) for e, s in zip(*_output_modes(case)) if e > 1)
+    # Output addresses over D's distinct labels must be injective.
+    labels = case.spec.labels_d
+    uniq, weights = _diagonal_weights(labels, case.d.strides)
+    extents = [case.d.extents[labels.index(l)] for l in uniq]
+    modes = sorted((abs(s), e) for e, s in zip(extents, weights) if e > 1)
     if modes and modes[0][0] == 0:
         return ErrorCode.ERR_ALIASING
     while modes and modes[-1][0] > sum(s * (e - 1) for s, e in modes[:-1]):
         modes.pop()
     if math.prod(e for _, e in modes) > ENUMERATION_BUDGET:
         return ErrorCode.ERR_UNSUPPORTED
-    seen_offsets = set()
-    for idx in itertools.product(*[range(e) for _, e in modes]):
-        off = sum(i * s for i, (s, _) in zip(idx, modes))
-        if off in seen_offsets:
-            return ErrorCode.ERR_ALIASING
-        seen_offsets.add(off)
+    offsets = _addresses([e for _, e in modes], [s for s, _ in modes])
+    if len(set(offsets)) != len(offsets):
+        return ErrorCode.ERR_ALIASING
     # Scalars must fit the arithmetic dtype.
     all_real = not any(
         entry.dtype.is_complex for entry in (case.a, case.b, case.c, case.d)
@@ -363,9 +354,8 @@ def _validate_case_contract(case: Case) -> ErrorCode:
         return ErrorCode.ERR_DTYPE_MISMATCH
     # Buffers must cover every addressable element; D's is allocated to fit.
     for entry in (case.a, case.b, case.c, case.d):
-        lo = entry.base + sum(min(0, s * (e - 1)) for e, s in zip(entry.extents, entry.strides))
-        end = _span(entry.extents, entry.strides, entry.base)
-        if lo < 0 or (entry.data is not None and end > len(entry.data)):
+        lo, hi = (entry.base + r for r in reach(entry.extents, entry.strides))
+        if lo < 0 or (entry.data is not None and hi >= len(entry.data)):
             return ErrorCode.ERR_OUT_OF_BOUNDS
     return ErrorCode.OK
 
@@ -382,17 +372,9 @@ def oracle_case(case: Case) -> OracleRun:
     if code is not ErrorCode.OK:
         return OracleRun(code)
     try:
-        views = {
-            name: TensorView(
-                TensorDesc(entry.extents, entry.strides, entry.dtype),
-                entry.data,
-                entry.base,
-            )
-            for name, entry in (("a", case.a), ("b", case.b), ("c", case.c))
-        }
-        dense_a, ua = densify(views["a"], case.spec.labels_a)
-        dense_b, ub = densify(views["b"], case.spec.labels_b)
-        dense_c, uc = densify(views["c"], case.spec.labels_c)
+        dense_a, ua = densify(_view(case.a), case.spec.labels_a)
+        dense_b, ub = densify(_view(case.b), case.spec.labels_b)
+        dense_c, uc = densify(_view(case.c), case.spec.labels_c)
         dense = oracle_contract(
             LabelSpec.of(ua, ub, uc, uc),  # C carries D's labels
             dense_a,
@@ -416,26 +398,20 @@ def default_tolerance(case: Case) -> float:
     return TOLERANCE_32 if any(dt.width == 32 for dt in dtypes) else TOLERANCE_64
 
 
-def _output_values(case: Case, run: EngineRun):
-    """(index, value) of every element of the engine's D, over D's
-    distinct labels with the first fastest: the oracle's dense order."""
-    uext, ustr = _output_modes(case)
-    to_number = complex if case.d.dtype.is_complex else float
-    for idx_r in itertools.product(*[range(e) for e in reversed(uext)]):
-        idx = idx_r[::-1]
-        off = case.d.base + sum(i * s for i, s in zip(idx, ustr))
-        yield idx, to_number(run.d_buffer[off])
+def _output(case: Case, run: EngineRun, layout: _TensorEntry | None = None) -> DenseTensor:
+    """The engine's D over D's distinct labels, the first fastest (the
+    oracle's dense order), read through ``layout``, by default D's own."""
+    return densify(_view(layout or case.d, run.d_buffer), case.spec.labels_d)[0]
 
 
-def _max_rel_err(case: Case, run: EngineRun, expected) -> tuple[float, tuple | None]:
-    """Largest relative error of the engine's D against
-    ``expected(dense position, index)``, and the index where it occurs."""
+def _max_rel_err(got, want) -> tuple[float, int | None]:
+    """Largest relative error of ``got`` against ``want``, position by
+    position, and the position where it occurs."""
     max_rel, worst = 0.0, None
-    for pos, (idx, got) in enumerate(_output_values(case, run)):
-        want = expected(pos, idx)
-        rel = abs(got - want) / max(abs(want), 1.0)
+    for pos, (g, w) in enumerate(zip(got, want)):
+        rel = abs(g - w) / max(abs(w), 1.0)
         if rel > max_rel:
-            max_rel, worst = rel, idx
+            max_rel, worst = rel, pos
     return max_rel, worst
 
 
@@ -472,8 +448,10 @@ def check_case(
             run=run,
         )
     tol = default_tolerance(case) if tolerance is None else tolerance
-    elements = orun.dense.elements
-    max_rel, worst = _max_rel_err(case, run, lambda pos, _: elements[pos] + perturb)
+    got = _output(case, run)
+    max_rel, worst = _max_rel_err(got.elements, [v + perturb for v in orun.dense.elements])
+    if worst is not None:  # the dense position as an index, the first fastest
+        worst = tuple(int(i) for i in np.unravel_index(worst, got.extents, order="F"))
     return CheckResult(
         ErrorCode.OK,
         ErrorCode.OK,
@@ -574,7 +552,7 @@ def _view_layout(rng, extents, signs="pos", parent="none"):
         parent_extents = [e + rng.randint(1, 2) for e in extents]
         offsets = [rng.randint(0, pe - e) for e, pe in zip(extents, parent_extents)]
     extra = [rng.randint(2, 3) for _ in range(rng.randint(1, 2))] if parent == "fewer" else []
-    col = _dense_strides(parent_extents + extra)
+    col = column_major_strides(parent_extents + extra)
     if signs == "neg":
         flips = [True] * n
     elif signs == "mixed":
@@ -654,7 +632,7 @@ def _zero_stride(rng, st: _Structure, dtype: DType) -> dict:
     """Category 21: one mode of A or B gets stride 0."""
     doc = _assemble(rng, st, dtype)
     entry = doc[rng.choice(["a", "b"])]
-    entry["strides"] = list(_dense_strides(entry["extents"]))
+    entry["strides"] = list(column_major_strides(entry["extents"]))
     entry["strides"][rng.randrange(len(entry["strides"]))] = 0
     entry["data"] = _random_values(rng, _span(entry["extents"], entry["strides"]), dtype)
     return doc
@@ -697,7 +675,7 @@ def _alias_d(rng, st: _Structure, dtype: DType) -> dict:
     doc = _assemble(rng, st, dtype)
     extents = doc["d"]["extents"]
     aliased = rng.choice([k for k, e in enumerate(extents) if e >= 2])
-    doc["d"]["strides"] = list(_dense_strides(extents))
+    doc["d"]["strides"] = list(column_major_strides(extents))
     doc["d"]["strides"][aliased] = 0
     return doc
 
@@ -791,16 +769,19 @@ def generate_case(category: int, seed) -> dict:
 # Suite
 
 
-def _swap_operands(case: Case):
-    """Category 3's transform: A and B trade places; D's index is kept."""
+def _swap_operands(case: Case) -> tuple[Case, _TensorEntry]:
+    """Category 3's transform: A and B trade places.  Returns the
+    transformed case and the layout that reads its D in this case's
+    order: D's own."""
     spec = replace(case.spec, labels_a=case.spec.labels_b, labels_b=case.spec.labels_a)
-    return replace(case, spec=spec, a=case.b, b=case.a), lambda idx: idx
+    return replace(case, spec=spec, a=case.b, b=case.a), case.d
 
 
-def _permute_output(case: Case, rng: random.Random):
+def _permute_output(case: Case, rng: random.Random) -> tuple[Case, _TensorEntry]:
     """Category 4's transform: C's and D's modes are permuted (never to
-    the identity when there are two or more), D dense from offset 0;
-    D's index is permuted alike."""
+    the identity when there are two or more), D dense from offset 0.
+    Returns the transformed case and the layout that reads its D in this
+    case's order: D's extents with the inverse-permuted strides."""
     n = len(case.spec.labels_d)
     perm = list(range(n))
     while n >= 2 and perm == list(range(n)):
@@ -810,12 +791,14 @@ def _permute_output(case: Case, rng: random.Random):
         return tuple(values[k] for k in perm)
 
     labels_d, extents = permuted(case.spec.labels_d), permuted(case.d.extents)
+    strides = column_major_strides(extents)
+    inverse = sorted(range(n), key=perm.__getitem__)
     return replace(
         case,
         spec=replace(case.spec, labels_c=labels_d, labels_d=labels_d),
         c=replace(case.c, extents=permuted(case.c.extents), strides=permuted(case.c.strides)),
-        d=replace(case.d, extents=extents, strides=_dense_strides(extents), base=0),
-    ), permuted
+        d=replace(case.d, extents=extents, strides=strides, base=0),
+    ), replace(case.d, strides=tuple(strides[k] for k in inverse), base=0)
 
 
 def _check_instance(doc: dict, category: int, tolerance: float | None) -> CheckResult:
@@ -833,16 +816,16 @@ def _check_instance(doc: dict, category: int, tolerance: float | None) -> CheckR
     if not result.passed:
         return result
 
-    # Metamorphic checks: the engine's D for a transformed case must
-    # match this case's D under an index map, within a tolerance.
+    # Metamorphic checks: the engine's D for a transformed case, read in
+    # this case's order, must match this case's D within a tolerance.
     if category == 3:
         what = "operand swap"
         tol = default_tolerance(case) if tolerance is None else tolerance
-        other, index_map = _swap_operands(case)
+        other, layout = _swap_operands(case)
     elif category == 4 and len(case.spec.labels_d) >= 2:
         what, tol = "output permutation", 0.0
         rng = random.Random(f"{doc.get('seed')}:{category}:perm")
-        other, index_map = _permute_output(case, rng)
+        other, layout = _permute_output(case, rng)
     else:
         return result
     other_run = execute_case(other)
@@ -850,8 +833,9 @@ def _check_instance(doc: dict, category: int, tolerance: float | None) -> CheckR
         result.passed = False
         result.detail = f"{what} failed to execute"
         return result
-    values = dict(_output_values(other, other_run))
-    max_rel, _ = _max_rel_err(case, result.run, lambda _, idx: values[index_map(idx)])
+    max_rel, _ = _max_rel_err(
+        _output(case, result.run).elements, _output(case, other_run, layout).elements
+    )
     if max_rel > tol:
         result.passed = False
         result.detail = f"{what} diverged ({max_rel:.3e})"

@@ -24,9 +24,11 @@ __all__ = [
     "ScalarValue",
     "TensorDesc",
     "TensorView",
+    "column_major_strides",
     "dtype_promote",
     "element_offset",
     "odometer_increment",
+    "reach",
     "validate_view",
 ]
 
@@ -160,6 +162,26 @@ def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
 _INT64_MAX = (1 << 63) - 1
 
 
+def column_major_strides(extents: Sequence[int]) -> tuple[int, ...]:
+    """Dense column-major strides ``s_k = prod(e_l for l < k)``; an extent
+    below 1, which no descriptor accepts, counts as 1."""
+    strides, acc = [], 1
+    for e in extents:
+        strides.append(acc)
+        acc *= max(e, 1)
+    return tuple(strides)
+
+
+def reach(extents: Sequence[int], strides: Sequence[int]) -> tuple[int, int]:
+    """Inclusive (lowest, highest) of ``sum(i_k * s_k)`` over all indices."""
+    lo = hi = 0
+    for e, s in zip(extents, strides):
+        span = s * (e - 1)
+        lo += min(0, span)
+        hi += max(0, span)
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TensorDesc:
     """Logical shape, strided physical layout and dtype of one operand."""
@@ -195,20 +217,11 @@ class TensorDesc:
     def column_major(cls, extents: Sequence[int], dtype: DType) -> "TensorDesc":
         """Dense layout with ``s_k = prod(e_l for l < k)``."""
         extents = _integers(extents, "extents")
-        strides, acc = [], 1
-        for e in extents:
-            strides.append(acc)
-            acc *= e
-        return cls(extents, tuple(strides), dtype)
+        return cls(extents, column_major_strides(extents), dtype)
 
     @cached_property
     def _reach(self) -> tuple[int, int]:
-        lo = hi = 0
-        for e, s in zip(self.extents, self.strides):
-            span = s * (e - 1)
-            lo += min(0, span)
-            hi += max(0, span)
-        return lo, hi
+        return reach(self.extents, self.strides)
 
     def reach_bounds(self, base: int = 0) -> tuple[int, int]:
         """Inclusive (lowest, highest) element offset addressable from ``base``."""

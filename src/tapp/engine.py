@@ -673,6 +673,7 @@ def contract(
 
 _UNIT = np.ones(1, dtype=np.float32)
 _UNIT.flags.writeable = False
+_UNIT_SCALAR = TensorDesc((), (), DType.R32)  # the unit operand of a unary op
 
 
 def make_binary_plan(
@@ -741,9 +742,9 @@ def make_unary_plan(
     desc_out: TensorDesc,
 ) -> ContractionPlan:
     """Plan ``B := alpha*A`` with permutation, diagonal access (repeated
-    labels in A) and reduction (labels dropped in B) as the binary op
-    ``B := alpha*A + 0*B``; labels are checked first, then output-only
-    labels are rejected."""
+    labels in A) and reduction (labels dropped in B) as the contraction
+    ``B := alpha*U A + 0*B`` with a zero-mode unit operand U; labels are
+    checked first, then output-only labels are rejected."""
     labels_a = tuple(labels_a)
     labels_out = tuple(labels_out)
     check_labels(labels_a, labels_out)
@@ -754,7 +755,8 @@ def make_unary_plan(
                 ErrorCode.ERR_UNSUPPORTED,
                 f"output-only label {lbl!r} is not supported",
             )
-    return make_binary_plan(labels_a, desc_a, labels_out, desc_out, labels_out, desc_out)
+    spec = LabelSpec((), labels_a, labels_out, labels_out)
+    return make_plan(spec, _UNIT_SCALAR, desc_a, desc_out, desc_out)
 
 
 def run_unary(

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DType, ScalarValue, TensorView, dtype_promote, round_to, validate_view
+from .core import (
+    DType, ScalarValue, TensorView, column_major_strides, dtype_promote, round_to, validate_view
+)
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec
 
@@ -38,18 +40,10 @@ class DenseTensor:
             )
 
 
-def _colmajor(extents) -> list[int]:
-    """Dense column-major strides: ``s_k = prod(e_l for l < k)``."""
-    strides, acc = [], 1
-    for e in extents:
-        strides.append(acc)
-        acc *= e
-    return strides
-
-
 def _addresses(extents, weights, base: int = 0) -> list[int]:
     """``base + sum(i_k * w_k)`` for every multi-index, the first index
-    fastest; built label by label, one add per address and label."""
+    fastest; built label by label, one add per address and label.  The
+    only walk over strided addresses outside the engine."""
     addresses = [base]
     for e, w in zip(extents, weights):
         addresses = [p + i * w for i in range(e) for p in addresses]
@@ -156,7 +150,7 @@ def oracle_contract(
 
     # Column-major address weights per distinct label and tensor.
     def weight_map(labels, extents):
-        uniq, weights = _diagonal_weights(labels, _colmajor(extents))
+        uniq, weights = _diagonal_weights(labels, column_major_strides(extents))
         return dict(zip(uniq, weights))
 
     ua = weight_map(spec.labels_a, a.extents)

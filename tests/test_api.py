@@ -247,7 +247,7 @@ def test_vkv_keys_that_are_not_non_negative_integers_are_not_found(handle, key):
 def test_vkv_integral_keys_and_bytes_like_values(handle):
     assert tapp_vkv_set(handle, 2.0, bytearray(b"ab")) is ErrorCode.OK
     assert tapp_vkv_get(handle, np.int64(2)) == b"ab"
-    for value in ("str", None, -1, [300], 1.5):
+    for value in ("str", None, -1, [300], 1.5, 10**18, [1, 2]):
         assert tapp_vkv_set(handle, 2, value) is ErrorCode.ERR_DTYPE_MISMATCH
     assert tapp_vkv_get(handle, 2) == b"ab"
 
@@ -260,6 +260,20 @@ def test_error_string_is_total():
     assert "unknown" in tapp_error_string(9999)
     for code in ("x", None, 2.5, [], 1 + 2j):
         assert tapp_error_string(code).startswith("unknown error code")
+
+
+def test_r32_product_with_alpha_beyond_float32_range(handle):
+    # alpha rounds to +inf in the r32 compute dtype, without numpy's
+    # overflow warning (the test configuration turns warnings into errors).
+    info = tapp_create_tensor_info(handle, DType.R32, 1, (2,), (1,))
+    op = tapp_create_contraction(handle, info, "i", info, "i", info, "i", info, "i")
+    a = np.array([1.0, 2.0], np.float32)
+    d = np.zeros(2, np.float32)
+    code = tapp_execute_product(
+        op, tapp_get_default_executor(handle), 1e39, a, a, 0.0, d, d
+    )
+    assert code is ErrorCode.OK
+    assert d.tolist() == [np.inf, np.inf]
 
 
 def test_base_offsets_through_the_api(handle):

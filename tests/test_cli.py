@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -228,6 +229,69 @@ def _edited(doc, changes):
     return doc
 
 
+def _without(doc, *path):
+    """A copy of ``doc`` without the field at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    del target[last]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(_edited(MATMUL_DOC, {"alpha": "x"}), "bad scalar 'x'", id="scalar"),
+        pytest.param(_edited(MATMUL_DOC, {"beta": [1.0, "x"]}), "bad scalar", id="scalar-pair"),
+        pytest.param(
+            _edited(MATMUL_DOC, {"a": {"data": [[1, 2], 2, 3, 4]}}),
+            "bad element [1, 2]",
+            id="pair-in-real-data",
+        ),
+        pytest.param(_edited(MATMUL_DOC, {"a": 5}), "tensor 'a' must be an object", id="tensor"),
+        pytest.param(_without(MATMUL_DOC, "b", "dtype"), "'b': bad dtype/extents", id="no-dtype"),
+        pytest.param(_edited(MATMUL_DOC, {"b": {"extents": 2}}), "bad dtype/", id="extents"),
+        pytest.param(
+            _edited(MATMUL_DOC, {"b": {"extents": ["x", 2]}}), "bad dtype/extents", id="extent"
+        ),
+        pytest.param(_edited(MATMUL_DOC, {"b": {"dtype": "r16"}}), "dtype name 'r16'", id="dtype"),
+        pytest.param(_edited(MATMUL_DOC, {"d": {"strides": ["x"]}}), "bad strides", id="strides"),
+        pytest.param(_edited(MATMUL_DOC, {"d": {"base": -1}}), "'d': bad base", id="base"),
+        pytest.param(_edited(MATMUL_DOC, {"d": {"base": 1.0}}), "'d': bad base", id="float-base"),
+        pytest.param(_without(MATMUL_DOC, "a", "data"), "'a': missing data", id="no-data"),
+        pytest.param([MATMUL_DOC], "case document must be an object", id="document"),
+        pytest.param(_without(MATMUL_DOC, "einsum"), "missing case field 'einsum'", id="no-field"),
+        pytest.param(_edited(MATMUL_DOC, {"einsum": 5}), "malformed case document", id="einsum"),
+        pytest.param(
+            _edited(MATMUL_DOC, {"a": {"dtype": 5}}), "malformed case document", id="dtype-number"
+        ),
+    ],
+)
+def test_run_reports_each_parse_error_as_one_json_line(tmp_path, capsys, doc, message):
+    code = main(["run", _write(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert code == int(ErrorCode.ERR_PARSE)
+    assert out.count("\n") == 1
+    line = json.loads(out)
+    assert line["error"] == int(ErrorCode.ERR_PARSE)
+    assert message in line["message"]
+
+
+def test_run_prints_complex_elements_as_pairs(tmp_path, capsys):
+    doc = {
+        "einsum": "i,i->i",
+        "alpha": 1.0,
+        "beta": 0.0,
+        "a": {"dtype": "c64", "extents": [2], "data": [[1, 2], [0, 1]]},
+        "b": {"dtype": "c64", "extents": [2], "data": [[3, 0], [0, 1]]},
+        "d": {"dtype": "c64", "extents": [2]},
+    }
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == [[3.0, 6.0], [-1.0, 0.0]]
+
+
 @pytest.mark.parametrize(
     "changes, code",
     [
@@ -353,6 +417,30 @@ def test_metamorphic_checks_catch_a_corrupted_transformed_run(
     assert code == 1
     assert len(report["failures"]) == 4
     assert all(f["detail"].startswith(detail) for f in report["failures"])
+
+
+def test_permuted_output_is_read_back_in_the_original_order():
+    # Every permutation of a three-mode D comes up, the two 3-cycles among
+    # them, which differ from their inverses: read through the returned
+    # layout, the transformed run's D equals the original run's exactly.
+    case = parse_case(
+        {
+            "einsum": "ijk,->ijk",
+            "alpha": 1.0,
+            "beta": 0.0,
+            "a": {"dtype": "r64", "extents": [2, 3, 4], "data": list(range(24))},
+            "b": {"dtype": "r64", "extents": [], "data": [1.0]},
+            "d": {"dtype": "r64", "extents": [2, 3, 4]},
+        }
+    )
+    want = cli._output(case, execute_case(case)).elements
+    assert want == tuple(float(v) for v in range(24))
+    seen = set()
+    for seed in range(40):
+        other, layout = cli._permute_output(case, random.Random(seed))
+        seen.add(other.spec.labels_d)
+        assert cli._output(case, execute_case(other), layout).elements == want
+    assert len(seen) == 5
 
 
 def test_suite_via_main(capsys):

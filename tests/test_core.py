@@ -16,6 +16,7 @@ from tapp import (
     odometer_increment,
     validate_view,
 )
+from tapp.core import _F32_OVERFLOW, column_major_strides, reach, round_to
 from tapp.errors import ErrorCode
 
 ALL_DTYPES = list(DType)
@@ -130,6 +131,34 @@ def test_validate_view_dense_column_major(extents):
 def test_column_major_strides():
     desc = TensorDesc.column_major([2, 3, 4], DType.R32)
     assert desc.strides == (1, 2, 6)
+    assert column_major_strides([2, 0, -3, 4]) == (1, 2, 2, 2)  # below 1 counts as 1
+    assert column_major_strides([]) == ()
+
+
+@pytest.mark.parametrize(
+    "extents, strides, expected",
+    [
+        ((), (), (0, 0)),
+        ((2, 3), (1, 2), (0, 5)),
+        ((2, 3), (-1, 2), (-1, 4)),
+        ((4, 1, 3), (0, -7, -5), (-10, 0)),
+    ],
+)
+def test_reach(extents, strides, expected):
+    assert reach(extents, strides) == expected
+    assert TensorDesc(extents, strides, DType.R64).reach_bounds(10) == (
+        10 + expected[0],
+        10 + expected[1],
+    )
+
+
+def test_round_to_beyond_float32_range():
+    f32_max = float(np.finfo(np.float32).max)
+    assert round_to(_F32_OVERFLOW, DType.R32) == math.inf
+    assert round_to(-_F32_OVERFLOW, DType.R32) == -math.inf
+    assert round_to(math.nextafter(_F32_OVERFLOW, 0.0), DType.R32) == f32_max
+    assert round_to(complex(1e39, 1.0), DType.C32) == complex(math.inf, 1.0)
+    assert round_to(complex(1.0, -1e39), DType.C32) == complex(1.0, -math.inf)
 
 
 def test_desc_rejects_bad_shapes():

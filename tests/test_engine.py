@@ -425,6 +425,40 @@ def test_unary_error_precedence(labels, extents, code):
     assert err.value.code is code
 
 
+R64_2x3 = TensorDesc((2, 3), (1, 2), DType.R64)
+
+
+@pytest.mark.parametrize(
+    "labels_a, desc_a, labels_out, desc_out, code",
+    [
+        pytest.param("i$", R64_2x3, "i", TensorDesc((2,), (1,), DType.R64),
+                     ErrorCode.ERR_PARSE, id="bad-label"),
+        pytest.param("ijk", R64_2x3, "ij", R64_2x3, ErrorCode.ERR_EXTENT_MISMATCH,
+                     id="a-label-count"),
+        pytest.param("ij", R64_2x3, "ii", R64_2x3, ErrorCode.ERR_EXTENT_MISMATCH,
+                     id="repeat-extents-in-output"),
+        pytest.param("ij", R64_2x3, "ijk", TensorDesc((2, 3, 2), (1, 2, 6), DType.R64),
+                     ErrorCode.ERR_UNSUPPORTED, id="output-only-label"),
+        pytest.param("ij", R64_2x3, "ji", TensorDesc((2, 2), (1, 2), DType.R64),
+                     ErrorCode.ERR_EXTENT_MISMATCH, id="a-output-extent-conflict"),
+        pytest.param("ij", R64_2x3, "ij", TensorDesc((2, 3), (1, 1), DType.R64),
+                     ErrorCode.ERR_ALIASING, id="aliasing-d"),
+    ],
+)
+def test_unary_plan_faults(labels_a, desc_a, labels_out, desc_out, code):
+    with pytest.raises(TappError) as err:
+        make_unary_plan(labels_a, desc_a, labels_out, desc_out)
+    assert err.value.code is code
+
+
+def test_unary_plan_is_a_contraction_with_a_zero_mode_unit_operand():
+    out = TensorDesc((3, 2), (1, 3), DType.R64)
+    plan = make_unary_plan("ij", R64_2x3, "ji", out)
+    assert plan.spec == LabelSpec((), ("i", "j"), ("j", "i"), ("j", "i"))
+    assert plan.desc_a == TensorDesc((), (), DType.R32)
+    assert (plan.desc_b, plan.desc_c, plan.desc_d) == (R64_2x3, out, out)
+
+
 def _random_view(rng, labels, extents, dtype, negative=False):
     shape = [extents[l] for l in labels]
     data = [rng.uniform(-1, 1) for _ in range(math.prod(shape))]

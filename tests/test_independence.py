@@ -1,0 +1,50 @@
+"""The oracle and the CLI's case contract stay independent of the engine.
+
+Agreement between the engine and the oracle is evidence only while the
+two paths share no code, so this reads the imports of ``oracle.py`` and
+``cli.py`` and pins what each takes from the rest of the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "tapp"
+
+
+def _package_imports(name: str) -> dict[str, set[str]]:
+    """Module name -> names imported from it, for each import of ``tapp``
+    modules in ``name``; ``{"*"}`` for a whole-module import."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    imports: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("tapp"):
+                continue  # the standard library or numpy
+            module = (node.module or "").removeprefix("tapp").lstrip(".")
+            if module:
+                imports.setdefault(module, set()).update(a.name for a in node.names)
+            else:  # from . import engine
+                for alias in node.names:
+                    imports.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("tapp."):
+                    imports.setdefault(alias.name.removeprefix("tapp."), set()).add("*")
+    return imports
+
+
+@pytest.mark.parametrize("name", ["oracle.py", "cli.py"])
+def test_oracle_and_cli_do_not_import_the_engine(name):
+    assert "engine" not in _package_imports(name)
+
+
+def test_oracle_imports_only_core_errors_and_label_spec():
+    imports = _package_imports("oracle.py")
+    assert set(imports) <= {"core", "errors", "labels"}
+    assert imports.get("labels", set()) <= {"LabelSpec"}
+
+
+def test_cli_takes_only_label_spec_and_parse_einsum_from_labels():
+    assert _package_imports("cli.py")["labels"] <= {"LabelSpec", "parse_einsum"}
