@@ -45,7 +45,8 @@ from .api import (
     tapp_get_default_executor,
 )
 from .core import (
-    DType, ScalarValue, TensorDesc, TensorView, allocate_buffer, column_major_strides, reach
+    DType, ScalarValue, TensorDesc, TensorView, allocate_buffer, column_major_strides,
+    integral, reach,
 )
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec, parse_einsum
@@ -147,12 +148,21 @@ class _TensorEntry:
     data: np.ndarray | None  # read-only; None for D
 
 
+def _integers(values) -> tuple[int, ...]:
+    """``values`` as Python ints; ValueError where one is not integral
+    (4.7 or "4"), as the API rejects it."""
+    ints = tuple(map(integral, values))
+    if None in ints:
+        raise ValueError(values)
+    return ints
+
+
 def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
     if not isinstance(raw, dict):
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r} must be an object")
     try:
         dtype = DType.from_name(raw["dtype"])
-        extents = tuple(int(e) for e in raw["extents"])
+        extents = _integers(raw["extents"])
     except (KeyError, TypeError, ValueError):
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad dtype/extents") from None
     strides = raw.get("strides")
@@ -160,7 +170,7 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         strides = column_major_strides(extents)
     else:
         try:
-            strides = tuple(int(s) for s in strides)
+            strides = _integers(strides)
         except (TypeError, ValueError):
             raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad strides") from None
     base = raw.get("base", 0)

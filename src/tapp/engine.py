@@ -33,7 +33,23 @@ default order: putting it innermost would shorten the products' inner
 loops to the batch extent, which needs its own measurement.  A group's
 labels fold into one axis where each stride is the previous one's times
 its extent; otherwise the group keeps one axis per run of labels that
-fold.
+fold.  The plan also holds the trip counts ``(R_a, R_b, K, H, F, G)``,
+F and G in loop order (``ContractionPlan.counts``), and the block shape
+cut from them (``ContractionPlan.box``).
+
+:func:`contract` runs in four stages, each of which can be timed or
+replaced alone:
+
+* *bind* (:func:`_bind`) rounds alpha and beta, checks the four views,
+  D's writability and the overlap of D with A, B and C; it returns the
+  scalars, D's view and whether C is D's identical view;
+* *load* (:func:`_load`) returns A and B in loop order as (K, H, F) and
+  (K, H, G) arrays, summed over their input-only reductions;
+* *sum* (:func:`_sum`), for one block of output cells, returns each
+  cell's ordered sum over K, real or as ``(re, im)`` pairs; it is the
+  only loop over elements;
+* *finish* (:func:`_finish`), for the same block, stores
+  ``alpha * sum + beta * C`` into D with one cast.
 
 Execution views each operand in place, as a numpy array over its buffer
 with byte strides = element strides x the buffer's byte stride; complex
@@ -247,42 +263,36 @@ def _row_adds(cells: int) -> bool:
     return cells >= 256
 
 
-def _cells(*slices: slice) -> int:
-    return math.prod(s.stop - s.start for s in slices)
-
-
-class _Blocks:
-    """The (H, F, G) output cells in blocks of at most ``_CHUNK`` cells:
-    flat index ranges cut from the three trip counts, G filled first,
-    derived as they are iterated, each as its (H, F, G) slices and whether
-    the shape rule calls it wide.  Only a block that is the whole output is
-    kept.  ``step`` is the contracted step that keeps a block's products
+def _box(k: int, *sizes: int) -> tuple[int, int, int, int]:
+    """The block shape ``(step, bh, bf, bg)`` for trip counts K and
+    ``sizes`` = (H, F, G): the whole output where it has at most ``_CHUNK``
+    cells, else flat index ranges of at most ``_CHUNK`` cells, G filled
+    first; ``step`` is the contracted step that keeps a block's products
     within ``_CHUNK``."""
+    box = list(sizes)
+    if math.prod(sizes) > _CHUNK:
+        for i in (2, 1, 0):  # G first
+            box[i] = min(sizes[i], max(1, _CHUNK // math.prod(box[i + 1 :])))
+    return (min(k, max(1, _CHUNK // math.prod(box))), *box)
 
-    def __init__(self, k: int, *sizes: int):
-        self.sizes, self.box = sizes, list(sizes)
-        self.whole = None
-        if math.prod(sizes) <= _CHUNK:
-            self.whole = ((*(slice(0, n) for n in sizes), _row_adds(math.prod(sizes))),)
-        else:
-            for i in (2, 1, 0):  # G first
-                cap = max(1, _CHUNK // math.prod(self.box[i + 1 :]))
-                self.box[i] = min(sizes[i], cap)
-        self.step = min(k, max(1, _CHUNK // math.prod(self.box)))
 
-    def __iter__(self):
-        if self.whole is not None:
-            return iter(self.whole)
-        hs, fs, gs = (
-            [slice(t, min(t + b, n)) for t in range(0, n, b)]
-            for n, b in zip(self.sizes, self.box)
-        )
-        return (
-            (h, f, g, _row_adds(_cells(h, f, g)))
-            for h in hs
-            for f in fs
-            for g in gs
-        )
+def _blocks(counts: tuple[int, ...], box: tuple[int, ...]):
+    """The plan's (H, F, G) output cells in blocks of its ``box``, each as
+    its (H, F, G) slices and whether the shape rule calls it wide."""
+    _, _, _, h, f, g = counts
+    _, bh, bf, bg = box
+    if (bh, bf, bg) == (h, f, g):  # one block, the whole output
+        return ((slice(0, h), slice(0, f), slice(0, g), _row_adds(h * f * g)),)
+    hs, fs, gs = (
+        [slice(t, min(t + b, n)) for t in range(0, n, b)]
+        for n, b in ((h, bh), (f, bf), (g, bg))
+    )
+    return (
+        (x, y, z, _row_adds((x.stop - x.start) * (y.stop - y.start) * (z.stop - z.start)))
+        for x in hs
+        for y in fs
+        for z in gs
+    )
 
 
 @dataclass(frozen=True)
@@ -302,27 +312,14 @@ class ContractionPlan:
     layout_b: _Layout = field(repr=False, compare=False)
     layout_c: _Layout = field(repr=False, compare=False)
     layout_d: _Layout = field(repr=False, compare=False)
-    blocks: _Blocks = field(repr=False, compare=False)  # over (H, F, G)
     # Whether A and B trade places in the loop: False runs F = free_a
     # outside and G = free_b inside; True, where D's fastest label is one
     # of A's free labels, runs F = free_b and G = free_a.
     swap_ab: bool = field(compare=False)
-
-    @property
-    def size_batch(self) -> int:
-        return self.classified.batch.size
-
-    @property
-    def size_free_a(self) -> int:
-        return self.classified.free_a.size
-
-    @property
-    def size_free_b(self) -> int:
-        return self.classified.free_b.size
-
-    @property
-    def size_contracted(self) -> int:
-        return self.classified.contracted.size
+    # The trip counts (R_a, R_b, K, H, F, G), F and G in loop order, and
+    # the block shape (step, bh, bf, bg) over them (see :func:`_box`).
+    counts: tuple[int, ...] = field(compare=False)
+    box: tuple[int, ...] = field(repr=False, compare=False)
 
 
 def _resolve_compute_dtype(requested: DType | None, *operands: DType) -> DType:
@@ -404,6 +401,7 @@ def make_plan(
         layout_c = _layout(desc_c.dtype, *zip((g.extents for g in cells), strides_c))
     a_groups = (cl.reduced_a, cl.contracted, cl.batch, cl.free_a)
     b_groups = (cl.reduced_b, cl.contracted, cl.batch, cl.free_b)
+    counts = tuple(g.size for g in (cl.reduced_a, cl.reduced_b, cl.contracted, *cells))
     return ContractionPlan(
         spec=spec,
         desc_a=desc_a,
@@ -416,8 +414,9 @@ def make_plan(
         layout_b=_layout(desc_b.dtype, *((g.extents, g.strides_b) for g in b_groups)),
         layout_c=layout_c,
         layout_d=layout_d,
-        blocks=_Blocks(cl.contracted.size, cl.batch.size, outer.size, inner.size),
         swap_ab=swap_ab,
+        counts=counts,
+        box=_box(*counts[2:]),
     )
 
 
@@ -561,38 +560,27 @@ def _cmul(
     return out
 
 
-def contract(
-    plan: ContractionPlan,
-    alpha: ScalarValue | int | float | complex,
-    a: TensorView,
-    b: TensorView,
-    beta: ScalarValue | int | float | complex,
-    c: TensorView,
-    d: TensorView,
-) -> StatusRecord:
-    """Run the planned contraction over concrete views.
+def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
+    """The *bind* stage: alpha and beta rounded to the compute dtype, the
+    four view checks, the read-only check on D and the overlap check.
+    Returns ``al, be``, D's view on ``layout_d``'s axes and whether C is
+    D's identical view (an in-place update).
 
-    C and D may be the identical view (in-place update); any other
-    overlap between D and an operand is rejected.  Overlap is decided
-    exactly by ``np.shares_memory`` on the operands' views, or by byte
-    intervals where that needs more than ``_OVERLAP_WORK``.
-    """
-    t0 = time.perf_counter()
+    Any other overlap between D and an operand is ERR_ALIASING.  It is
+    decided exactly by ``np.shares_memory`` on the operands' views, or by
+    byte intervals where that needs more than ``_OVERLAP_WORK``."""
     al = _scalar_for(alpha, plan.compute_dtype, "alpha")
     be = _scalar_for(beta, plan.compute_dtype, "beta")
-
     _check_view(a, plan.desc_a, "A")
     _check_view(b, plan.desc_b, "B")
     _check_view(c, plan.desc_c, "C")
     _check_view(d, plan.desc_d, "D")
     if not d.buffer.flags.writeable:
         raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "D: buffer is read-only")
-    layout_a, layout_b, layout_c, layout_d = (
-        plan.layout_a, plan.layout_b, plan.layout_c, plan.layout_d
-    )
-    dv = _view(d, layout_d)
-    in_place = False  # C is D's identical view
-    for view, layout, name in zip((a, b, c), (layout_a, layout_b, layout_c), "ABC"):
+    dv = _view(d, plan.layout_d)
+    in_place = False
+    layouts = (plan.layout_a, plan.layout_b, plan.layout_c)
+    for view, layout, name in zip((a, b, c), layouts, "ABC"):
         if not np.may_share_memory(view.buffer, d.buffer):
             continue
         if view is c and (c is d or _same_elements(c, d)):
@@ -604,70 +592,114 @@ def contract(
             overlap = True
         if overlap:
             raise TappError(ErrorCode.ERR_ALIASING, f"D overlaps operand {name}")
+    return al, be, dv, in_place
+
+
+def _load(plan: ContractionPlan, a, b, c, in_place: bool, part: np.dtype, cplx: bool):
+    """The *load* stage: A and B in loop order (traded where
+    ``plan.swap_ab``), read whole and summed over their input-only
+    reductions, as (K, H, F) and (K, H, G) arrays.  Returns them and
+    whether their products are complex, in which case both are
+    ``(re, im)`` pairs."""
+    layout_a, layout_b = plan.layout_a, plan.layout_b
     if plan.swap_ab:  # B's free labels run outside (F), A's inside (G)
         a, b, layout_a, layout_b = b, a, layout_b, layout_a
+    # A real reduction is complex from its first rounding on, with
+    # imaginary part +0.0, and a real operand that meets a complex one is
+    # promoted alike.  Complex products are formed in float64, so their
+    # operands are widened to it at once, which is exact, unless a
+    # reduction sums in ``part`` first (widening after it adds a numpy
+    # call, measured slower on tiny ops).
+    reduced = plan.counts[0] > 1 or plan.counts[1] > 1
+    cmul = cplx and (layout_a.pairs or layout_b.pairs or reduced)
+    pairs = (part if reduced else _F64) if cmul else None
+    # An operand that is also C, D's identical view (in-place unary), is
+    # copied, as later blocks read it after the first store.
+    av = _operand(a, layout_a, part, in_place and a is c, pairs)
+    bv = _operand(b, layout_b, part, in_place and b is c, pairs)
+    return av, bv, cmul
 
-    read_ab = al != 0
-    read_c = be != 0
-    cdt = plan.compute_dtype
+
+def _sum(plan: ContractionPlan, av, bv, block, part: np.dtype, cmul: bool, cplx: bool):
+    """The *sum* stage over one block: each cell's products
+    ``A[k, h, f] * B[k, h, g]`` summed over k from left to right, in steps
+    of ``plan.box[0]`` rows.  Returns the sums, real, or as ``(re, im)``
+    pairs where the compute dtype is complex."""
+    hs, fs, gs, wide = block
+    step = plan.box[0]
+    acc = None
+    for k in range(0, plan.counts[2], step):
+        x = av[..., k : k + step, hs, fs, None]
+        y = bv[..., k : k + step, hs, None, gs]
+        # Real products are summed real, also when rounded to complex.
+        acc = _sum_k(_cmul(x, y, part) if cmul else x * y, acc, wide)
+    return _promoted(acc) if cplx and not cmul else acc
+
+
+def _finish(plan: ContractionPlan, out, block, acc, cg, al, be, part: np.dtype, cplx: bool):
+    """The *finish* stage over one block: ``alpha * acc + beta * C``, where
+    ``acc`` is None if alpha is 0 and C's grouped view ``cg`` is None if
+    beta is 0, stored into ``out`` with one cast; a real D drops the
+    imaginary part."""
+    hs, fs, gs, _ = block
+    v = 0.0
+    if acc is not None:
+        v = _cmul(acc, al, part, acc) if cplx else acc * al
+    if cg is not None:
+        cv = cg[..., hs, fs, gs]
+        if not cplx:
+            cv = np.multiply(cv, be, dtype=part)
+        else:
+            cv = _cmul(cv if plan.layout_c.pairs else _promoted(cv), be, part)
+        cv += v  # 0.0 + (re, im) == (0.0 + re, 0.0 + im)
+        v = cv
+    if cplx and not plan.layout_d.pairs and not isinstance(v, float):
+        v = v[0]
+    out[..., hs, fs, gs] = v
+
+
+def contract(
+    plan: ContractionPlan,
+    alpha: ScalarValue | int | float | complex,
+    a: TensorView,
+    b: TensorView,
+    beta: ScalarValue | int | float | complex,
+    c: TensorView,
+    d: TensorView,
+) -> StatusRecord:
+    """Run the planned contraction over concrete views, in four stages:
+    :func:`_bind` checks the views and returns the scalars, D's view and
+    the in-place flag; :func:`_load` returns A and B as (K, H, F) and
+    (K, H, G) arrays; then, for each block of output cells, :func:`_sum`
+    returns each cell's sum over K and :func:`_finish` stores
+    ``alpha * sum + beta * C`` into D.
+
+    C and D may be the identical view (in-place update); any other
+    overlap between D and an operand is rejected.
+    """
+    t0 = time.perf_counter()
+    al, be, dv, in_place = _bind(plan, alpha, a, b, beta, c, d)
+    cdt, layout_d = plan.compute_dtype, plan.layout_d
     part = _F32 if cdt.width == 32 else _F64
     cplx = cdt.is_complex
+    read_ab = al != 0
     with np.errstate(all="ignore"):
-        cmul_ab = False
         if read_ab:
-            # A real reduction is complex from its first rounding on, with
-            # imaginary part +0.0, and a real operand that meets a complex
-            # one is promoted alike.  Complex products are formed in
-            # float64, so their operands are widened to it at once, which
-            # is exact, unless a reduction sums in ``part`` first (widening
-            # after it adds a numpy call, measured slower on tiny ops).
-            reduced = layout_a.grouped[-4] > 1 or layout_b.grouped[-4] > 1
-            cmul_ab = cplx and (layout_a.pairs or layout_b.pairs or reduced)
-            pairs = (part if reduced else _F64) if cmul_ab else None
-            # A and B are read whole before the first store; an operand
-            # that is also C, D's identical view (in-place unary), is copied.
-            av = _operand(a, layout_a, part, in_place and a is c, pairs)  # (K, H, F)
-            bv = _operand(b, layout_b, part, in_place and b is c, pairs)  # (K, H, G)
-        if read_c:
-            call = _grouped(c, layout_c)
+            av, bv, cmul = _load(plan, a, b, c, in_place, part, cplx)
+        cg = _grouped(c, plan.layout_c) if be != 0 else None
         if cplx:
             al, be = (al.real, al.imag), (be.real, be.imag)
-        size_k, step, whole = plan.size_contracted, plan.blocks.step, plan.blocks.whole
         out = dv if layout_d.folds else np.empty(layout_d.grouped, layout_d.dtype)
-        for hs, fs, gs, wide in plan.blocks:
-            v = 0.0
-            if read_ab:
-                acc = None
-                for k in range(0, size_k, step):
-                    x = av[..., k : k + step, hs, fs, None]
-                    y = bv[..., k : k + step, hs, None, gs]
-                    # Real products are summed real, also when rounded to complex.
-                    acc = _sum_k(_cmul(x, y, part) if cmul_ab else x * y, acc, wide)
-                if not cplx:
-                    v = acc * al
-                else:
-                    acc = acc if cmul_ab else _promoted(acc)
-                    v = _cmul(acc, al, part, acc)
-            if read_c:
-                cv = call if whole else call[..., hs, fs, gs]
-                if not cplx:
-                    cv = np.multiply(cv, be, dtype=part)
-                else:
-                    cv = _cmul(cv if layout_c.pairs else _promoted(cv), be, part)
-                cv += v  # 0.0 + (re, im) == (0.0 + re, 0.0 + im)
-                v = cv
-            # One cast on store; a real D drops the imaginary part.
-            if cplx and not layout_d.pairs and not isinstance(v, float):
-                v = v[0]
-            out[..., hs, fs, gs] = v
+        for block in _blocks(plan.counts, plan.box):
+            acc = _sum(plan, av, bv, block, part, cmul, cplx) if read_ab else None
+            _finish(plan, out, block, acc, cg, al, be, part, cplx)
         if out is not dv:
             dv[...] = out.reshape(dv.shape)
-
-    writes = plan.size_batch * plan.size_free_a * plan.size_free_b
+    _, _, k, h, f, g = plan.counts
     return StatusRecord(
         seconds_elapsed=time.perf_counter() - t0,
-        elements_written=writes,
-        multiply_adds=writes * size_k if read_ab else 0,
+        elements_written=h * f * g,
+        multiply_adds=h * f * g * k if read_ab else 0,
     )
 
 

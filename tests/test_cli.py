@@ -257,7 +257,15 @@ def _without(doc, *path):
             _edited(MATMUL_DOC, {"b": {"extents": ["x", 2]}}), "bad dtype/extents", id="extent"
         ),
         pytest.param(_edited(MATMUL_DOC, {"b": {"dtype": "r16"}}), "dtype name 'r16'", id="dtype"),
+        pytest.param(
+            _edited(MATMUL_DOC, {"a": {"extents": [4.7, 3]}}), "'a': bad dtype/extents",
+            id="fractional-extent",
+        ),
         pytest.param(_edited(MATMUL_DOC, {"d": {"strides": ["x"]}}), "bad strides", id="strides"),
+        pytest.param(
+            _edited(MATMUL_DOC, {"b": {"strides": [1, 4.9]}}), "'b': bad strides",
+            id="fractional-stride",
+        ),
         pytest.param(_edited(MATMUL_DOC, {"d": {"base": -1}}), "'d': bad base", id="base"),
         pytest.param(_edited(MATMUL_DOC, {"d": {"base": 1.0}}), "'d': bad base", id="float-base"),
         pytest.param(_without(MATMUL_DOC, "a", "data"), "'a': missing data", id="no-data"),

@@ -110,11 +110,30 @@ def test_plan_loop_sizes():
         TensorDesc.column_major([2, 5], DType.R64),
         TensorDesc.column_major([2, 5], DType.R64),
     )
-    assert plan.size_contracted == 12
-    assert plan.size_free_a == 2
-    assert plan.size_free_b == 5
-    assert plan.size_batch == 1
+    # (R_a, R_b, K, H, F, G): column-major D swaps, so F is B's free group
+    assert plan.counts == (1, 1, 12, 1, 5, 2) and plan.swap_ab
     assert plan.compute_dtype is DType.R64
+
+
+@pytest.mark.parametrize("chunk", [61, 256, 1000, engine._CHUNK])
+def test_blocks_cover_each_output_cell_once_within_the_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for _ in range(60):
+        sizes = [1e7]
+        while math.prod(sizes) > 10**6:  # up to 10^6 cells, log-uniform extents
+            sizes = [round(10 ** rng.uniform(0, 4)) for _ in range(3)]
+        k = round(10 ** rng.uniform(0, 3))
+        box = engine._box(k, *sizes)
+        blocks = list(engine._blocks((1, 1, k, *sizes), box))
+        cover = np.zeros(sizes, np.int32)
+        for h, f, g, wide in blocks:
+            cover[h, f, g] += 1
+            cells = (h.stop - h.start) * (f.stop - f.start) * (g.stop - g.start)
+            assert cells <= chunk and box[0] * cells <= chunk
+            assert wide == engine._row_adds(cells)
+        assert (cover == 1).all(), (k, sizes)
+        assert (len(blocks) == 1) == (math.prod(sizes) <= chunk)
 
 
 def _plan_error(einsum, descs, **kwargs):

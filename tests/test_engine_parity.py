@@ -226,7 +226,7 @@ def test_plan_puts_the_operand_with_ds_fastest_label_innermost():
     # a batch label stays outside
     assert not plan("bij,bjk->bik", {"b": 2, "i": 3, "j": 4, "k": 2}).swap_ab
     swapped = plan("ij,jk->ik", {"i": 3, "j": 4, "k": 2})
-    assert swapped.blocks.sizes == (1, 2, 3)  # (H, F, G): G is A's free group
+    assert swapped.counts[3:] == (1, 2, 3)  # (H, F, G): G is A's free group
     assert swapped.layout_a.grouped == (1, 4, 1, 3)  # A's groups keep their meaning
 
 
@@ -360,8 +360,9 @@ def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rng = random.Random(f"{chunk}{dtype}")
     extents = {"i": 16, "j": 24, "k": 16}
-    blocks = engine._Blocks(24, 1, 16, 16)  # 256-cell blocks, K = 24
-    assert blocks.step < 24 and all(wide for *_, wide in blocks)
+    box = engine._box(24, 1, 16, 16)  # 256-cell blocks, K = 24
+    blocks = engine._blocks((1, 1, 24, 1, 16, 16), box)
+    assert box[0] < 24 and all(wide for *_, wide in blocks)
     for special in (0.0, 0.05):
         _random_product(rng, "ij,jk->ik", extents, [dtype] * 4, special)
 
@@ -405,7 +406,8 @@ def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dty
     a = _view(rng, [91, 91], dtype, 0.05)
     out = _view(rng, [91, 91], dtype, 0.05, output=True)
     plan = make_unary_plan("ij", a.desc, "ji", out.desc)
-    assert [wide for *_, wide in plan.blocks] == [True, False]  # 8192 + 89 cells
+    blocks = engine._blocks(plan.counts, plan.box)
+    assert [wide for *_, wide in blocks] == [True, False]  # 8192 + 89 cells
     u = TensorView(plan.desc_a, np.ones(1, np.float32))
     _check(plan, complex(rng.uniform(0.5, 1.5), 0.25), u, a, 0.0, out, out, in_place=True)
 
@@ -446,7 +448,7 @@ def test_output_groups_that_do_not_fold_are_stored_in_boxes(
     d = TensorView(desc_d, _values(rng, hi - lo + 3, dtypes[3], 0.0), 1 - lo)
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
     assert not plan.swap_ab  # G holds B's labels, as the cases describe
-    assert not plan.layout_d.folds and len(list(plan.blocks)) > 2
+    assert not plan.layout_d.folds and len(list(engine._blocks(plan.counts, plan.box))) > 2
     _check(plan, alpha, a, b, beta, c, d)
     plan = make_plan(spec, a.desc, b.desc, d.desc, d.desc)
     _check(plan, alpha, a, b, beta, d, d, in_place=True)
@@ -461,7 +463,7 @@ def test_in_place_transpose_over_several_blocks_matches_scalar_loop(dtype, strid
     desc = TensorDesc((128, 128), strides, dtype)
     x = TensorView(desc, _values(rng, 128 * 128, dtype, 0.05))
     plan = make_unary_plan("ij", desc, "ji", desc)
-    assert len(list(plan.blocks)) > 1
+    assert len(list(engine._blocks(plan.counts, plan.box))) > 1
     want = _copy(x)
     u = TensorView(plan.desc_a, np.ones(1, np.float32))
     scalar_contract(plan, 1.5, u, _copy(x), 0.0, want, want)
