@@ -46,7 +46,7 @@ from .api import (
 )
 from .core import (
     DType, ScalarValue, TensorDesc, TensorView, allocate_buffer, column_major_strides,
-    integral, reach,
+    integers, reach,
 )
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec, parse_einsum
@@ -148,30 +148,22 @@ class _TensorEntry:
     data: np.ndarray | None  # read-only; None for D
 
 
-def _integers(values) -> tuple[int, ...]:
-    """``values`` as Python ints; ValueError where one is not integral
-    (4.7 or "4"), as the API rejects it."""
-    ints = tuple(map(integral, values))
-    if None in ints:
-        raise ValueError(values)
-    return ints
-
-
 def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
     if not isinstance(raw, dict):
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r} must be an object")
     try:
-        dtype = DType.from_name(raw["dtype"])
-        extents = _integers(raw["extents"])
-    except (KeyError, TypeError, ValueError):
+        dtype_name = raw["dtype"]
+        extents = integers(raw["extents"], "extents")
+    except (KeyError, TappError):
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad dtype/extents") from None
+    dtype = DType.from_name(dtype_name)
     strides = raw.get("strides")
     if strides is None:
         strides = column_major_strides(extents)
     else:
         try:
-            strides = _integers(strides)
-        except (TypeError, ValueError):
+            strides = integers(strides, "strides")
+        except TappError:
             raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad strides") from None
     base = raw.get("base", 0)
     if not isinstance(base, int) or base < 0:

@@ -148,7 +148,7 @@ def integral(value) -> int | None:
     return as_int if as_int == value else None
 
 
-def _integers(values: Sequence[int], what: str) -> tuple[int, ...]:
+def integers(values: Sequence[int], what: str) -> tuple[int, ...]:
     """``values`` as Python ints; a value that is not integral is an error."""
     try:
         ints = tuple(integral(v) for v in values)
@@ -191,8 +191,8 @@ class TensorDesc:
     dtype: DType
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", _integers(self.extents, "extents"))
-        object.__setattr__(self, "strides", _integers(self.strides, "strides"))
+        object.__setattr__(self, "extents", integers(self.extents, "extents"))
+        object.__setattr__(self, "strides", integers(self.strides, "strides"))
         if len(self.extents) != len(self.strides):
             raise TappError(
                 ErrorCode.ERR_EXTENT_MISMATCH,
@@ -216,7 +216,7 @@ class TensorDesc:
     @classmethod
     def column_major(cls, extents: Sequence[int], dtype: DType) -> "TensorDesc":
         """Dense layout with ``s_k = prod(e_l for l < k)``."""
-        extents = _integers(extents, "extents")
+        extents = integers(extents, "extents")
         return cls(extents, column_major_strides(extents), dtype)
 
     @cached_property

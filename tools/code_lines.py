@@ -1,14 +1,13 @@
-"""Count the code lines of a package's modules: physical lines that are not
-blank, not only a comment and not part of a docstring, per file and in
+"""Count the code lines of ``src/tapp``'s modules: physical lines that are
+not blank, not only a comment and not part of a docstring, per file and in
 total.  Run from the repository root::
 
-    python tools/code_lines.py [package_dir]    # default: src/tapp
+    python tools/code_lines.py
 """
 
 import ast
 import io
 import pathlib
-import sys
 import tokenize
 
 _NOT_CODE = {
@@ -29,7 +28,7 @@ def code_lines(source: str) -> int:
 
 if __name__ == "__main__":
     total = 0
-    for path in sorted(pathlib.Path(sys.argv[1] if sys.argv[1:] else "src/tapp").glob("*.py")):
+    for path in sorted(pathlib.Path("src/tapp").glob("*.py")):
         total += (n := code_lines(path.read_text()))
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
