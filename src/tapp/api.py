@@ -319,8 +319,8 @@ def _execute(op, executor, kind: str, status_out, run) -> ErrorCode:
         status = StatusRecord(error=err.code)
     except Exception as err:  # such as MemoryError: a code all the same
         status = StatusRecord(error=_internal(err))
-    status.executor = executor
     if status_out is not None:
+        status.executor = executor
         vars(status_out).update(vars(status))
     return status.error
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,24 +33,23 @@ __all__ = [
 
 
 class DType(Enum):
-    """Element datatype: real or complex, 32- or 64-bit component width."""
+    """Element datatype: real or complex, 32- or 64-bit component width.
 
-    R32 = "r32"
-    R64 = "r64"
-    C32 = "c32"
-    C64 = "c64"
+    ``is_complex``, ``width`` and ``np_dtype`` are plain member attributes,
+    as execution reads them on every call."""
 
-    @property
-    def is_complex(self) -> bool:
-        return self in (DType.C32, DType.C64)
+    R32 = "r32", False, 32, np.float32
+    R64 = "r64", False, 64, np.float64
+    C32 = "c32", True, 32, np.complex64
+    C64 = "c64", True, 64, np.complex128
 
-    @property
-    def width(self) -> int:
-        return 32 if self in (DType.R32, DType.C32) else 64
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        return _NP_DTYPES[self]
+    def __new__(cls, name: str, is_complex: bool, width: int, np_type: type):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.is_complex = is_complex
+        member.width = width
+        member.np_dtype = np.dtype(np_type)
+        return member
 
     @classmethod
     def from_name(cls, name: str) -> "DType":
@@ -61,14 +59,6 @@ class DType(Enum):
             raise TappError(
                 ErrorCode.ERR_PARSE, f"unknown dtype name {name!r}"
             ) from None
-
-
-_NP_DTYPES = {
-    DType.R32: np.dtype(np.float32),
-    DType.R64: np.dtype(np.float64),
-    DType.C32: np.dtype(np.complex64),
-    DType.C64: np.dtype(np.complex128),
-}
 
 
 def dtype_promote(a: DType, b: DType) -> DType:
@@ -93,18 +83,16 @@ def round_to(value: float | complex, dtype: DType) -> float | complex:
     """Round ``value`` to ``dtype``'s precision, dropping an imaginary
     part when the target is real; beyond float32's range a 32-bit part
     becomes an infinity, without numpy's overflow warning."""
-    if isinstance(value, complex) and not dtype.is_complex:
-        value = value.real
-    if dtype is DType.R32:
-        return _to_f32(value)
-    if dtype is DType.C32:
-        if abs(value) < _F32_OVERFLOW:  # both parts
-            return complex(np.complex64(value))
-        value = complex(value)
-        return complex(_to_f32(value.real), _to_f32(value.imag))
-    if dtype is DType.C64:
+    if not dtype.is_complex:
+        if isinstance(value, complex):
+            value = value.real
+        return float(value) if dtype.width == 64 else _to_f32(value)
+    if dtype.width == 64:
         return complex(value)
-    return float(value)
+    if abs(value) < _F32_OVERFLOW:  # both parts
+        return complex(np.complex64(value))
+    value = complex(value)
+    return complex(_to_f32(value.real), _to_f32(value.imag))
 
 
 @dataclass(frozen=True)
@@ -200,9 +188,10 @@ class TensorDesc:
             )
         if any(e < 1 for e in self.extents):
             raise TappError(ErrorCode.ERR_EXTENT_MISMATCH, "extents must be >= 1")
-        lo, hi = self._reach
-        reach = (hi - lo + 1) * self.dtype.np_dtype.itemsize
-        if max(self.size, reach) > _INT64_MAX:
+        lo, hi = reach(self.extents, self.strides)
+        object.__setattr__(self, "_reach", (lo, hi))  # read by every view check
+        span = (hi - lo + 1) * self.dtype.np_dtype.itemsize
+        if max(self.size, span) > _INT64_MAX:
             raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "size or reach exceeds int64")
 
     @property
@@ -219,33 +208,34 @@ class TensorDesc:
         extents = integers(extents, "extents")
         return cls(extents, column_major_strides(extents), dtype)
 
-    @cached_property
-    def _reach(self) -> tuple[int, int]:
-        return reach(self.extents, self.strides)
-
     def reach_bounds(self, base: int = 0) -> tuple[int, int]:
         """Inclusive (lowest, highest) element offset addressable from ``base``."""
         lo, hi = self._reach
         return base + lo, base + hi
 
 
-@dataclass(frozen=True, eq=False)
 class TensorView:
     """A descriptor bound to flat element storage at an element offset.
 
     The buffer is a one-dimensional numpy array whose dtype matches the
-    descriptor; the view grants no synchronization over it.
+    descriptor; the view grants no synchronization over it.  Views compare
+    by identity.  A plain class with slots, as every execute call binds
+    several: a frozen dataclass takes several times longer to build.
     """
 
-    desc: TensorDesc
-    buffer: np.ndarray
-    base: int = 0
+    __slots__ = ("desc", "buffer", "base")
 
-    def __post_init__(self):
-        if self.buffer.ndim != 1:
+    def __init__(self, desc: TensorDesc, buffer: np.ndarray, base: int = 0):
+        if buffer.ndim != 1:
             raise TappError(
                 ErrorCode.ERR_EXTENT_MISMATCH, "tensor storage must be a flat 1-D buffer"
             )
+        self.desc = desc
+        self.buffer = buffer
+        self.base = base
+
+    def __repr__(self) -> str:
+        return f"TensorView(desc={self.desc!r}, buffer={self.buffer!r}, base={self.base!r})"
 
 
 def element_offset(indices: Sequence[int], strides: Sequence[int]) -> int:
@@ -265,12 +255,19 @@ def odometer_increment(indices: list[int], extents: Sequence[int]) -> None:
             return
 
 
+# Read through their class, enum members cost about 0.15 us each in
+# Python 3.11 (its metaclass defines __getattr__); every execute call
+# checks four views.
+_OK, _OUT_OF_BOUNDS = ErrorCode.OK, ErrorCode.ERR_OUT_OF_BOUNDS
+
+
 def validate_view(view: TensorView) -> ErrorCode:
     """Check that every addressable offset lies inside the buffer."""
-    lo, hi = view.desc.reach_bounds(view.base)
-    if lo < 0 or hi >= view.buffer.shape[0]:
-        return ErrorCode.ERR_OUT_OF_BOUNDS
-    return ErrorCode.OK
+    lo, hi = view.desc._reach
+    base = view.base
+    if base + lo < 0 or base + hi >= len(view.buffer):
+        return _OUT_OF_BOUNDS
+    return _OK
 
 
 def allocate_buffer(dtype: DType, length: int) -> np.ndarray:

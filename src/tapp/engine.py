@@ -16,38 +16,45 @@ operation shape, in time and memory that grow with the number of modes,
 not of elements.  It records how each operand's label groups lie in its
 buffer: A's as ``(R_a, K, H, free_a)``, B's as ``(R_b, K, H, free_b)``,
 C's and D's as ``(H, F, G)``, where R is the operand's input-only
-reduction, K the contracted labels in A's order, H the batch labels, and
-G, the innermost cell axis, the free labels of whichever operand holds
-D's fastest label (its smallest |stride| of extent > 1), F the other
-operand's; the first label of a group is fastest.  By default F is A's
-and G is B's; where D's fastest label is one of A's free labels, A and
-B trade places for the loop (``ContractionPlan.swap_ab``), so the
-output cells are walked, and C read and D written, in D's memory order,
-as GETT and TBLIS order their loops.  That changes no bits: every cell
-still sums its products over K in A's label order, each operand's
-reduction in its own label order, and a product ``x*y`` of reals, or
-CPython's complex ``(xr*yr - xi*yi, xr*yi + xi*yr)``, is the same with x
-and y exchanged, as IEEE multiplication and addition commute.  A batch
-label that is D's fastest (a column-major ``bij,bjk->bik``) keeps the
-default order: putting it innermost would shorten the products' inner
-loops to the batch extent, which needs its own measurement.  A group's
-labels fold into one axis where each stride is the previous one's times
-its extent; otherwise the group keeps one axis per run of labels that
-fold.  The plan also holds the trip counts ``(R_a, R_b, K, H, F, G)``,
-F and G in loop order (``ContractionPlan.counts``), and the block shape
-cut from them (``ContractionPlan.box``).
+reduction (no group where it has one element), K the contracted labels
+in A's order, H the batch labels, and G, the innermost cell axis, the
+free labels of whichever operand holds D's fastest label (its smallest
+|stride| of extent > 1), F the other operand's; the first label of a
+group is fastest.  By default F is A's and G is B's; where D's fastest
+label is one of A's free labels, A and B trade places for the loop
+(``ContractionPlan.swap_ab``), so the output cells are walked, and C
+read and D written, in D's memory order, as GETT and TBLIS order their
+loops.  That changes no bits: every cell still sums its products over K
+in A's label order, each operand's reduction in its own label order, and
+a product ``x*y`` of reals, or CPython's complex
+``(xr*yr - xi*yi, xr*yi + xi*yr)``, is the same with x and y exchanged,
+as IEEE multiplication and addition commute.  A batch label that is D's
+fastest (a column-major ``bij,bjk->bik``) keeps the default order:
+putting it innermost would shorten the products' inner loops to the
+batch extent, which needs its own measurement.  A group's labels fold
+into one axis where each stride is the previous one's times its extent;
+otherwise the group keeps one axis per run of labels that fold.  The
+plan also holds the trip counts ``(R_a, R_b, K, H, F, G)``, F and G in
+loop order (``ContractionPlan.counts``), the block shape cut from them
+(``ContractionPlan.box``), and whatever else execution derives from the
+plan alone: the part dtype, how A and B load in loop order, whether one
+block of one contracted step covers the whole output, and, for a binary
+or unary plan, U's loaded form.  An execute call then does only the work
+its buffers need.
 
 :func:`contract` runs in four stages, each of which can be timed or
 replaced alone:
 
 * *bind* (:func:`_bind`) rounds alpha and beta, checks the four views,
   D's writability and the overlap of D with A, B and C; it returns the
-  scalars, D's view and whether C is D's identical view;
+  scalars, the operands' numpy views (each built once, for the overlap
+  check and for *load*) and whether C is D's identical view;
 * *load* (:func:`_load`) returns A and B in loop order as (K, H, F) and
   (K, H, G) arrays, summed over their input-only reductions;
 * *sum* (:func:`_sum`), for one block of output cells, returns each
   cell's ordered sum over K, real or as ``(re, im)`` pairs; it is the
-  only loop over elements;
+  only loop over elements, and an output that fits one block of one
+  step runs it without slicing;
 * *finish* (:func:`_finish`), for the same block, stores
   ``alpha * sum + beta * C`` into D with one cast.
 
@@ -55,29 +62,27 @@ Execution views each operand in place, as a numpy array over its buffer
 with byte strides = element strides x the buffer's byte stride; complex
 elements are viewed as float ``(re, im)`` pairs on a first axis.  A and
 B are read whole before the first store, each as a C-contiguous copy
-unless it is one already or is a stride-0 view such as U (which takes
-no memory); an input whose groups do not fold is copied into the group
-shape.  Input-only reductions are summed in index order.  The output
-cells are then walked in blocks of at most ``_CHUNK`` cells, flat
-``(H, F, G)`` index ranges with G filled first, forming at most
-``_CHUNK`` products ``A[k, h, f] * B[k, h, g]`` at once (with A and B
-exchanged when they trade places) and summing them over k from left to
+unless it is one already or is a stride-0 view (which takes no memory);
+an input whose groups do not fold is copied into the group shape.  U is
+not read at all: the plan holds it loaded, as a stride-0 view of a one
+or a ``(1, +0.0)`` pair.  Input-only reductions are summed in index
+order.  The output cells are then walked in blocks of at most ``_CHUNK``
+cells, flat ``(H, F, G)`` index ranges with G filled first, forming at
+most ``_CHUNK`` products ``A[k, h, f] * B[k, h, g]`` at once (with A and
+B exchanged when they trade places) and summing them over k from left to
 right, ``((p0 + p1) + p2) + ...``: every cell keeps the summation order
 of a scalar loop that runs batch, free-of-A and free-of-B outside and
 the contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C``
 and one cast on store through a writable view of D.  Where D's groups do
 not fold, the blocks fill one C-contiguous array in D's group shape, as
-such a C is read, which is stored through D's view after the last
-block; it takes as much memory as D's elements, also when C is not
-read.
+such a C is read, which is stored through D's view after the last block;
+it takes as much memory as D's elements, also when C is not read.
 
-A sum of rows (K products, or R reduced values, per cell) runs one of two
-ways, chosen by one rule on its shape, :func:`_row_adds`: wide rows, of a
-few hundred cells or more, are added in place one row at a time
-(``acc += p[k]``, one numpy call per row); narrow ones, such as a long dot
-product into one cell, go through ``np.add.accumulate`` (one inner loop
-per cell).  Both ways add the same values in the same order, so they give
-the same bits.
+A sum of rows (K products, or R reduced values, per cell) is one numpy
+call (see :func:`_sum_k`): ``np.add.reduce`` from -0.0 over a C-contiguous
+block of at least two cells a row, which numpy runs row by row, else
+``np.add.accumulate``, such as for a long dot product into one cell.
+Both add the same values in the same order, so they give the same bits.
 
 Arithmetic happens in the plan's compute dtype, each operation rounded to
 it, and the bits are those of the same scalar loop in Python numbers
@@ -106,7 +111,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import NamedTuple, Sequence
 
@@ -119,6 +124,7 @@ from .core import (
     TensorDesc,
     TensorView,
     dtype_promote,
+    _to_f32,
     round_to,
     validate_view,
 )
@@ -143,11 +149,12 @@ __all__ = [
 # The most cells in a block, and products formed at once.  A block's
 # float64 temporaries then take at most 64 KiB each, so they stay in
 # cache.  A complex pair array takes 128 KiB, at glibc's default mmap
-# threshold, so malloc may map it fresh.  Measured with getrusage over 50
-# `steady_large` rounds in one process: a round of 13 calls takes about
-# 128 minor page faults (r64 matmul 16, c32 matmul 48, c64 matmul 12,
-# c64 128x128 unary 52), and 127 with 8,128-cell blocks, whose pairs fit
-# under the threshold: the faults do not come from the block size.
+# threshold.  Measured with getrusage over 200 calls of each
+# `steady_large` op: only the c64 128x128 unary faults, about 128 minor
+# page faults a call.  Its temporaries peak at about 640 KiB (a 256 KiB
+# transposed copy and 128 KiB pair products), and glibc trims the heap
+# top they leave and faults it in again on the next call; with mmap and
+# trim thresholds above that size it makes none.
 _CHUNK = 1 << 13
 
 # The most output addresses enumerated where the sorted-stride test cannot
@@ -251,18 +258,6 @@ def _layout(dtype: DType, *groups) -> _Layout:
     return _Layout(flat, shape, strides, steps, element, pairs, folds, broadcast)
 
 
-def _row_adds(cells: int) -> bool:
-    """The shape rule: a block of rows of ``cells`` cells each is wide,
-    summed by in-place row adds, rather than by ``np.add.accumulate`` on
-    stacked products.
-
-    A row add is one numpy call, about a microsecond, over all cells, where
-    accumulate runs one strided inner loop per cell at about 4-5 ns a sum:
-    row adds win from about 256 cells a row, whatever the number of rows
-    (measured through :func:`contract` for 2 to 64 rows in all dtypes)."""
-    return cells >= 256
-
-
 def _box(k: int, *sizes: int) -> tuple[int, int, int, int]:
     """The block shape ``(step, bh, bf, bg)`` for trip counts K and
     ``sizes`` = (H, F, G): the whole output where it has at most ``_CHUNK``
@@ -278,21 +273,26 @@ def _box(k: int, *sizes: int) -> tuple[int, int, int, int]:
 
 def _blocks(counts: tuple[int, ...], box: tuple[int, ...]):
     """The plan's (H, F, G) output cells in blocks of its ``box``, each as
-    its (H, F, G) slices and whether the shape rule calls it wide."""
+    its (H, F, G) slices."""
     _, _, _, h, f, g = counts
     _, bh, bf, bg = box
-    if (bh, bf, bg) == (h, f, g):  # one block, the whole output
-        return ((slice(0, h), slice(0, f), slice(0, g), _row_adds(h * f * g)),)
     hs, fs, gs = (
         [slice(t, min(t + b, n)) for t in range(0, n, b)]
         for n, b in ((h, bh), (f, bf), (g, bg))
     )
-    return (
-        (x, y, z, _row_adds((x.stop - x.start) * (y.stop - y.start) * (z.stop - z.start)))
-        for x in hs
-        for y in fs
-        for z in gs
-    )
+    return ((x, y, z) for x in hs for y in fs for z in gs)
+
+
+class _Load(NamedTuple):
+    """How *load* reads one of A and B in loop order: from which slot, on
+    which layout, in which dtype, and what it does to the view."""
+
+    slot: int  # 0 for A, 1 for B
+    layout: _Layout
+    dtype: np.dtype  # the loaded elements' (parts') dtype
+    cast: bool  # the view's dtype is not ``dtype``
+    reduced: bool  # the first group is an input-only reduction, summed away
+    pairs: np.dtype | None  # a real operand meeting complex ones: its pairs' dtype
 
 
 @dataclass(frozen=True)
@@ -320,6 +320,19 @@ class ContractionPlan:
     # the block shape (step, bh, bf, bg) over them (see :func:`_box`).
     counts: tuple[int, ...] = field(compare=False)
     box: tuple[int, ...] = field(repr=False, compare=False)
+    # What execution derives from the plan alone: the compute dtype's part
+    # dtype and whether it is complex, whether the products are complex
+    # (formed as ``(re, im)`` pairs), how A and B load in loop order (F's
+    # operand, then G's), and whether the box is the whole output in one
+    # contracted step.
+    part: np.dtype = field(repr=False, compare=False)
+    cplx: bool = field(repr=False, compare=False)
+    cmul: bool = field(repr=False, compare=False)
+    loads: tuple[_Load, _Load] = field(repr=False, compare=False)
+    whole: bool = field(repr=False, compare=False)
+    # The unit operand U's loaded form, where A is U (a binary or unary
+    # plan); contract then reads U from here, not from A's buffer.
+    unit: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _resolve_compute_dtype(requested: DType | None, *operands: DType) -> DType:
@@ -399,9 +412,34 @@ def make_plan(
         merged_c = merge_repeats(spec.labels_c, desc_c)
         strides_c = [tuple(map(merged_c.stride_of, g.labels)) for g in cells]
         layout_c = _layout(desc_c.dtype, *zip((g.extents for g in cells), strides_c))
-    a_groups = (cl.reduced_a, cl.contracted, cl.batch, cl.free_a)
-    b_groups = (cl.reduced_b, cl.contracted, cl.batch, cl.free_b)
     counts = tuple(g.size for g in (cl.reduced_a, cl.reduced_b, cl.contracted, *cells))
+    # An operand's input-only reduction is a group of its own only where
+    # it has more than one element.
+    a_groups = ((cl.reduced_a,) if counts[0] > 1 else ()) + (cl.contracted, cl.batch, cl.free_a)
+    b_groups = ((cl.reduced_b,) if counts[1] > 1 else ()) + (cl.contracted, cl.batch, cl.free_b)
+    layout_a = _layout(desc_a.dtype, *((g.extents, g.strides_a) for g in a_groups))
+    layout_b = _layout(desc_b.dtype, *((g.extents, g.strides_b) for g in b_groups))
+    part = _F32 if cdt.width == 32 else _F64
+    # A real reduction is complex from its first rounding on, with
+    # imaginary part +0.0, and a real operand that meets a complex one is
+    # promoted alike.  Complex products are formed in float64, so their
+    # operands are widened to it at once, which is exact, unless a
+    # reduction sums in ``part`` first (widening after it adds a numpy
+    # call, measured slower on tiny ops).
+    reduced = counts[0] > 1 or counts[1] > 1
+    cmul = cdt.is_complex and (layout_a.pairs or layout_b.pairs or reduced)
+    pairs = (part if reduced else _F64) if cmul else None
+
+    def load(slot: int, layout: _Layout) -> _Load:
+        promote = pairs is not None and not layout.pairs
+        dtype = part if promote or pairs is None else pairs
+        return _Load(
+            slot, layout, dtype, layout.dtype != dtype, counts[slot] > 1,
+            pairs if promote else None,
+        )
+
+    loads = (load(0, layout_a), load(1, layout_b))
+    box = _box(*counts[2:])
     return ContractionPlan(
         spec=spec,
         desc_a=desc_a,
@@ -410,13 +448,18 @@ def make_plan(
         desc_d=desc_d,
         classified=classified,
         compute_dtype=cdt,
-        layout_a=_layout(desc_a.dtype, *((g.extents, g.strides_a) for g in a_groups)),
-        layout_b=_layout(desc_b.dtype, *((g.extents, g.strides_b) for g in b_groups)),
+        layout_a=layout_a,
+        layout_b=layout_b,
         layout_c=layout_c,
         layout_d=layout_d,
         swap_ab=swap_ab,
         counts=counts,
-        box=_box(*counts[2:]),
+        box=box,
+        part=part,
+        cplx=cdt.is_complex,
+        cmul=cmul,
+        loads=loads[::-1] if swap_ab else loads,
+        whole=box == counts[2:],
     )
 
 
@@ -446,13 +489,16 @@ def _check_view(view: TensorView, desc: TensorDesc, name: str) -> None:
             ErrorCode.ERR_OUT_OF_BOUNDS, f"{name}: view layout differs from plan"
         )
     code = validate_view(view)
-    if code is not ErrorCode.OK:
+    if code:  # OK is zero
         raise TappError(code, f"{name}: view escapes its buffer")
 
 
 def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
     """``ScalarValue.of(value).value`` rounded to the compute dtype, without
-    building the ScalarValue."""
+    building the ScalarValue.  A plain float stays a float, also for a
+    complex compute dtype (its imaginary part is +0.0 either way)."""
+    if type(value) is float:
+        return value if compute_dtype.width == 64 else _to_f32(value)
     if isinstance(value, ScalarValue):
         value = value.value
     elif not isinstance(value, complex):
@@ -486,30 +532,22 @@ def _view(view: TensorView, layout: _Layout) -> np.ndarray:
     return as_strided(origin, layout.shape, strides)
 
 
-def _grouped(view: TensorView, layout: _Layout) -> np.ndarray:
-    """The elements of ``view`` in ``layout``'s group shape: a view of its
-    buffer where the groups fold, else one strided copy."""
-    x = _view(view, layout)
-    return x if layout.folds else x.reshape(layout.grouped)
-
-
-def _operand(
-    view: TensorView, layout: _Layout, part: np.dtype, copy: bool, pairs: np.dtype | None
-):
-    """The elements of A or B in ``layout``'s group shape with ``part``
-    precision, summed over their input-only reduction: (K, H, F) or
-    (K, H, G).  Each meets many elements of the other operand, and numpy's
-    loops run several times slower over strided elements, so they are made
-    C-contiguous unless they are already, or are a stride-0 view (which
-    takes no memory); and copied anyway when ``copy``.  With ``pairs`` the
-    operand meets complex ones: it is returned as ``(re, im)`` pairs of
-    that dtype, a real one promoted to ``(x, +0.0)``."""
-    promote = pairs is not None and not layout.pairs
-    load = part if promote or pairs is None else pairs
-    x = _grouped(view, layout)
-    if copy or x.dtype != load or not (layout.broadcast or x.flags.c_contiguous):
-        x = x.astype(load, order="C")
-    return _sum_k(_promoted(x, pairs) if promote else x)
+def _operand(x: np.ndarray, load: _Load, copy: bool) -> np.ndarray:
+    """A or B, viewed as ``x``, in ``load``'s dtype and group shape, summed
+    over its input-only reduction: (K, H, F) or (K, H, G).  Each meets
+    many elements of the other operand, and numpy's loops run several
+    times slower over strided elements, so they are made C-contiguous
+    unless they are already, or are a stride-0 view (which takes no
+    memory); and copied anyway when ``copy``.  A real operand that meets
+    complex ones is returned as ``(x, +0.0)`` pairs."""
+    layout = load.layout
+    if not layout.folds:  # one strided copy into the group shape
+        x = x.reshape(layout.grouped)
+    if copy or load.cast or not (layout.broadcast or x.flags.c_contiguous):
+        x = x.astype(load.dtype, order="C")
+    if load.reduced:
+        x = _sum_k(x)
+    return x if load.pairs is None else _promoted(x, load.pairs)
 
 
 def _promoted(x: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
@@ -520,51 +558,52 @@ def _promoted(x: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     return parts
 
 
-def _sum_k(x: np.ndarray, acc: np.ndarray | None = None, wide: bool | None = None):
+def _sum_k(x: np.ndarray, acc: np.ndarray | None = None):
     """``acc + x[0] + x[1] + ...`` (without ``acc``, from ``x[0]``) along
     the fourth axis from the end (K, or R before a reduction), left to
-    right: by in-place row adds when ``wide`` (by default, when the shape
-    rule calls x's own rows wide), else by accumulate.  ``x`` itself is
-    changed only when ``acc`` is given."""
-    rows = x.shape[-4]
-    if acc is None and rows == 1:
-        return x[..., 0, :, :, :]
-    if wide is None:
-        wide = _row_adds(x.size // rows)
-    if wide:
-        rows = x if x.ndim == 4 else x.swapaxes(0, 1)  # rows before (re, im)
-        if acc is None:
-            acc, rows = rows[0] + rows[1], rows[2:]
-        for row in rows:
-            np.add(acc, row, out=acc)
-        return acc
+    right.  ``x`` itself is changed only when ``acc`` is given.
+
+    One numpy call sums all rows.  ``np.add.reduce`` runs the summed axis
+    outside, in index order, on a C-contiguous ``x`` with at least two
+    cells a row; on one cell, or on other strides, it may make the summed
+    axis the inner loop and sum it pairwise, so those go through
+    ``np.add.accumulate``, which always sums in index order.  The reduce
+    starts from -0.0, the identity of IEEE addition: numpy's own start,
+    +0.0, would turn a sum of -0.0 terms into +0.0."""
     if acc is not None:
         x[..., 0, :, :, :] += acc
-    return np.add.accumulate(x, axis=-4)[..., -1, :, :, :]
+    if x.shape[-4] == 1:
+        return x[..., 0, :, :, :]
+    shape = x.shape
+    if shape[-1] * shape[-2] * shape[-3] > 1 and x.flags.c_contiguous:
+        return np.add.reduce(x, -4, None, None, False, -0.0)
+    return np.add.accumulate(x, -4)[..., -1, :, :, :]
 
 
-def _cmul(
-    x: np.ndarray, y, part: np.dtype, out: np.ndarray | None = None
-) -> np.ndarray:
+def _cmul(x: np.ndarray, y, part: np.dtype) -> np.ndarray:
     """CPython's complex product ``(xr*yr - xi*yi, xr*yi + xi*yr)`` of
-    ``(re, im)`` parts, formed in float64 and rounded to ``part`` once, into
-    ``out`` (which may be ``x``); ``y`` may be a pair of Python floats.  In
-    float64 ``out`` defaults to the first products' array, so that no third
-    temporary is made."""
-    x_yr = np.multiply(x, y[0], dtype=_F64)  # (xr*yr, xi*yr); a float is weak
-    x_yi = np.multiply(x, y[1], dtype=_F64)  # (xr*yi, xi*yi)
-    if out is None:
-        out = x_yr if part is _F64 else np.empty(x_yr.shape, part)
-    np.subtract(x_yr[0], x_yi[1], out=out[0])
-    np.add(x_yi[0], x_yr[1], out=out[1])
-    return out
+    ``(re, im)`` parts, formed in float64 and rounded to ``part`` once;
+    ``y`` may be a pair of Python floats.  Float32 parts are widened first
+    and the parts are combined in the first products' array, as a ufunc
+    that casts its inputs or into its output takes about twice as long."""
+    if x.dtype != _F64:
+        x = x.astype(_F64)
+    if isinstance(y, np.ndarray) and y.dtype != _F64:
+        y = y.astype(_F64)
+    x_yr, x_yi = x * y[0], x * y[1]  # (xr*yr, xi*yr), (xr*yi, xi*yi)
+    re, im = x_yr[0], x_yr[1]
+    np.subtract(re, x_yi[1], re)
+    np.add(x_yi[0], im, im)
+    return x_yr if part is _F64 else x_yr.astype(part)
 
 
 def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     """The *bind* stage: alpha and beta rounded to the compute dtype, the
     four view checks, the read-only check on D and the overlap check.
-    Returns ``al, be``, D's view on ``layout_d``'s axes and whether C is
-    D's identical view (an in-place update).
+    Returns ``al, be``, the numpy views of A, B and C on their layouts'
+    axes (None where execution does not read the operand and the overlap
+    check did not need it), D's view, and whether C is D's identical view
+    (an in-place update).
 
     Any other overlap between D and an operand is ERR_ALIASING.  It is
     decided exactly by ``np.shares_memory`` on the operands' views, or by
@@ -578,75 +617,82 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     if not d.buffer.flags.writeable:
         raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "D: buffer is read-only")
     dv = _view(d, plan.layout_d)
-    in_place = False
     layouts = (plan.layout_a, plan.layout_b, plan.layout_c)
-    for view, layout, name in zip((a, b, c), layouts, "ABC"):
+    views = [
+        _view(a, layouts[0]) if al != 0 and plan.unit is None else None,
+        _view(b, layouts[1]) if al != 0 else None,
+        _view(c, layouts[2]) if be != 0 else None,
+    ]
+    in_place = False
+    for k, (view, name) in enumerate(zip((a, b, c), "ABC")):
         if not np.may_share_memory(view.buffer, d.buffer):
             continue
         if view is c and (c is d or _same_elements(c, d)):
             in_place = True
             continue
+        if views[k] is None:
+            views[k] = _view(view, layouts[k])
         try:
-            overlap = np.shares_memory(_view(view, layout), dv, max_work=_OVERLAP_WORK)
+            overlap = np.shares_memory(views[k], dv, max_work=_OVERLAP_WORK)
         except np.exceptions.TooHardError:  # raised only where byte intervals overlap
             overlap = True
         if overlap:
             raise TappError(ErrorCode.ERR_ALIASING, f"D overlaps operand {name}")
-    return al, be, dv, in_place
+    return al, be, views, dv, in_place
 
 
-def _load(plan: ContractionPlan, a, b, c, in_place: bool, part: np.dtype, cplx: bool):
+def _load(plan: ContractionPlan, views, copies):
     """The *load* stage: A and B in loop order (traded where
     ``plan.swap_ab``), read whole and summed over their input-only
-    reductions, as (K, H, F) and (K, H, G) arrays.  Returns them and
-    whether their products are complex, in which case both are
-    ``(re, im)`` pairs."""
-    layout_a, layout_b = plan.layout_a, plan.layout_b
-    if plan.swap_ab:  # B's free labels run outside (F), A's inside (G)
-        a, b, layout_a, layout_b = b, a, layout_b, layout_a
-    # A real reduction is complex from its first rounding on, with
-    # imaginary part +0.0, and a real operand that meets a complex one is
-    # promoted alike.  Complex products are formed in float64, so their
-    # operands are widened to it at once, which is exact, unless a
-    # reduction sums in ``part`` first (widening after it adds a numpy
-    # call, measured slower on tiny ops).
-    reduced = plan.counts[0] > 1 or plan.counts[1] > 1
-    cmul = cplx and (layout_a.pairs or layout_b.pairs or reduced)
-    pairs = (part if reduced else _F64) if cmul else None
-    # An operand that is also C, D's identical view (in-place unary), is
-    # copied, as later blocks read it after the first store.
-    av = _operand(a, layout_a, part, in_place and a is c, pairs)
-    bv = _operand(b, layout_b, part, in_place and b is c, pairs)
-    return av, bv, cmul
+    reductions, as (K, H, F) and (K, H, G) arrays, both ``(re, im)``
+    pairs where ``plan.cmul``.  ``views`` holds A's and B's numpy views,
+    and ``copies`` whether each is also C, D's identical view (in-place
+    unary): such an operand is copied, as later blocks read it after the
+    first store.  Where A is the unit operand U, it comes loaded with the
+    plan."""
+    f, g = plan.loads
+    unit = plan.unit
+    return (  # a slot of 1 is B's
+        _operand(views[f.slot], f, copies[f.slot]) if unit is None or f.slot else unit,
+        _operand(views[g.slot], g, copies[g.slot]) if unit is None or g.slot else unit,
+    )
 
 
-def _sum(plan: ContractionPlan, av, bv, block, part: np.dtype, cmul: bool, cplx: bool):
+def _sum(plan: ContractionPlan, av, bv, block):
     """The *sum* stage over one block: each cell's products
     ``A[k, h, f] * B[k, h, g]`` summed over k from left to right, in steps
-    of ``plan.box[0]`` rows.  Returns the sums, real, or as ``(re, im)``
-    pairs where the compute dtype is complex."""
-    hs, fs, gs, wide = block
-    step = plan.box[0]
+    of ``plan.box[0]`` rows.  A ``block`` of None is the whole output in
+    one step, which needs no slicing.  Returns the sums, real, or as
+    ``(re, im)`` pairs where the compute dtype is complex."""
+    if block is None:
+        steps = ((av[..., None], bv[..., None, :]),)
+    else:
+        hs, fs, gs = block
+        step = plan.box[0]
+        steps = (
+            (av[..., k : k + step, hs, fs, None], bv[..., k : k + step, hs, None, gs])
+            for k in range(0, plan.counts[2], step)
+        )
+    part, cmul = plan.part, plan.cmul
     acc = None
-    for k in range(0, plan.counts[2], step):
-        x = av[..., k : k + step, hs, fs, None]
-        y = bv[..., k : k + step, hs, None, gs]
+    for x, y in steps:
         # Real products are summed real, also when rounded to complex.
-        acc = _sum_k(_cmul(x, y, part) if cmul else x * y, acc, wide)
-    return _promoted(acc) if cplx and not cmul else acc
+        acc = _sum_k(_cmul(x, y, part) if cmul else x * y, acc)
+    return _promoted(acc) if plan.cplx and not cmul else acc
 
 
-def _finish(plan: ContractionPlan, out, block, acc, cg, al, be, part: np.dtype, cplx: bool):
-    """The *finish* stage over one block: ``alpha * acc + beta * C``, where
-    ``acc`` is None if alpha is 0 and C's grouped view ``cg`` is None if
-    beta is 0, stored into ``out`` with one cast; a real D drops the
-    imaginary part."""
-    hs, fs, gs, _ = block
+def _finish(plan: ContractionPlan, out, block, acc, cg, al, be):
+    """The *finish* stage over one block (None: the whole output):
+    ``alpha * acc + beta * C``, where ``acc`` is None if alpha is 0 and
+    C's grouped view ``cg`` is None if beta is 0, stored into ``out`` with
+    one cast; a real D drops the imaginary part."""
+    cells = ... if block is None else (..., *block)
+    part, cplx = plan.part, plan.cplx
     v = 0.0
     if acc is not None:
-        v = _cmul(acc, al, part, acc) if cplx else acc * al
+        v = _cmul(acc, al, part) if cplx else acc * al
     if cg is not None:
-        cv = cg[..., hs, fs, gs]
+        cv = cg[cells]
         if not cplx:
             cv = np.multiply(cv, be, dtype=part)
         else:
@@ -655,7 +701,7 @@ def _finish(plan: ContractionPlan, out, block, acc, cg, al, be, part: np.dtype, 
         v = cv
     if cplx and not plan.layout_d.pairs and not isinstance(v, float):
         v = v[0]
-    out[..., hs, fs, gs] = v
+    out[cells] = v
 
 
 def contract(
@@ -668,31 +714,31 @@ def contract(
     d: TensorView,
 ) -> StatusRecord:
     """Run the planned contraction over concrete views, in four stages:
-    :func:`_bind` checks the views and returns the scalars, D's view and
-    the in-place flag; :func:`_load` returns A and B as (K, H, F) and
-    (K, H, G) arrays; then, for each block of output cells, :func:`_sum`
-    returns each cell's sum over K and :func:`_finish` stores
+    :func:`_bind` checks the views and returns the scalars, the operands'
+    numpy views and the in-place flag; :func:`_load` returns A and B as
+    (K, H, F) and (K, H, G) arrays; then, for each block of output cells,
+    :func:`_sum` returns each cell's sum over K and :func:`_finish` stores
     ``alpha * sum + beta * C`` into D.
 
     C and D may be the identical view (in-place update); any other
     overlap between D and an operand is rejected.
     """
     t0 = time.perf_counter()
-    al, be, dv, in_place = _bind(plan, alpha, a, b, beta, c, d)
-    cdt, layout_d = plan.compute_dtype, plan.layout_d
-    part = _F32 if cdt.width == 32 else _F64
-    cplx = cdt.is_complex
+    al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d)
+    layout_d = plan.layout_d
     read_ab = al != 0
     with np.errstate(all="ignore"):
         if read_ab:
-            av, bv, cmul = _load(plan, a, b, c, in_place, part, cplx)
-        cg = _grouped(c, plan.layout_c) if be != 0 else None
-        if cplx:
+            av, bv = _load(plan, views, (in_place and a is c, in_place and b is c))
+        cg = None
+        if be != 0:
+            cg = views[2] if plan.layout_c.folds else views[2].reshape(plan.layout_c.grouped)
+        if plan.cplx:
             al, be = (al.real, al.imag), (be.real, be.imag)
         out = dv if layout_d.folds else np.empty(layout_d.grouped, layout_d.dtype)
-        for block in _blocks(plan.counts, plan.box):
-            acc = _sum(plan, av, bv, block, part, cmul, cplx) if read_ab else None
-            _finish(plan, out, block, acc, cg, al, be, part, cplx)
+        for block in (None,) if plan.whole else _blocks(plan.counts, plan.box):
+            acc = _sum(plan, av, bv, block) if read_ab else None
+            _finish(plan, out, block, acc, cg, al, be)
         if out is not dv:
             dv[...] = out.reshape(dv.shape)
     _, _, k, h, f, g = plan.counts
@@ -706,6 +752,22 @@ def contract(
 _UNIT = np.ones(1, dtype=np.float32)
 _UNIT.flags.writeable = False
 _UNIT_SCALAR = TensorDesc((), (), DType.R32)  # the unit operand of a unary op
+
+
+def _with_unit(plan: ContractionPlan) -> ContractionPlan:
+    """``plan``, whose A is the unit operand U, holding U's loaded form:
+    ones in U's loop shape, or ``(1, +0.0)`` pairs where U meets complex
+    values, as a read-only stride-0 view of one value (U never has an
+    input-only reduction, so its load sums nothing)."""
+    load = plan.loads[plan.swap_ab]  # A's: F's operand unless A and B trade
+    shape = load.layout.grouped
+    if load.pairs is None:
+        one, strides = np.ones(1, load.dtype), (0,) * len(shape)
+    else:
+        one, shape = np.array([1.0, 0.0], load.pairs), (2, *shape)
+        strides = (one.itemsize, *(0,) * (len(shape) - 1))
+    unit = as_strided(one, shape, strides, writeable=False)
+    return replace(plan, unit=unit)
 
 
 def make_binary_plan(
@@ -737,7 +799,7 @@ def make_binary_plan(
     )
     labels_u = tuple(labels_out[k] for k in lacking)
     spec = LabelSpec(labels_u, labels_a, labels_out, labels_out)
-    return make_plan(spec, desc_u, desc_a, desc_b, desc_out)
+    return _with_unit(make_plan(spec, desc_u, desc_a, desc_b, desc_out))
 
 
 def run_binary(
@@ -788,7 +850,7 @@ def make_unary_plan(
                 f"output-only label {lbl!r} is not supported",
             )
     spec = LabelSpec((), labels_a, labels_out, labels_out)
-    return make_plan(spec, _UNIT_SCALAR, desc_a, desc_out, desc_out)
+    return _with_unit(make_plan(spec, _UNIT_SCALAR, desc_a, desc_out, desc_out))
 
 
 def run_unary(

@@ -1,9 +1,12 @@
+import os
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import tapp
 from tapp import (
     DType,
     StatusRecord,
@@ -361,6 +364,105 @@ def test_execute_boundary_failures_return_codes_and_leave_d_untouched(handle):
     )
     assert tapp_execute_unary(neg, ex, "x", ones[:2], out) is ErrorCode.ERR_DTYPE_MISMATCH
     assert out.tolist() == [7.0, 7.0]
+
+
+def _bind_faults(slots):
+    """The faults *bind* checks, in its order, each as (slots it sets, the
+    data it passes there, the code it returns); the last slot is the
+    output."""
+    out = slots[-1]
+    faults = []
+    for slot in slots:
+        faults += [
+            ({slot}, {slot: np.full(4, 7.0, np.float32)}, ErrorCode.ERR_DTYPE_MISMATCH),
+            ({slot}, {slot: np.full(3, 7.0)}, ErrorCode.ERR_OUT_OF_BOUNDS),  # short
+            ({slot}, {slot: (np.full(4, 7.0), -1)}, ErrorCode.ERR_OUT_OF_BOUNDS),
+        ]
+    read_only = np.full(4, 7.0)
+    read_only.flags.writeable = False
+    faults.append(({out}, {out: read_only}, ErrorCode.ERR_OUT_OF_BOUNDS))
+    for slot in slots[:-1]:  # the output overlaps an input
+        shared = np.full(6, 7.0)
+        faults.append(({slot, out}, {slot: (shared, 0), out: (shared, 2)}, ErrorCode.ERR_ALIASING))
+    return faults
+
+
+@pytest.mark.parametrize("kind", ["product", "binary", "unary"])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_bind_faults_return_the_first_code_in_check_order(handle, kind, beta):
+    # Every fault alone, and every pair of faults in different slots: the
+    # code is the one bind checks first, and the output stays untouched.
+    ex = tapp_get_default_executor(handle)
+    iv = tapp_create_tensor_info(handle, DType.R64, 1, (4,), (1,))
+    if kind == "product":
+        op, slots = _matmul_setup(handle), "ABCD"
+        run = lambda x: tapp_execute_product(op, ex, 1.5, x["A"], x["B"], beta, x["C"], x["D"])
+    elif kind == "binary":
+        op, slots = tapp_create_binary_op(handle, iv, "i", iv, "i", iv, "i"), "ABC"
+        run = lambda x: tapp_execute_binary(op, ex, 1.5, x["A"], beta, x["B"], x["C"])
+    else:
+        op, slots = tapp_create_unary_op(handle, iv, "i", iv, "i"), "AB"
+        run = lambda x: tapp_execute_unary(op, ex, 1.5, x["A"], x["B"])
+    faults = _bind_faults(slots)
+    cases = [(f,) for f in faults] + [
+        (f, g) for i, f in enumerate(faults) for g in faults[i + 1 :] if not f[0] & g[0]
+    ]
+    for case in cases:
+        data = {slot: np.full(4, 7.0) for slot in slots}
+        for _, values, _ in case:
+            data.update(values)
+        out = data[slots[-1]]
+        assert run(data) is case[0][2], [sorted(f[0]) for f in case]
+        assert ((out[0] if isinstance(out, tuple) else out) == 7.0).all()
+    assert len(cases) > len(faults)
+
+
+def _tapp_calls(run) -> int:
+    """The calls of Python functions defined in tapp's own files that one
+    ``run()`` makes, which must return OK."""
+    root = os.path.dirname(tapp.__file__)
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        code = run()
+    finally:
+        sys.setprofile(None)
+    assert code is ErrorCode.OK
+    return calls
+
+
+@pytest.mark.parametrize(
+    "dtype, alpha, beta, limits",
+    [
+        (DType.R64, 1.5, 0.5, {"product": 34, "binary": 32, "unary": 29}),
+        (DType.C64, 1.5 - 0.5j, 0.5 + 0.25j, {"product": 39, "binary": 37, "unary": 32}),
+    ],
+)
+def test_planned_tiny_executes_make_few_python_calls(handle, dtype, alpha, beta, limits):
+    # The fixed cost of an execute, as a count that does not depend on
+    # the machine: each planned op of four elements makes at most this
+    # many calls into tapp.
+    ex = tapp_get_default_executor(handle)
+    m = tapp_create_tensor_info(handle, dtype, 2, (2, 2))
+    v = tapp_create_tensor_info(handle, dtype, 1, (4,))
+    product = tapp_create_contraction(handle, m, "ij", m, "jk", m, "ik", m, "ik")
+    add = tapp_create_binary_op(handle, m, "ij", m, "ji", m, "ji")
+    scale = tapp_create_unary_op(handle, v, "i", v, "i")
+    a, b, c, d = (np.ones(4, dtype.np_dtype) for _ in range(4))
+    runs = {
+        "product": lambda: tapp_execute_product(product, ex, alpha, a, b, beta, c, d),
+        "binary": lambda: tapp_execute_binary(add, ex, alpha, a, beta, b, d),
+        "unary": lambda: tapp_execute_unary(scale, ex, alpha, a, d),
+    }
+    for kind, run in runs.items():
+        run()  # anything done once per process is done
+        assert _tapp_calls(run) <= limits[kind], kind
 
 
 def test_create_boundary_codes(handle):

@@ -127,11 +127,10 @@ def test_blocks_cover_each_output_cell_once_within_the_chunk(monkeypatch, chunk)
         box = engine._box(k, *sizes)
         blocks = list(engine._blocks((1, 1, k, *sizes), box))
         cover = np.zeros(sizes, np.int32)
-        for h, f, g, wide in blocks:
+        for h, f, g in blocks:
             cover[h, f, g] += 1
             cells = (h.stop - h.start) * (f.stop - f.start) * (g.stop - g.start)
             assert cells <= chunk and box[0] * cells <= chunk
-            assert wide == engine._row_adds(cells)
         assert (cover == 1).all(), (k, sizes)
         assert (len(blocks) == 1) == (math.prod(sizes) <= chunk)
 

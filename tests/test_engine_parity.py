@@ -6,7 +6,9 @@ requires equal bits everywhere, guard elements included.  NaN is compared
 by position only: its sign and payload are not part of the contract.
 """
 
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -190,6 +192,21 @@ def test_random_products_match_scalar_loop_at_every_chunk_size(monkeypatch, chun
         _random_product(rng, einsum, extents, dtypes, rng.choice((0.0, 0.2)))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_random_long_sums_over_few_cells_match_scalar_loop(seed):
+    # Contracted and input-only labels of extent 2 to 12 over output labels
+    # of extent 1 or 2: sums of up to 144 rows over one to eight cells a
+    # row, on both sides of engine._sum_k's split, with stride-0 (broadcast)
+    # inputs, complex pairs, and +-0, inf and NaN in float32 and float64.
+    rng = random.Random(seed)
+    for _ in range(40):
+        einsum, extents = _random_labels(rng)
+        out = set(einsum.split("->")[1])
+        extents = {l: rng.randint(1, 2) if l in out else rng.randint(2, 12) for l in extents}
+        dtypes = [rng.choice(list(DType)) for _ in range(4)]
+        _random_product(rng, einsum, extents, dtypes, rng.choice((0.0, 0.3)))
+
+
 @pytest.mark.parametrize(
     "einsum, extents",
     [
@@ -227,7 +244,9 @@ def test_plan_puts_the_operand_with_ds_fastest_label_innermost():
     assert not plan("bij,bjk->bik", {"b": 2, "i": 3, "j": 4, "k": 2}).swap_ab
     swapped = plan("ij,jk->ik", {"i": 3, "j": 4, "k": 2})
     assert swapped.counts[3:] == (1, 2, 3)  # (H, F, G): G is A's free group
-    assert swapped.layout_a.grouped == (1, 4, 1, 3)  # A's groups keep their meaning
+    # A's groups keep their meaning: (K, H, F), with no R group as A has
+    # no input-only label
+    assert swapped.layout_a.grouped == (4, 1, 3)
 
 
 # Cases where D's first label is A's and fastest, so A and B trade places.
@@ -312,29 +331,52 @@ def test_binary_and_unary_match_scalar_loop(dtype):
                 _check(plan, alpha, u, a, 0.0, out, out, in_place=True)
 
 
-# Blocks of `cells` cells a row on each side of the shape rule: the
-# contracted sum (K rows of H*F*G cells, K = 16, 2 and 1) and an input-only
-# reduction (R = 16 rows of K*H*F cells; a complex row holds twice as
-# many, both parts).
+# Sums of rows of `cells` cells each on both sides of the split in
+# `engine._sum_k`: one cell a row goes through np.add.accumulate, more
+# through np.add.reduce.  The contracted sum has K rows of H*F*G cells
+# (K = 16, 2 and 1), an input-only reduction R = 16 rows of K*H*F cells.
 RULE_SIDES = [
-    ("ij,jk->ik", {"i": 15, "j": 16, "k": 17}, 255, False),
-    ("ij,jk->ik", {"i": 16, "j": 16, "k": 16}, 256, True),
-    ("ij,jk->ik", {"i": 15, "j": 2, "k": 17}, 255, False),
-    ("ij,jk->ik", {"i": 16, "j": 2, "k": 16}, 256, True),
-    ("i,j->ij", {"i": 15, "j": 17}, 255, False),
-    ("i,j->ij", {"i": 16, "j": 16}, 256, True),
-    ("ijr,jk->ik", {"i": 8, "j": 31, "k": 2, "r": 16}, 248, False),
-    ("ijr,jk->ik", {"i": 8, "j": 32, "k": 2, "r": 16}, 256, True),
+    ("ij,jk->ik", {"i": 15, "j": 16, "k": 17}, 255),
+    ("ij,jk->ik", {"i": 16, "j": 16, "k": 16}, 256),
+    ("ij,jk->ik", {"i": 15, "j": 2, "k": 17}, 255),
+    ("ij,jk->ik", {"i": 16, "j": 2, "k": 16}, 256),
+    ("i,j->ij", {"i": 15, "j": 17}, 255),
+    ("i,j->ij", {"i": 16, "j": 16}, 256),
+    ("ijr,jk->ik", {"i": 8, "j": 31, "k": 2, "r": 16}, 248),
+    ("ijr,jk->ik", {"i": 8, "j": 32, "k": 2, "r": 16}, 256),
+    ("i,i->", {"i": 40}, 1),
+    ("ij,jk->ik", {"i": 1, "j": 40, "k": 1}, 1),
+    ("ij,jk->ik", {"i": 2, "j": 40, "k": 1}, 2),
+    ("r,->", {"r": 40}, 1),
+    ("ir,->i", {"i": 2, "r": 40}, 2),
 ]
 
 
-@pytest.mark.parametrize("einsum, extents, cells, wide", RULE_SIDES)
+@pytest.mark.parametrize("einsum, extents, cells", RULE_SIDES)
 @pytest.mark.parametrize("dtype", list(DType))
-def test_both_sides_of_the_shape_rule_match_scalar_loop(einsum, extents, cells, wide, dtype):
-    assert engine._row_adds(cells) is wide
+def test_both_sides_of_the_shape_rule_match_scalar_loop(einsum, extents, cells, dtype):
+    spec = parse_einsum(einsum)
+    summed = "r" if "r" in extents else "".join(set(spec.labels_a) - set(spec.labels_d))
+    rows = spec.labels_a if summed == "r" else spec.labels_d
+    assert math.prod(extents[l] for l in rows if l != summed) == cells
     rng = random.Random(f"{einsum}{extents}{dtype}")
     for special in (0.0, 0.05):
         _random_product(rng, einsum, extents, [dtype] * 4, special)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sums_of_rows_run_in_row_order_on_any_strides(dtype, order):
+    # On a view whose summed axis has the smallest stride, np.add.reduce
+    # sums it pairwise; engine._sum_k must give the bits of a row loop.
+    rng = np.random.default_rng(7)
+    for rows in (2, 3, 8, 33, 100):
+        for cells in (1, 2, 3):
+            for shape in ((rows, 1, 1, cells), (2, rows, 1, 1, cells)):
+                values = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-6, 6, shape)
+                x = np.array(values, dtype, order=order)
+                want = functools.reduce(operator.add, np.moveaxis(x, -4, 0))
+                assert engine._sum_k(x.copy(order=order)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -348,7 +390,6 @@ def test_fused_complex_sum_with_beta_matches_scalar_loop(dtypes):
             _view(rng, [16, 16], dt, special, output=(k == 3)) for k, dt in enumerate(dtypes)
         )
         plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
-        assert engine._row_adds(256)
         beta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
         _check(plan, complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)), a, b, beta, c, d)
         _check(plan, 0.0, a, b, beta, c, d)
@@ -362,7 +403,7 @@ def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
     extents = {"i": 16, "j": 24, "k": 16}
     box = engine._box(24, 1, 16, 16)  # 256-cell blocks, K = 24
     blocks = engine._blocks((1, 1, 24, 1, 16, 16), box)
-    assert box[0] < 24 and all(wide for *_, wide in blocks)
+    assert box[0] < 24 and all(g.stop - g.start > 1 for *_, g in blocks)
     for special in (0.0, 0.05):
         _random_product(rng, "ij,jk->ik", extents, [dtype] * 4, special)
 
@@ -373,7 +414,7 @@ def test_long_narrow_sum_matches_scalar_loop(dtype, specials):
     # 50,000 terms in one cell: accumulate, over several contracted steps.
     rng = random.Random(f"{dtype}{specials}")
     n = 50_000
-    assert n > engine._CHUNK and not engine._row_adds(1)
+    assert n > engine._CHUNK
 
     def values(count):
         data = [rng.choice(specials) if rng.random() < 0.9 else rng.uniform(-2, 2)
@@ -407,7 +448,7 @@ def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dty
     out = _view(rng, [91, 91], dtype, 0.05, output=True)
     plan = make_unary_plan("ij", a.desc, "ji", out.desc)
     blocks = engine._blocks(plan.counts, plan.box)
-    assert [wide for *_, wide in blocks] == [True, False]  # 8192 + 89 cells
+    assert [(g.stop - g.start) * (f.stop - f.start) for _, f, g in blocks] == [8192, 89]
     u = TensorView(plan.desc_a, np.ones(1, np.float32))
     _check(plan, complex(rng.uniform(0.5, 1.5), 0.25), u, a, 0.0, out, out, in_place=True)
 
@@ -482,7 +523,7 @@ def test_wide_reduction_of_a_contiguous_operand_matches_scalar_loop(dtype):
         _view(rng, shape, dtype, 0.05, output=True) for shape in ([32, 2], [8, 2], [8, 2])
     )
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
-    assert plan.layout_a.folds and engine._row_adds(8 * 32)
+    assert plan.layout_a.folds
     _check(plan, 1.5, a, b, 0.5, c, d)
 
 
