@@ -8,7 +8,6 @@ object layer, an independent brute-force oracle, and a conformance CLI.
 
 from .core import (
     DType,
-    ScalarValue,
     TensorDesc,
     TensorView,
     dtype_promote,

@@ -45,8 +45,7 @@ from .api import (
     tapp_get_default_executor,
 )
 from .core import (
-    DType, ScalarValue, TensorDesc, TensorView, allocate_buffer, column_major_strides,
-    integers, reach,
+    DType, TensorDesc, TensorView, column_major_strides, integers, reach,
 )
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec, parse_einsum
@@ -117,16 +116,22 @@ CATEGORY_TITLES = {
 # Case parsing
 
 
+def _is_number(raw) -> bool:
+    """Whether ``raw`` is a JSON number: an int or a float, not ``true`` or
+    ``false`` (a bool is an int)."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _parse_number(raw, what: str, pair_ok: bool = True) -> float | complex:
     """A JSON number as a float, or (where ``pair_ok``) a ``[re, im]``
     pair of numbers as a complex."""
-    if isinstance(raw, (int, float)):
+    if _is_number(raw):
         return float(raw)
     if (
         pair_ok
         and isinstance(raw, (list, tuple))
         and len(raw) == 2
-        and all(isinstance(x, (int, float)) for x in raw)
+        and all(_is_number(x) for x in raw)
     ):
         return complex(raw[0], raw[1])
     raise TappError(ErrorCode.ERR_PARSE, f"bad {what} {raw!r}")
@@ -166,7 +171,7 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         except TappError:
             raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad strides") from None
     base = raw.get("base", 0)
-    if not isinstance(base, int) or base < 0:
+    if isinstance(base, bool) or not isinstance(base, int) or base < 0:
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad base")
     data = None
     if want_data:
@@ -186,8 +191,8 @@ class Case:
     dense layout."""
 
     spec: LabelSpec
-    alpha: ScalarValue
-    beta: ScalarValue
+    alpha: float | complex  # complex only with a nonzero imaginary part
+    beta: float | complex
     a: _TensorEntry
     b: _TensorEntry
     c: _TensorEntry
@@ -199,9 +204,9 @@ def parse_case(doc) -> Case:
         raise TappError(ErrorCode.ERR_PARSE, "case document must be an object")
     try:
         spec = parse_einsum(doc["einsum"])
-        # A pair with a zero imaginary part is the real scalar R64.
-        alpha = ScalarValue.of(_parse_number(doc["alpha"], "scalar"))
-        beta = ScalarValue.of(_parse_number(doc["beta"], "scalar"))
+        # A pair with a zero imaginary part is the real scalar.
+        alpha, beta = (_parse_number(doc[k], "scalar") for k in ("alpha", "beta"))
+        alpha, beta = (x.real if x.imag == 0 else x for x in (alpha, beta))
         a = _parse_tensor(doc["a"], "a", want_data=True)
         b = _parse_tensor(doc["b"], "b", want_data=True)
         c = _parse_tensor(doc["c"], "c", want_data=True) if "c" in doc else None
@@ -269,8 +274,8 @@ def execute_case(case: Case) -> EngineRun:
         op = tapp_create_contraction(handle, *operands)
         if isinstance(op, ErrorCode):
             return EngineRun(op)
-        d_buffer = allocate_buffer(
-            case.d.dtype, _span(case.d.extents, case.d.strides, case.d.base)
+        d_buffer = np.zeros(
+            _span(case.d.extents, case.d.strides, case.d.base), case.d.dtype.np_dtype
         )
         status = StatusRecord()
         code = tapp_execute_product(
@@ -352,7 +357,7 @@ def _validate_case_contract(case: Case) -> ErrorCode:
     all_real = not any(
         entry.dtype.is_complex for entry in (case.a, case.b, case.c, case.d)
     )
-    if all_real and (case.alpha.im != 0 or case.beta.im != 0):
+    if all_real and (isinstance(case.alpha, complex) or isinstance(case.beta, complex)):
         return ErrorCode.ERR_DTYPE_MISMATCH
     # Buffers must cover every addressable element; D's is allocated to fit.
     for entry in (case.a, case.b, case.c, case.d):

@@ -1,10 +1,11 @@
-"""Foundational value types: datatypes, scalars, descriptors, views.
+"""Foundational value types: datatypes, descriptors, views.
 
 Tensors are described by a logical shape (``extents``), a physical
 strided layout (``strides``, in element units, possibly negative or
 zero) and an element datatype.  The memory location of element
 ``(i_1, ..., i_n)`` is ``base + sum(i_k * s_k)``.  A tensor with zero
-modes is a scalar occupying exactly the element at ``base``.
+modes is a scalar occupying exactly the element at ``base``.  Alpha and
+beta are plain Python numbers; the engine's bind stage coerces them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import ErrorCode, TappError
 
 __all__ = [
     "DType",
-    "ScalarValue",
     "TensorDesc",
     "TensorView",
     "column_major_strides",
@@ -93,37 +93,6 @@ def round_to(value: float | complex, dtype: DType) -> float | complex:
         return complex(np.complex64(value))
     value = complex(value)
     return complex(_to_f32(value.real), _to_f32(value.imag))
-
-
-@dataclass(frozen=True)
-class ScalarValue:
-    """A dtype-tagged scalar; ``im`` must be zero for real dtypes."""
-
-    dtype: DType
-    re: float
-    im: float = 0.0
-
-    def __post_init__(self):
-        if not self.dtype.is_complex and self.im != 0.0:
-            raise TappError(
-                ErrorCode.ERR_DTYPE_MISMATCH,
-                "real scalar carries a nonzero imaginary part",
-            )
-
-    @classmethod
-    def of(cls, value: "ScalarValue | int | float | complex") -> "ScalarValue":
-        """Coerce a Python number to a 64-bit scalar; pass through as-is."""
-        if isinstance(value, ScalarValue):
-            return value
-        if isinstance(value, complex):
-            if value.imag != 0.0:
-                return cls(DType.C64, value.real, value.imag)
-            return cls(DType.R64, value.real)
-        return cls(DType.R64, float(value))
-
-    @property
-    def value(self) -> float | complex:
-        return complex(self.re, self.im) if self.dtype.is_complex else self.re
 
 
 def integral(value) -> int | None:
@@ -208,11 +177,6 @@ class TensorDesc:
         extents = integers(extents, "extents")
         return cls(extents, column_major_strides(extents), dtype)
 
-    def reach_bounds(self, base: int = 0) -> tuple[int, int]:
-        """Inclusive (lowest, highest) element offset addressable from ``base``."""
-        lo, hi = self._reach
-        return base + lo, base + hi
-
 
 class TensorView:
     """A descriptor bound to flat element storage at an element offset.
@@ -268,8 +232,3 @@ def validate_view(view: TensorView) -> ErrorCode:
     if base + lo < 0 or base + hi >= len(view.buffer):
         return _OUT_OF_BOUNDS
     return _OK
-
-
-def allocate_buffer(dtype: DType, length: int) -> np.ndarray:
-    """Zero-filled flat storage for ``length`` elements of ``dtype``."""
-    return np.zeros(max(length, 0), dtype=dtype.np_dtype)

@@ -45,8 +45,9 @@ its buffers need.
 :func:`contract` runs in four stages, each of which can be timed or
 replaced alone:
 
-* *bind* (:func:`_bind`) rounds alpha and beta, checks the four views,
-  D's writability and the overlap of D with A, B and C; it returns the
+* *bind* (:func:`_bind`) rounds alpha and beta, plain numbers whose one
+  rule :func:`_scalar_for` states, checks the four views, D's
+  writability and the overlap of D with A, B and C; it returns the
   scalars, the operands' numpy views (each built once, for the overlap
   check and for *load*) and whether C is D's identical view;
 * *load* (:func:`_load`) returns A and B in loop order as (K, H, F) and
@@ -113,6 +114,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from numbers import Number
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -120,7 +122,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     DType,
-    ScalarValue,
     TensorDesc,
     TensorView,
     dtype_promote,
@@ -494,23 +495,33 @@ def _check_view(view: TensorView, desc: TensorDesc, name: str) -> None:
 
 
 def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
-    """``ScalarValue.of(value).value`` rounded to the compute dtype, without
-    building the ScalarValue.  A plain float stays a float, also for a
-    complex compute dtype (its imaginary part is +0.0 either way)."""
+    """``value``, alpha or beta, rounded to the compute dtype.  This is the
+    library's one scalar rule:
+
+    * a ``numbers.Number`` is a scalar: a Python int, float, complex or
+      bool, or a numpy integer, floating or complex scalar;
+    * a complex number whose imaginary part is zero is real;
+    * a nonzero imaginary part where all operands are real is
+      ERR_DTYPE_MISMATCH;
+    * anything else is ERR_DTYPE_MISMATCH: ``"1.5"``, None, ``[1.0]``, a
+      0-d array (and numpy's bool, which is not a ``numbers.Number``).
+
+    A plain float stays a float, also for a complex compute dtype (its
+    imaginary part is +0.0 either way)."""
     if type(value) is float:
         return value if compute_dtype.width == 64 else _to_f32(value)
-    if isinstance(value, ScalarValue):
-        value = value.value
-    elif not isinstance(value, complex):
-        try:
-            value = float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise TappError(
-                ErrorCode.ERR_DTYPE_MISMATCH, f"{name} is not a number"
-            ) from None
-    elif value.imag == 0.0:
+    # complex first: a Python complex skips the ABC's Python-level check.
+    if not isinstance(value, (complex, Number)):
+        raise TappError(ErrorCode.ERR_DTYPE_MISMATCH, f"{name} is not a number")
+    try:
+        value = complex(value)
+    except (TypeError, ValueError, OverflowError):  # such as an int beyond float's range
+        raise TappError(
+            ErrorCode.ERR_DTYPE_MISMATCH, f"{name} does not convert to a complex number"
+        ) from None
+    if value.imag == 0.0:
         value = value.real
-    if not compute_dtype.is_complex and isinstance(value, complex) and value.imag != 0:
+    elif not compute_dtype.is_complex:
         raise TappError(
             ErrorCode.ERR_DTYPE_MISMATCH,
             f"{name} has a nonzero imaginary part but all operands are real",
@@ -706,10 +717,10 @@ def _finish(plan: ContractionPlan, out, block, acc, cg, al, be):
 
 def contract(
     plan: ContractionPlan,
-    alpha: ScalarValue | int | float | complex,
+    alpha: int | float | complex,
     a: TensorView,
     b: TensorView,
-    beta: ScalarValue | int | float | complex,
+    beta: int | float | complex,
     c: TensorView,
     d: TensorView,
 ) -> StatusRecord:
@@ -804,9 +815,9 @@ def make_binary_plan(
 
 def run_binary(
     plan: ContractionPlan,
-    alpha: ScalarValue | int | float | complex,
+    alpha: int | float | complex,
     a: TensorView,
-    beta: ScalarValue | int | float | complex,
+    beta: int | float | complex,
     b: TensorView,
     out: TensorView,
 ) -> StatusRecord:
@@ -855,7 +866,7 @@ def make_unary_plan(
 
 def run_unary(
     plan: ContractionPlan,
-    alpha: ScalarValue | int | float | complex,
+    alpha: int | float | complex,
     a: TensorView,
     out: TensorView,
 ) -> StatusRecord:

@@ -181,17 +181,6 @@ class ClassifiedLabels:
     reduced_b: LabelGroup
     broadcast_out: LabelGroup
 
-    def groups(self) -> dict[str, LabelGroup]:
-        return {
-            "contracted": self.contracted,
-            "free_a": self.free_a,
-            "free_b": self.free_b,
-            "batch": self.batch,
-            "reduced_a": self.reduced_a,
-            "reduced_b": self.reduced_b,
-            "broadcast_out": self.broadcast_out,
-        }
-
 
 def classify(
     merged_a: MergedTensorLabels,

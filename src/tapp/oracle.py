@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    DType, ScalarValue, TensorView, column_major_strides, dtype_promote, round_to, validate_view
+    DType, TensorView, column_major_strides, dtype_promote, round_to, validate_view
 )
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec
@@ -109,18 +109,16 @@ def oracle_contract(
     a: DenseTensor,
     b: DenseTensor,
     c: DenseTensor,
-    alpha: ScalarValue | int | float | complex,
-    beta: ScalarValue | int | float | complex,
+    alpha: int | float | complex,
+    beta: int | float | complex,
     out_dtype: DType | None = None,
 ) -> DenseTensor:
     """Evaluate ``alpha * A B + beta * C`` over dense operands.
 
-    Handles every label class, including output-only labels.  When
-    ``alpha`` (``beta``) is exactly zero the inputs (C) are never read.
+    Handles every label class, including output-only labels.  ``alpha``
+    and ``beta`` are Python numbers, used as given.  When ``alpha``
+    (``beta``) is exactly zero the inputs (C) are never read.
     """
-    al = ScalarValue.of(alpha).value
-    be = ScalarValue.of(beta).value
-
     extent_of: dict[str, int] = {}
     for labels, dense, what in (
         (spec.labels_a, a, "A"),
@@ -163,7 +161,7 @@ def oracle_contract(
             ordered.append(lbl)
 
     terms: list[list] = [[] for _ in range(out_size)]
-    if al != 0:
+    if alpha != 0:
         abuf, bbuf = a.elements, b.elements
         steps = [
             (extent_of[l], ua.get(l, 0), ub.get(l, 0), ud.get(l, 0)) for l in ordered
@@ -181,8 +179,8 @@ def oracle_contract(
 
     out = []
     for i in range(out_size):
-        v = al * _exact_sum(terms[i]) if al != 0 else 0.0
-        if be != 0:
-            v = v + be * c.elements[i]
+        v = alpha * _exact_sum(terms[i]) if alpha != 0 else 0.0
+        if beta != 0:
+            v = v + beta * c.elements[i]
         out.append(round_to(v, out_dtype))
     return DenseTensor(out_extents, tuple(out), out_dtype)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from tapp import DType, ScalarValue, TensorView
+from tapp import DType, TensorView
 from tapp.core import round_to
 from tapp.labels import merge_repeats
 
@@ -82,14 +82,21 @@ def _reduced(view, k, offsets, batch, free, contracted, rnd):
     return reduced
 
 
+def _number(x) -> float | complex:
+    """The Python number ``x`` as a float, or as a complex where its
+    imaginary part is not zero."""
+    x = complex(x)
+    return x.real if x.imag == 0 else x
+
+
 def scalar_contract(
     plan, alpha, a: TensorView, b: TensorView, beta, c: TensorView, d: TensorView
 ) -> None:
     """Write ``alpha * A B + beta * C`` into D cell by cell; the views must
     already satisfy ``tapp.engine.contract``'s checks."""
     cdt = plan.compute_dtype
-    al = round_to(ScalarValue.of(alpha).value, cdt)
-    be = round_to(ScalarValue.of(beta).value, cdt)
+    al = round_to(_number(alpha), cdt)
+    be = round_to(_number(beta), cdt)
     rnd = compute_rounder(cdt)
     t_batch, t_fa, t_fb, t_con, t_red_a, t_red_b = _tables(plan)
     t_p_rest = t_con[1:]

@@ -334,9 +334,9 @@ def test_execute_boundary_failures_return_codes_and_leave_d_untouched(handle):
     ones, zeros = np.ones(4), np.zeros(4)
     d = np.full(4, 7.0)
 
-    def product(alpha=1.0, a=ones, beta=0.0, out=d):
+    def product(a=ones, out=d):
         status = StatusRecord()
-        code = tapp_execute_product(op, ex, alpha, a, ones, beta, zeros, out, status)
+        code = tapp_execute_product(op, ex, 1.0, a, ones, 0.0, zeros, out, status)
         assert status.error is code
         return code
 
@@ -346,24 +346,57 @@ def test_execute_boundary_failures_return_codes_and_leave_d_untouched(handle):
     flat_2d = np.full((2, 2), 7.0)
     assert product(out=flat_2d) is ErrorCode.ERR_EXTENT_MISMATCH
     assert product(a=np.ones((2, 2))) is ErrorCode.ERR_EXTENT_MISMATCH
-    for bad in ("x", None, [1.0]):
-        assert product(alpha=bad) is ErrorCode.ERR_DTYPE_MISMATCH
-        assert product(beta=bad) is ErrorCode.ERR_DTYPE_MISMATCH
     assert d.tolist() == read_only.tolist() == [7.0] * 4
     assert flat_2d.tolist() == [[7.0, 7.0], [7.0, 7.0]]
 
-    iv = tapp_create_tensor_info(handle, DType.R64, 1, (2,), (1,))
-    add = tapp_create_binary_op(handle, iv, "i", iv, "i", iv, "i")
-    neg = tapp_create_unary_op(handle, iv, "i", iv, "i")
-    out = np.full(2, 7.0)
-    assert tapp_execute_binary(add, ex, None, ones[:2], 1.0, ones[:2], out) is (
-        ErrorCode.ERR_DTYPE_MISMATCH
+
+@pytest.mark.parametrize("kind", ["product", "binary", "unary"])
+@pytest.mark.parametrize("dtype", [DType.R64, DType.C64])
+def test_scalars_follow_one_rule(handle, dtype, kind):
+    # A numbers.Number is a scalar, and acts as the equal Python number; a
+    # complex one with a zero imaginary part is real.  Anything else, and
+    # a nonzero imaginary part where all operands are real, is
+    # ERR_DTYPE_MISMATCH with D untouched.
+    ex = tapp_get_default_executor(handle)
+    m = tapp_create_tensor_info(handle, dtype, 2, (2, 2))
+    x = np.arange(1, 5) / 7
+    a, b, c = (
+        (y + 1j * y[::-1] if dtype.is_complex else y).astype(dtype.np_dtype)
+        for y in (x, x[::-1], x * 3)
     )
-    assert tapp_execute_binary(add, ex, 1.0, ones[:2], "x", ones[:2], out) is (
-        ErrorCode.ERR_DTYPE_MISMATCH
-    )
-    assert tapp_execute_unary(neg, ex, "x", ones[:2], out) is ErrorCode.ERR_DTYPE_MISMATCH
-    assert out.tolist() == [7.0, 7.0]
+    if kind == "product":
+        op = tapp_create_contraction(handle, m, "ij", m, "jk", m, "ik", m, "ik")
+        call = lambda al, be, d, st: tapp_execute_product(op, ex, al, a, b, be, c, d, st)
+    elif kind == "binary":
+        op = tapp_create_binary_op(handle, m, "ij", m, "ji", m, "ji")
+        call = lambda al, be, d, st: tapp_execute_binary(op, ex, al, a, be, b, d, st)
+    else:
+        op = tapp_create_unary_op(handle, m, "ij", m, "ji")
+        call = lambda al, be, d, st: tapp_execute_unary(op, ex, al, a, d, st)
+
+    def run(alpha, beta=0.5):
+        d, status = np.full(4, 7.0, dtype.np_dtype), StatusRecord()
+        code = call(alpha, beta, d, status)
+        assert status.error is code
+        return code, d.tobytes()
+
+    untouched = np.full(4, 7.0, dtype.np_dtype).tobytes()
+    z = complex(0.75, 0.5) if dtype.is_complex else 0.75  # np.complex64 holds it exactly
+    equal = [  # a scalar, and the Python number it acts as
+        (2, 2.0), (True, 1.0), (1.5 + 0j, 1.5), (complex(z), z), (np.float32(1.5), 1.5),
+        (np.float64(1.5), 1.5), (np.int64(2), 2.0), (np.complex64(z), z), (np.complex128(z), z),
+    ]
+    bad = ["1.5", "x", None, [1.0], np.array(2.0), np.bool_(True)]
+    if not dtype.is_complex:
+        bad += [1 + 2j, np.complex64(1 + 2j), np.complex128(1 + 2j)]
+    for scalar, number in equal:
+        assert run(scalar) == run(number) and run(number)[0] is ErrorCode.OK, scalar
+        if kind != "unary":
+            assert run(1.5, scalar) == run(1.5, number), scalar
+    for scalar in bad:
+        assert run(scalar) == (ErrorCode.ERR_DTYPE_MISMATCH, untouched), scalar
+        if kind != "unary":
+            assert run(1.5, scalar) == (ErrorCode.ERR_DTYPE_MISMATCH, untouched), scalar
 
 
 def _bind_faults(slots):

@@ -38,6 +38,7 @@ from tapp import (
     tapp_vkv_set,
 )
 from tapp.api import OperationDescriptor, TensorInfo
+from tapp.core import reach
 
 FUZZ = settings(
     max_examples=120,
@@ -90,7 +91,7 @@ def _data(draw, info, fault, shared):
     other element of another, given as is or as ``(array, base)``; with
     ``fault``, of the wrong dtype, too short, malformed, or ``shared``."""
     desc = info.desc if isinstance(info, TensorInfo) else None
-    lo, hi = desc.reach_bounds() if desc is not None else (0, 1)
+    lo, hi = reach(desc.extents, desc.strides) if desc is not None else (0, 1)
     dtype = desc.dtype.np_dtype if desc is not None else np.float64
     if fault == "data dtype":
         dtype = draw(st.sampled_from([np.float32, np.complex64, np.int64]))

@@ -245,6 +245,13 @@ def _without(doc, *path):
     [
         pytest.param(_edited(MATMUL_DOC, {"alpha": "x"}), "bad scalar 'x'", id="scalar"),
         pytest.param(_edited(MATMUL_DOC, {"beta": [1.0, "x"]}), "bad scalar", id="scalar-pair"),
+        # JSON true and false are no numbers, though a Python bool is an int.
+        pytest.param(_edited(MATMUL_DOC, {"alpha": True}), "bad scalar True", id="bool-scalar"),
+        pytest.param(
+            _edited(MATMUL_DOC, {"a": {"data": [True, 2, 3, 4]}}), "bad element True",
+            id="bool-element",
+        ),
+        pytest.param(_edited(MATMUL_DOC, {"d": {"base": True}}), "'d': bad base", id="bool-base"),
         pytest.param(
             _edited(MATMUL_DOC, {"a": {"data": [[1, 2], 2, 3, 4]}}),
             "bad element [1, 2]",

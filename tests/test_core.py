@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tapp import (
     DType,
-    ScalarValue,
     TappError,
     TensorDesc,
     TensorView,
@@ -146,10 +145,6 @@ def test_column_major_strides():
 )
 def test_reach(extents, strides, expected):
     assert reach(extents, strides) == expected
-    assert TensorDesc(extents, strides, DType.R64).reach_bounds(10) == (
-        10 + expected[0],
-        10 + expected[1],
-    )
 
 
 def test_round_to_beyond_float32_range():
@@ -168,13 +163,3 @@ def test_desc_rejects_bad_shapes():
     with pytest.raises(TappError):
         TensorDesc((2,), (1, 2), DType.R64)
 
-
-def test_scalar_real_rejects_imaginary():
-    with pytest.raises(TappError) as err:
-        ScalarValue(DType.R64, 1.0, 0.5)
-    assert err.value.code is ErrorCode.ERR_DTYPE_MISMATCH
-
-
-def test_scalar_arithmetic_promotes():
-    assert ScalarValue.of(2 + 0j).dtype is DType.R64
-    assert ScalarValue.of(1j).dtype is DType.C64

@@ -15,7 +15,6 @@ from tapp import (
     DenseTensor,
     DType,
     LabelSpec,
-    ScalarValue,
     TappError,
     TensorDesc,
     TensorView,
@@ -29,6 +28,7 @@ from tapp import (
     parse_einsum,
     unary_op,
 )
+from tapp.core import reach
 from tapp.errors import ErrorCode
 
 
@@ -38,7 +38,7 @@ def view(extents, data=None, dtype=DType.R64, strides=None, base=0, length=None)
     else:
         desc = TensorDesc(tuple(extents), tuple(strides), dtype)
     if data is None:
-        lo, hi = desc.reach_bounds(base)
+        hi = base + reach(desc.extents, desc.strides)[1]
         buf = np.zeros(length if length is not None else hi + 1, dtype=dtype.np_dtype)
     else:
         buf = np.array(data, dtype=dtype.np_dtype)
@@ -202,11 +202,11 @@ def test_plan_rejects_narrower_compute_dtype():
     assert plan.compute_dtype is DType.C64
 
 
-@pytest.mark.parametrize("alpha", [ScalarValue(DType.C64, 1.5, 0.0), 1.5 + 0j])
+@pytest.mark.parametrize("alpha", [1.5 + 0j, complex(1.5, -0.0)])
 def test_contract_rejects_complex_scalar_on_real_operands(alpha):
     a = view([2], [1.0, 2.0])
     with pytest.raises(TappError) as err:
-        run("i,i->i", a, a, alpha=ScalarValue(DType.C64, 1.0, 2.0))
+        run("i,i->i", a, a, alpha=1 + 2j)
     assert err.value.code is ErrorCode.ERR_DTYPE_MISMATCH
     # A zero imaginary part degrades gracefully to the real value.
     d, _ = run("i,i->i", a, a, alpha=alpha)

@@ -27,6 +27,7 @@ from tapp import (
     make_unary_plan,
     parse_einsum,
 )
+from tapp.core import reach
 
 SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
 
@@ -68,7 +69,7 @@ def _layout(rng, extents, output=False, first_fastest=False):
 
 def _view(rng, extents, dtype, special, output=False, first_fastest=False):
     desc = TensorDesc(tuple(extents), _layout(rng, extents, output, first_fastest), dtype)
-    lo, hi = desc.reach_bounds()
+    lo, hi = reach(desc.extents, desc.strides)
     pad = rng.randint(0, 2), rng.randint(0, 2)
     buffer = _values(rng, pad[0] + hi - lo + 1 + pad[1], dtype, special)
     return TensorView(desc, buffer, pad[0] - lo)
@@ -485,7 +486,7 @@ def test_output_groups_that_do_not_fold_are_stored_in_boxes(
     b = _view(rng, shape[1:], dtypes[1], 0.05)
     c = _view(rng, shape, dtypes[2], 0.05, output=True)
     desc_d = TensorDesc(tuple(shape), strides_d, dtypes[3])
-    lo, hi = desc_d.reach_bounds()
+    lo, hi = reach(desc_d.extents, desc_d.strides)
     d = TensorView(desc_d, _values(rng, hi - lo + 3, dtypes[3], 0.0), 1 - lo)
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
     assert not plan.swap_ab  # G holds B's labels, as the cases describe
@@ -540,7 +541,7 @@ def test_wide_reduction_of_a_contiguous_operand_matches_scalar_loop(dtype):
 def test_inputs_whose_labels_share_or_skip_addresses_match_scalar_loop(strides_a, dtype, step):
     rng = random.Random(f"{strides_a}{dtype}")
     desc_a = TensorDesc((3, 4, 2), strides_a, dtype)
-    lo, hi = desc_a.reach_bounds()
+    lo, hi = reach(desc_a.extents, desc_a.strides)
     a = TensorView(desc_a, _values(rng, step * (hi - lo + 1), dtype, 0.05)[::step], -lo)
     b = _view(rng, [2], dtype, 0.05)
     c, d = (_view(rng, [3, 4], dtype, 0.05, output=True) for _ in range(2))

@@ -131,7 +131,7 @@ def test_classify_partitions_the_label_universe():
     for _ in range(200):
         la, lb, ld = _random_label_sets(rng)
         got = classify(_merged(la), _merged(lb), _merged(ld))
-        groups = got.groups().values()
+        groups = vars(got).values()
         union = set()
         total = 0
         for group in groups:
@@ -165,8 +165,8 @@ def test_classify_invariant_under_mode_permutation():
         )
         got_base = classify(base, _merged("jm", [4, 6]), _merged("km", [5, 6]))
         got_perm = classify(permuted, _merged("jm", [4, 6]), _merged("km", [5, 6]))
-        for name, group in got_base.groups().items():
-            other = got_perm.groups()[name]
+        for name, group in vars(got_base).items():
+            other = vars(got_perm)[name]
             assert set(group.labels) == set(other.labels)
             assert dict(zip(group.labels, group.strides_a)) == dict(
                 zip(other.labels, other.strides_a)
