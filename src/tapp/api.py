@@ -15,7 +15,6 @@ status record.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Sequence
 
@@ -50,9 +49,6 @@ __all__ = [
     "tapp_vkv_get",
     "tapp_error_string",
 ]
-
-_ids = itertools.count(1)
-
 
 def _key(key) -> int:
     """``key`` as a Python int (2.0 and np.int64(2) are 2); a key that is
@@ -95,7 +91,6 @@ class Handle:
     """Root object owning all other library objects."""
 
     def __init__(self):
-        self.id = next(_ids)
         self.vkv = VKVStore()
         self._lock = threading.Lock()
         self._alive = True
@@ -114,7 +109,6 @@ class Executor:
     """An execution resource; the reference backend runs serially."""
 
     def __init__(self, handle: Handle):
-        self.id = next(_ids)
         self.handle = handle
         self.vkv = VKVStore()
 
@@ -123,7 +117,6 @@ class TensorInfo:
     """A tensor descriptor owned by a handle."""
 
     def __init__(self, handle: Handle, desc: TensorDesc):
-        self.id = next(_ids)
         self.handle = handle
         self.desc = desc
         self.vkv = VKVStore()
@@ -133,7 +126,6 @@ class OperationDescriptor:
     """An immutable, reusable planned operation owned by a handle."""
 
     def __init__(self, handle: Handle, kind: str, plan):
-        self.id = next(_ids)
         self.handle = handle
         self.kind = kind
         self.plan = plan

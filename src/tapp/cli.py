@@ -312,23 +312,18 @@ def _validate_case_contract(case: Case) -> ErrorCode:
     their addresses past that span with each of its values.  The modes
     left are enumerated, unless their extents multiply to more than
     ``ENUMERATION_BUDGET``, which is ERR_UNSUPPORTED."""
-    tensors = {
-        "a": (case.spec.labels_a, case.a),
-        "b": (case.spec.labels_b, case.b),
-        "d": (case.spec.labels_d, case.d),
-    }
-    # Label counts, then per-tensor repeats, then cross-tensor extents.
+    tensors = (
+        (case.spec.labels_a, case.a),
+        (case.spec.labels_b, case.b),
+        (case.spec.labels_d, case.d),
+    )
+    # Label counts, then each label's extent, within a tensor (a repeated
+    # label) and across tensors alike.
+    for labels, entry in tensors:
+        if len(labels) != len(entry.extents) or any(e < 1 for e in entry.extents):
+            return ErrorCode.ERR_EXTENT_MISMATCH
     extent_of: dict[str, int] = {}
-    for name, (labels, entry) in tensors.items():
-        if len(labels) != len(entry.extents):
-            return ErrorCode.ERR_EXTENT_MISMATCH
-        if any(e < 1 for e in entry.extents):
-            return ErrorCode.ERR_EXTENT_MISMATCH
-        seen: dict[str, int] = {}
-        for lbl, e in zip(labels, entry.extents):
-            if seen.setdefault(lbl, e) != e:
-                return ErrorCode.ERR_EXTENT_MISMATCH
-    for name, (labels, entry) in tensors.items():
+    for labels, entry in tensors:
         for lbl, e in zip(labels, entry.extents):
             if extent_of.setdefault(lbl, e) != e:
                 return ErrorCode.ERR_EXTENT_MISMATCH

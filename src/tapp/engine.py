@@ -3,13 +3,17 @@
 Executes the ternary update ``D := alpha * A B + beta * C`` over
 general strided views.  The binary (``C := alpha*A + beta*B``) and
 unary (``B := alpha*A``) operations run as the same contraction: the
-operand takes B's place, and a read-only one-element r32 unit operand U
-takes A's place, with stride zero along every output label the operand
-lacks.  The binary update takes C's place; unary runs with
-``beta = 0``.  ``1 * x == x`` exactly for real x, so this changes no
-real bits; for complex x the product is the full complex product
-``(1+0j) * x``, which can flip the sign of a zero component, or give NaN
-(``0 * inf``) next to an infinite one.
+operand takes B's place, and a one-element r32 unit operand U takes A's
+place, with stride zero along every output label the operand lacks.  U
+is not an execute argument: the plan holds it, loaded, and A's slot of
+:func:`contract` is None.  The binary update takes C's place; unary runs
+with ``beta = 0``, its operand also in C's unread slot where it has the
+output's descriptor, so that the one in-place rule, in :func:`_bind`,
+decides whether it runs in place or is ERR_ALIASING.  ``1 * x == x``
+exactly for real x, so this changes no real bits; for complex x the
+product is the full complex product ``(1+0j) * x``, which can flip the
+sign of a zero component, or give NaN (``0 * inf``) next to an infinite
+one.
 
 A validated, immutable plan (see :func:`make_plan`) is built once per
 operation shape, in time and memory that grow with the number of modes,
@@ -46,10 +50,11 @@ its buffers need.
 replaced alone:
 
 * *bind* (:func:`_bind`) rounds alpha and beta, plain numbers whose one
-  rule :func:`_scalar_for` states, checks the four views, D's
-  writability and the overlap of D with A, B and C; it returns the
+  rule :func:`_scalar_for` states, checks the caller's views (not U),
+  D's writability and the overlap of D with A, B and C; it returns the
   scalars, the operands' numpy views (each built once, for the overlap
-  check and for *load*) and whether C is D's identical view;
+  check and for *load*) and whether C is D's identical view, the only
+  overlap it allows;
 * *load* (:func:`_load`) returns A and B in loop order as (K, H, F) and
   (K, H, G) arrays, summed over their input-only reductions;
 * *sum* (:func:`_sum`), for one block of output cells, returns each
@@ -64,9 +69,9 @@ with byte strides = element strides x the buffer's byte stride; complex
 elements are viewed as float ``(re, im)`` pairs on a first axis.  A and
 B are read whole before the first store, each as a C-contiguous copy
 unless it is one already or is a stride-0 view (which takes no memory);
-an input whose groups do not fold is copied into the group shape.  U is
-not read at all: the plan holds it loaded, as a stride-0 view of a one
-or a ``(1, +0.0)`` pair.  Input-only reductions are summed in index
+an input whose groups do not fold is copied into the group shape.  U has
+no buffer: the plan holds it loaded, as a stride-0 view of a one or a
+``(1, +0.0)`` pair.  Input-only reductions are summed in index
 order.  The output cells are then walked in blocks of at most ``_CHUNK``
 cells, flat ``(H, F, G)`` index ranges with G filled first, forming at
 most ``_CHUNK`` products ``A[k, h, f] * B[k, h, g]`` at once (with A and
@@ -610,18 +615,23 @@ def _cmul(x: np.ndarray, y, part: np.dtype) -> np.ndarray:
 
 def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     """The *bind* stage: alpha and beta rounded to the compute dtype, the
-    four view checks, the read-only check on D and the overlap check.
-    Returns ``al, be``, the numpy views of A, B and C on their layouts'
-    axes (None where execution does not read the operand and the overlap
-    check did not need it), D's view, and whether C is D's identical view
-    (an in-place update).
+    view checks, the read-only check on D and the overlap check.  Returns
+    ``al, be``, the numpy views of A, B and C on their layouts' axes (None
+    where execution does not read the operand and the overlap check did
+    not need it), D's view, and whether C is D's identical view (an
+    in-place update).  Where the plan holds the unit operand U (a binary
+    or unary plan), A's slot is not the caller's: it is neither checked
+    nor probed for overlap.
 
-    Any other overlap between D and an operand is ERR_ALIASING.  It is
-    decided exactly by ``np.shares_memory`` on the operands' views, or by
-    byte intervals where that needs more than ``_OVERLAP_WORK``."""
+    Any other overlap between D and an operand is ERR_ALIASING.  This is
+    the one in-place rule of every operation.  It is decided exactly by
+    ``np.shares_memory`` on the operands' views, or by byte intervals
+    where that needs more than ``_OVERLAP_WORK``."""
     al = _scalar_for(alpha, plan.compute_dtype, "alpha")
     be = _scalar_for(beta, plan.compute_dtype, "beta")
-    _check_view(a, plan.desc_a, "A")
+    unit = plan.unit is not None
+    if not unit:
+        _check_view(a, plan.desc_a, "A")
     _check_view(b, plan.desc_b, "B")
     _check_view(c, plan.desc_c, "C")
     _check_view(d, plan.desc_d, "D")
@@ -630,12 +640,12 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     dv = _view(d, plan.layout_d)
     layouts = (plan.layout_a, plan.layout_b, plan.layout_c)
     views = [
-        _view(a, layouts[0]) if al != 0 and plan.unit is None else None,
+        _view(a, layouts[0]) if al != 0 and not unit else None,
         _view(b, layouts[1]) if al != 0 else None,
         _view(c, layouts[2]) if be != 0 else None,
     ]
     in_place = False
-    for k, (view, name) in enumerate(zip((a, b, c), "ABC")):
+    for k, view in enumerate((a, b, c)[unit:], unit):
         if not np.may_share_memory(view.buffer, d.buffer):
             continue
         if view is c and (c is d or _same_elements(c, d)):
@@ -648,7 +658,7 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
         except np.exceptions.TooHardError:  # raised only where byte intervals overlap
             overlap = True
         if overlap:
-            raise TappError(ErrorCode.ERR_ALIASING, f"D overlaps operand {name}")
+            raise TappError(ErrorCode.ERR_ALIASING, f"D overlaps operand {'ABC'[k]}")
     return al, be, views, dv, in_place
 
 
@@ -718,7 +728,7 @@ def _finish(plan: ContractionPlan, out, block, acc, cg, al, be):
 def contract(
     plan: ContractionPlan,
     alpha: int | float | complex,
-    a: TensorView,
+    a: TensorView | None,
     b: TensorView,
     beta: int | float | complex,
     c: TensorView,
@@ -731,8 +741,11 @@ def contract(
     :func:`_sum` returns each cell's sum over K and :func:`_finish` stores
     ``alpha * sum + beta * C`` into D.
 
-    C and D may be the identical view (in-place update); any other
-    overlap between D and an operand is rejected.
+    Where the plan holds the unit operand U (a binary or unary plan), U
+    is not an argument and ``a`` is not read: the binary and unary
+    adapters pass None.  :func:`_bind` holds the in-place rule: C and D
+    may be the identical view (in-place update); any other overlap
+    between D and an operand is rejected.
     """
     t0 = time.perf_counter()
     al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d)
@@ -760,8 +773,6 @@ def contract(
     )
 
 
-_UNIT = np.ones(1, dtype=np.float32)
-_UNIT.flags.writeable = False
 _UNIT_SCALAR = TensorDesc((), (), DType.R32)  # the unit operand of a unary op
 
 
@@ -821,8 +832,10 @@ def run_binary(
     b: TensorView,
     out: TensorView,
 ) -> StatusRecord:
-    """Execute a binary plan; B may be the output's identical view."""
-    return contract(plan, alpha, TensorView(plan.desc_a, _UNIT), a, beta, b, out)
+    """Execute a binary plan: A and B take B's and C's places, and U,
+    which the plan holds, A's, so A's slot is None.  B may be the
+    output's identical view."""
+    return contract(plan, alpha, None, a, beta, b, out)
 
 
 def binary_op(
@@ -870,16 +883,12 @@ def run_unary(
     a: TensorView,
     out: TensorView,
 ) -> StatusRecord:
-    """Execute a unary plan.  A may be the output's identical view (in
-    place); it then fills C's unread slot as well, which exempts it from
-    the overlap check as an in-place C is exempt."""
-    identical = (
-        a.desc == out.desc
-        and np.may_share_memory(a.buffer, out.buffer)
-        and _same_elements(a, out)
-    )
-    c = a if identical else out
-    return contract(plan, alpha, TensorView(plan.desc_a, _UNIT), a, 0.0, c, out)
+    """Execute a unary plan: A takes B's place, and U, which the plan
+    holds, A's, so A's slot is None.  Where A has the output's descriptor
+    it fills C's unread slot as well, so :func:`_bind`'s in-place rule
+    decides: A as the output's identical view runs in place, and any
+    other overlap with it is ERR_ALIASING."""
+    return contract(plan, alpha, None, a, 0.0, a if a.desc == out.desc else out, out)
 
 
 def unary_op(

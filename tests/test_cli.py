@@ -123,6 +123,9 @@ def test_gen_rejects_unknown_category(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen", "29"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--case", "29"])
+    assert err.value.code == 2
     capsys.readouterr()
 
 
@@ -377,6 +380,28 @@ def test_error_parity_for_mismatched_paths(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == int(ErrorCode.ERR_EXTENT_MISMATCH)
     assert out["engine_code"] == out["oracle_code"] == int(ErrorCode.ERR_EXTENT_MISMATCH)
+    # Where only the oracle fails, its code is the exit code.
+    only_oracle = cli.CheckResult(ErrorCode.OK, ErrorCode.ERR_ALIASING)
+    assert cli._exit_code(only_oracle) == int(ErrorCode.ERR_ALIASING)
+
+
+def test_mixed_dtypes_agree_with_the_oracle():
+    # Both widths, real and complex, in one case, with a complex alpha:
+    # the compute dtype is c64, and the r32 D keeps the real part.
+    doc = {
+        "einsum": "ij,jk->ik",
+        "alpha": [1.0, 0.5],
+        "beta": 0.5,
+        "a": {"dtype": "c64", "extents": [2, 3], "data": [[1, 2], [0.5, -1], [3, 0],
+                                                          [-2, 0.25], [0, 1], [1.5, 1.5]]},
+        "b": {"dtype": "c32", "extents": [3, 2], "data": [[2, -1], [1, 0], [0.5, 0.5],
+                                                          [-1, 3], [0, -2], [4, 1]]},
+        "c": {"dtype": "r64", "extents": [2, 2], "data": [1.0, -2.0, 0.5, 3.0]},
+        "d": {"dtype": "r32", "extents": [2, 2]},
+    }
+    result = check_case(parse_case(doc))
+    assert result.engine_code is ErrorCode.OK and result.oracle_code is ErrorCode.OK
+    assert result.passed, result.detail
 
 
 def test_suite_small_run_passes_and_is_deterministic():

@@ -62,6 +62,12 @@ def test_densify_rejects_views_it_cannot_read(extents, labels, code):
     assert err.value.code is code
 
 
+def test_dense_tensor_rejects_an_element_count_unlike_its_extents():
+    with pytest.raises(TappError) as err:
+        DenseTensor((2,), (1.0,), DType.R64)
+    assert err.value.code is ErrorCode.ERR_EXTENT_MISMATCH
+
+
 def test_oracle_matmul():
     spec = parse_einsum("ij,jk->ik")
     a = dense([2, 2], [1, 3, 2, 4])  # [[1,2],[3,4]] column-major
