@@ -11,8 +11,6 @@ from .core import (
     TensorDesc,
     TensorView,
     dtype_promote,
-    element_offset,
-    odometer_increment,
     validate_view,
 )
 from .engine import (

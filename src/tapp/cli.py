@@ -137,6 +137,14 @@ def _parse_number(raw, what: str, pair_ok: bool = True) -> float | complex:
     raise TappError(ErrorCode.ERR_PARSE, f"bad {what} {raw!r}")
 
 
+def _parse_integers(raw, what: str) -> tuple[int, ...]:
+    """``core.integers`` of a JSON value, where ``true`` and ``false`` are
+    no integers."""
+    if isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
+        raise TappError(ErrorCode.ERR_PARSE, f"{what} must be integers")
+    return integers(raw, what)
+
+
 def _emit_element(value, dtype: DType):
     if dtype.is_complex:
         v = complex(value)
@@ -158,7 +166,7 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r} must be an object")
     try:
         dtype_name = raw["dtype"]
-        extents = integers(raw["extents"], "extents")
+        extents = _parse_integers(raw["extents"], "extents")
     except (KeyError, TappError):
         raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad dtype/extents") from None
     dtype = DType.from_name(dtype_name)
@@ -167,7 +175,7 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         strides = column_major_strides(extents)
     else:
         try:
-            strides = integers(strides, "strides")
+            strides = _parse_integers(strides, "strides")
         except TappError:
             raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: bad strides") from None
     base = raw.get("base", 0)

@@ -25,8 +25,6 @@ __all__ = [
     "TensorView",
     "column_major_strides",
     "dtype_promote",
-    "element_offset",
-    "odometer_increment",
     "reach",
     "validate_view",
 ]
@@ -200,23 +198,6 @@ class TensorView:
 
     def __repr__(self) -> str:
         return f"TensorView(desc={self.desc!r}, buffer={self.buffer!r}, base={self.base!r})"
-
-
-def element_offset(indices: Sequence[int], strides: Sequence[int]) -> int:
-    """``sum(i_k * s_k)``; zero for empty index lists."""
-    return sum(i * s for i, s in zip(indices, strides))
-
-
-def odometer_increment(indices: list[int], extents: Sequence[int]) -> None:
-    """Advance ``indices`` to the next multi-index in place.
-
-    Position 0 moves fastest; each position wraps modulo its extent and
-    carries into the next.  The all-max index wraps back to all-zero.
-    """
-    for k, e in enumerate(extents):
-        indices[k] = (indices[k] + 1) % e
-        if indices[k] != 0:
-            return
 
 
 # Read through their class, enum members cost about 0.15 us each in

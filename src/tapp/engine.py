@@ -773,9 +773,6 @@ def contract(
     )
 
 
-_UNIT_SCALAR = TensorDesc((), (), DType.R32)  # the unit operand of a unary op
-
-
 def _with_unit(plan: ContractionPlan) -> ContractionPlan:
     """``plan``, whose A is the unit operand U, holding U's loaded form:
     ones in U's loop shape, or ``(1, +0.0)`` pairs where U meets complex
@@ -860,9 +857,10 @@ def make_unary_plan(
     desc_out: TensorDesc,
 ) -> ContractionPlan:
     """Plan ``B := alpha*A`` with permutation, diagonal access (repeated
-    labels in A) and reduction (labels dropped in B) as the contraction
-    ``B := alpha*U A + 0*B`` with a zero-mode unit operand U; labels are
-    checked first, then output-only labels are rejected."""
+    labels in A) and reduction (labels dropped in B); labels are checked
+    first, then output-only labels are rejected.  The plan is the binary
+    plan of ``B := alpha*A + 0*B``: as A lacks no output label, its unit
+    operand U has zero modes, so it runs ``B := alpha*U A + 0*B``."""
     labels_a = tuple(labels_a)
     labels_out = tuple(labels_out)
     check_labels(labels_a, labels_out)
@@ -873,8 +871,7 @@ def make_unary_plan(
                 ErrorCode.ERR_UNSUPPORTED,
                 f"output-only label {lbl!r} is not supported",
             )
-    spec = LabelSpec((), labels_a, labels_out, labels_out)
-    return _with_unit(make_plan(spec, _UNIT_SCALAR, desc_a, desc_out, desc_out))
+    return make_binary_plan(labels_a, desc_a, labels_out, desc_out, labels_out, desc_out)
 
 
 def run_unary(

@@ -1,13 +1,13 @@
 """Brute-force contraction evaluator used as conformance ground truth.
 
 This module deliberately avoids the engine's grouped loop structure:
-it walks one nested loop per distinct label over the full Cartesian
-product of label values, collecting raw product terms per output cell,
-and finally combines them with exactly rounded summation (``math.fsum``
-componentwise).  Output-only labels are supported here (each product is
-broadcast into every position along them) even though the engine
-rejects them.  Agreement between the two paths is therefore evidence,
-not tautology.
+it walks the full Cartesian product of label values, the first label
+slowest, with one address walk (``_addresses``) per operand, collecting
+raw product terms per output cell, and finally combines them with
+exactly rounded summation (``math.fsum`` componentwise).  Output-only
+labels are supported here (each product is broadcast into every
+position along them) even though the engine rejects them.  Agreement
+between the two paths is therefore evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class DenseTensor:
 def _addresses(extents, weights, base: int = 0) -> list[int]:
     """``base + sum(i_k * w_k)`` for every multi-index, the first index
     fastest; built label by label, one add per address and label.  The
-    only walk over strided addresses outside the engine."""
+    one index walk outside the engine: ``densify`` (which reads D for the
+    CLI), the oracle's sum and the CLI's injectivity check of D run on it."""
     addresses = [base]
     for e, w in zip(extents, weights):
         addresses = [p + i * w for i in range(e) for p in addresses]
@@ -146,36 +147,26 @@ def oracle_contract(
     if out_dtype is None:
         out_dtype = dtype_promote(dtype_promote(a.dtype, b.dtype), c.dtype)
 
-    # Column-major address weights per distinct label and tensor.
-    def weight_map(labels, extents):
-        uniq, weights = _diagonal_weights(labels, column_major_strides(extents))
-        return dict(zip(uniq, weights))
+    # The label space, the first label slowest: _addresses steps its first
+    # label fastest, so it gets them reversed.
+    space = list(dict.fromkeys((*spec.labels_d, *spec.labels_a, *spec.labels_b)))[::-1]
+    extents = [extent_of[l] for l in space]
 
-    ua = weight_map(spec.labels_a, a.extents)
-    ub = weight_map(spec.labels_b, b.extents)
-    ud = weight_map(spec.labels_d, out_extents)
-
-    ordered: list[str] = []
-    for lbl in (*spec.labels_d, *spec.labels_a, *spec.labels_b):
-        if lbl not in ordered:
-            ordered.append(lbl)
+    def positions(labels, dense_extents) -> list[int]:
+        """A tensor's column-major element positions over the label space."""
+        uniq, weights = _diagonal_weights(labels, column_major_strides(dense_extents))
+        weight = dict(zip(uniq, weights))
+        return _addresses(extents, [weight.get(l, 0) for l in space])
 
     terms: list[list] = [[] for _ in range(out_size)]
     if alpha != 0:
         abuf, bbuf = a.elements, b.elements
-        steps = [
-            (extent_of[l], ua.get(l, 0), ub.get(l, 0), ud.get(l, 0)) for l in ordered
-        ]
-
-        def walk(depth: int, pa: int, pb: int, pd: int) -> None:
-            if depth == len(steps):
-                terms[pd].append(abuf[pa] * bbuf[pb])
-                return
-            ext, sa, sb, sd = steps[depth]
-            for v in range(ext):
-                walk(depth + 1, pa + v * sa, pb + v * sb, pd + v * sd)
-
-        walk(0, 0, 0, 0)
+        for i, j, k in zip(
+            positions(spec.labels_a, a.extents),
+            positions(spec.labels_b, b.extents),
+            positions(spec.labels_d, out_extents),
+        ):
+            terms[k].append(abuf[i] * bbuf[j])
 
     out = []
     for i in range(out_size):

@@ -256,6 +256,14 @@ def _without(doc, *path):
         ),
         pytest.param(_edited(MATMUL_DOC, {"d": {"base": True}}), "'d': bad base", id="bool-base"),
         pytest.param(
+            _edited(MATMUL_DOC, {"a": {"extents": [True, 2]}}), "'a': bad dtype/extents",
+            id="bool-extent",
+        ),
+        pytest.param(
+            _edited(MATMUL_DOC, {"b": {"strides": [True, 1]}}), "'b': bad strides",
+            id="bool-stride",
+        ),
+        pytest.param(
             _edited(MATMUL_DOC, {"a": {"data": [[1, 2], 2, 3, 4]}}),
             "bad element [1, 2]",
             id="pair-in-real-data",
@@ -457,6 +465,24 @@ def test_metamorphic_checks_catch_a_corrupted_transformed_run(
     assert code == 1
     assert len(report["failures"]) == 4
     assert all(f["detail"].startswith(detail) for f in report["failures"])
+
+
+def test_an_error_category_fails_where_both_paths_run():
+    # A valid document checked as category 26 is no extent mismatch.
+    result = cli._check_instance(generate_case(2, 0), 26, None)
+    assert not result.passed
+    assert result.detail == "expected ERR_EXTENT_MISMATCH, engine OK, oracle OK"
+
+
+def test_operand_swap_fails_where_the_case_does_not_execute():
+    # Both paths reject a bumped B extent alike, which check_case counts
+    # as agreement; category 3 then has no run to compare.
+    doc = generate_case(3, 0)
+    doc["b"]["extents"][0] += 1
+    result = cli._check_instance(doc, 3, None)
+    assert result.engine_code is not ErrorCode.OK
+    assert not result.passed
+    assert result.detail == "operand swap failed to execute"
 
 
 def test_permuted_output_is_read_back_in_the_original_order():

@@ -11,8 +11,6 @@ from tapp import (
     TensorDesc,
     TensorView,
     dtype_promote,
-    element_offset,
-    odometer_increment,
     validate_view,
 )
 from tapp.core import _F32_OVERFLOW, column_major_strides, reach, round_to
@@ -44,58 +42,6 @@ def test_dtype_promote_is_a_semilattice():
                 assert dtype_promote(a, dtype_promote(b, c)) is dtype_promote(
                     dtype_promote(a, b), c
                 )
-
-
-@pytest.mark.parametrize(
-    "indices, strides, expected",
-    [
-        ([0, 0], [1, 4], 0),
-        ([2, 1], [1, 4], 6),
-        ([1, 2], [-1, 3], 5),
-        ([], [], 0),
-    ],
-)
-def test_element_offset(indices, strides, expected):
-    assert element_offset(indices, strides) == expected
-
-
-@given(
-    st.integers(0, 5).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.integers(0, 50), min_size=n, max_size=n),
-            st.lists(st.integers(0, 50), min_size=n, max_size=n),
-            st.lists(st.integers(-20, 20), min_size=n, max_size=n),
-        )
-    )
-)
-def test_element_offset_is_linear(args):
-    i, j, s = args
-    both = [x + y for x, y in zip(i, j)]
-    assert element_offset(both, s) == element_offset(i, s) + element_offset(j, s)
-
-
-@pytest.mark.parametrize(
-    "start, extents, expected",
-    [
-        ([0, 0], [2, 3], [1, 0]),
-        ([1, 0], [2, 3], [0, 1]),
-        ([1, 2], [2, 3], [0, 0]),
-    ],
-)
-def test_odometer_increment(start, extents, expected):
-    odometer_increment(start, extents)
-    assert start == expected
-
-
-@given(st.lists(st.integers(1, 4), min_size=0, max_size=4))
-def test_odometer_covers_every_index_once(extents):
-    idx = [0] * len(extents)
-    seen = set()
-    for _ in range(math.prod(extents)):
-        seen.add(tuple(idx))
-        odometer_increment(idx, extents)
-    assert len(seen) == math.prod(extents)
-    assert idx == [0] * len(extents)
 
 
 def _view(extents, strides, base, length):
