@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tapp import (
     DenseTensor,
@@ -14,7 +16,9 @@ from tapp import (
     oracle_contract,
     parse_einsum,
 )
+from tapp.core import column_major_strides
 from tapp.errors import ErrorCode
+from tapp.oracle import _addresses
 
 
 def view(extents, data, strides=None, base=0, dtype=DType.R64):
@@ -28,6 +32,71 @@ def view(extents, data, strides=None, base=0, dtype=DType.R64):
 
 def dense(extents, elements, dtype=DType.R64):
     return DenseTensor(tuple(extents), tuple(elements), dtype)
+
+
+@pytest.mark.parametrize(
+    "extents, strides, base, expected",
+    [
+        ([2, 2], [1, 4], 0, [0, 1, 4, 5]),
+        ([3, 2], [1, 4], 2, [2, 3, 4, 6, 7, 8]),
+        ([2, 3], [-1, 3], 1, [1, 0, 4, 3, 7, 6]),
+        ([], [], 7, [7]),
+    ],
+)
+def test_addresses(extents, strides, base, expected):
+    assert _addresses(extents, strides, base) == expected
+
+
+def _position(idx, extents) -> int:
+    """Where the multi-index ``idx`` comes in ``_addresses``' walk."""
+    return sum(i * w for i, w in zip(idx, column_major_strides(extents)))
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, 6), min_size=n, max_size=n),
+            st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+            st.integers(0, 50),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_addresses_are_linear_in_the_index(args):
+    extents, strides, base, rnd = args
+    addresses = _addresses(extents, strides, base)
+
+    def offset(idx):
+        return addresses[_position(idx, extents)] - base
+
+    i = [rnd.randrange(e) for e in extents]
+    j = [rnd.randrange(e - x) for e, x in zip(extents, i)]
+    assert offset([x + y for x, y in zip(i, j)]) == offset(i) + offset(j)
+
+
+@pytest.mark.parametrize(
+    "idx, extents, following",
+    [
+        ([0, 0], [2, 3], [1, 0]),
+        ([1, 0], [2, 3], [0, 1]),
+        ([1, 2], [2, 3], None),
+    ],
+)
+def test_addresses_step_the_first_index_fastest(idx, extents, following):
+    # Weights 1 and 10 give every index its own address, read back as digits.
+    weights = [1, 10]
+    addresses = _addresses(extents, weights)
+    at = addresses.index(sum(i * w for i, w in zip(idx, weights)))
+    if following is None:
+        assert at == len(addresses) - 1
+    else:
+        assert addresses[at + 1] == sum(i * w for i, w in zip(following, weights))
+
+
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=4))
+def test_addresses_cover_every_index_once(extents):
+    addresses = _addresses(extents, column_major_strides(extents))
+    assert addresses == list(range(math.prod(extents)))
 
 
 def test_densify_passthrough_for_dense_views():
