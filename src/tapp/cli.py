@@ -26,6 +26,7 @@ numeric mismatch, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import random
@@ -416,10 +417,17 @@ def _output(case: Case, run: EngineRun, layout: _TensorEntry | None = None) -> D
 
 def _max_rel_err(got, want) -> tuple[float, int | None]:
     """Largest relative error of ``got`` against ``want``, position by
-    position, and the position where it occurs."""
+    position, and the position where it occurs.  Where either side is not
+    finite, a position agrees (error 0) only if each pair of real, and of
+    imaginary, parts is equal or both NaN; otherwise its error is inf."""
     max_rel, worst = 0.0, None
     for pos, (g, w) in enumerate(zip(got, want)):
-        rel = abs(g - w) / max(abs(w), 1.0)
+        if cmath.isfinite(g) and cmath.isfinite(w):
+            rel = abs(g - w) / max(abs(w), 1.0)
+        else:
+            g, w = complex(g), complex(w)
+            parts = ((g.real, w.real), (g.imag, w.imag))
+            rel = 0.0 if all(x == y or x != x and y != y for x, y in parts) else math.inf
         if rel > max_rel:
             max_rel, worst = rel, pos
     return max_rel, worst

@@ -21,8 +21,8 @@ not of elements.  It records how each operand's label groups lie in its
 buffer: A's as ``(R_a, K, H, free_a)``, B's as ``(R_b, K, H, free_b)``,
 C's and D's as ``(H, F, G)``, where R is the operand's input-only
 reduction (no group where it has one element), K the contracted labels
-in A's order, H the batch labels, and G, the innermost cell axis, the
-free labels of whichever operand holds D's fastest label (its smallest
+in A's order, H the batch labels, and G, the innermost cells, the free
+labels of whichever operand holds D's fastest label (its smallest
 |stride| of extent > 1), F the other operand's; the first label of a
 group is fastest.  By default F is A's and G is B's; where D's fastest
 label is one of A's free labels, A and B trade places for the loop
@@ -35,13 +35,14 @@ a product ``x*y`` of reals, or CPython's complex
 as IEEE multiplication and addition commute.  A batch label that is D's
 fastest (a column-major ``bij,bjk->bik``) keeps the default order:
 putting it innermost would shorten the products' inner loops to the
-batch extent, which needs its own measurement.  A group's labels fold
-into one axis where each stride is the previous one's times its extent;
-otherwise the group keeps one axis per run of labels that fold.  The
-plan also holds the trip counts ``(R_a, R_b, K, H, F, G)``, F and G in
-loop order (``ContractionPlan.counts``), the block shape cut from them
-(``ContractionPlan.box``), and whatever else execution derives from the
-plan alone: the part dtype, how A and B load in loop order, whether one
+batch extent, which needs its own measurement.  Each operand is viewed
+with one axis per label of extent above 1, a group's slowest first, and
+an axis of extent 1 for a group with none, so D's and C's views have the
+same axes, the output cells.  The plan also holds the trip counts
+``(R_a, R_b, K, H, F, G)``, F and G in loop order
+(``ContractionPlan.counts``), the cells (``ContractionPlan.cells``), the
+block shape cut from them (``ContractionPlan.box``), and whatever else
+execution derives from the plan alone: the part dtype, how A and B load in loop order, whether one
 block of one contracted step covers the whole output, and, for a binary
 or unary plan, U's loaded form.  An execute call then does only the work
 its buffers need.
@@ -55,8 +56,9 @@ replaced alone:
   scalars, the operands' numpy views (each built once, for the overlap
   check and for *load*) and whether C is D's identical view, the only
   overlap it allows;
-* *load* (:func:`_load`) returns A and B in loop order as (K, H, F) and
-  (K, H, G) arrays, summed over their input-only reductions;
+* *load* (:func:`_load`) returns A and B in loop order as
+  ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)`` arrays, one axis per
+  cell axis, summed over their input-only reductions;
 * *sum* (:func:`_sum`), for one block of output cells, returns each
   cell's ordered sum over K, real or as ``(re, im)`` pairs; it is the
   only loop over elements, and an output that fits one block of one
@@ -67,22 +69,22 @@ replaced alone:
 Execution views each operand in place, as a numpy array over its buffer
 with byte strides = element strides x the buffer's byte stride; complex
 elements are viewed as float ``(re, im)`` pairs on a first axis.  A and
-B are read whole before the first store, each as a C-contiguous copy
-unless it is one already or is a stride-0 view (which takes no memory);
-an input whose groups do not fold is copied into the group shape.  U has
-no buffer: the plan holds it loaded, as a stride-0 view of a one or a
-``(1, +0.0)`` pair.  Input-only reductions are summed in index
-order.  The output cells are then walked in blocks of at most ``_CHUNK``
-cells, flat ``(H, F, G)`` index ranges with G filled first, forming at
-most ``_CHUNK`` products ``A[k, h, f] * B[k, h, g]`` at once (with A and
-B exchanged when they trade places) and summing them over k from left to
-right, ``((p0 + p1) + p2) + ...``: every cell keeps the summation order
-of a scalar loop that runs batch, free-of-A and free-of-B outside and
-the contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C``
-and one cast on store through a writable view of D.  Where D's groups do
-not fold, the blocks fill one C-contiguous array in D's group shape, as
-such a C is read, which is stored through D's view after the last block;
-it takes as much memory as D's elements, also when C is not read.
+B are read whole before the first store.  Each is reshaped so that its R
+and K are one axis each (a view where their labels fold, else one
+strided copy), and copied C-contiguous unless it is so already or is a
+stride-0 view (which takes no memory).  U has no buffer: the plan holds it
+loaded, as a stride-0 view of a one or a ``(1, +0.0)`` pair.
+Input-only reductions are summed in index order.  The output cells are
+then walked in blocks of at most ``_CHUNK`` cells, a range on each cell
+axis with the last filled first, forming at most ``_CHUNK`` products
+``A[k, h, f] * B[k, h, g]`` at once (with A and B exchanged when they
+trade places) and summing them over k from left to right,
+``((p0 + p1) + p2) + ...``: every cell keeps the summation order of a
+scalar loop that runs batch, free-of-A and free-of-B outside and the
+contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C``
+read through C's view, and one cast on store through a writable view of
+D, block by block: besides A and B, a call takes memory for one block's
+temporaries, whatever D's strides.
 
 A sum of rows (K products, or R reduced values, per cell) is one numpy
 call (see :func:`_sum_k`): ``np.add.reduce`` from -0.0 over a C-contiguous
@@ -172,6 +174,7 @@ _ENUMERATION_BUDGET = 1 << 20
 _OVERLAP_WORK = 1 << 12
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+_ALL = slice(None)
 _PARTS = {np.dtype(np.complex64): _F32, np.dtype(np.complex128): _F64}
 
 
@@ -219,74 +222,55 @@ def _injective(extents, strides, budget: int) -> bool | None:
 
 
 class _Layout(NamedTuple):
-    """How one operand's label groups lie in its buffer, and the numpy view
-    that shows them (complex elements as float ``(re, im)`` pairs)."""
+    """How one operand's labels lie in its buffer, and the numpy view that
+    shows them: one axis per label of extent above 1, each group's
+    slowest first, and an axis of extent 1 for a group with none (complex
+    elements as float ``(re, im)`` pairs on a first axis).  Labels of
+    extent 1 take no axis, as numpy allows at most 64."""
 
-    grouped: tuple[int, ...]  # the shape in groups, after (2,) if pairs
-    shape: tuple[int, ...]  # the view's: (2,) if pairs, then runs slowest first
+    shape: tuple[int, ...]  # the view's: (2,) if pairs, then the label axes
     strides: tuple[int, ...]  # its byte strides over contiguous elements
-    steps: tuple[int, ...]  # the runs' element strides
+    steps: tuple[int, ...]  # the label axes' element strides
     dtype: np.dtype  # the view's: the element's, or its part's if pairs
     pairs: bool  # complex elements
-    folds: bool  # one axis per group: the view has the shape ``grouped``
     broadcast: bool  # an axis has stride 0
 
 
 def _layout(dtype: DType, *groups) -> _Layout:
-    """The layout of ``(extents, strides)`` groups of ``dtype`` elements:
-    a group's labels join a run while each stride is the run's stride
-    times its extent; labels of extent 1 have no axis."""
-    runs = []  # each group's [extent, stride] runs, fastest first
+    """The layout of ``(extents, strides)`` groups of ``dtype`` elements."""
+    axes = []
     for extents, strides in groups:
-        group = []
-        for e, s in zip(extents, strides):
-            if e == 1:
-                continue
-            if group and s == group[-1][0] * group[-1][1]:
-                group[-1][0] *= e
-            else:
-                group.append([e, s])
-        runs.append(group)
-    flat = tuple([math.prod(extents) for extents, _ in groups])
-    folds = all([len(group) <= 1 for group in runs])
-    if folds:
-        runs = [[[n, group[0][1] if group else 0]] for n, group in zip(flat, runs)]
-    axes = [run for group in runs for run in reversed(group)]
-    shape = tuple([e for e, _ in axes])
-    steps = tuple([s for _, s in axes])
+        axes += [(e, s) for e, s in zip(extents, strides) if e > 1][::-1] or [(1, 0)]
+    shape, steps = zip(*axes)
     element = dtype.np_dtype
     strides = tuple([s * element.itemsize for s in steps])
     broadcast = 0 in [s for e, s in axes if e > 1]
     pairs = dtype.is_complex
     if pairs:
         element = _PARTS[element]
-        shape, strides, flat = (2, *shape), (element.itemsize, *strides), (2, *flat)
-    return _Layout(flat, shape, strides, steps, element, pairs, folds, broadcast)
+        shape, strides = (2, *shape), (element.itemsize, *strides)
+    return _Layout(shape, strides, steps, element, pairs, broadcast)
 
 
-def _box(k: int, *sizes: int) -> tuple[int, int, int, int]:
-    """The block shape ``(step, bh, bf, bg)`` for trip counts K and
-    ``sizes`` = (H, F, G): the whole output where it has at most ``_CHUNK``
-    cells, else flat index ranges of at most ``_CHUNK`` cells, G filled
-    first; ``step`` is the contracted step that keeps a block's products
-    within ``_CHUNK``."""
-    box = list(sizes)
-    if math.prod(sizes) > _CHUNK:
-        for i in (2, 1, 0):  # G first
-            box[i] = min(sizes[i], max(1, _CHUNK // math.prod(box[i + 1 :])))
+def _box(k: int, cells: tuple[int, ...]) -> tuple[int, ...]:
+    """The block shape ``(step, *box)`` for trip count K over the output
+    ``cells``: all cells where there are at most ``_CHUNK``, else a box
+    of at most ``_CHUNK`` cells filled from the last axis; ``step`` is
+    the contracted step that keeps a block's products within ``_CHUNK``."""
+    box = list(cells)
+    if math.prod(cells) > _CHUNK:
+        for i in reversed(range(len(cells))):
+            box[i] = min(cells[i], max(1, _CHUNK // math.prod(box[i + 1 :])))
     return (min(k, max(1, _CHUNK // math.prod(box))), *box)
 
 
-def _blocks(counts: tuple[int, ...], box: tuple[int, ...]):
-    """The plan's (H, F, G) output cells in blocks of its ``box``, each as
-    its (H, F, G) slices."""
-    _, _, _, h, f, g = counts
-    _, bh, bf, bg = box
-    hs, fs, gs = (
-        [slice(t, min(t + b, n)) for t in range(0, n, b)]
-        for n, b in ((h, bh), (f, bf), (g, bg))
-    )
-    return ((x, y, z) for x in hs for y in fs for z in gs)
+def _blocks(cells: tuple[int, ...], box: tuple[int, ...]):
+    """The output ``cells`` in blocks of ``box``, each as one slice per
+    axis, the whole axis where the box spans it."""
+    return itertools.product(*[
+        [slice(t, min(t + b, n)) for t in range(0, n, b)] if b < n else [_ALL]
+        for n, b in zip(cells, box[1:])
+    ])
 
 
 class _Load(NamedTuple):
@@ -295,6 +279,7 @@ class _Load(NamedTuple):
 
     slot: int  # 0 for A, 1 for B
     layout: _Layout
+    shape: tuple[int, ...]  # (2,) if pairs, (R,) if reduced, (K,), then cell axes
     dtype: np.dtype  # the loaded elements' (parts') dtype
     cast: bool  # the view's dtype is not ``dtype``
     reduced: bool  # the first group is an input-only reduction, summed away
@@ -312,8 +297,9 @@ class ContractionPlan:
     desc_d: TensorDesc
     classified: ClassifiedLabels
     compute_dtype: DType
-    # Each operand's label groups (see the module docstring): A's are
-    # (R_a, K, H, free_a), B's (R_b, K, H, free_b), C's and D's (H, F, G).
+    # Each operand's view, one axis per label (see :class:`_Layout`), in
+    # groups: A's (R_a, K, H, free_a), B's (R_b, K, H, free_b), C's and
+    # D's (H, F, G).
     layout_a: _Layout = field(repr=False, compare=False)
     layout_b: _Layout = field(repr=False, compare=False)
     layout_c: _Layout = field(repr=False, compare=False)
@@ -322,9 +308,13 @@ class ContractionPlan:
     # outside and G = free_b inside; True, where D's fastest label is one
     # of A's free labels, runs F = free_b and G = free_a.
     swap_ab: bool = field(compare=False)
-    # The trip counts (R_a, R_b, K, H, F, G), F and G in loop order, and
-    # the block shape (step, bh, bf, bg) over them (see :func:`_box`).
+    # The trip counts (R_a, R_b, K, H, F, G), F and G in loop order; the
+    # output cells, D's label axes (H, F, G), with the indices where F's
+    # and G's axes start; and the block shape (step, *box) over the cells
+    # (see :func:`_box`).
     counts: tuple[int, ...] = field(compare=False)
+    cells: tuple[int, ...] = field(repr=False, compare=False)
+    split: tuple[int, int] = field(repr=False, compare=False)
     box: tuple[int, ...] = field(repr=False, compare=False)
     # What execution derives from the plan alone: the compute dtype's part
     # dtype and whether it is complex, whether the products are complex
@@ -411,14 +401,14 @@ def make_plan(
     ]
     swap_ab = bool(moving) and min(moving)[1] in cl.free_a.labels
     outer, inner = (cl.free_b, cl.free_a) if swap_ab else (cl.free_a, cl.free_b)
-    cells = (cl.batch, outer, inner)
-    layout_d = _layout(desc_d.dtype, *((g.extents, g.strides_d) for g in cells))
+    groups = (cl.batch, outer, inner)
+    layout_d = _layout(desc_d.dtype, *((g.extents, g.strides_d) for g in groups))
     layout_c = layout_d  # C is often D
     if desc_c != desc_d:
         merged_c = merge_repeats(spec.labels_c, desc_c)
-        strides_c = [tuple(map(merged_c.stride_of, g.labels)) for g in cells]
-        layout_c = _layout(desc_c.dtype, *zip((g.extents for g in cells), strides_c))
-    counts = tuple(g.size for g in (cl.reduced_a, cl.reduced_b, cl.contracted, *cells))
+        strides_c = [tuple(map(merged_c.stride_of, g.labels)) for g in groups]
+        layout_c = _layout(desc_c.dtype, *zip((g.extents for g in groups), strides_c))
+    counts = tuple(g.size for g in (cl.reduced_a, cl.reduced_b, cl.contracted, *groups))
     # An operand's input-only reduction is a group of its own only where
     # it has more than one element.
     a_groups = ((cl.reduced_a,) if counts[0] > 1 else ()) + (cl.contracted, cl.batch, cl.free_a)
@@ -435,17 +425,24 @@ def make_plan(
     reduced = counts[0] > 1 or counts[1] > 1
     cmul = cdt.is_complex and (layout_a.pairs or layout_b.pairs or reduced)
     pairs = (part if reduced else _F64) if cmul else None
+    # Loaded, F's operand spans the cells' H and F axes and G's their H
+    # and G axes, each with extent 1 on the others.
+    cells = layout_d.shape[layout_d.pairs :]
+    h, f = (max(1, sum(e > 1 for e in g.extents)) for g in groups[:2])
+    hf, ones = h + f, (1,) * len(cells)
+    spans = cells[:hf] + ones[hf:], cells[:h] + ones[h:hf] + cells[hf:]
 
-    def load(slot: int, layout: _Layout) -> _Load:
+    def load(slot: int, layout: _Layout, span: tuple[int, ...]) -> _Load:
         promote = pairs is not None and not layout.pairs
         dtype = part if promote or pairs is None else pairs
+        shape = (2,) * layout.pairs + (counts[slot],) * (counts[slot] > 1) + (counts[2], *span)
         return _Load(
-            slot, layout, dtype, layout.dtype != dtype, counts[slot] > 1,
+            slot, layout, shape, dtype, layout.dtype != dtype, counts[slot] > 1,
             pairs if promote else None,
         )
 
-    loads = (load(0, layout_a), load(1, layout_b))
-    box = _box(*counts[2:])
+    loads = (load(0, layout_a, spans[swap_ab]), load(1, layout_b, spans[not swap_ab]))
+    box = _box(counts[2], cells)
     return ContractionPlan(
         spec=spec,
         desc_a=desc_a,
@@ -460,12 +457,14 @@ def make_plan(
         layout_d=layout_d,
         swap_ab=swap_ab,
         counts=counts,
+        cells=cells,
+        split=(h, hf),
         box=box,
         part=part,
         cplx=cdt.is_complex,
         cmul=cmul,
         loads=loads[::-1] if swap_ab else loads,
-        whole=box == counts[2:],
+        whole=box == (counts[2], *cells),
     )
 
 
@@ -549,20 +548,20 @@ def _view(view: TensorView, layout: _Layout) -> np.ndarray:
 
 
 def _operand(x: np.ndarray, load: _Load, copy: bool) -> np.ndarray:
-    """A or B, viewed as ``x``, in ``load``'s dtype and group shape, summed
-    over its input-only reduction: (K, H, F) or (K, H, G).  Each meets
-    many elements of the other operand, and numpy's loops run several
-    times slower over strided elements, so they are made C-contiguous
-    unless they are already, or are a stride-0 view (which takes no
-    memory); and copied anyway when ``copy``.  A real operand that meets
-    complex ones is returned as ``(x, +0.0)`` pairs."""
-    layout = load.layout
-    if not layout.folds:  # one strided copy into the group shape
-        x = x.reshape(layout.grouped)
-    if copy or load.cast or not (layout.broadcast or x.flags.c_contiguous):
+    """A or B, viewed as ``x``, in ``load``'s dtype and shape, summed over
+    its input-only reduction: ``(K, *H, *F, 1...)`` or ``(K, *H, 1...,
+    *G)``.  The reshape into that shape is a view where the labels of R
+    and of K fold into one axis each, else one strided copy.  Each
+    operand meets many elements of the other, and numpy's loops run
+    several times slower over strided elements, so they are made
+    C-contiguous unless they are already, or are a stride-0 view (which
+    takes no memory); and copied anyway when ``copy``.  A real operand
+    that meets complex ones is returned as ``(x, +0.0)`` pairs."""
+    x = x.reshape(load.shape)
+    if copy or load.cast or not (load.layout.broadcast or x.flags.c_contiguous):
         x = x.astype(load.dtype, order="C")
     if load.reduced:
-        x = _sum_k(x)
+        x = _sum_k(x, int(load.layout.pairs))
     return x if load.pairs is None else _promoted(x, load.pairs)
 
 
@@ -574,10 +573,10 @@ def _promoted(x: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     return parts
 
 
-def _sum_k(x: np.ndarray, acc: np.ndarray | None = None):
+def _sum_k(x: np.ndarray, axis: int, acc: np.ndarray | None = None):
     """``acc + x[0] + x[1] + ...`` (without ``acc``, from ``x[0]``) along
-    the fourth axis from the end (K, or R before a reduction), left to
-    right.  ``x`` itself is changed only when ``acc`` is given.
+    ``axis`` (K, or R before a reduction: 0, or 1 after a pairs axis),
+    left to right.  ``x`` itself is changed only when ``acc`` is given.
 
     One numpy call sums all rows.  ``np.add.reduce`` runs the summed axis
     outside, in index order, on a C-contiguous ``x`` with at least two
@@ -586,14 +585,14 @@ def _sum_k(x: np.ndarray, acc: np.ndarray | None = None):
     ``np.add.accumulate``, which always sums in index order.  The reduce
     starts from -0.0, the identity of IEEE addition: numpy's own start,
     +0.0, would turn a sum of -0.0 terms into +0.0."""
+    lead = (_ALL,) * axis
     if acc is not None:
-        x[..., 0, :, :, :] += acc
-    if x.shape[-4] == 1:
-        return x[..., 0, :, :, :]
-    shape = x.shape
-    if shape[-1] * shape[-2] * shape[-3] > 1 and x.flags.c_contiguous:
-        return np.add.reduce(x, -4, None, None, False, -0.0)
-    return np.add.accumulate(x, -4)[..., -1, :, :, :]
+        x[(*lead, 0)] += acc
+    if x.shape[axis] == 1:
+        return x[(*lead, 0)]
+    if math.prod(x.shape[axis + 1 :]) > 1 and x.flags.c_contiguous:
+        return np.add.reduce(x, axis, None, None, False, -0.0)
+    return np.add.accumulate(x, axis)[(*lead, -1)]
 
 
 def _cmul(x: np.ndarray, y, part: np.dtype) -> np.ndarray:
@@ -665,12 +664,12 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
 def _load(plan: ContractionPlan, views, copies):
     """The *load* stage: A and B in loop order (traded where
     ``plan.swap_ab``), read whole and summed over their input-only
-    reductions, as (K, H, F) and (K, H, G) arrays, both ``(re, im)``
-    pairs where ``plan.cmul``.  ``views`` holds A's and B's numpy views,
-    and ``copies`` whether each is also C, D's identical view (in-place
-    unary): such an operand is copied, as later blocks read it after the
-    first store.  Where A is the unit operand U, it comes loaded with the
-    plan."""
+    reductions, as ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)``
+    arrays, both ``(re, im)`` pairs where ``plan.cmul``.  ``views`` holds
+    A's and B's numpy views, and ``copies`` whether each is also C, D's
+    identical view (in-place unary): such an operand is copied, as later
+    blocks read it after the first store.  Where A is the unit operand U,
+    it comes loaded with the plan."""
     f, g = plan.loads
     unit = plan.unit
     return (  # a slot of 1 is B's
@@ -683,30 +682,30 @@ def _sum(plan: ContractionPlan, av, bv, block):
     """The *sum* stage over one block: each cell's products
     ``A[k, h, f] * B[k, h, g]`` summed over k from left to right, in steps
     of ``plan.box[0]`` rows.  A ``block`` of None is the whole output in
-    one step, which needs no slicing.  Returns the sums, real, or as
+    one step, which needs no slicing; else F's operand is not cut along
+    G's axes, nor G's along F's.  Returns the sums, real, or as
     ``(re, im)`` pairs where the compute dtype is complex."""
     if block is None:
-        steps = ((av[..., None], bv[..., None, :]),)
+        steps = ((av, bv),)
     else:
-        hs, fs, gs = block
-        step = plan.box[0]
-        steps = (
-            (av[..., k : k + step, hs, fs, None], bv[..., k : k + step, hs, None, gs])
-            for k in range(0, plan.counts[2], step)
-        )
+        (h, hf), step, k = plan.split, plan.box[0], plan.counts[2]
+        full = (_ALL,) * len(block)
+        a, b = (*block[:hf], *full[hf:]), (*block[:h], *full[h:hf], *block[hf:])
+        ks = [slice(t, t + step) for t in range(0, k, step)] if step < k else [_ALL]
+        steps = ((av[(..., s, *a)], bv[(..., s, *b)]) for s in ks)
     part, cmul = plan.part, plan.cmul
     acc = None
     for x, y in steps:
         # Real products are summed real, also when rounded to complex.
-        acc = _sum_k(_cmul(x, y, part) if cmul else x * y, acc)
+        acc = _sum_k(_cmul(x, y, part) if cmul else x * y, int(cmul), acc)
     return _promoted(acc) if plan.cplx and not cmul else acc
 
 
-def _finish(plan: ContractionPlan, out, block, acc, cg, al, be):
+def _finish(plan: ContractionPlan, dv, block, acc, cg, al, be):
     """The *finish* stage over one block (None: the whole output):
     ``alpha * acc + beta * C``, where ``acc`` is None if alpha is 0 and
-    C's grouped view ``cg`` is None if beta is 0, stored into ``out`` with
-    one cast; a real D drops the imaginary part."""
+    C's view ``cg`` is None if beta is 0, stored through D's view ``dv``
+    with one cast; a real D drops the imaginary part."""
     cells = ... if block is None else (..., *block)
     part, cplx = plan.part, plan.cplx
     v = 0.0
@@ -722,7 +721,7 @@ def _finish(plan: ContractionPlan, out, block, acc, cg, al, be):
         v = cv
     if cplx and not plan.layout_d.pairs and not isinstance(v, float):
         v = v[0]
-    out[cells] = v
+    dv[cells] = v
 
 
 def contract(
@@ -737,9 +736,9 @@ def contract(
     """Run the planned contraction over concrete views, in four stages:
     :func:`_bind` checks the views and returns the scalars, the operands'
     numpy views and the in-place flag; :func:`_load` returns A and B as
-    (K, H, F) and (K, H, G) arrays; then, for each block of output cells,
-    :func:`_sum` returns each cell's sum over K and :func:`_finish` stores
-    ``alpha * sum + beta * C`` into D.
+    ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)`` arrays; then, for each
+    block of output cells, :func:`_sum` returns each cell's sum over K and
+    :func:`_finish` stores ``alpha * sum + beta * C`` through D's view.
 
     Where the plan holds the unit operand U (a binary or unary plan), U
     is not an argument and ``a`` is not read: the binary and unary
@@ -749,22 +748,16 @@ def contract(
     """
     t0 = time.perf_counter()
     al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d)
-    layout_d = plan.layout_d
     read_ab = al != 0
     with np.errstate(all="ignore"):
         if read_ab:
             av, bv = _load(plan, views, (in_place and a is c, in_place and b is c))
-        cg = None
-        if be != 0:
-            cg = views[2] if plan.layout_c.folds else views[2].reshape(plan.layout_c.grouped)
+        cv = views[2] if be != 0 else None
         if plan.cplx:
             al, be = (al.real, al.imag), (be.real, be.imag)
-        out = dv if layout_d.folds else np.empty(layout_d.grouped, layout_d.dtype)
-        for block in (None,) if plan.whole else _blocks(plan.counts, plan.box):
+        for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
             acc = _sum(plan, av, bv, block) if read_ab else None
-            _finish(plan, out, block, acc, cg, al, be)
-        if out is not dv:
-            dv[...] = out.reshape(dv.shape)
+            _finish(plan, dv, block, acc, cv, al, be)
     _, _, k, h, f, g = plan.counts
     return StatusRecord(
         seconds_elapsed=time.perf_counter() - t0,
@@ -779,7 +772,7 @@ def _with_unit(plan: ContractionPlan) -> ContractionPlan:
     values, as a read-only stride-0 view of one value (U never has an
     input-only reduction, so its load sums nothing)."""
     load = plan.loads[plan.swap_ab]  # A's: F's operand unless A and B trade
-    shape = load.layout.grouped
+    shape = load.shape
     if load.pairs is None:
         one, strides = np.ones(1, load.dtype), (0,) * len(shape)
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import (
     DType, TensorView, column_major_strides, dtype_promote, round_to, validate_view
@@ -97,12 +98,28 @@ def densify(view: TensorView, labels) -> tuple[DenseTensor, tuple[str, ...]]:
     return DenseTensor(tuple(extents), elements, view.desc.dtype), uniq
 
 
+def _fsum(values: list[float]) -> float:
+    """``math.fsum``, given a result where it raises (on +inf and -inf
+    terms, or where a partial sum overflows): the IEEE sum of the terms
+    that are not finite, if any, else the exact sum of the finite terms,
+    rounded, or an infinity where it is beyond float's range."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        special = [v for v in values if not math.isfinite(v)]
+        if special:  # +inf and -inf give NaN
+            return sum(special)
+        total = sum(map(Fraction, values))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+
 def _exact_sum(values) -> float | complex:
     if any(isinstance(v, complex) for v in values):
-        return complex(
-            math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
-        )
-    return math.fsum(values)
+        return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
+    return _fsum(values)
 
 
 def oracle_contract(

@@ -4,6 +4,7 @@ Each test enforces one acceptance criterion at its stated tolerance and
 prints a single pass/fail line (run with ``pytest -s`` to see them).
 """
 
+import cmath
 import itertools
 import math
 import random
@@ -86,11 +87,21 @@ def oracle_run(einsum, a, b, c, alpha=1.0, beta=1.0, out_dtype=DType.R64):
 
 
 def max_rel_err(got_view, expected_dense):
+    """The largest relative error; where either side is not finite, 0 if
+    each pair of real, and of imaginary, parts is equal or both NaN, else
+    inf."""
     worst = 0.0
     for k, want in enumerate(expected_dense.elements):
         got = got_view.buffer[k]
         got = complex(got) if got_view.desc.dtype.is_complex else float(got)
-        worst = max(worst, abs(got - want) / max(abs(want), 1.0))
+        if cmath.isfinite(got) and cmath.isfinite(want):
+            err = abs(got - want) / max(abs(want), 1.0)
+        else:
+            g, w = complex(got), complex(want)
+            parts = ((g.real, w.real), (g.imag, w.imag))
+            same = all(x == y or math.isnan(x) and math.isnan(y) for x, y in parts)
+            err = 0.0 if same else math.inf
+        worst = max(worst, err)
     return worst
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 import time
@@ -85,6 +86,42 @@ def test_check_matmul_and_perturb(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", path, "--perturb", "1e-3"]) == 1
     capsys.readouterr()
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "got, want, expected",
+    [
+        ([1.0, 2.0], [1.0, 2.5], (0.2, 1)),  # finite: |g - w| / max(|w|, 1)
+        ([NAN, NAN], [1.0, 2.0], (INF, 0)),
+        ([1.0], [INF], (INF, 0)),
+        ([-INF], [INF], (INF, 0)),
+        ([complex(INF, NAN)], [complex(INF, 0.0)], (INF, 0)),
+        ([NAN], [NAN], (0.0, None)),
+        ([math.copysign(NAN, -1.0)], [NAN], (0.0, None)),  # any NaN sign
+        ([INF], [INF], (0.0, None)),
+        ([complex(NAN, -INF)], [complex(NAN, -INF)], (0.0, None)),
+    ],
+)
+def test_max_rel_err_sees_nan_and_infinity(got, want, expected):
+    assert cli._max_rel_err(got, want) == expected
+
+
+def test_check_passes_where_products_overflow_to_a_nan_sum(tmp_path, capsys):
+    # The products 1e309 and -1e309 overflow to +inf and -inf: the engine
+    # sums them to NaN, and the oracle, whose exact sum takes no +inf and
+    # -inf together, gives NaN as well.
+    doc = json.loads(json.dumps(MATMUL_DOC))
+    doc["a"].update(extents=[1, 2], strides=[2, 1], data=[1e308, 1e308])
+    doc["b"].update(extents=[2, 1], strides=[1, 1], data=[10.0, -10.0])
+    doc["d"].update(extents=[1, 1], strides=[1, 1])
+    path = _write(tmp_path, doc)
+    assert main(["run", path]) == 0
+    assert math.isnan(json.loads(capsys.readouterr().out)["d"][0])
+    assert main(["check", path]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
 
 
 def test_readme_example_case_runs_and_checks(tmp_path, capsys):

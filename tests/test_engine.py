@@ -120,16 +120,16 @@ def test_blocks_cover_each_output_cell_once_within_the_chunk(monkeypatch, chunk)
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rng = random.Random(chunk)
     for _ in range(60):
-        sizes = [1e7]
+        sizes = (1e7,)
         while math.prod(sizes) > 10**6:  # up to 10^6 cells, log-uniform extents
-            sizes = [round(10 ** rng.uniform(0, 4)) for _ in range(3)]
+            sizes = tuple(round(10 ** rng.uniform(0, 4)) for _ in range(rng.randint(1, 4)))
         k = round(10 ** rng.uniform(0, 3))
-        box = engine._box(k, *sizes)
-        blocks = list(engine._blocks((1, 1, k, *sizes), box))
+        box = engine._box(k, sizes)
+        blocks = list(engine._blocks(sizes, box))
         cover = np.zeros(sizes, np.int32)
-        for h, f, g in blocks:
-            cover[h, f, g] += 1
-            cells = (h.stop - h.start) * (f.stop - f.start) * (g.stop - g.start)
+        for block in blocks:
+            cover[block] += 1
+            cells = math.prod(len(range(n)[s]) for n, s in zip(sizes, block))
             assert cells <= chunk and box[0] * cells <= chunk
         assert (cover == 1).all(), (k, sizes)
         assert (len(blocks) == 1) == (math.prod(sizes) <= chunk)
@@ -695,13 +695,40 @@ def test_permuting_a_modes_preserves_result_within_tolerance():
         assert abs(x - y) / max(abs(y), 1.0) <= 1e-12
 
 
-def test_interleaved_views_do_not_overlap():
+def _every_other(extents, mixed: bool) -> tuple[TensorDesc, int]:
+    """A descriptor over every other element of a buffer, with strides of
+    alternating sign where ``mixed``, and the base of its lowest address."""
+    strides = [2 * s for s in TensorDesc.column_major(extents, DType.R64).strides]
+    if mixed:
+        strides = [-s if k % 2 == 0 else s for k, s in enumerate(strides)]
+    desc = TensorDesc(tuple(extents), tuple(strides), DType.R64)
+    return desc, -reach(desc.extents, desc.strides)[0]
+
+
+@pytest.mark.parametrize("extents", [(4,), (8, 8, 8), (100, 100, 10), (50, 40, 30, 20)])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_interleaved_views_do_not_overlap(extents, mixed):
     # Even and odd elements of one buffer share no byte, though their byte
-    # intervals interleave.
-    x = np.arange(8.0)
-    d4 = TensorDesc.column_major([4], DType.R64)
-    unary_op(1.0, TensorView(d4, x[::2]), "i", TensorView(d4, x[1::2]), "i")
-    assert x.tolist() == [0, 0, 2, 2, 4, 4, 6, 6]
+    # intervals interleave; the overlap check, which sees one axis per
+    # label, must decide that exactly.
+    desc, base = _every_other(extents, mixed)
+    labels = "ijkl"[: len(extents)]
+    x = np.arange(2.0 * math.prod(extents))
+    unary_op(1.0, TensorView(desc, x, base), labels, TensorView(desc, x, base + 1), labels)
+    assert (x[1::2] == x[::2]).all() and (x[::2] == np.arange(0, x.size, 2)).all()
+
+
+@pytest.mark.parametrize("extents", [(8, 8, 8), (50, 40, 30, 20)])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_views_sharing_one_element_overlap(extents, mixed):
+    desc, base = _every_other(extents, mixed)
+    labels = "ijkl"[: len(extents)]
+    last = 2 * (math.prod(extents) - 1)  # the highest address over the lowest
+    x = np.arange(2.0 * last + 1)
+    with pytest.raises(TappError) as err:
+        unary_op(1.0, TensorView(desc, x, base), labels, TensorView(desc, x, base + last), labels)
+    assert err.value.code is ErrorCode.ERR_ALIASING
+    assert (x == np.arange(x.size)).all()
 
 
 def test_overlap_too_hard_to_decide_falls_back_to_byte_intervals(monkeypatch):
@@ -780,6 +807,58 @@ def test_planning_does_not_grow_with_the_output():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert seconds < 0.5
+
+
+@pytest.mark.parametrize("dtype", [DType.R64, DType.C64])
+def test_all_62_labels_of_extent_1_run(dtype):
+    # Labels of extent 1 take no view axis: numpy allows at most 64.
+    labels = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    a, out = view((1,) * 62, [2.0], dtype), view((1,) * 62, [0.0], dtype)
+    unary_op(1.5, a, labels, out, labels)
+    assert out.buffer.tolist() == [3.0]
+    a, b = view((1,) * 31, [2.0], dtype), view((1,) * 31, [4.0], dtype)
+    spec = LabelSpec.of(labels[:31], labels[31:], labels)
+    plan = make_plan(spec, a.desc, b.desc, out.desc, out.desc)
+    contract(plan, 1.0, a, b, 0.5, out, out)
+    assert out.buffer.tolist() == [9.5]
+
+
+def _peak(call) -> int:
+    """The traced peak memory of ``call()``, after one untraced call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("op", ["binary, beta 0", "binary, beta 0.5", "unary", "product"])
+def test_a_padded_output_takes_about_the_memory_of_a_dense_one(op):
+    # D's columns 1,003 elements apart do not fold into one axis with its
+    # rows; every block is still stored through D's view, so no temporary
+    # as large as D (3.2 MB) is made, also where C is read.
+    m, n = 1000, 400
+
+    def execute(lead):
+        d = TensorDesc((m, n), (1, lead), DType.R64)
+        out = TensorView(d, np.zeros(lead * n))
+        if op == "product":
+            a = view([m, n, 2], np.ones(m * n * 2))
+            b = view([2], [1.0, 2.0])
+            plan = make_plan(parse_einsum("ijk,k->ij"), a.desc, b.desc, d, d)
+            return lambda: contract(plan, 1.5, a, b, 0.0, out, out)
+        a = view([m, n], np.ones(m * n))
+        if op == "unary":
+            plan = engine.make_unary_plan("ij", a.desc, "ij", d)
+            return lambda: engine.run_unary(plan, 1.5, a, out)
+        b = TensorView(d, np.ones(lead * n))
+        plan = engine.make_binary_plan("ij", a.desc, "ij", d, "ij", d)
+        return lambda: engine.run_binary(plan, 1.5, a, 0.5 if "0.5" in op else 0.0, b, out)
+
+    dense, padded = _peak(execute(m)), _peak(execute(m + 3))
+    assert padded <= 2 * dense, (dense, padded)
 
 
 def test_one_plan_runs_from_several_threads_with_equal_bits():

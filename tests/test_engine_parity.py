@@ -245,9 +245,9 @@ def test_plan_puts_the_operand_with_ds_fastest_label_innermost():
     assert not plan("bij,bjk->bik", {"b": 2, "i": 3, "j": 4, "k": 2}).swap_ab
     swapped = plan("ij,jk->ik", {"i": 3, "j": 4, "k": 2})
     assert swapped.counts[3:] == (1, 2, 3)  # (H, F, G): G is A's free group
-    # A's groups keep their meaning: (K, H, F), with no R group as A has
-    # no input-only label
-    assert swapped.layout_a.grouped == (4, 1, 3)
+    # A's axes keep their meaning: (K, H, F), with no R axis as A has no
+    # input-only label and an axis of extent 1 for its empty H
+    assert swapped.layout_a.shape == (4, 1, 3)
 
 
 # Cases where D's first label is A's and fastest, so A and B trade places.
@@ -373,11 +373,11 @@ def test_sums_of_rows_run_in_row_order_on_any_strides(dtype, order):
     rng = np.random.default_rng(7)
     for rows in (2, 3, 8, 33, 100):
         for cells in (1, 2, 3):
-            for shape in ((rows, 1, 1, cells), (2, rows, 1, 1, cells)):
+            for axis, shape in ((0, (rows, 1, 1, cells)), (1, (2, rows, 1, 1, cells))):
                 values = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-6, 6, shape)
                 x = np.array(values, dtype, order=order)
-                want = functools.reduce(operator.add, np.moveaxis(x, -4, 0))
-                assert engine._sum_k(x.copy(order=order)).tobytes() == want.tobytes()
+                want = functools.reduce(operator.add, np.moveaxis(x, axis, 0))
+                assert engine._sum_k(x.copy(order=order), axis).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -402,9 +402,9 @@ def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rng = random.Random(f"{chunk}{dtype}")
     extents = {"i": 16, "j": 24, "k": 16}
-    box = engine._box(24, 1, 16, 16)  # 256-cell blocks, K = 24
-    blocks = engine._blocks((1, 1, 24, 1, 16, 16), box)
-    assert box[0] < 24 and all(g.stop - g.start > 1 for *_, g in blocks)
+    box = engine._box(24, (1, 16, 16))  # 256-cell blocks, K = 24
+    blocks = engine._blocks((1, 16, 16), box)
+    assert box[0] < 24 and all(len(range(16)[g]) > 1 for *_, g in blocks)
     for special in (0.0, 0.05):
         _random_product(rng, "ij,jk->ik", extents, [dtype] * 4, special)
 
@@ -448,8 +448,9 @@ def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dty
     a = _view(rng, [91, 91], dtype, 0.05)
     out = _view(rng, [91, 91], dtype, 0.05, output=True)
     plan = make_unary_plan("ij", a.desc, "ji", out.desc)
-    blocks = engine._blocks(plan.counts, plan.box)
-    assert [(g.stop - g.start) * (f.stop - f.start) for _, f, g in blocks] == [8192, 89]
+    blocks = engine._blocks(plan.cells, plan.box)
+    sizes = [math.prod(len(range(n)[s]) for n, s in zip(plan.cells, b)) for b in blocks]
+    assert sizes == [8190, 91]
     u = TensorView(plan.desc_a, np.ones(1, np.float32))
     _check(plan, complex(rng.uniform(0.5, 1.5), 0.25), u, a, 0.0, out, out, in_place=True)
 
@@ -457,9 +458,10 @@ def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dty
 @pytest.mark.parametrize(
     "chunk, extents, strides_d",
     [
-        # G = (j, k) in two runs (k's stride skips i), cut at k
+        # G = (j, k), whose strides do not fold (k's skips i), cut at k
         (engine._CHUNK, {"i": 2, "j": 90, "k": 100}, (90, 1, 181)),
-        # G = (j, k, l, m) in four runs, cut at k with l and m one at a time
+        # G = (j, k, l, m), none folding with the next, cut at k with l
+        # and m one at a time
         (100, {"i": 3, "j": 4, "k": 30, "l": 5, "m": 3}, (-5, 1, 20, 20 * 31, 20 * 31 * 6)),
     ],
 )
@@ -490,7 +492,7 @@ def test_output_groups_that_do_not_fold_are_stored_in_boxes(
     d = TensorView(desc_d, _values(rng, hi - lo + 3, dtypes[3], 0.0), 1 - lo)
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
     assert not plan.swap_ab  # G holds B's labels, as the cases describe
-    assert not plan.layout_d.folds and len(list(engine._blocks(plan.counts, plan.box))) > 2
+    assert len(list(engine._blocks(plan.cells, plan.box))) > 2
     _check(plan, alpha, a, b, beta, c, d)
     plan = make_plan(spec, a.desc, b.desc, d.desc, d.desc)
     _check(plan, alpha, a, b, beta, d, d, in_place=True)
@@ -505,7 +507,7 @@ def test_in_place_transpose_over_several_blocks_matches_scalar_loop(dtype, strid
     desc = TensorDesc((128, 128), strides, dtype)
     x = TensorView(desc, _values(rng, 128 * 128, dtype, 0.05))
     plan = make_unary_plan("ij", desc, "ji", desc)
-    assert len(list(engine._blocks(plan.counts, plan.box))) > 1
+    assert len(list(engine._blocks(plan.cells, plan.box))) > 1
     want = _copy(x)
     u = TensorView(plan.desc_a, np.ones(1, np.float32))
     scalar_contract(plan, 1.5, u, _copy(x), 0.0, want, want)
@@ -524,7 +526,8 @@ def test_wide_reduction_of_a_contiguous_operand_matches_scalar_loop(dtype):
         _view(rng, shape, dtype, 0.05, output=True) for shape in ([32, 2], [8, 2], [8, 2])
     )
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
-    assert plan.layout_a.folds
+    load = plan.loads[plan.swap_ab]  # A's
+    assert np.shares_memory(engine._view(a, load.layout).reshape(load.shape), a.buffer)
     _check(plan, 1.5, a, b, 0.5, c, d)
 
 

@@ -18,7 +18,7 @@ from tapp import (
 )
 from tapp.core import column_major_strides
 from tapp.errors import ErrorCode
-from tapp.oracle import _addresses
+from tapp.oracle import _addresses, _exact_sum
 
 
 def view(extents, data, strides=None, base=0, dtype=DType.R64):
@@ -224,3 +224,36 @@ def test_oracle_casts_to_requested_output_dtype():
     got = oracle_contract(spec, a, b, c, 1.0, 0.0, out_dtype=DType.R32)
     assert got.dtype is DType.R32
     assert got.elements[0] == float(np.float32(1.0 / 3.0))
+
+
+@pytest.mark.parametrize(
+    "terms, want",
+    [
+        ([1.0, 1e100, 1.0, -1e100], 2.0),  # math.fsum's own result
+        ([math.inf, -math.inf], math.nan),  # math.fsum raises ValueError
+        # math.fsum raises OverflowError where a partial sum overflows,
+        # also where the exact sum is finite or other terms are not
+        ([1e308, 1e308, -1e308], 1e308),
+        ([1e308, 1e308], math.inf),
+        ([-1e308, -1e308, 1.0], -math.inf),
+        ([1e308, 1e308, math.inf], math.inf),
+        ([1e308, 1e308, math.nan], math.nan),
+        ([1e308, 1e308, math.inf, -math.inf], math.nan),
+        ([1e308, 1e308, -1e308, 1e292, -1e292, 2.0], 1e308 + 2.0),
+    ],
+)
+def test_exact_sum_gives_a_result_where_fsum_raises(terms, want):
+    got = _exact_sum(terms)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    # complex terms sum each part alone
+    got = _exact_sum([complex(t, -t) for t in terms])
+    for part, w in ((got.real, want), (-got.imag, want)):
+        assert part == w or (math.isnan(part) and math.isnan(w))
+
+
+def test_oracle_sums_products_that_overflow_both_ways_to_nan():
+    spec = parse_einsum("ij,jk->ik")
+    a = dense([1, 2], [1e308, 1e308])
+    b = dense([2, 1], [10.0, -10.0])  # products +inf and -inf
+    got = oracle_contract(spec, a, b, dense([1, 1], [0.0]), 1.0, 0.0)
+    assert math.isnan(got.elements[0])
