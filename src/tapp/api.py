@@ -8,6 +8,13 @@ key-value store reachable through :func:`tapp_vkv_set` /
 :func:`tapp_vkv_get`, and objects are only valid together with the
 handle that created them.
 
+Each handle keeps the plans of its last 64 distinct layouts, least
+recently used dropped first: a descriptor created for a layout (the
+operation kind, the label lists, the tensor descriptors and the compute
+dtype) already planned under the same handle shares that plan, which is
+immutable.  A create that fails is never cached, so it fails again with
+the same code; destroying the handle frees its plans.
+
 Execution is synchronous; the executor argument selects no resources in
 this single-backend implementation but is validated and recorded in the
 status record.
@@ -87,6 +94,11 @@ class VKVStore:
                 raise TappError(ErrorCode.ERR_KEY_NOT_FOUND) from None
 
 
+# The most plans a handle keeps for reuse.  A plan takes memory in the
+# number of modes, not of elements.
+_PLAN_CACHE_SIZE = 64
+
+
 class Handle:
     """Root object owning all other library objects."""
 
@@ -95,6 +107,7 @@ class Handle:
         self._lock = threading.Lock()
         self._alive = True
         self._default_executor = Executor(self)
+        self._plans: dict = {}  # hash(key) -> (key, plan), least recently used first
 
     @property
     def alive(self) -> bool:
@@ -103,6 +116,31 @@ class Handle:
     def _destroy(self) -> None:
         with self._lock:
             self._alive = False
+            self._plans.clear()
+
+    def _plan(self, key: tuple, make):
+        """The plan cached under ``key``, else ``make()``'s, cached unless
+        ``make`` raises; an unhashable ``key`` skips the cache.  Entries
+        are filed by the key's hash, so that it is computed once (hashing
+        a key of four descriptors takes about 2 us); planning runs outside
+        the lock."""
+        try:
+            h = hash(key)
+        except TypeError:  # such as a label that is a list
+            return make()
+        with self._lock:
+            entry = self._plans.pop(h, None)
+            if entry is not None:
+                self._plans[h] = entry  # now the most recently used
+                if entry[0] == key:
+                    return entry[1]
+        plan = make()
+        with self._lock:
+            if self._alive:
+                self._plans[h] = key, plan
+                if len(self._plans) > _PLAN_CACHE_SIZE:
+                    del self._plans[next(iter(self._plans))]
+        return plan
 
 
 class Executor:
@@ -211,13 +249,19 @@ def _label_tuples(*labels) -> list[tuple]:
         raise TappError(ErrorCode.ERR_PARSE, "labels must be sequences") from None
 
 
-def _create(handle, infos, kind: str, labels, plan) -> OperationDescriptor | ErrorCode:
-    """Check ``handle`` and ``infos``, then wrap ``plan(*label_tuples)``; a
-    TappError becomes its code, any other exception ERR_INTERNAL."""
+def _create(
+    handle, infos, kind: str, labels, plan, compute_dtype=None
+) -> OperationDescriptor | ErrorCode:
+    """Check ``handle`` and ``infos``, then wrap ``plan(*label_tuples)``,
+    or the plan the handle holds for the same kind, labels, descriptors
+    and ``compute_dtype``; a TappError becomes its code, any other
+    exception ERR_INTERNAL."""
     if not _live_handle(handle) or not _owned(handle, *infos):
         return ErrorCode.ERR_INVALID_HANDLE
     try:
-        return OperationDescriptor(handle, kind, plan(*_label_tuples(*labels)))
+        labels = _label_tuples(*labels)
+        key = (kind, *labels, *(i.desc for i in infos), compute_dtype)
+        return OperationDescriptor(handle, kind, handle._plan(key, lambda: plan(*labels)))
     except TappError as err:
         return err.code
     except Exception as err:  # such as MemoryError: a code all the same
@@ -243,6 +287,7 @@ def tapp_create_contraction(
         lambda la, lb, lc, ld: engine.make_plan(
             LabelSpec.of(la, lb, ld, lc), *(i.desc for i in descs), compute_dtype
         ),
+        compute_dtype,
     )
 
 

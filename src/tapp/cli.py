@@ -419,11 +419,16 @@ def _max_rel_err(got, want) -> tuple[float, int | None]:
     """Largest relative error of ``got`` against ``want``, position by
     position, and the position where it occurs.  Where either side is not
     finite, a position agrees (error 0) only if each pair of real, and of
-    imaginary, parts is equal or both NaN; otherwise its error is inf."""
+    imaginary, parts is equal or both NaN; otherwise its error is inf.
+    Finite complex values whose modulus exceeds float's range are compared
+    on quartered parts, which keeps the ratio but for subnormal parts."""
     max_rel, worst = 0.0, None
     for pos, (g, w) in enumerate(zip(got, want)):
         if cmath.isfinite(g) and cmath.isfinite(w):
-            rel = abs(g - w) / max(abs(w), 1.0)
+            try:
+                rel = abs(g - w) / max(abs(w), 1.0)
+            except OverflowError:  # abs() of a modulus beyond float's range
+                rel = abs(g / 4 - w / 4) / max(abs(w / 4), 0.25)
         else:
             g, w = complex(g), complex(w)
             parts = ((g.real, w.real), (g.imag, w.imag))

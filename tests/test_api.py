@@ -568,16 +568,20 @@ def test_unexpected_exceptions_become_codes(handle, monkeypatch):
     ex = tapp_get_default_executor(handle)
     op = tapp_create_contraction(handle, info, "i", info, "i", info, "i", info, "i")
     unary = tapp_create_unary_op(handle, info, "i", info, "i")
+    # ``handle`` holds the plans of the ops above; a fresh handle plans anew.
+    fresh = tapp_create_handle()
+    fi = tapp_create_tensor_info(fresh, DType.R64, 1, (2,))
     for name in ("make_plan", "make_binary_plan", "make_unary_plan", "contract"):
         monkeypatch.setattr(engine, name, out_of_memory)
     monkeypatch.setattr(api, "TensorDesc", out_of_memory)
     assert tapp_create_tensor_info(handle, DType.R64, 1, (2,), (1,)) is ErrorCode.ERR_INTERNAL
     assert (
-        tapp_create_contraction(handle, info, "i", info, "i", info, "i", info, "i")
+        tapp_create_contraction(fresh, fi, "i", fi, "i", fi, "i", fi, "i")
         is ErrorCode.ERR_INTERNAL
     )
-    assert tapp_create_binary_op(handle, info, "i", info, "i", info, "i") is ErrorCode.ERR_INTERNAL
-    assert tapp_create_unary_op(handle, info, "i", info, "i") is ErrorCode.ERR_INTERNAL
+    assert tapp_create_binary_op(fresh, fi, "i", fi, "i", fi, "i") is ErrorCode.ERR_INTERNAL
+    assert tapp_create_unary_op(fresh, fi, "i", fi, "i") is ErrorCode.ERR_INTERNAL
+    tapp_destroy_handle(fresh)
     status = StatusRecord()
     d = np.zeros(2)
     code = tapp_execute_product(
@@ -587,3 +591,218 @@ def test_unexpected_exceptions_become_codes(handle, monkeypatch):
     # unary runs through contract too
     assert tapp_execute_unary(unary, ex, 1.0, np.ones(2), d) is ErrorCode.ERR_INTERNAL
     assert not d.any()
+
+
+# -- the per-handle plan cache ------------------------------------------------
+
+
+def _matmul_parts():
+    """The arguments of a 2x2 r64 ``ij,jk->ik`` contraction, as a list:
+    descriptor parts per tensor (dtype, extents, strides), its labels and
+    the compute dtype."""
+    return [[(DType.R64, (2, 2), None)] * 4, ["ij", "jk", "ik", "ik"], None]
+
+
+def _create_matmul(handle, parts):
+    descs, labels, compute_dtype = parts
+    infos = [tapp_create_tensor_info(handle, d, len(e), e, s) for d, e, s in descs]
+    args = [x for pair in zip(infos, labels) for x in pair]
+    return tapp_create_contraction(handle, *args, compute_dtype)
+
+
+@pytest.fixture
+def count_plans(monkeypatch):
+    """The number of times each engine planner ran, by name, counting only
+    calls from outside the planners (unary planning calls the binary
+    planner, which calls ``make_plan``)."""
+    from tapp import engine
+
+    calls, depth = {}, [0]
+    for name in ("make_plan", "make_binary_plan", "make_unary_plan"):
+        def counted(*args, _plan=getattr(engine, name), _name=name, **kwargs):
+            if not depth[0]:
+                calls[_name] = calls.get(_name, 0) + 1
+            depth[0] += 1
+            try:
+                return _plan(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_a_repeated_create_shares_the_plan(handle, count_plans):
+    ex = tapp_get_default_executor(handle)
+    info = tapp_create_tensor_info(handle, DType.C64, 2, (2, 2))
+    other = tapp_create_tensor_info(handle, DType.C64, 2, (2, 2))  # equal, not the same
+    ops = [
+        tapp_create_contraction(handle, info, "ij", info, "jk", info, "ik", info, "ik"),
+        tapp_create_contraction(handle, other, "ij", other, ["j", "k"], other, "ik", other, "ik"),
+    ]
+    assert ops[0] is not ops[1] and ops[0].plan is ops[1].plan
+    binary = [tapp_create_binary_op(handle, x, "ij", x, "ji", x, "ji") for x in (info, other)]
+    unary = [tapp_create_unary_op(handle, x, "ij", x, "ji") for x in (info, other)]
+    assert binary[0].plan is binary[1].plan and unary[0].plan is unary[1].plan
+    assert count_plans == {"make_plan": 1, "make_binary_plan": 1, "make_unary_plan": 1}
+    # descriptors sharing a plan run alike, and the shared plan is unchanged
+    rng = np.random.default_rng(3)
+    a, b = (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4) for _ in range(2))
+    outs = [np.zeros(4, np.complex128) for _ in range(4)]
+    for op, d in zip(ops, outs[:2]):
+        assert tapp_execute_product(op, ex, 0.5j, a, b, 0.0, d, d) is ErrorCode.OK
+    for op, d in zip(unary, outs[2:]):
+        assert tapp_execute_unary(op, ex, 1.5, a, d) is ErrorCode.OK
+    assert outs[0].tobytes() == outs[1].tobytes() and outs[2].tobytes() == outs[3].tobytes()
+    np.testing.assert_allclose(outs[0].reshape(2, 2, order="F"), 0.5j * (
+        a.reshape(2, 2, order="F") @ b.reshape(2, 2, order="F")))
+    assert not unary[0].plan.unit.flags.writeable
+
+
+def _variants():
+    """Each key part changed alone: (name, parts)."""
+    out = []
+    for k in range(4):
+        for name, change in [
+            ("labels", lambda d, labels: labels.__setitem__(k, labels[k][::-1])),
+            ("extents", lambda d, labels: d.__setitem__(k, (d[k][0], (2, 3), None))),
+            ("strides", lambda d, labels: d.__setitem__(k, (d[k][0], (2, 2), (2, 1)))),
+            ("dtype", lambda d, labels: d.__setitem__(k, (DType.R32, *d[k][1:]))),
+        ]:
+            parts = _matmul_parts()
+            change(parts[0], parts[1])
+            out.append((f"{'ABCD'[k]} {name}", parts))
+    parts = _matmul_parts()
+    parts[2] = DType.C64
+    return out + [("compute dtype", parts)]
+
+
+@pytest.mark.parametrize("name, parts", _variants(), ids=[v[0] for v in _variants()])
+def test_a_create_differing_in_one_key_part_plans_anew(handle, name, parts):
+    base = _create_matmul(handle, _matmul_parts())
+    assert base.plan is _create_matmul(handle, _matmul_parts()).plan
+    got = _create_matmul(handle, parts)
+    fresh = tapp_create_handle()
+    want = _create_matmul(fresh, parts)  # what planning gives, with no cache
+    tapp_destroy_handle(fresh)
+    if isinstance(want, ErrorCode):
+        assert got is want
+    else:
+        assert got.plan is not base.plan and got.plan == want.plan
+
+
+def test_the_kind_is_a_key_part(handle):
+    info = tapp_create_tensor_info(handle, DType.R64, 2, (2, 2))
+    binary = tapp_create_binary_op(handle, info, "ij", info, "ij", info, "ij")
+    unary = tapp_create_unary_op(handle, info, "ij", info, "ij")
+    product = tapp_create_contraction(handle, info, "ij", info, "jk", info, "ik", info, "ik")
+    assert len({id(binary.plan), id(unary.plan), id(product.plan)}) == 3
+    assert (binary.kind, unary.kind) == ("binary", "unary")
+
+
+def test_failing_creates_are_not_cached(handle, count_plans):
+    info = tapp_create_tensor_info(handle, DType.R64, 2, (2, 2))
+    aliased = tapp_create_tensor_info(handle, DType.R64, 2, (2, 2), (0, 1))
+    bad = [
+        (lambda: tapp_create_contraction(handle, info, "ij", info, "jk", aliased, "ik", aliased, "ik"),
+         ErrorCode.ERR_ALIASING),
+        (lambda: tapp_create_unary_op(handle, info, "ij", info, "ik"), ErrorCode.ERR_UNSUPPORTED),
+        # unhashable key parts skip the cache
+        (lambda: tapp_create_unary_op(handle, info, [["i"], "j"], info, "ij"), ErrorCode.ERR_PARSE),
+        (lambda: tapp_create_contraction(
+            handle, info, "ij", info, "jk", info, "ik", info, "ik", [DType.R64]),
+         ErrorCode.ERR_DTYPE_MISMATCH),
+    ]
+    for create, code in bad:
+        assert create() is code and create() is code
+    assert not handle._plans
+    planned = dict(count_plans)
+    op = tapp_create_contraction(handle, info, "ij", info, "jk", info, "ik", info, "ik")
+    assert isinstance(op, tapp.OperationDescriptor)
+    assert count_plans["make_plan"] == planned["make_plan"] + 1
+    assert len(handle._plans) == 1
+
+
+def test_the_cache_keeps_the_64_most_recently_used_plans(handle, count_plans):
+    from tapp.api import _PLAN_CACHE_SIZE
+
+    assert _PLAN_CACHE_SIZE == 64
+    out = tapp_create_tensor_info(handle, DType.R64, 0, ())
+
+    def create(n):  # a dot product of extent n + 1, a layout of its own
+        info = tapp_create_tensor_info(handle, DType.R64, 1, (n + 1,))
+        return tapp_create_contraction(handle, info, "i", info, "i", out, "", out, "")
+
+    first = [create(n) for n in range(64)]
+    assert create(0).plan is first[0].plan  # now the most recently used
+    create(64)  # the 65th layout: drops the least recently used, 1's
+    assert len(handle._plans) == 64 and count_plans["make_plan"] == 65
+    assert create(0).plan is first[0].plan and create(63).plan is first[63].plan
+    assert create(1).plan is not first[1].plan and count_plans["make_plan"] == 66
+    assert len(handle._plans) == 64
+
+
+def test_plans_belong_to_one_handle(count_plans):
+    h1, h2 = tapp_create_handle(), tapp_create_handle()
+
+    def create(h):
+        info = tapp_create_tensor_info(h, DType.R64, 1, (3,))
+        return tapp_create_unary_op(h, info, "i", info, "i")
+
+    op1 = create(h1)
+    op2 = create(h2)
+    assert op1.plan is not op2.plan and op1.plan == op2.plan
+    assert count_plans["make_unary_plan"] == 2
+    info = tapp_create_tensor_info(h1, DType.R64, 1, (3,))
+    assert tapp_destroy_handle(h1) is ErrorCode.OK
+    assert not h1._plans
+    assert tapp_create_unary_op(h1, info, "i", info, "i") is ErrorCode.ERR_INVALID_HANDLE
+    assert count_plans["make_unary_plan"] == 2
+    tapp_destroy_handle(h2)
+
+
+def test_threads_creating_the_same_ops_at_once(handle):
+    import threading
+
+    def transpose(h, info):
+        return tapp_create_binary_op(h, info, "ij", info, "ji", info, "ji").plan
+
+    infos = [tapp_create_tensor_info(handle, DType.R64, 2, (n, n)) for n in (2, 3, 4)]
+    fresh = tapp_create_handle()
+    want = [transpose(fresh, tapp_create_tensor_info(fresh, i.desc.dtype, 2, i.desc.extents))
+            for i in infos]
+    tapp_destroy_handle(fresh)
+    barrier = threading.Barrier(4)
+    plans = [[] for _ in range(4)]
+    errors = []
+
+    def work(out):
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(50):
+                for info in infos:
+                    out.append(transpose(handle, info))
+        except Exception as err:  # reported below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in plans]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for out in plans:
+        assert len(out) == 150
+        for k, plan in enumerate(out):
+            assert plan == want[k % 3]
+    # at most one plan per thread that missed, and one cached per layout
+    for k in range(3):
+        assert len({id(plan) for out in plans for plan in out[k::3]}) <= 4
+    assert len(handle._plans) == 3
+    cached = transpose(handle, infos[0])
+    assert any(plan is cached for out in plans for plan in out[::3])

@@ -109,6 +109,27 @@ def test_max_rel_err_sees_nan_and_infinity(got, want, expected):
     assert cli._max_rel_err(got, want) == expected
 
 
+def test_max_rel_err_of_moduli_beyond_float_range():
+    big = complex(1.5e308, 1.5e308)  # finite parts, but abs() overflows
+    assert cli._max_rel_err([big], [big]) == (0.0, None)
+    rel, worst = cli._max_rel_err([complex(1.5e308, 1.2e308)], [big])
+    assert worst == 0 and rel == pytest.approx(0.3 / math.hypot(1.5, 1.5))
+
+
+def test_check_passes_on_a_complex_value_whose_modulus_overflows(tmp_path, capsys):
+    doc = {
+        "einsum": "i,i->",
+        "alpha": 1.0,
+        "beta": 0.0,
+        "a": {"dtype": "c64", "extents": [1], "strides": [1], "data": [[1.5e308, 1.5e308]]},
+        "b": {"dtype": "c64", "extents": [1], "strides": [1], "data": [[1.0, 0.0]]},
+        "d": {"dtype": "c64", "extents": [], "strides": []},
+    }
+    assert main(["check", _write(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] and out["max_rel_err"] == 0.0
+
+
 def test_check_passes_where_products_overflow_to_a_nan_sum(tmp_path, capsys):
     # The products 1e309 and -1e309 overflow to +inf and -inf: the engine
     # sums them to NaN, and the oracle, whose exact sum takes no +inf and
