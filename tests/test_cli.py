@@ -10,8 +10,7 @@ import pytest
 
 from tapp import cli
 from tapp.cli import (
-    CATEGORY_TITLES,
-    EXPECTED_ERROR,
+    CATEGORIES,
     check_case,
     execute_case,
     generate_case,
@@ -37,6 +36,27 @@ def _write(tmp_path, doc, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _strict_json(out):
+    """``out`` parsed as JSON, which holds no bare NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"bare {constant} in {out!r}")
+
+    return json.loads(out, parse_constant=reject)
+
+
+def _one_product(a, b, d_dtype="r64"):
+    """``i,i->`` over one r64 element each of A and B, into a D of ``d_dtype``."""
+    return {
+        "einsum": "i,i->",
+        "alpha": 1.0,
+        "beta": 0.0,
+        "a": {"dtype": "r64", "extents": [1], "data": [a]},
+        "b": {"dtype": "r64", "extents": [1], "data": [b]},
+        "d": {"dtype": d_dtype, "extents": []},
+    }
 
 
 def test_run_matmul(tmp_path, capsys):
@@ -140,9 +160,43 @@ def test_check_passes_where_products_overflow_to_a_nan_sum(tmp_path, capsys):
     doc["d"].update(extents=[1, 1], strides=[1, 1])
     path = _write(tmp_path, doc)
     assert main(["run", path]) == 0
-    assert math.isnan(json.loads(capsys.readouterr().out)["d"][0])
+    assert _strict_json(capsys.readouterr().out)["d"] == ["NaN"]
     assert main(["check", path]) == 0
-    assert json.loads(capsys.readouterr().out)["passed"]
+    assert _strict_json(capsys.readouterr().out)["passed"]
+
+
+@pytest.mark.parametrize(
+    "doc, d",
+    [
+        (_one_product(1e308, 10.0), ["Infinity"]),
+        (_one_product(1e308, -10.0), ["-Infinity"]),
+        # Both parts of the c64 D are non-finite; which values they take
+        # is the open complex-rounding question, so only strictness is read.
+        (_one_product(1e308, 10.0, "c64"), None),
+    ],
+)
+def test_run_and_check_print_non_finite_values_as_strings(tmp_path, capsys, doc, d):
+    path = _write(tmp_path, doc)
+    assert main(["run", path]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    if d is not None:
+        assert out["d"] == d
+    main(["check", path])
+    _strict_json(capsys.readouterr().out)
+
+
+def test_check_prints_an_infinite_error_as_a_string(tmp_path, capsys):
+    assert main(["check", _write(tmp_path, MATMUL_DOC), "--perturb", "inf"]) == 1
+    out = _strict_json(capsys.readouterr().out)
+    assert out["max_rel_err"] == "Infinity" and out["worst_index"] == [0, 0]
+
+
+def test_check_reports_the_empty_worst_index_of_a_scalar_output(tmp_path, capsys):
+    path = _write(tmp_path, _one_product(1.5, 2.0))
+    assert main(["check", path]) == 0
+    assert _strict_json(capsys.readouterr().out)["worst_index"] is None
+    assert main(["check", path, "--perturb", "1e-3"]) == 1
+    assert _strict_json(capsys.readouterr().out)["worst_index"] == []
 
 
 def test_readme_example_case_runs_and_checks(tmp_path, capsys):
@@ -177,14 +231,13 @@ def test_generated_documents_are_pinned():
     )
 
 
-def test_gen_rejects_unknown_category(capsys):
+@pytest.mark.parametrize("category", ["0", "-1", "29"])
+@pytest.mark.parametrize("command", [["gen"], ["suite", "--case"]])
+def test_gen_rejects_unknown_category(capsys, command, category):
     with pytest.raises(SystemExit) as err:
-        main(["gen", "29"])
+        main(command + [category])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["suite", "--case", "29"])
-    assert err.value.code == 2
-    capsys.readouterr()
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def _classified(doc):
@@ -262,7 +315,9 @@ def test_gen_category_structures():
 
 
 def test_gen_error_categories_yield_their_codes():
-    for category, expected in EXPECTED_ERROR.items():
+    expected_of = {k: r.expect for k, r in CATEGORIES.items() if r.expect is not None}
+    assert list(expected_of) == [26, 27, 28]
+    for category, expected in expected_of.items():
         for seed in range(8):
             case = parse_case(generate_case(category, seed))
             run = execute_case(case)
@@ -571,10 +626,27 @@ def test_suite_via_main(capsys):
     code = main(["suite", "--seed", "5", "--iterations", "2", "--case", "3"])
     captured = capsys.readouterr()
     assert code == 0
-    report = json.loads(captured.out)
+    report = _strict_json(captured.out)
     assert report["categories"]["3"]["failed"] == 0
     assert "category  3" in captured.err
+    # The log line carries the category's wall time; the report does not.
+    assert re.fullmatch(
+        r"category  3 \(commutativity under operand swap\): 2/2 ok, \d+\.\d ms\n", captured.err
+    )
+    assert set(report["categories"]["3"]) == {"title", "passed", "failed", "max_rel_err"}
 
 
-def test_category_titles_cover_all_categories():
-    assert set(CATEGORY_TITLES) == set(range(1, 29))
+def test_every_category_has_a_title_and_the_suite_covers_exactly_the_table():
+    assert all(isinstance(r.title, str) and r.title for r in CATEGORIES.values())
+    code, report = run_suite(seed=0, iterations=0)
+    assert code == 0 and report["instances"] == 0
+    assert list(report["categories"]) == [str(k) for k in CATEGORIES]
+    assert [v["title"] for v in report["categories"].values()] == [
+        r.title for r in CATEGORIES.values()
+    ]
+
+
+@pytest.mark.parametrize("category", [0, -1, 29, "3"])
+def test_generate_case_rejects_a_category_outside_the_table(category):
+    with pytest.raises(ValueError, match="no conformance category"):
+        generate_case(category, 0)
