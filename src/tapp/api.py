@@ -8,12 +8,13 @@ key-value store reachable through :func:`tapp_vkv_set` /
 :func:`tapp_vkv_get`, and objects are only valid together with the
 handle that created them.
 
-Each handle keeps the plans of its last 64 distinct layouts, least
-recently used dropped first: a descriptor created for a layout (the
-operation kind, the label lists, the tensor descriptors and the compute
-dtype) already planned under the same handle shares that plan, which is
-immutable.  A create that fails is never cached, so it fails again with
-the same code; destroying the handle frees its plans.
+Each handle keeps the plans of its last 64 distinct layouts in a
+``functools.lru_cache``, least recently used dropped first: a descriptor
+created for a layout (the operation kind, the label lists, the tensor
+descriptors and the compute dtype) already planned under the same handle
+shares that plan, which is immutable.  A create that fails is never
+cached, so it fails again with the same code; destroying the handle frees
+its plans.
 
 Execution is synchronous; the executor argument selects no resources in
 this single-backend implementation but is validated and recorded in the
@@ -22,6 +23,7 @@ status record.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Sequence
 
@@ -99,48 +101,33 @@ class VKVStore:
 _PLAN_CACHE_SIZE = 64
 
 
+def _plan(kind: str, labels: tuple, descs: tuple, compute_dtype):
+    """The plan of a ``kind`` operation, made from its cache key alone.
+    The planners are looked up on ``engine`` at each call, where tests and
+    the benchmark's tracer patch them."""
+    if kind == "contraction":
+        la, lb, lc, ld = labels
+        return engine.make_plan(LabelSpec.of(la, lb, ld, lc), *descs, compute_dtype)
+    planner = engine.make_binary_plan if kind == "binary" else engine.make_unary_plan
+    return planner(*(x for pair in zip(labels, descs) for x in pair))
+
+
 class Handle:
     """Root object owning all other library objects."""
 
     def __init__(self):
         self.vkv = VKVStore()
-        self._lock = threading.Lock()
         self._alive = True
         self._default_executor = Executor(self)
-        self._plans: dict = {}  # hash(key) -> (key, plan), least recently used first
+        self._plans = functools.lru_cache(_PLAN_CACHE_SIZE)(_plan)
 
     @property
     def alive(self) -> bool:
         return self._alive
 
     def _destroy(self) -> None:
-        with self._lock:
-            self._alive = False
-            self._plans.clear()
-
-    def _plan(self, key: tuple, make):
-        """The plan cached under ``key``, else ``make()``'s, cached unless
-        ``make`` raises; an unhashable ``key`` skips the cache.  Entries
-        are filed by the key's hash, so that it is computed once (hashing
-        a key of four descriptors takes about 2 us); planning runs outside
-        the lock."""
-        try:
-            h = hash(key)
-        except TypeError:  # such as a label that is a list
-            return make()
-        with self._lock:
-            entry = self._plans.pop(h, None)
-            if entry is not None:
-                self._plans[h] = entry  # now the most recently used
-                if entry[0] == key:
-                    return entry[1]
-        plan = make()
-        with self._lock:
-            if self._alive:
-                self._plans[h] = key, plan
-                if len(self._plans) > _PLAN_CACHE_SIZE:
-                    del self._plans[next(iter(self._plans))]
-        return plan
+        self._alive = False
+        self._plans.cache_clear()
 
 
 class Executor:
@@ -241,27 +228,31 @@ def _owned(handle: Handle, *infos) -> bool:
     )
 
 
-def _label_tuples(*labels) -> list[tuple]:
+def _label_tuples(*labels) -> tuple[tuple, ...]:
     """Each label string or sequence as a tuple; anything else is ERR_PARSE."""
     try:
-        return [tuple(l) for l in labels]
+        return tuple(map(tuple, labels))
     except TypeError:
         raise TappError(ErrorCode.ERR_PARSE, "labels must be sequences") from None
 
 
 def _create(
-    handle, infos, kind: str, labels, plan, compute_dtype=None
+    handle, infos, kind: str, labels, compute_dtype=None
 ) -> OperationDescriptor | ErrorCode:
-    """Check ``handle`` and ``infos``, then wrap ``plan(*label_tuples)``,
-    or the plan the handle holds for the same kind, labels, descriptors
-    and ``compute_dtype``; a TappError becomes its code, any other
-    exception ERR_INTERNAL."""
+    """Check ``handle`` and ``infos``, then wrap the plan the handle holds
+    for the same kind, labels, descriptors and ``compute_dtype``, made on a
+    miss; a key that cannot be hashed (a label that is a list) is planned
+    without the cache.  A TappError becomes its code, any other exception
+    ERR_INTERNAL."""
     if not _live_handle(handle) or not _owned(handle, *infos):
         return ErrorCode.ERR_INVALID_HANDLE
     try:
-        labels = _label_tuples(*labels)
-        key = (kind, *labels, *(i.desc for i in infos), compute_dtype)
-        return OperationDescriptor(handle, kind, handle._plan(key, lambda: plan(*labels)))
+        key = kind, _label_tuples(*labels), tuple(i.desc for i in infos), compute_dtype
+        try:
+            plan = handle._plans(*key)
+        except TypeError:  # an unhashable key part, or one raised in planning
+            plan = _plan(*key)
+        return OperationDescriptor(handle, kind, plan)
     except TappError as err:
         return err.code
     except Exception as err:  # such as MemoryError: a code all the same
@@ -281,13 +272,9 @@ def tapp_create_contraction(
     compute_dtype: DType | None = None,
 ) -> OperationDescriptor | ErrorCode:
     """Plan ``D := alpha*A B + beta*C`` over the given descriptors."""
-    descs = info_a, info_b, info_c, info_d
     return _create(
-        handle, descs, "contraction", (labels_a, labels_b, labels_c, labels_d),
-        lambda la, lb, lc, ld: engine.make_plan(
-            LabelSpec.of(la, lb, ld, lc), *(i.desc for i in descs), compute_dtype
-        ),
-        compute_dtype,
+        handle, (info_a, info_b, info_c, info_d), "contraction",
+        (labels_a, labels_b, labels_c, labels_d), compute_dtype,
     )
 
 
@@ -302,10 +289,7 @@ def tapp_create_binary_op(
 ) -> OperationDescriptor | ErrorCode:
     """Plan ``C := alpha*A + beta*B``."""
     return _create(
-        handle, (info_a, info_b, info_c), "binary", (labels_a, labels_b, labels_c),
-        lambda la, lb, lc: engine.make_binary_plan(
-            la, info_a.desc, lb, info_b.desc, lc, info_c.desc
-        ),
+        handle, (info_a, info_b, info_c), "binary", (labels_a, labels_b, labels_c)
     )
 
 
@@ -317,10 +301,7 @@ def tapp_create_unary_op(
     labels_b: Sequence[str] | str,
 ) -> OperationDescriptor | ErrorCode:
     """Plan ``B := alpha*A`` (permutation, diagonal, reduction)."""
-    return _create(
-        handle, (info_a, info_b), "unary", (labels_a, labels_b),
-        lambda la, lb: engine.make_unary_plan(la, info_a.desc, lb, info_b.desc),
-    )
+    return _create(handle, (info_a, info_b), "unary", (labels_a, labels_b))
 
 
 def _as_view(desc: TensorDesc, data) -> TensorView:
@@ -339,15 +320,17 @@ def _as_view(desc: TensorDesc, data) -> TensorView:
 
 
 def _execute(op, executor, kind: str, status_out, run) -> ErrorCode:
-    """Check ``op`` and ``executor``, run ``run(op.plan)`` and report its
-    status; a ``TappError`` from binding or running becomes its code, any
-    other exception ERR_INTERNAL."""
+    """Check ``op``, ``executor`` and ``status_out`` (None or a
+    StatusRecord), run ``run(op.plan)`` and report its status; a
+    ``TappError`` from binding or running becomes its code, any other
+    exception ERR_INTERNAL."""
     if (
         not isinstance(op, OperationDescriptor)
         or not op.handle.alive
         or op.kind != kind
         or not isinstance(executor, Executor)
         or executor.handle is not op.handle
+        or not (status_out is None or isinstance(status_out, StatusRecord))
     ):
         return ErrorCode.ERR_INVALID_HANDLE
     try:
@@ -377,7 +360,8 @@ def tapp_execute_product(
 
     Each ``data_*`` is a flat numpy array, optionally wrapped as
     ``(array, base_offset)``.  ``status_out``, when given, receives the
-    execution metadata; passing None suppresses it.
+    execution metadata; passing None suppresses it.  Any other value than
+    a StatusRecord or None is ERR_INVALID_HANDLE, with nothing run.
     """
     return _execute(
         op, executor, "contraction", status_out,

@@ -98,16 +98,20 @@ def _is_number(raw) -> bool:
 
 def _parse_number(raw, what: str, pair_ok: bool = True) -> float | complex:
     """A JSON number as a float, or (where ``pair_ok``) a ``[re, im]``
-    pair of numbers as a complex."""
-    if _is_number(raw):
-        return float(raw)
-    if (
-        pair_ok
-        and isinstance(raw, (list, tuple))
-        and len(raw) == 2
-        and all(_is_number(x) for x in raw)
-    ):
-        return complex(raw[0], raw[1])
+    pair of numbers as a complex.  An integer beyond float's range is
+    ERR_PARSE, as a boolean is."""
+    try:
+        if _is_number(raw):
+            return float(raw)
+        if (
+            pair_ok
+            and isinstance(raw, (list, tuple))
+            and len(raw) == 2
+            and all(_is_number(x) for x in raw)
+        ):
+            return complex(raw[0], raw[1])
+    except OverflowError:
+        raise TappError(ErrorCode.ERR_PARSE, f"{what} beyond float's range") from None
     raise TappError(ErrorCode.ERR_PARSE, f"bad {what} {raw!r}")
 
 
@@ -209,7 +213,7 @@ def load_case(path: str) -> Case:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: bad JSON or UTF-8, huge integers
         raise TappError(ErrorCode.ERR_PARSE, f"cannot load {path}: {err}") from None
     return parse_case(doc)
 
@@ -299,10 +303,22 @@ def _validate_case_contract(case: Case) -> ErrorCode:
         (case.spec.labels_b, case.b),
         (case.spec.labels_d, case.d),
     )
+    # Each descriptor, in the order the engine creates them: extents of at
+    # least 1, then an element count and a byte reach within int64.
+    operands = (case.a, case.b, case.c, case.d)
+    reaches = []
+    for entry in operands:
+        if min(entry.extents, default=1) < 1:
+            return ErrorCode.ERR_EXTENT_MISMATCH
+        lo, hi = reach(entry.extents, entry.strides)
+        span = (hi - lo + 1) * entry.dtype.np_dtype.itemsize
+        if max(math.prod(entry.extents), span) >= 1 << 63:
+            return ErrorCode.ERR_OUT_OF_BOUNDS
+        reaches.append((lo, hi))
     # Label counts, then each label's extent, within a tensor (a repeated
     # label) and across tensors alike.
     for labels, entry in tensors:
-        if len(labels) != len(entry.extents) or any(e < 1 for e in entry.extents):
+        if len(labels) != len(entry.extents):
             return ErrorCode.ERR_EXTENT_MISMATCH
     extent_of: dict[str, int] = {}
     for labels, entry in tensors:
@@ -331,14 +347,12 @@ def _validate_case_contract(case: Case) -> ErrorCode:
     if len(set(offsets)) != len(offsets):
         return ErrorCode.ERR_ALIASING
     # Scalars must fit the arithmetic dtype.
-    all_real = not any(
-        entry.dtype.is_complex for entry in (case.a, case.b, case.c, case.d)
-    )
+    all_real = not any(entry.dtype.is_complex for entry in operands)
     if all_real and (isinstance(case.alpha, complex) or isinstance(case.beta, complex)):
         return ErrorCode.ERR_DTYPE_MISMATCH
     # Buffers must cover every addressable element; D's is allocated to fit.
-    for entry in (case.a, case.b, case.c, case.d):
-        lo, hi = (entry.base + r for r in reach(entry.extents, entry.strides))
+    for entry, (lo, hi) in zip(operands, reaches):
+        lo, hi = entry.base + lo, entry.base + hi
         if lo < 0 or (entry.data is not None and hi >= len(entry.data)):
             return ErrorCode.ERR_OUT_OF_BOUNDS
     return ErrorCode.OK

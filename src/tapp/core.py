@@ -41,6 +41,12 @@ class DType(Enum):
     C32 = "c32", True, 32, np.complex64
     C64 = "c64", True, 64, np.complex128
 
+    # Members are singletons compared by identity, so the identity hash
+    # keeps equal members hashing equal, at C speed: Enum's own
+    # ``hash(self._name_)`` runs in Python, once per descriptor of every
+    # plan-cache key.
+    __hash__ = object.__hash__
+
     def __new__(cls, name: str, is_complex: bool, width: int, np_type: type):
         member = object.__new__(cls)
         member._value_ = name

@@ -196,6 +196,36 @@ def test_execute_reports_engine_errors_in_status(handle):
     assert status.error is ErrorCode.ERR_OUT_OF_BOUNDS
 
 
+class _Slotted:
+    __slots__ = ("error",)
+
+
+@pytest.mark.parametrize(
+    "status_out", [object(), 5, "x", _Slotted(), {}], ids=["object", "int", "str", "slots", "dict"]
+)
+def test_a_status_out_that_is_no_status_record_runs_nothing(handle, status_out):
+    info = tapp_create_tensor_info(handle, DType.R64, 1, (2,))
+    ex = tapp_get_default_executor(handle)
+    ones = np.ones(2)
+    runs = {
+        "product": lambda d, s: tapp_execute_product(
+            tapp_create_contraction(handle, info, "i", info, "i", info, "i", info, "i"),
+            ex, 1.0, ones, ones, 0.0, ones, d, status_out=s),
+        "binary": lambda d, s: tapp_execute_binary(
+            tapp_create_binary_op(handle, info, "i", info, "i", info, "i"),
+            ex, 1.0, ones, 1.0, ones, d, status_out=s),
+        "unary": lambda d, s: tapp_execute_unary(
+            tapp_create_unary_op(handle, info, "i", info, "i"), ex, 1.0, ones, d, status_out=s),
+    }
+    for name, run in runs.items():
+        d = np.full(2, 7.0)
+        assert run(d, status_out) is ErrorCode.ERR_INVALID_HANDLE, name
+        assert d.tolist() == [7.0, 7.0], name
+        status = StatusRecord()
+        assert run(d, status) is ErrorCode.OK and status.executor is ex, name
+        assert d.tolist() != [7.0, 7.0], name
+
+
 def test_execute_binary_and_unary(handle):
     iv = tapp_create_tensor_info(handle, DType.R64, 1, (2,), (1,))
     ex = tapp_get_default_executor(handle)
@@ -715,12 +745,27 @@ def test_failing_creates_are_not_cached(handle, count_plans):
     ]
     for create, code in bad:
         assert create() is code and create() is code
-    assert not handle._plans
+    assert handle._plans.cache_info().currsize == 0
     planned = dict(count_plans)
     op = tapp_create_contraction(handle, info, "ij", info, "jk", info, "ik", info, "ik")
     assert isinstance(op, tapp.OperationDescriptor)
     assert count_plans["make_plan"] == planned["make_plan"] + 1
-    assert len(handle._plans) == 1
+    assert handle._plans.cache_info().currsize == 1
+
+
+def test_a_type_error_inside_planning_is_internal_and_not_cached(handle, monkeypatch, caplog):
+    from tapp import engine
+
+    def broken(*_args):
+        raise TypeError("a planner fault")
+
+    monkeypatch.setattr(engine, "make_plan", broken)
+    info = tapp_create_tensor_info(handle, DType.R64, 1, (2,))
+    with caplog.at_level("ERROR", logger="tapp"):
+        op = tapp_create_contraction(handle, info, "i", info, "i", info, "i", info, "i")
+    assert op is ErrorCode.ERR_INTERNAL
+    assert [r.getMessage() for r in caplog.records] == ["tapp call failed"]
+    assert handle._plans.cache_info().currsize == 0
 
 
 def test_the_cache_keeps_the_64_most_recently_used_plans(handle, count_plans):
@@ -736,10 +781,10 @@ def test_the_cache_keeps_the_64_most_recently_used_plans(handle, count_plans):
     first = [create(n) for n in range(64)]
     assert create(0).plan is first[0].plan  # now the most recently used
     create(64)  # the 65th layout: drops the least recently used, 1's
-    assert len(handle._plans) == 64 and count_plans["make_plan"] == 65
+    assert handle._plans.cache_info().currsize == 64 and count_plans["make_plan"] == 65
     assert create(0).plan is first[0].plan and create(63).plan is first[63].plan
     assert create(1).plan is not first[1].plan and count_plans["make_plan"] == 66
-    assert len(handle._plans) == 64
+    assert handle._plans.cache_info().currsize == 64
 
 
 def test_plans_belong_to_one_handle(count_plans):
@@ -755,7 +800,7 @@ def test_plans_belong_to_one_handle(count_plans):
     assert count_plans["make_unary_plan"] == 2
     info = tapp_create_tensor_info(h1, DType.R64, 1, (3,))
     assert tapp_destroy_handle(h1) is ErrorCode.OK
-    assert not h1._plans
+    assert h1._plans.cache_info().currsize == 0
     assert tapp_create_unary_op(h1, info, "i", info, "i") is ErrorCode.ERR_INVALID_HANDLE
     assert count_plans["make_unary_plan"] == 2
     tapp_destroy_handle(h2)
@@ -803,6 +848,6 @@ def test_threads_creating_the_same_ops_at_once(handle):
     # at most one plan per thread that missed, and one cached per layout
     for k in range(3):
         assert len({id(plan) for out in plans for plan in out[k::3]}) <= 4
-    assert len(handle._plans) == 3
+    assert handle._plans.cache_info().currsize == 3
     cached = transpose(handle, infos[0])
     assert any(plan is cached for out in plans for plan in out[::3])

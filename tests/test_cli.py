@@ -418,6 +418,43 @@ def test_run_reports_each_parse_error_as_one_json_line(tmp_path, capsys, doc, me
     assert message in line["message"]
 
 
+_C64_DOC = _edited(MATMUL_DOC, {
+    "a": {"dtype": "c64", "data": [[1, 0]] * 4}, "b": {"dtype": "c64"}, "d": {"dtype": "c64"},
+})
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(_edited(MATMUL_DOC, {"alpha": 10**400}), "scalar beyond", id="alpha"),
+        pytest.param(_edited(MATMUL_DOC, {"beta": [0, -10**400]}), "scalar beyond", id="beta-pair"),
+        pytest.param(_edited(MATMUL_DOC, {"a": {"data": [1, 10**400, 3, 4]}}), "element beyond",
+                     id="element"),
+        pytest.param(_edited(_C64_DOC, {"a": {"data": [[10**400, 0]] * 4}}), "element beyond",
+                     id="element-pair"),
+    ],
+)
+def test_an_integer_beyond_float_range_is_a_parse_error(tmp_path, capsys, command, doc, message):
+    code = main([command, _write(tmp_path, doc)])
+    line = json.loads(capsys.readouterr().out)
+    assert code == int(ErrorCode.ERR_PARSE) == line["error"]
+    assert message in line["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"alpha": ' + b"1" * 5000 + b"}", json.dumps(MATMUL_DOC).encode() + b" \xff"],
+    ids=["5000-digits", "not-utf-8"],  # neither of which json reads
+)
+def test_a_file_json_cannot_read_is_a_parse_error(tmp_path, capsys, command, content):
+    path = tmp_path / "case.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == int(ErrorCode.ERR_PARSE)
+    assert "cannot load" in json.loads(capsys.readouterr().out)["message"]
+
+
 def test_run_prints_complex_elements_as_pairs(tmp_path, capsys):
     doc = {
         "einsum": "i,i->i",
@@ -453,6 +490,33 @@ def test_run_prints_complex_elements_as_pairs(tmp_path, capsys):
 )
 def test_each_case_contract_check_gives_both_paths_the_same_code(changes, code):
     result = check_case(parse_case(_edited(MATMUL_DOC, changes)))
+    assert result.passed, result.detail
+    assert result.engine_code is code and result.oracle_code is code
+
+
+def _dot(einsum, a, b, c, d):
+    """An r64 case of the given extents, with data enough for 2 elements."""
+    entry = lambda extents: {"dtype": "r64", "extents": extents, "data": [1.0, 2.0]}
+    doc = {"einsum": einsum, "alpha": 1.0, "beta": 1.0, "a": entry(a), "b": entry(b),
+           "d": {"dtype": "r64", "extents": d}}
+    return doc if c is None else {**doc, "c": entry(c)}
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        # C's descriptor fails before C is compared with D
+        pytest.param(_dot("i,i->i", [2], [2], [0], [2]), ErrorCode.ERR_EXTENT_MISMATCH,
+                     id="c-extent-0"),
+        pytest.param(_dot("i,i->i", [2], [2], [2**62], [2]), ErrorCode.ERR_OUT_OF_BOUNDS,
+                     id="c-beyond-int64"),
+        # A's descriptor fails before its extent is compared with B's
+        pytest.param(_dot("i,i->", [10**30], [2], None, []), ErrorCode.ERR_OUT_OF_BOUNDS,
+                     id="a-beyond-int64"),
+    ],
+)
+def test_a_descriptor_the_engine_rejects_gives_both_paths_its_code(doc, code):
+    result = check_case(parse_case(doc))
     assert result.passed, result.detail
     assert result.engine_code is code and result.oracle_code is code
 
@@ -620,6 +684,24 @@ def test_permuted_output_is_read_back_in_the_original_order():
         seen.add(other.spec.labels_d)
         assert cli._output(case, execute_case(other), layout).elements == want
     assert len(seen) == 5
+
+
+@pytest.mark.parametrize("einsum, d_extents", [("i,i->", []), ("i,i->i", [2])])
+def test_an_output_of_fewer_than_two_modes_gets_the_plain_check(monkeypatch, einsum, d_extents):
+    doc = {**_dot(einsum, [2], [2], None, d_extents), "seed": 0}
+    assert cli._permute_output(parse_case(doc), random.Random(0)) is None
+    executed, real_execute = [], cli.execute_case
+    monkeypatch.setattr(cli, "execute_case", lambda case: executed.append(case) or real_execute(case))
+    result = cli._check_instance(doc, 4, None)
+    assert len(executed) == 1  # the plain check's run; no permuted one
+    assert result.passed and result.detail.startswith("max relative error")
+
+
+def test_check_names_both_codes_where_the_paths_disagree(monkeypatch):
+    monkeypatch.setattr(cli, "oracle_case", lambda case: cli.OracleRun(ErrorCode.ERR_ALIASING))
+    result = check_case(parse_case(MATMUL_DOC))
+    assert (result.engine_code, result.oracle_code) == (ErrorCode.OK, ErrorCode.ERR_ALIASING)
+    assert not result.passed and result.detail == "engine OK vs oracle ERR_ALIASING"
 
 
 def test_suite_via_main(capsys):
