@@ -42,6 +42,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .api import (
     tapp_get_default_executor,
 )
 from .core import (
-    DType, TensorDesc, TensorView, column_major_strides, integers, reach,
+    _INT64_MAX, DType, TensorDesc, TensorView, column_major_strides, integers, reach,
 )
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec, parse_einsum
@@ -130,6 +131,29 @@ def _emit_element(value, dtype: DType):
     return float(value)
 
 
+def _parse_data(raw_data: list, dtype: DType) -> np.ndarray:
+    """A tensor's ``data`` as a ``dtype`` array.  Data that are all floats
+    (for a complex dtype, all ``[re, im]`` lists of two floats) take one
+    ``np.array`` call; any other data go element by element through
+    ``_parse_number``, which gives their error codes.  A part beyond
+    float32's range becomes an infinity, without numpy's overflow warning,
+    as in ``core.round_to``."""
+    with np.errstate(over="ignore"):
+        if not dtype.is_complex:
+            if set(map(type, raw_data)) <= {float}:
+                return np.array(raw_data, dtype.np_dtype)
+        elif (
+            set(map(type, raw_data)) <= {list}
+            and set(map(len, raw_data)) <= {2}
+            and set(map(type, chain.from_iterable(raw_data))) <= {float}
+        ):
+            pairs = np.array(raw_data, np.float64).reshape(-1, 2)
+            return pairs.view(np.complex128)[:, 0].astype(dtype.np_dtype)
+        return np.array(
+            [_parse_number(v, "element", dtype.is_complex) for v in raw_data], dtype.np_dtype
+        )
+
+
 @dataclass(frozen=True)
 class _TensorEntry:
     dtype: DType
@@ -164,8 +188,7 @@ def _parse_tensor(raw, name: str, want_data: bool) -> _TensorEntry:
         raw_data = raw.get("data")
         if not isinstance(raw_data, list):
             raise TappError(ErrorCode.ERR_PARSE, f"tensor {name!r}: missing data")
-        pair_ok = dtype.is_complex
-        data = np.array([_parse_number(v, "element", pair_ok) for v in raw_data], dtype.np_dtype)
+        data = _parse_data(raw_data, dtype)
         data.flags.writeable = False
     return _TensorEntry(dtype, extents, strides, base, data)
 
@@ -203,7 +226,12 @@ def parse_case(doc) -> Case:
         raise TappError(ErrorCode.ERR_PARSE, "malformed case document") from None
     if c is None:
         strides = column_major_strides(d.extents)
-        zeros = np.zeros(_span(d.extents, strides), d.dtype.np_dtype)
+        span = _span(d.extents, strides)
+        # Zeros only where a descriptor can hold D's size: otherwise C's
+        # descriptor is rejected first on both paths, and C's buffer is
+        # never read.
+        fits = max(math.prod(d.extents), span * d.dtype.np_dtype.itemsize) <= _INT64_MAX
+        zeros = np.zeros(span if fits else 0, d.dtype.np_dtype)
         zeros.flags.writeable = False
         c = _TensorEntry(d.dtype, d.extents, strides, 0, zeros)
     return Case(spec, alpha, beta, a, b, c, d)
@@ -589,9 +617,12 @@ def _view_layout(rng, extents, signs="pos", parent="none"):
 
 
 def _random_values(rng, count, dtype: DType):
+    # -1 + 2 * r() is random.Random.uniform(-1, 1)'s own formula, draw
+    # for draw, without its call per value.
+    r = rng.random
     if dtype.is_complex:
-        return [[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(count)]
-    return [rng.uniform(-1, 1) for _ in range(count)]
+        return [[-1 + 2 * r(), -1 + 2 * r()] for _ in range(count)]
+    return [-1 + 2 * r() for _ in range(count)]
 
 
 def _tensor_doc(rng, labels, extent_of, dtype, signs="pos", parent="none", data=True):
@@ -608,11 +639,12 @@ def _tensor_doc(rng, labels, extent_of, dtype, signs="pos", parent="none", data=
 
 
 def _scalar_doc(rng, dtype: DType):
-    if rng.random() < 0.1:
+    r = rng.random
+    if r() < 0.1:
         return 0.0
     if dtype.is_complex:
-        return [rng.uniform(-1, 1), rng.uniform(-1, 1)]
-    return rng.uniform(-1, 1)
+        return [-1 + 2 * r(), -1 + 2 * r()]
+    return -1 + 2 * r()
 
 
 def _einsum(labels_a, labels_b, labels_d) -> str:

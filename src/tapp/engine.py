@@ -160,12 +160,10 @@ __all__ = [
 # The most cells in a block, and products formed at once.  A block's
 # float64 temporaries then take at most 64 KiB each, so they stay in
 # cache.  A complex pair array takes 128 KiB, at glibc's default mmap
-# threshold.  Measured with getrusage over 200 calls of each
-# `steady_large` op: only the c64 128x128 unary faults, about 128 minor
-# page faults a call.  Its temporaries peak at about 640 KiB (a 256 KiB
-# transposed copy and 128 KiB pair products), and glibc trims the heap
-# top they leave and faults it in again on the next call; with mmap and
-# trim thresholds above that size it makes none.
+# threshold.  Measured with getrusage around each call, over 100 rounds
+# of the 13 `steady_large` ops after 5 warm-up rounds (Python 3.11,
+# numpy 2.4, glibc's default malloc settings, 2-core x86-64 Linux): no
+# op makes a minor page fault.
 _CHUNK = 1 << 13
 
 # The fewest cells in a block for which *finish* stores a complex D's

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .core import TensorDesc
@@ -164,7 +163,7 @@ class LabelGroup:
     strides_b: tuple[int, ...]
     strides_d: tuple[int, ...]
 
-    @cached_property
+    @property
     def size(self) -> int:
         return math.prod(self.extents)
 
@@ -198,13 +197,17 @@ def classify(
     set_a, set_b, set_d = set(merged_a.labels), set(merged_b.labels), set(merged_d.labels)
     extent_of = label_extents(merged_a, merged_b, merged_d)
 
+    stride_a, stride_b, stride_d = (
+        dict(zip(m.labels, m.strides)) for m in (merged_a, merged_b, merged_d)
+    )
+
     def group(names: list[str]) -> LabelGroup:
         return LabelGroup(
             tuple(names),
             tuple(extent_of[n] for n in names),
-            tuple(merged_a.stride_of(n) for n in names),
-            tuple(merged_b.stride_of(n) for n in names),
-            tuple(merged_d.stride_of(n) for n in names),
+            tuple(stride_a.get(n, 0) for n in names),
+            tuple(stride_b.get(n, 0) for n in names),
+            tuple(stride_d.get(n, 0) for n in names),
         )
 
     return ClassifiedLabels(

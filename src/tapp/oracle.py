@@ -185,9 +185,12 @@ def oracle_contract(
         ):
             terms[k].append(abuf[i] * bbuf[j])
 
+    # Real A and B give real terms, on which _exact_sum is _fsum.
+    types = {*map(type, a.elements), *map(type, b.elements)}
+    total = _exact_sum if any(issubclass(t, complex) for t in types) else _fsum
     out = []
     for i in range(out_size):
-        v = alpha * _exact_sum(terms[i]) if alpha != 0 else 0.0
+        v = alpha * total(terms[i]) if alpha != 0 else 0.0
         if beta != 0:
             v = v + beta * c.elements[i]
         out.append(round_to(v, out_dtype))

@@ -6,6 +6,7 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tapp import cli
@@ -19,7 +20,8 @@ from tapp.cli import (
     parse_case,
     run_suite,
 )
-from tapp.errors import ErrorCode
+from tapp.core import DType
+from tapp.errors import ErrorCode, TappError
 from tapp.labels import parse_einsum
 
 MATMUL_DOC = {
@@ -228,6 +230,15 @@ def test_generated_documents_are_pinned():
             digest.update(json.dumps(generate_case(category, seed), sort_keys=True).encode())
     assert digest.hexdigest() == (
         "9a3535e331fe0d084c25bc283a372b87445ea8fb8e21a070338c699526e37cda"
+    )
+
+
+def test_suite_report_is_pinned():
+    # sha256 of a two-instance suite report, so that a change to any
+    # category's codes, checks or errors shows here.
+    report = json.dumps(run_suite(0, 2)[1], sort_keys=True).encode()
+    assert hashlib.sha256(report).hexdigest() == (
+        "1dc4ba143155472e67616ee00e0e6ef4970cd2e73cf7497b4658a969babb97cd"
     )
 
 
@@ -513,12 +524,134 @@ def _dot(einsum, a, b, c, d):
         # A's descriptor fails before its extent is compared with B's
         pytest.param(_dot("i,i->", [10**30], [2], None, []), ErrorCode.ERR_OUT_OF_BOUNDS,
                      id="a-beyond-int64"),
+        # C's default zeros would be as large as D
+        pytest.param(_dot("i,i->j", [2], [2], None, [10**30]), ErrorCode.ERR_OUT_OF_BOUNDS,
+                     id="default-c-beyond-int64"),
     ],
 )
 def test_a_descriptor_the_engine_rejects_gives_both_paths_its_code(doc, code):
     result = check_case(parse_case(doc))
     assert result.passed, result.detail
     assert result.engine_code is code and result.oracle_code is code
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("d_extents", [[10**30], [2**40, 2**40]])
+def test_a_case_without_c_and_a_d_beyond_int64_exits_with_out_of_bounds(
+    tmp_path, capsys, command, d_extents
+):
+    einsum = "i,i->" + "jk"[: len(d_extents)]
+    doc = _dot(einsum, [2], [2], None, d_extents)
+    assert main([command, _write(tmp_path, doc)]) == int(ErrorCode.ERR_OUT_OF_BOUNDS)
+    out = json.loads(capsys.readouterr().out)
+    if command == "check":
+        assert out["detail"] == "error codes agree"
+    else:
+        assert out["error"] == int(ErrorCode.ERR_OUT_OF_BOUNDS)
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize(
+    "dtype, element, parsed",
+    [
+        ("r32", 1e39, math.inf),
+        ("r32", -1e39, -math.inf),
+        ("c32", [1e39, -1e39], complex(math.inf, -math.inf)),
+        ("c32", [1, 1e39], complex(1, math.inf)),  # parsed element by element
+    ],
+)
+def test_an_element_beyond_float32_range_becomes_an_infinity_without_a_warning(
+    tmp_path, capsys, command, dtype, element, parsed
+):
+    # pyproject turns a RuntimeWarning into an error
+    one = [1.0, 0.0] if dtype == "c32" else 1.0
+    doc = {
+        "einsum": "i,i->",
+        "alpha": 1.0,
+        "beta": 0.0,
+        "a": {"dtype": dtype, "extents": [2], "data": [element, one]},
+        "b": {"dtype": dtype, "extents": [2], "data": [one, one]},
+        "d": {"dtype": dtype, "extents": []},
+    }
+    assert parse_case(doc).a.data[0] == parsed
+    assert main([command, _write(tmp_path, doc)]) == 0
+    _strict_json(capsys.readouterr().out)
+
+
+# Floats as json reads them: signed zeros, float64 and float32
+# subnormals, a float32 underflow to zero, non-finite constants, values
+# either side of float32's largest and beyond its range.
+_FLOATS = json.loads(
+    "[0.0, -0.0, 5e-324, -1e-310, 1e-40, -1e-46, NaN, Infinity, -Infinity, 0.1,"
+    " 3.4028234663852886e38, 3.4028235677973366e38, 3.5e38, 1e39, -1e39, 1.7976931348623157e308]"
+)
+
+
+def _tensor(dtype, data):
+    """A one-mode tensor entry holding ``data``."""
+    return {"dtype": dtype, "extents": [len(data)], "data": data}
+
+
+@pytest.mark.parametrize("dtype", ["r32", "r64", "c32", "c64"])
+def test_float_data_parse_in_bulk_to_the_bytes_of_element_by_element_parsing(
+    monkeypatch, dtype
+):
+    rng = random.Random(dtype)
+    values = _FLOATS + [rng.uniform(-1, 1) for _ in range(40)]
+    is_complex = dtype.startswith("c")
+    if is_complex:
+        values = [[x, y] for x, y in zip(values, reversed(values))]
+    parse_number = cli._parse_number
+    for data in ([], values):
+        with np.errstate(over="ignore"):
+            want = np.array(
+                [parse_number(v, "element", is_complex) for v in data],
+                DType.from_name(dtype).np_dtype,
+            )
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_number", None)  # the bulk path calls no parser
+            got = cli._parse_tensor(_tensor(dtype, data), "a", want_data=True).data
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dtype, data, want",
+    [
+        ("r64", [1, 2.5, -3], [1.0, 2.5, -3.0]),
+        ("r32", [0.5, 10**30], [0.5, float(np.float32(1e30))]),
+        ("c64", [[1, 2.0], [0.5, -1.5]], [1 + 2j, 0.5 - 1.5j]),
+        ("c64", [(0.5, 2.0), [0.5, -1.5]], [0.5 + 2j, 0.5 - 1.5j]),  # a tuple from Python
+        ("c32", [0.5, [0.5, -1.5]], [0.5 + 0j, 0.5 - 1.5j]),  # a bare number is real
+    ],
+)
+def test_data_other_than_floats_parse_element_by_element(monkeypatch, dtype, data, want):
+    calls = []
+    parse_number = cli._parse_number
+    monkeypatch.setattr(cli, "_parse_number", lambda *a: calls.append(a) or parse_number(*a))
+    entry = cli._parse_tensor(_tensor(dtype, data), "a", want_data=True)
+    assert entry.data.tolist() == want
+    assert len(calls) == len(data)
+
+
+@pytest.mark.parametrize(
+    "dtype, data, message",
+    [
+        ("r64", [1.0, True], "bad element True"),
+        ("r64", [1.0, "2.0"], "bad element '2.0'"),
+        ("r64", [1.0, None], "bad element None"),
+        ("r32", [[1.0, 2.0]], "bad element [1.0, 2.0]"),
+        ("c64", [[1.0, 2.0], [1.0]], "bad element [1.0]"),
+        ("c64", [[1.0, 2.0], [1.0, 2.0, 3.0]], "bad element [1.0, 2.0, 3.0]"),
+        ("c32", [[1.0, True]], "bad element [1.0, True]"),
+        ("c32", [[1.0, 10**400]], "element beyond float's range"),
+    ],
+)
+def test_data_the_element_parser_rejects_keep_its_code(dtype, data, message):
+    with pytest.raises(TappError) as err:
+        cli._parse_tensor(_tensor(dtype, data), "a", want_data=True)
+    assert err.value.code is ErrorCode.ERR_PARSE
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize(

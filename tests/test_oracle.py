@@ -257,3 +257,43 @@ def test_oracle_sums_products_that_overflow_both_ways_to_nan():
     b = dense([2, 1], [10.0, -10.0])  # products +inf and -inf
     got = oracle_contract(spec, a, b, dense([1, 1], [0.0]), 1.0, 0.0)
     assert math.isnan(got.elements[0])
+
+
+
+# Values whose products hit every branch of _fsum: signed zeros,
+# subnormals, infinities, NaN, and 1e308, whose products with values
+# above 1 in magnitude overflow a partial sum.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308, -1e308]
+
+
+def test_real_operands_sum_each_cell_as_exact_sum_does():
+    raised = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        m, k, n = (int(x) for x in rng.integers(1, 6, size=3))
+
+        def draw(count):
+            return [
+                float(_SPECIAL[rng.integers(len(_SPECIAL))]) if rng.random() < 0.3
+                else float(rng.uniform(-2, 2))
+                for _ in range(count)
+            ]
+
+        a, b, c = draw(m * k), draw(k * n), draw(m * n)
+        alpha, beta = 0.75, -1.5
+        got = oracle_contract(
+            parse_einsum("ik,kj->ij"), dense([m, k], a), dense([k, n], b), dense([m, n], c),
+            alpha, beta,
+        )
+        # Each cell's terms in k order, summed by _exact_sum
+        want = []
+        for j in range(n):
+            for i in range(m):
+                terms = [a[i + m * p] * b[p + k * j] for p in range(k)]
+                try:
+                    math.fsum(terms)
+                except (ValueError, OverflowError) as err:
+                    raised.add(type(err))
+                want.append(alpha * _exact_sum(terms) + beta * c[i + m * j])
+        assert np.array(got.elements).tobytes() == np.array(want).tobytes()
+    assert raised == {ValueError, OverflowError}
