@@ -322,8 +322,8 @@ def _as_view(desc: TensorDesc, data) -> TensorView:
 def _execute(op, executor, kind: str, status_out, run) -> ErrorCode:
     """Check ``op``, ``executor`` and ``status_out`` (None or a
     StatusRecord), run ``run(op.plan)`` and report its status; a
-    ``TappError`` from binding or running becomes its code, any other
-    exception ERR_INTERNAL."""
+    ``TappError`` from binding or running becomes its code, with its
+    message as the status's ``detail``, any other exception ERR_INTERNAL."""
     if (
         not isinstance(op, OperationDescriptor)
         or not op.handle.alive
@@ -336,7 +336,7 @@ def _execute(op, executor, kind: str, status_out, run) -> ErrorCode:
     try:
         status = run(op.plan)
     except TappError as err:
-        status = StatusRecord(error=err.code)
+        status = StatusRecord(error=err.code, detail=str(err))
     except Exception as err:  # such as MemoryError: a code all the same
         status = StatusRecord(error=_internal(err))
     if status_out is not None:

@@ -266,10 +266,22 @@ class EngineRun:
     code: ErrorCode
     d_buffer: np.ndarray | None = None
     status: StatusRecord | None = None
+    detail: str = ""  # why the run failed, where the library says so
+
+
+def _rejection(entry: _TensorEntry) -> str:
+    """Why a descriptor of ``entry`` is rejected, in the library's words:
+    ``tapp_create_tensor_info`` returns only the code."""
+    try:
+        TensorDesc(entry.extents, entry.strides, entry.dtype)
+    except TappError as err:
+        return str(err)
+    return ""
 
 
 def execute_case(case: Case) -> EngineRun:
-    """Run a case through the full handle/descriptor/execute stack."""
+    """Run a case through the full handle/descriptor/execute stack.  A
+    failed descriptor or execute call gives its reason as ``detail``."""
     handle = tapp_create_handle()
     try:
         operands = []  # info and labels of A, B, C and D in turn
@@ -283,7 +295,7 @@ def execute_case(case: Case) -> EngineRun:
                 handle, entry.dtype, len(entry.extents), entry.extents, entry.strides
             )
             if isinstance(info, ErrorCode):
-                return EngineRun(info)
+                return EngineRun(info, detail=_rejection(entry))
             operands += [info, labels]
         op = tapp_create_contraction(handle, *operands)
         if isinstance(op, ErrorCode):
@@ -304,7 +316,7 @@ def execute_case(case: Case) -> EngineRun:
             status_out=status,
         )
         if code is not ErrorCode.OK:
-            return EngineRun(code, status=status)
+            return EngineRun(code, status=status, detail=status.detail)
         return EngineRun(ErrorCode.OK, d_buffer=d_buffer, status=status)
     finally:
         tapp_destroy_handle(handle)
@@ -476,13 +488,14 @@ def check_case(
     orun = oracle_case(case)
     if run.code is not ErrorCode.OK or orun.code is not ErrorCode.OK:
         agreed = run.code == orun.code and run.code is not ErrorCode.OK
+        detail = "error codes agree" if agreed else (
+            f"engine {run.code.name} vs oracle {orun.code.name}"
+        )
         return CheckResult(
             run.code,
             orun.code,
             passed=agreed,
-            detail="error codes agree" if agreed else (
-                f"engine {run.code.name} vs oracle {orun.code.name}"
-            ),
+            detail=f"{detail}: {run.detail}" if run.detail else detail,
             run=run,
         )
     tol = default_tolerance(case) if tolerance is None else tolerance
@@ -988,7 +1001,7 @@ def _cmd_run(args) -> int:
     case = load_case(args.case)
     run = execute_case(case)
     if run.code is not ErrorCode.OK:
-        raise TappError(run.code)
+        raise TappError(run.code, run.detail or None)
     doc = {
         "d": [_emit_element(v, case.d.dtype) for v in run.d_buffer.tolist()],
         "status": {

@@ -145,7 +145,10 @@ def reach(extents: Sequence[int], strides: Sequence[int]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TensorDesc:
-    """Logical shape, strided physical layout and dtype of one operand."""
+    """Logical shape, strided physical layout and dtype of one operand.
+
+    Equal descriptors hash equal; the hash is computed once, on
+    construction, as every plan-cache lookup hashes four descriptors."""
 
     extents: tuple[int, ...]
     strides: tuple[int, ...]
@@ -166,6 +169,15 @@ class TensorDesc:
         span = (hi - lo + 1) * self.dtype.np_dtype.itemsize
         if max(self.size, span) > _INT64_MAX:
             raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "size or reach exceeds int64")
+        object.__setattr__(self, "_hash", hash((self.extents, self.strides, self.dtype)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: DType hashes by identity, so a
+        # hash carried into another process would not match there.
+        return TensorDesc, (self.extents, self.strides, self.dtype)
 
     @property
     def nmodes(self) -> int:

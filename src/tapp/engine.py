@@ -2,18 +2,18 @@
 
 Executes the ternary update ``D := alpha * A B + beta * C`` over
 general strided views.  The binary (``C := alpha*A + beta*B``) and
-unary (``B := alpha*A``) operations run as the same contraction: the
-operand takes B's place, and a one-element r32 unit operand U takes A's
+unary (``B := alpha*A``) operations are planned as the same contraction:
+the operand takes B's place, and a one-element r32 unit operand U takes A's
 place, with stride zero along every output label the operand lacks.  U
-is not an execute argument: the plan holds it, loaded, and A's slot of
-:func:`contract` is None.  The binary update takes C's place; unary runs
-with ``beta = 0``, its operand also in C's unread slot where it has the
-output's descriptor, so that the one in-place rule, in :func:`_bind`,
-decides whether it runs in place or is ERR_ALIASING.  ``1 * x == x``
-exactly for real x, so this changes no real bits; for complex x the
-product is the full complex product ``(1+0j) * x``, which can flip the
-sign of a zero component, or give NaN (``0 * inf``) next to an infinite
-one.
+is not an execute argument, and A's slot of :func:`contract` is None.
+The binary update takes C's place; unary runs with ``beta = 0``, its
+operand also in C's unread slot where it has the output's descriptor, so
+that the one in-place rule, in :func:`_bind`, decides whether it runs in
+place or is ERR_ALIASING.  Under the rule for real times complex below,
+U's product is exact: ``1 * x == x`` for real x, and ``(1*xr, 1*xi)`` for
+complex x.  So U is never read or loaded: such a plan
+(``ContractionPlan.unit_a``) skips *sum*, and *finish* scales the loaded
+operand itself, broadcast along U's labels.
 
 A validated, immutable plan (see :func:`make_plan`) is built once per
 operation shape, in time and memory that grow with the number of modes,
@@ -42,10 +42,10 @@ same axes, the output cells.  The plan also holds the trip counts
 ``(R_a, R_b, K, H, F, G)``, F and G in loop order
 (``ContractionPlan.counts``), the cells (``ContractionPlan.cells``), the
 block shape cut from them (``ContractionPlan.box``), and whatever else
-execution derives from the plan alone: the part dtype, how A and B load in loop order, whether one
-block of one contracted step covers the whole output, and, for a binary
-or unary plan, U's loaded form.  An execute call then does only the work
-its buffers need.
+execution derives from the plan alone: the part dtype, how A and B
+load in loop order (only B for a binary or unary plan), and whether one
+block of one contracted step covers the whole output.  An execute call
+then does only the work its buffers need.
 
 :func:`contract` runs in four stages, each of which can be timed or
 replaced alone:
@@ -58,11 +58,13 @@ replaced alone:
   overlap it allows;
 * *load* (:func:`_load`) returns A and B in loop order as
   ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)`` arrays, one axis per
-  cell axis, summed over their input-only reductions;
+  cell axis, summed over their input-only reductions; for a plan whose A
+  is U, only B, with K dropped;
 * *sum* (:func:`_sum`), for one block of output cells, returns each
   cell's ordered sum over K, real or as ``(re, im)`` pairs; it is the
   only loop over elements, and an output that fits one block of one
-  step runs it without slicing;
+  step runs it without slicing.  A plan whose A is U skips it:
+  :func:`_pass` hands on B's loaded block;
 * *finish* (:func:`_finish`), for the same block, stores
   ``alpha * sum + beta * C`` into D with one cast.
 
@@ -73,10 +75,11 @@ of A and B is reshaped so that its R and K are one axis each (a view
 where their labels fold, else one strided copy), and copied C-contiguous
 before the first store unless it is so already or is a stride-0 view
 (which takes no memory).  The operand of a binary or unary op meets only
-U, so it reads each element once: it stays a view of its buffer unless
-it is cast, has an input-only reduction or is D's identical view.  U has no
-buffer: the plan holds it loaded, as a stride-0 view of a one or a
-``(1, +0.0)`` pair.
+alpha, so it reads each element once: it stays a view of its buffer
+unless it is cast, has an input-only reduction or is D's identical view,
+or it is complex and D is stored part by part (see ``_PART_BY_PART``):
+then it is copied C-contiguous, so that alpha's product comes out in D's
+order.  U has no buffer and is never loaded.
 Input-only reductions are summed in index order.  The output cells are
 then walked in blocks of at most ``_CHUNK`` cells, a range on each cell
 axis with the last filled first, forming at most ``_CHUNK`` products
@@ -102,16 +105,25 @@ it, and the bits are those of the same scalar loop in Python numbers
 * Real compute dtypes use native float32 or float64 operations.  A
   float32 sum or product equals the float64 one rounded to float32.
 * Complex compute dtypes keep real and imaginary parts in a first axis
-  of two and multiply as CPython 3.11 does (``re = ar*br - ai*bi``,
-  ``im = ar*bi + ai*br``); numpy's complex multiply differs in the last
-  bits.  A real value that meets a complex one is promoted to
-  ``(x, +0.0)``; real-by-real products, and their sum, stay real until
-  the sum is rounded to complex with imaginary part ``+0.0`` (what a sum
-  of ``+0.0`` parts gives).
-* c32 products are formed in float64, each part rounded to float32 once,
-  and then summed in float32.  Where neither operand has an input-only
-  reduction (which sums in float32), both are widened to float64 once
-  before the loop, which is exact.
+  of two.  Two complex values multiply as CPython 3.11 does
+  (``re = ar*br - ai*bi``, ``im = ar*bi + ai*br``); numpy's complex
+  multiply differs in the last bits.
+* A real x times a complex ``(re, im)`` is ``(x*re, x*im)``, never
+  ``(x, +0.0)`` times ``(re, im)``: C99 Annex G's rule, which CPython
+  3.14 adopted for mixed-mode arithmetic.  It applies to a real alpha or
+  beta on complex values, to a real operand that meets a complex one,
+  and to U.  So a real alpha or beta takes one multiply per part, and an
+  infinity or a zero's sign passes through it unchanged.  Real products,
+  their sum and its product with a real alpha stay real.  A real value
+  becomes complex only where it is added to a complex one, as
+  ``(x, +0.0)``, as Python's ``+`` does, or stored into a complex D,
+  with imaginary part ``+0.0``.
+* c32 products of two complex values are formed in float64, each part
+  rounded to float32 once, and then summed in float32.  Where neither
+  operand has an input-only reduction (which sums in float32), both are
+  widened to float64 once before the loop, which is exact.  A product
+  with a real factor is one float32 multiply per part, which rounds as
+  the float64 one rounded once.
 
 Following BLAS convention, ``beta == 0`` means C is never read and
 ``alpha == 0`` means A and B are never read.
@@ -122,7 +134,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from numbers import Number
 from typing import NamedTuple, Sequence
@@ -193,7 +205,9 @@ class StatusRecord:
     ``multiply_adds`` counts products of (possibly pre-reduced) input
     values accumulated into outputs; it is exact for the loops actually
     executed, i.e. zero when ``alpha == 0``.  A binary or unary op counts
-    one product (with the unit operand) per written element.
+    one per written element, the product with the unit operand, though
+    that product is exact and no longer formed.  ``detail`` is the reason
+    a failed call gives for its ``error``, empty on success.
     """
 
     seconds_elapsed: float = 0.0
@@ -201,6 +215,7 @@ class StatusRecord:
     multiply_adds: int = 0
     error: ErrorCode = ErrorCode.OK
     executor: object | None = None
+    detail: str = ""
 
 
 def _injective(extents, strides, budget: int) -> bool | None:
@@ -287,11 +302,11 @@ class _Load(NamedTuple):
 
     slot: int  # 0 for A, 1 for B
     layout: _Layout
-    shape: tuple[int, ...]  # (2,) if pairs, (R,) if reduced, (K,), then cell axes
+    shape: tuple[int, ...]  # (2,) if pairs, (R,) if reduced, (K,) unless A is U, cells
     dtype: np.dtype  # the loaded elements' (parts') dtype
     cast: bool  # the view's dtype is not ``dtype``
     reduced: bool  # the first group is an input-only reduction, summed away
-    pairs: np.dtype | None  # a real operand meeting complex ones: its pairs' dtype
+    dense: bool  # copied C-contiguous unless it is already, or is a stride-0 view
 
 
 @dataclass(frozen=True)
@@ -325,20 +340,21 @@ class ContractionPlan:
     split: tuple[int, int] = field(repr=False, compare=False)
     box: tuple[int, ...] = field(repr=False, compare=False)
     # What execution derives from the plan alone: the compute dtype's part
-    # dtype and whether it is complex, whether the products are complex
-    # (formed as ``(re, im)`` pairs), how A and B load in loop order (F's
-    # operand, then G's), and whether the box is the whole output in one
-    # contracted step; and whether D is complex with at least
-    # ``_PART_BY_PART`` cells a block, which *finish* stores part by part.
+    # dtype, whether the sums are ``(re, im)`` pairs (an operand is
+    # complex), whether the products are full complex products (both
+    # are), how A and B load in loop order (F's operand, then G's; None
+    # for U), and whether the box is the whole output in one contracted
+    # step; and whether D is complex with at least ``_PART_BY_PART``
+    # cells a block, which *finish* stores part by part.
     part: np.dtype = field(repr=False, compare=False)
-    cplx: bool = field(repr=False, compare=False)
+    pairs: bool = field(repr=False, compare=False)
     cmul: bool = field(repr=False, compare=False)
-    loads: tuple[_Load, _Load] = field(repr=False, compare=False)
+    loads: tuple[_Load | None, _Load | None] = field(repr=False, compare=False)
     whole: bool = field(repr=False, compare=False)
     parted: bool = field(repr=False, compare=False)
-    # The unit operand U's loaded form, where A is U (a binary or unary
-    # plan); contract then reads U from here, not from A's buffer.
-    unit: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Whether A is the unit operand U (a binary or unary plan): U is never
+    # read, and execution skips *sum*.
+    unit_a: bool = False
 
 
 def _resolve_compute_dtype(requested: DType | None, *operands: DType) -> DType:
@@ -362,6 +378,8 @@ def make_plan(
     desc_c: TensorDesc,
     desc_d: TensorDesc,
     compute_dtype: DType | None = None,
+    *,
+    unit_a: bool = False,
 ) -> ContractionPlan:
     """Validate and preprocess one contraction; raises TappError.
 
@@ -370,6 +388,9 @@ def make_plan(
     output-only labels, output address injectivity (ERR_ALIASING, or
     ERR_UNSUPPORTED where deciding it would enumerate more than
     ``_ENUMERATION_BUDGET`` addresses; see :func:`_injective`).
+    ``unit_a`` marks A as the unit operand U of a binary or unary plan,
+    which is never loaded: B loads without its K axis (U contracts no
+    label, so K is 1), and execution skips *sum*.
     """
     merged_a = merge_repeats(spec.labels_a, desc_a)
     merged_b = merge_repeats(spec.labels_b, desc_b)
@@ -426,33 +447,38 @@ def make_plan(
     layout_a = _layout(desc_a.dtype, *((g.extents, g.strides_a) for g in a_groups))
     layout_b = _layout(desc_b.dtype, *((g.extents, g.strides_b) for g in b_groups))
     part = _F32 if cdt.width == 32 else _F64
-    # A real reduction is complex from its first rounding on, with
-    # imaginary part +0.0, and a real operand that meets a complex one is
-    # promoted alike.  Complex products are formed in float64, so their
-    # operands are widened to it at once, which is exact, unless a
-    # reduction sums in ``part`` first (widening after it adds a numpy
-    # call, measured slower on tiny ops).
+    # The sums are (re, im) pairs where an operand is complex; a real one
+    # stays real, and multiplies each part of a complex one (see _cmul).
+    # Products of two complex operands are formed in float64, so these
+    # are widened to it at once, which is exact, unless a reduction sums
+    # in ``part`` first (widening after it adds a numpy call, measured
+    # slower on tiny ops).
     reduced = counts[0] > 1 or counts[1] > 1
-    cmul = cdt.is_complex and (layout_a.pairs or layout_b.pairs or reduced)
-    pairs = (part if reduced else _F64) if cmul else None
+    pairs = layout_a.pairs or layout_b.pairs
+    cmul = layout_a.pairs and layout_b.pairs
+    dtype = _F64 if cmul and not reduced else part
     # Loaded, F's operand spans the cells' H and F axes and G's their H
     # and G axes, each with extent 1 on the others.
     cells = layout_d.shape[layout_d.pairs :]
     h, f = (max(1, sum(e > 1 for e in g.extents)) for g in groups[:2])
     hf, ones = h + f, (1,) * len(cells)
     spans = cells[:hf] + ones[hf:], cells[:h] + ones[h:hf] + cells[hf:]
+    box = _box(counts[2], cells)
+    parted = layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART
 
     def load(slot: int, layout: _Layout, span: tuple[int, ...]) -> _Load:
-        promote = pairs is not None and not layout.pairs
-        dtype = part if promote or pairs is None else pairs
-        shape = (2,) * layout.pairs + (counts[slot],) * (counts[slot] > 1) + (counts[2], *span)
-        return _Load(
-            slot, layout, shape, dtype, layout.dtype != dtype, counts[slot] > 1,
-            pairs if promote else None,
-        )
+        reduced = counts[slot] > 1
+        shape = (2,) * layout.pairs + (counts[slot],) * reduced + (counts[2],) * (not unit_a)
+        # B of a plan whose A is U meets only alpha, so it reads each
+        # element once and stays strided unless it is reduced, or is
+        # complex and D is stored part by part (see _finish).
+        dense = not unit_a or reduced or layout.pairs and parted
+        return _Load(slot, layout, shape + span, dtype, layout.dtype != dtype, reduced, dense)
 
-    loads = (load(0, layout_a, spans[swap_ab]), load(1, layout_b, spans[not swap_ab]))
-    box = _box(counts[2], cells)
+    loads = (
+        None if unit_a else load(0, layout_a, spans[swap_ab]),
+        load(1, layout_b, spans[not swap_ab]),
+    )
     return ContractionPlan(
         spec=spec,
         desc_a=desc_a,
@@ -471,11 +497,12 @@ def make_plan(
         split=(h, hf),
         box=box,
         part=part,
-        cplx=cdt.is_complex,
+        pairs=pairs,
         cmul=cmul,
         loads=loads[::-1] if swap_ab else loads,
         whole=box == (counts[2], *cells),
-        parted=layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART,
+        parted=parted,
+        unit_a=unit_a,
     )
 
 
@@ -521,8 +548,10 @@ def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
     * anything else is ERR_DTYPE_MISMATCH: ``"1.5"``, None, ``[1.0]``, a
       0-d array (and numpy's bool, which is not a ``numbers.Number``).
 
-    A plain float stays a float, also for a complex compute dtype (its
-    imaginary part is +0.0 either way)."""
+    A real value is a float, also for a complex compute dtype, so that it
+    multiplies each part of a complex value alone (see :func:`_cmul`); a
+    complex one is the pair ``(re, im)`` of its rounded parts, which is
+    how *finish* reads it (it is nonzero, as its imaginary part is)."""
     if type(value) is float:
         return value if compute_dtype.width == 64 else _to_f32(value)
     # complex first: a Python complex skips the ABC's Python-level check.
@@ -536,12 +565,14 @@ def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
         ) from None
     if value.imag == 0.0:
         value = value.real
-    elif not compute_dtype.is_complex:
+        return value if compute_dtype.width == 64 else _to_f32(value)
+    if not compute_dtype.is_complex:
         raise TappError(
             ErrorCode.ERR_DTYPE_MISMATCH,
             f"{name} has a nonzero imaginary part but all operands are real",
         )
-    return round_to(value, compute_dtype)
+    value = round_to(value, compute_dtype)
+    return value.real, value.imag
 
 
 def _view(view: TensorView, layout: _Layout) -> np.ndarray:
@@ -558,32 +589,27 @@ def _view(view: TensorView, layout: _Layout) -> np.ndarray:
     return as_strided(origin, layout.shape, strides)
 
 
-def _operand(x: np.ndarray, load: _Load, copy: bool, once: bool) -> np.ndarray:
+def _operand(x: np.ndarray, load: _Load, copy: bool) -> np.ndarray:
     """A or B, viewed as ``x``, in ``load``'s dtype and shape, summed over
     its input-only reduction: ``(K, *H, *F, 1...)`` or ``(K, *H, 1...,
-    *G)``.  The reshape into that shape is a view where the labels of R
-    and of K fold into one axis each, else one strided copy.  An operand
-    that meets many elements of the other is made C-contiguous, as
-    numpy's loops run several times slower over strided elements, unless
-    it is already, or is a stride-0 view (which takes no memory).  One
-    read ``once``, the caller's operand of a binary or unary op, which
-    meets only the unit operand, stays strided unless it has an
-    input-only reduction.  Any operand is copied when ``copy`` or cast.
-    A real operand that meets complex ones is returned as ``(x, +0.0)``
-    pairs."""
+    *G)``, without K where A is U.  The reshape into that shape is a view
+    where the labels of R and of K fold into one axis each, else one
+    strided copy.  A ``load.dense`` operand, one that meets many elements
+    of the other, is made C-contiguous, as numpy's loops run several times
+    slower over strided elements, unless it is already, or is a stride-0
+    view (which takes no memory).  Any operand is copied when ``copy`` or
+    cast."""
     x = x.reshape(load.shape)
-    dense = not once or load.reduced
-    if copy or load.cast or dense and not (load.layout.broadcast or x.flags.c_contiguous):
+    if copy or load.cast or load.dense and not (load.layout.broadcast or x.flags.c_contiguous):
         x = x.astype(load.dtype, order="C")
     if load.reduced:
         x = _sum_k(x, int(load.layout.pairs))
-    return x if load.pairs is None else _promoted(x, load.pairs)
+    return x
 
 
-def _promoted(x: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
-    """Real values as Python promotes a float to complex: ``(x, +0.0)``, of
-    ``dtype`` (by default x's)."""
-    parts = np.zeros((2, *x.shape), x.dtype if dtype is None else dtype)
+def _promoted(x: np.ndarray) -> np.ndarray:
+    """Real values as Python promotes a float to complex: ``(x, +0.0)``."""
+    parts = np.zeros((2, *x.shape), x.dtype)
     parts[0] = x
     return parts
 
@@ -610,12 +636,23 @@ def _sum_k(x: np.ndarray, axis: int, acc: np.ndarray | None = None):
     return np.add.accumulate(x, axis)[(*lead, -1)]
 
 
-def _cmul(x: np.ndarray, y, part: np.dtype) -> np.ndarray:
-    """CPython's complex product ``(xr*yr - xi*yi, xr*yi + xi*yr)`` of
-    ``(re, im)`` parts, formed in float64 and rounded to ``part`` once;
-    ``y`` may be a pair of Python floats.  Float32 parts are widened first
-    and the parts are combined in the first products' array, as a ufunc
-    that casts its inputs or into its output takes about twice as long."""
+def _cmul(x: np.ndarray, y, part: np.dtype, pairs: bool = True) -> np.ndarray:
+    """``x * y`` in ``part``, where ``y`` is complex: ``(re, im)`` pairs on
+    a first axis, or a pair of Python floats (a complex scalar), and ``x``
+    holds pairs too where ``pairs``, else real values.
+
+    A real x multiplies each part, ``(x*yr, x*yi)`` (C99 Annex G), one
+    rounding each; so does a real y, which needs no call here:
+    ``(xr*y, xi*y)`` is ``x * y``.  Two complex factors give CPython's
+    complex product ``(xr*yr - xi*yi, xr*yi + xi*yr)``, formed in float64
+    and rounded to ``part`` once.  Float32 parts are widened first and the
+    parts are combined in the first products' array, as a ufunc that
+    casts its inputs or into its output takes about twice as long."""
+    if not pairs:  # a real x times a complex scalar
+        xy = np.empty((2, *x.shape), part)
+        np.multiply(x, y[0], xy[0], dtype=part)
+        np.multiply(x, y[1], xy[1], dtype=part)
+        return xy
     if x.dtype != _F64:
         x = x.astype(_F64)
     if isinstance(y, np.ndarray) and y.dtype != _F64:
@@ -633,9 +670,9 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     ``al, be``, the numpy views of A, B and C on their layouts' axes (None
     where execution does not read the operand and the overlap check did
     not need it), D's view, and whether C is D's identical view (an
-    in-place update).  Where the plan holds the unit operand U (a binary
-    or unary plan), A's slot is not the caller's: it is neither checked
-    nor probed for overlap.
+    in-place update).  Where A is the unit operand U (a binary or unary
+    plan), A's slot is not the caller's: it is neither checked nor probed
+    for overlap.
 
     Any other overlap between D and an operand is ERR_ALIASING.  This is
     the one in-place rule of every operation.  It is decided exactly by
@@ -643,7 +680,7 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     where that needs more than ``_OVERLAP_WORK``."""
     al = _scalar_for(alpha, plan.compute_dtype, "alpha")
     be = _scalar_for(beta, plan.compute_dtype, "beta")
-    unit = plan.unit is not None
+    unit = plan.unit_a
     if not unit:
         _check_view(a, plan.desc_a, "A")
     _check_view(b, plan.desc_b, "B")
@@ -680,71 +717,101 @@ def _load(plan: ContractionPlan, views, copies):
     """The *load* stage: A and B in loop order (traded where
     ``plan.swap_ab``), read whole and summed over their input-only
     reductions, as ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)``
-    arrays, both ``(re, im)`` pairs where ``plan.cmul``.  ``views`` holds
+    arrays, each ``(re, im)`` pairs where it is complex.  ``views`` holds
     A's and B's numpy views, and ``copies`` whether each is also C, D's
     identical view (in-place unary): such an operand is copied, as later
     blocks read it after the first store.  Where A is the unit operand U,
-    it comes loaded with the plan, and B, which meets only U, is read
-    once."""
+    U is not loaded: only B is, without K."""
     f, g = plan.loads
-    unit = plan.unit
-    once = unit is not None
-    return (  # a slot of 1 is B's
-        _operand(views[f.slot], f, copies[f.slot], once) if not once or f.slot else unit,
-        _operand(views[g.slot], g, copies[g.slot], once) if not once or g.slot else unit,
+    if plan.unit_a:
+        return _operand(views[1], g if f is None else f, copies[1])
+    return (
+        _operand(views[f.slot], f, copies[f.slot]),
+        _operand(views[g.slot], g, copies[g.slot]),
     )
 
 
-def _sum(plan: ContractionPlan, av, bv, block):
+def _cut(plan: ContractionPlan, block, g: bool) -> tuple:
+    """The index of one ``block`` into F's operand, or into G's where
+    ``g``: each spans the cells' H axes and its own, with extent 1 on the
+    other's, so it is not cut along those."""
+    h, hf = plan.split
+    full = (_ALL,) * len(block)
+    if g:
+        return (*block[:h], *full[h:hf], *block[hf:])
+    return (*block[:hf], *full[hf:])
+
+
+def _sum(plan: ContractionPlan, loaded, block):
     """The *sum* stage over one block: each cell's products
     ``A[k, h, f] * B[k, h, g]`` summed over k from left to right, in steps
-    of ``plan.box[0]`` rows.  A ``block`` of None is the whole output in
-    one step, which needs no slicing; else F's operand is not cut along
-    G's axes, nor G's along F's.  Returns the sums, real, or as
-    ``(re, im)`` pairs where the compute dtype is complex."""
+    of ``plan.box[0]`` rows, from A and B as *load* returns them.  A
+    ``block`` of None is the whole output in one step, which needs no
+    slicing.  Returns the sums, real, or as ``(re, im)`` pairs where an
+    operand is complex (``plan.pairs``)."""
+    av, bv = loaded
     if block is None:
         steps = ((av, bv),)
     else:
-        (h, hf), step, k = plan.split, plan.box[0], plan.counts[2]
-        full = (_ALL,) * len(block)
-        a, b = (*block[:hf], *full[hf:]), (*block[:h], *full[h:hf], *block[hf:])
+        step, k = plan.box[0], plan.counts[2]
+        a, b = _cut(plan, block, False), _cut(plan, block, True)
         ks = [slice(t, t + step) for t in range(0, k, step)] if step < k else [_ALL]
         steps = ((av[(..., s, *a)], bv[(..., s, *b)]) for s in ks)
-    part, cmul = plan.part, plan.cmul
+    part, cmul, axis = plan.part, plan.cmul, int(plan.pairs)
     acc = None
     for x, y in steps:
-        # Real products are summed real, also when rounded to complex.
-        acc = _sum_k(_cmul(x, y, part) if cmul else x * y, int(cmul), acc)
-    return _promoted(acc) if plan.cplx and not cmul else acc
+        # A real operand broadcasts over the pairs axis of a complex one.
+        acc = _sum_k(_cmul(x, y, part) if cmul else x * y, axis, acc)
+    return acc
+
+
+def _pass(plan: ContractionPlan, loaded, block):
+    """What replaces *sum* where A is the unit operand U, whose product is
+    exact: B's loaded block (``loaded``: B, without K), broadcast along
+    U's labels by *finish*."""
+    if block is None:
+        return loaded
+    return loaded[(..., *_cut(plan, block, not plan.swap_ab))]  # B is G's unless traded
 
 
 def _finish(plan: ContractionPlan, dv, block, acc, cg, al, be):
     """The *finish* stage over one block (None: the whole output):
     ``alpha * acc + beta * C``, where ``acc`` is None if alpha is 0 and
     C's view ``cg`` is None if beta is 0, stored through D's view ``dv``
-    with one cast; a real D drops the imaginary part.  A C-contiguous
-    ``(re, im)`` block, as beta 0 gives, goes into a ``plan.parted`` D one
-    part at a time."""
+    with one cast.  A scalar is a float, or a pair of floats where it is
+    complex; each product follows :func:`_cmul`.  A real value is added to
+    a complex one, or stored into a complex D, as ``(x, +0.0)``; a real D
+    drops the imaginary part.  A C-contiguous ``(re, im)`` block, as beta
+    0 gives, goes into a ``plan.parted`` D one part at a time."""
     cells = ... if block is None else (..., *block)
-    part, cplx = plan.part, plan.cplx
-    v = 0.0
-    if acc is not None:
-        v = _cmul(acc, al, part) if cplx else acc * al
+    part = plan.part
+    v, pairs = 0.0, False
+    if acc is not None:  # acc is of dtype ``part``
+        if type(al) is float:
+            v, pairs = acc * al, plan.pairs
+        else:
+            v, pairs = _cmul(acc, al, part, plan.pairs), True
     if cg is not None:
         cv = cg[cells]
-        if not cplx:
-            cv = np.multiply(cv, be, dtype=part)
+        if type(be) is float:  # a ufunc's dtype argument costs 0.5 us
+            cv = cv * be if cv.dtype is part else np.multiply(cv, be, dtype=part)
         else:
-            cv = _cmul(cv if plan.layout_c.pairs else _promoted(cv), be, part)
-        cv += v  # 0.0 + (re, im) == (0.0 + re, 0.0 + im)
-        v = cv
-    if plan.parted and not isinstance(v, float) and v.flags.c_contiguous:
+            cv = _cmul(cv, be, part, plan.layout_c.pairs)
+        cpairs = plan.layout_c.pairs or type(be) is tuple
+        if pairs != cpairs and type(v) is not float:  # 0.0 + (re, im) needs none
+            cv, v = (cv, _promoted(v)) if cpairs else (_promoted(cv), v)
+        cv += v
+        v, pairs = cv, pairs or cpairs
+    if not plan.layout_d.pairs:
+        dv[cells] = v[0] if pairs else v
+    elif not pairs:
+        dv[0][cells] = v
+        dv[1][cells] = 0.0
+    elif plan.parted and v.flags.c_contiguous:
         dv[0][cells] = v[0]
         dv[1][cells] = v[1]
-        return
-    if cplx and not plan.layout_d.pairs and not isinstance(v, float):
-        v = v[0]
-    dv[cells] = v
+    else:
+        dv[cells] = v
 
 
 def contract(
@@ -763,23 +830,23 @@ def contract(
     block of output cells, :func:`_sum` returns each cell's sum over K and
     :func:`_finish` stores ``alpha * sum + beta * C`` through D's view.
 
-    Where the plan holds the unit operand U (a binary or unary plan), U
-    is not an argument and ``a`` is not read: the binary and unary
-    adapters pass None.  :func:`_bind` holds the in-place rule: C and D
-    may be the identical view (in-place update); any other overlap
-    between D and an operand is rejected.
+    Where A is the unit operand U (a binary or unary plan), U is not an
+    argument and ``a`` is not read: the binary and unary adapters pass
+    None.  *sum* is skipped: :func:`_pass` hands B's loaded block
+    straight to *finish*.  :func:`_bind` holds the in-place rule: C and D may be the identical
+    view (in-place update); any other overlap between D and an operand is
+    rejected.
     """
     t0 = time.perf_counter()
     al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d)
     read_ab = al != 0
     with np.errstate(all="ignore"):
         if read_ab:
-            av, bv = _load(plan, views, (in_place and a is c, in_place and b is c))
+            loaded = _load(plan, views, (in_place and a is c, in_place and b is c))
         cv = views[2] if be != 0 else None
-        if plan.cplx:
-            al, be = (al.real, al.imag), (be.real, be.imag)
+        stage = _pass if plan.unit_a else _sum
         for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
-            acc = _sum(plan, av, bv, block) if read_ab else None
+            acc = stage(plan, loaded, block) if read_ab else None
             _finish(plan, dv, block, acc, cv, al, be)
     _, _, k, h, f, g = plan.counts
     return StatusRecord(
@@ -787,22 +854,6 @@ def contract(
         elements_written=h * f * g,
         multiply_adds=h * f * g * k if read_ab else 0,
     )
-
-
-def _with_unit(plan: ContractionPlan) -> ContractionPlan:
-    """``plan``, whose A is the unit operand U, holding U's loaded form:
-    ones in U's loop shape, or ``(1, +0.0)`` pairs where U meets complex
-    values, as a read-only stride-0 view of one value (U never has an
-    input-only reduction, so its load sums nothing)."""
-    load = plan.loads[plan.swap_ab]  # A's: F's operand unless A and B trade
-    shape = load.shape
-    if load.pairs is None:
-        one, strides = np.ones(1, load.dtype), (0,) * len(shape)
-    else:
-        one, shape = np.array([1.0, 0.0], load.pairs), (2, *shape)
-        strides = (one.itemsize, *(0,) * (len(shape) - 1))
-    unit = as_strided(one, shape, strides, writeable=False)
-    return replace(plan, unit=unit)
 
 
 def make_binary_plan(
@@ -834,7 +885,7 @@ def make_binary_plan(
     )
     labels_u = tuple(labels_out[k] for k in lacking)
     spec = LabelSpec(labels_u, labels_a, labels_out, labels_out)
-    return _with_unit(make_plan(spec, desc_u, desc_a, desc_b, desc_out))
+    return make_plan(spec, desc_u, desc_a, desc_b, desc_out, unit_a=True)
 
 
 def run_binary(
@@ -846,8 +897,8 @@ def run_binary(
     out: TensorView,
 ) -> StatusRecord:
     """Execute a binary plan: A and B take B's and C's places, and U,
-    which the plan holds, A's, so A's slot is None.  B may be the
-    output's identical view."""
+    which is never read, A's, so A's slot is None.  B may be the output's
+    identical view."""
     return contract(plan, alpha, None, a, beta, b, out)
 
 
@@ -896,8 +947,8 @@ def run_unary(
     a: TensorView,
     out: TensorView,
 ) -> StatusRecord:
-    """Execute a unary plan: A takes B's place, and U, which the plan
-    holds, A's, so A's slot is None.  Where A has the output's descriptor
+    """Execute a unary plan: A takes B's place, and U, which is never
+    read, A's, so A's slot is None.  Where A has the output's descriptor
     it fills C's unread slot as well, so :func:`_bind`'s in-place rule
     decides: A as the output's identical view runs in place, and any
     other overlap with it is ERR_ALIASING."""

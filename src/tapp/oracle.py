@@ -8,6 +8,13 @@ exactly rounded summation (``math.fsum`` componentwise).  Output-only
 labels are supported here (each product is broadcast into every
 position along them) even though the engine rejects them.  Agreement
 between the two paths is therefore evidence, not tautology.
+
+Products, ``alpha * sum`` and ``beta * C`` follow C99 Annex G's rule for
+a real factor, as the engine's contract does: a real x times a complex
+``(re, im)`` is ``(x*re, x*im)``, not ``(x, +0.0)`` times it, which is
+what Python 3.11's ``*`` forms (see :func:`_mul`).  So a real sum of
+real products stays real until it is rounded to the output dtype, and an
+infinity stays an infinity next to a zero part.
 """
 
 from __future__ import annotations
@@ -116,6 +123,17 @@ def _fsum(values: list[float]) -> float:
             return math.inf if total > 0 else -math.inf
 
 
+def _mul(x, y) -> float | complex:
+    """``x * y``, where a real factor multiplies each part of a complex
+    one, ``(x*yr, x*yi)`` (C99 Annex G, which CPython 3.14 adopted); two
+    complex factors multiply as Python's ``*`` does."""
+    if isinstance(x, complex):
+        return x * y if isinstance(y, complex) else complex(x.real * y, x.imag * y)
+    if isinstance(y, complex):
+        return complex(x * y.real, x * y.imag)
+    return x * y
+
+
 def _exact_sum(values) -> float | complex:
     if any(isinstance(v, complex) for v in values):
         return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
@@ -134,7 +152,8 @@ def oracle_contract(
     """Evaluate ``alpha * A B + beta * C`` over dense operands.
 
     Handles every label class, including output-only labels.  ``alpha``
-    and ``beta`` are Python numbers, used as given.  When ``alpha``
+    and ``beta`` are Python numbers, used as given: a complex one is
+    complex even where its imaginary part is zero.  When ``alpha``
     (``beta``) is exactly zero the inputs (C) are never read.
     """
     extent_of: dict[str, int] = {}
@@ -175,23 +194,35 @@ def oracle_contract(
         weight = dict(zip(uniq, weights))
         return _addresses(extents, [weight.get(l, 0) for l in space])
 
+    # Real A and B give real terms, on which _exact_sum is _fsum.  Where
+    # two factors are both real or both complex, _mul is Python's ``*``,
+    # written inline on this hot path.
+    types = {*map(type, a.elements), *map(type, b.elements)}
+    cplx = any(issubclass(t, complex) for t in types)
     terms: list[list] = [[] for _ in range(out_size)]
     if alpha != 0:
         abuf, bbuf = a.elements, b.elements
-        for i, j, k in zip(
+        cells = zip(
             positions(spec.labels_a, a.extents),
             positions(spec.labels_b, b.extents),
             positions(spec.labels_d, out_extents),
-        ):
-            terms[k].append(abuf[i] * bbuf[j])
+        )
+        if cplx and len(types) > 1:
+            for i, j, k in cells:
+                terms[k].append(_mul(abuf[i], bbuf[j]))
+        else:
+            for i, j, k in cells:
+                terms[k].append(abuf[i] * bbuf[j])
 
-    # Real A and B give real terms, on which _exact_sum is _fsum.
-    types = {*map(type, a.elements), *map(type, b.elements)}
-    total = _exact_sum if any(issubclass(t, complex) for t in types) else _fsum
+    total = _exact_sum if cplx else _fsum
     out = []
     for i in range(out_size):
-        v = alpha * total(terms[i]) if alpha != 0 else 0.0
+        v = 0.0
+        if alpha != 0:
+            s = total(terms[i])
+            v = alpha * s if type(s) is type(alpha) else _mul(alpha, s)
         if beta != 0:
-            v = v + beta * c.elements[i]
+            x = c.elements[i]
+            v = v + (beta * x if type(x) is type(beta) else _mul(beta, x))
         out.append(round_to(v, out_dtype))
     return DenseTensor(out_extents, tuple(out), out_dtype)

@@ -2,9 +2,12 @@
 reference for its vectorized path.
 
 Every operation rounds through Python ``float``/``complex`` arithmetic to
-the plan's compute dtype, one output cell at a time: batch, free-of-A and
-free-of-B outside, contracted inside, first label fastest.  Input-only
-reductions are summed once per read position, in table order.
+the plan's compute precision, one output cell at a time: batch, free-of-A
+and free-of-B outside, contracted inside, first label fastest.  Input-only
+reductions are summed once per read position, in table order.  A real
+value stays a float until it is added to a complex one (Python's ``+``
+makes it ``(x, +0.0)``) or stored into a complex D; a real value times a
+complex one multiplies each part (C99 Annex G, see ``_mul``).
 """
 
 from __future__ import annotations
@@ -14,21 +17,31 @@ from typing import Callable, Sequence
 import numpy as np
 
 from tapp import DType, TensorView
-from tapp.core import round_to
 from tapp.labels import merge_repeats
 
 
 def compute_rounder(dtype: DType) -> Callable[[float | complex], float | complex]:
-    """Per-operation rounding for arithmetic carried out in ``dtype``.
+    """Per-operation rounding for arithmetic carried out in ``dtype``,
+    which keeps a float a float and a complex a complex.
 
-    For 64-bit dtypes this is the builtin ``float`` or ``complex``:
-    Python numbers are already double precision, so it changes no value.
+    For 64-bit dtypes this changes no value: Python numbers are already
+    double precision.
     """
-    if dtype is DType.R32:
-        return lambda x: float(np.float32(x))
-    if dtype is DType.C32:
-        return lambda z: complex(np.complex64(z))
-    return complex if dtype.is_complex else float
+    if dtype.width == 64:
+        return lambda x: x
+    return lambda x: complex(np.complex64(x)) if type(x) is complex else float(np.float32(x))
+
+
+def _mul(x, y):
+    """``x * y``, where a real factor multiplies each part of a complex
+    one, ``(x*yr, x*yi)`` (C99 Annex G); two complex factors multiply as
+    Python's ``*`` does.  Written here, not taken from the engine or the
+    oracle, so that agreement with either is evidence."""
+    if type(x) is complex:
+        return x * y if type(y) is complex else complex(x.real * y, x.imag * y)
+    if type(y) is complex:
+        return complex(x * y.real, x * y.imag)
+    return x * y
 
 
 def _offsets(extents: Sequence[int], strides: Sequence[int]) -> tuple[int, ...]:
@@ -95,9 +108,9 @@ def scalar_contract(
     """Write ``alpha * A B + beta * C`` into D cell by cell; the views must
     already satisfy ``tapp.engine.contract``'s checks."""
     cdt = plan.compute_dtype
-    al = round_to(_number(alpha), cdt)
-    be = round_to(_number(beta), cdt)
     rnd = compute_rounder(cdt)
+    al = rnd(_number(alpha))
+    be = rnd(_number(beta))
     t_batch, t_fa, t_fb, t_con, t_red_a, t_red_b = _tables(plan)
     t_p_rest = t_con[1:]
     base_a, base_b, base_c, base_d = a.base, b.base, c.base, d.base
@@ -123,12 +136,12 @@ def scalar_contract(
             for _, g_b, g_c, g_d in t_fb:
                 if read_ab:
                     jb = hb + g_b
-                    acc = rnd(abuf[ia] * bbuf[jb])
+                    acc = rnd(_mul(abuf[ia], bbuf[jb]))
                     for k_a, k_b in t_p_rest:
-                        acc = rnd(acc + rnd(abuf[ia + k_a] * bbuf[jb + k_b]))
-                    v = rnd(al * acc)
+                        acc = rnd(acc + rnd(_mul(abuf[ia + k_a], bbuf[jb + k_b])))
+                    v = rnd(_mul(al, acc))
                 else:
                     v = 0.0
                 if read_c:
-                    v = rnd(v + rnd(be * cbuf[ic + g_c]))
+                    v = rnd(v + rnd(_mul(be, cbuf[ic + g_c])))
                 dbuf[idx_d + g_d] = v.real if drop_imag else v

@@ -194,6 +194,13 @@ def test_execute_reports_engine_errors_in_status(handle):
     )
     assert code is ErrorCode.ERR_OUT_OF_BOUNDS
     assert status.error is ErrorCode.ERR_OUT_OF_BOUNDS
+    assert status.detail == "D: view escapes its buffer"
+    # a later success clears the reason
+    code = tapp_execute_product(
+        op, ex, 1.0, np.zeros(4), np.zeros(4), 0.0, np.zeros(4), np.zeros(4),
+        status_out=status,
+    )
+    assert code is ErrorCode.OK and status.detail == ""
 
 
 class _Slotted:
@@ -686,7 +693,7 @@ def test_a_repeated_create_shares_the_plan(handle, count_plans):
     assert outs[0].tobytes() == outs[1].tobytes() and outs[2].tobytes() == outs[3].tobytes()
     np.testing.assert_allclose(outs[0].reshape(2, 2, order="F"), 0.5j * (
         a.reshape(2, 2, order="F") @ b.reshape(2, 2, order="F")))
-    assert not unary[0].plan.unit.flags.writeable
+    assert unary[0].plan.unit_a and binary[0].plan.unit_a and not ops[0].plan.unit_a
 
 
 def _variants():

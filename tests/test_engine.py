@@ -477,6 +477,58 @@ def test_unary_plan_is_a_contraction_with_a_zero_mode_unit_operand():
     assert (plan.desc_b, plan.desc_c, plan.desc_d) == (R64_2x3, out, out)
 
 
+# Special complex values whose parts a copy must keep bit for bit: an
+# infinity next to +0.0, zeros of either sign, and NaN next to a finite part.
+SPECIAL_COMPLEX = [complex(math.inf, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                   complex(math.nan, 1.0)]
+
+
+@pytest.mark.parametrize("n", [2, 32])  # 32 x 32: D is stored part by part
+def test_a_complex_unary_transpose_at_alpha_one_copies_every_bit(n):
+    data = np.array(SPECIAL_COMPLEX * (n * n // 4), np.complex128)
+    desc = TensorDesc.column_major((n, n), DType.C64)
+    a, out = TensorView(desc, data), view([n, n], dtype=DType.C64)
+    engine.run_unary(make_unary_plan("ij", desc, "ji", desc), 1.0, a, out)
+    want = data.reshape(n, n, order="F").T.ravel(order="F")
+    assert out.buffer.tobytes() == want.tobytes()
+
+
+def test_a_real_infinity_becomes_a_complex_one_with_a_zero_imaginary_part():
+    a = view([3], [math.inf, -math.inf, -0.0])
+    out = view([3], dtype=DType.C64)
+    engine.run_unary(make_unary_plan("i", a.desc, "i", out.desc), 1.0, a, out)
+    want = np.array([complex(math.inf, 0.0), complex(-math.inf, 0.0), complex(-0.0, 0.0)])
+    assert out.buffer.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_a_complex_binary_keeps_every_bit_of_its_operand(beta):
+    # beta * (-0.0 - 0.0j) is (-0.0, -0.0) part by part, which adds nothing
+    # to any value, the zeros' signs included; the full complex product
+    # (beta, +0.0) * (-0.0, -0.0) would give +0.0 parts.
+    data = np.array(SPECIAL_COMPLEX, np.complex128)
+    a = TensorView(TensorDesc.column_major((2, 2), DType.C64), data)
+    b = view([2, 2], [complex(-0.0, -0.0)] * 4, dtype=DType.C64)
+    out = view([2, 2], dtype=DType.C64)
+    binary_op(1.0, a, "ij", beta, b, "ij", out, "ij")
+    assert out.buffer.tobytes() == data.tobytes()
+
+
+def test_binary_and_unary_executes_skip_the_sum(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("a binary or unary execute formed U's product")
+
+    a = view([3, 2], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    b, out = view([2, 3], [1.0] * 6), view([2, 3])
+    monkeypatch.setattr(engine, "_sum", no_sum)
+    binary_op(2.0, a, "ij", 0.5, b, "ji", out, "ji")
+    assert out.buffer.tolist() == [2.5, 8.5, 4.5, 10.5, 6.5, 12.5]
+    unary_op(2.0, a, "ij", out, "ji")
+    assert out.buffer.tolist() == [2.0, 8.0, 4.0, 10.0, 6.0, 12.0]
+    with pytest.raises(AssertionError, match="U's product"):
+        run("ij,jk->ik", a, b)  # a product does sum
+
+
 def _random_view(rng, labels, extents, dtype, negative=False):
     shape = [extents[l] for l in labels]
     data = [rng.uniform(-1, 1) for _ in range(math.prod(shape))]

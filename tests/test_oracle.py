@@ -172,6 +172,37 @@ def test_oracle_scalar_operand_scales():
     assert got.elements == (3.0, 6.0)
 
 
+def _parts(z):
+    """The real and imaginary parts of ``z`` as (sign, magnitude), NaN as
+    a string, so that zeros of opposite signs differ."""
+    return [("nan" if x != x else (math.copysign(1.0, x), abs(x))) for x in (z.real, z.imag)]
+
+
+@pytest.mark.parametrize(
+    "a, b, c, alpha, beta, want",
+    [
+        # a real A times a complex B: no 0 * inf next to B's infinity
+        (2.0, complex(math.inf, 1.0), complex(0.0, 0.0), 1.0, 0.0, complex(math.inf, 2.0)),
+        # a real alpha keeps the complex sum's infinity next to a zero part
+        (complex(math.inf, 0.0), 1.0, complex(0.0, 0.0), 1.0, 0.0, complex(math.inf, 0.0)),
+        # a real beta times a complex C, likewise
+        (1.0, 1.0, complex(math.inf, 0.0), 0.0, 2.0, complex(math.inf, 0.0)),
+        # a complex alpha times a real sum keeps the sign of -0.0 * 2
+        (2.0, 1.0, complex(0.0, 0.0), complex(-0.0, -1.0), 0.0, complex(-0.0, -2.0)),
+    ],
+)
+def test_oracle_multiplies_a_real_factor_into_each_part(a, b, c, alpha, beta, want):
+    # C99 Annex G's rule; Python 3.11's ``*`` would form (x, +0.0) * (re, im)
+    # and give +0.0 or NaN imaginary parts here.
+    kind = lambda x: DType.C64 if isinstance(x, complex) else DType.R64
+    spec = parse_einsum("i,i->")
+    got = oracle_contract(
+        spec, dense([1], [a], kind(a)), dense([1], [b], kind(b)), dense([], [c], DType.C64),
+        alpha, beta, out_dtype=DType.C64,
+    )
+    assert _parts(got.elements[0]) == _parts(want)
+
+
 def test_oracle_double_application_accumulates():
     import random
 
