@@ -77,26 +77,33 @@ before the first store unless it is so already or is a stride-0 view
 (which takes no memory).  The operand of a binary or unary op meets only
 alpha, so it reads each element once: it stays a view of its buffer
 unless it is cast, has an input-only reduction or is D's identical view,
-or it is complex and D is stored part by part (see ``_PART_BY_PART``):
-then it is copied C-contiguous, so that alpha's product comes out in D's
-order.  U has no buffer and is never loaded.
+which copy it whole.  Where it is complex and D is stored part by part
+(see ``_PART_BY_PART``), each block of it is copied C-contiguous in
+turn, so that alpha's product comes out in D's order.  U has no buffer
+and is never loaded.
 Input-only reductions are summed in index order.  The output cells are
 then walked in blocks of at most ``_CHUNK`` cells, a range on each cell
-axis with the last filled first, forming at most ``_CHUNK`` products
-``A[k, h, f] * B[k, h, g]`` at once (with A and B exchanged when they
-trade places) and summing them over k from left to right,
+axis with the last filled first.  A block's products ``A[k, h, f] *
+B[k, h, g]`` (with A and B exchanged when they trade places) are formed
+a contracted step of rows at a time, each step within a budget in bytes
+(see ``_STEP_BYTES``): 256 KiB of float64 products where A and B are
+real, all of K for a 32x32x32 matmul, and ``_CHUNK`` products where
+either is complex, as ``(re, im)`` pairs whose float64 pair arrays take
+128 KiB each.  They are summed over k from left to right,
 ``((p0 + p1) + p2) + ...``: every cell keeps the summation order of a
 scalar loop that runs batch, free-of-A and free-of-B outside and the
 contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C``
 read through C's view, and one cast on store through a writable view of
-D, block by block: besides A and B, a call takes memory for one block's
-temporaries, whatever D's strides.
+D, block by block: besides A and B, a call takes memory for one step's
+products, at most 256 KiB, and one block's temporaries, at most 128 KiB
+each, whatever D's strides.
 
 A sum of rows (K products, or R reduced values, per cell) is one numpy
-call (see :func:`_sum_k`): ``np.add.reduce`` from -0.0 over a C-contiguous
-block of at least two cells a row, which numpy runs row by row, else
-``np.add.accumulate``, such as for a long dot product into one cell.
-Both add the same values in the same order, so they give the same bits.
+call (see :func:`_sum_k`): ``np.add`` of two rows; ``np.add.reduce``
+from -0.0 over a C-contiguous block of more rows and at least two cells
+a row, which numpy runs row by row; else ``np.add.accumulate``, such as
+for a long dot product into one cell.  All add the same values in the
+same order, so they give the same bits.
 
 Arithmetic happens in the plan's compute dtype, each operation rounded to
 it, and the bits are those of the same scalar loop in Python numbers
@@ -169,20 +176,35 @@ __all__ = [
     "run_unary",
 ]
 
-# The most cells in a block, and products formed at once.  A block's
+# The most cells in a block, which *finish* works on at once, and the
+# most products a contracted step over (re, im) pairs forms.  A block's
 # float64 temporaries then take at most 64 KiB each, so they stay in
-# cache.  A complex pair array takes 128 KiB, at glibc's default mmap
-# threshold.  Measured with getrusage around each call, over 100 rounds
-# of the 13 `steady_large` ops after 5 warm-up rounds (Python 3.11,
-# numpy 2.4, glibc's default malloc settings, 2-core x86-64 Linux): no
-# op makes a minor page fault.
+# cache, and a complex pair array 128 KiB, at glibc's default mmap
+# threshold.  A step of two complex operands forms two float64 pair
+# arrays (see _cmul) of 128 KiB each, so steps over pairs keep this
+# count: at 16,384 products the c32 and c64 32x32x32 matmuls of
+# `steady_large`'s mix took 192 and 132 minor page faults a call, and
+# about twice the time.
 _CHUNK = 1 << 13
+
+# The most bytes of products a contracted step of real operands forms at
+# once: 256 KiB, 32,768 float64 products, so that a 32x32x32 matmul sums
+# all of K in one step, not in four of 8 rows (a planned r64 call takes
+# 69 us against 91 us, r32 43 us against 65 us, best of 90 timeit runs).
+# float32 products keep that count, 128 KiB.  Measured with getrusage
+# around each call, over 200 rounds of the 13 `steady_large` ops after 5
+# warm-up rounds (Python 3.11, numpy 2.4, glibc's default malloc
+# settings, 2-core x86-64 Linux): no op averages 0.05 minor page faults
+# a call.
+_STEP_BYTES = 1 << 18
 
 # The fewest cells in a block for which *finish* stores a complex D's
 # real and imaginary parts one after the other.  numpy stores a
 # C-contiguous (re, im) block into D's interleaved view two elements at a
 # time; two stores, one per part, take 15 us against 106 us for a 128x128
-# c64 block, but at 4 cells 1.3 us against 0.4 us.
+# c64 block, but at 4 cells 1.3 us against 0.4 us.  The complex operand
+# of a binary or unary op is then copied C-contiguous a block, at most
+# 128 KiB, at a time (see _pass), not whole: a 128x128 c64 one is 256 KiB.
 _PART_BY_PART = 256
 
 # The most output addresses enumerated where the sorted-stride test cannot
@@ -275,16 +297,19 @@ def _layout(dtype: DType, *groups) -> _Layout:
     return _Layout(shape, strides, steps, element, pairs, broadcast)
 
 
-def _box(k: int, cells: tuple[int, ...]) -> tuple[int, ...]:
+def _box(k: int, cells: tuple[int, ...], pairs: bool) -> tuple[int, ...]:
     """The block shape ``(step, *box)`` for trip count K over the output
     ``cells``: all cells where there are at most ``_CHUNK``, else a box
     of at most ``_CHUNK`` cells filled from the last axis; ``step`` is
-    the contracted step that keeps a block's products within ``_CHUNK``."""
+    the contracted step that keeps a block's products within the step's
+    budget: ``_CHUNK`` where they are (re, im) ``pairs``, else
+    ``_STEP_BYTES`` of float64, and never fewer than a block's cells."""
     box = list(cells)
     if math.prod(cells) > _CHUNK:
         for i in reversed(range(len(cells))):
             box[i] = min(cells[i], max(1, _CHUNK // math.prod(box[i + 1 :])))
-    return (min(k, max(1, _CHUNK // math.prod(box))), *box)
+    products = _CHUNK if pairs else max(_CHUNK, _STEP_BYTES // _F64.itemsize)
+    return (min(k, products // math.prod(box)), *box)
 
 
 def _blocks(cells: tuple[int, ...], box: tuple[int, ...]):
@@ -345,7 +370,8 @@ class ContractionPlan:
     # are), how A and B load in loop order (F's operand, then G's; None
     # for U), and whether the box is the whole output in one contracted
     # step; and whether D is complex with at least ``_PART_BY_PART``
-    # cells a block, which *finish* stores part by part.
+    # cells a block, which *finish* stores part by part (and for which
+    # _pass copies a complex operand a block at a time).
     part: np.dtype = field(repr=False, compare=False)
     pairs: bool = field(repr=False, compare=False)
     cmul: bool = field(repr=False, compare=False)
@@ -463,16 +489,15 @@ def make_plan(
     h, f = (max(1, sum(e > 1 for e in g.extents)) for g in groups[:2])
     hf, ones = h + f, (1,) * len(cells)
     spans = cells[:hf] + ones[hf:], cells[:h] + ones[h:hf] + cells[hf:]
-    box = _box(counts[2], cells)
+    box = _box(counts[2], cells, pairs)
     parted = layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART
 
     def load(slot: int, layout: _Layout, span: tuple[int, ...]) -> _Load:
         reduced = counts[slot] > 1
         shape = (2,) * layout.pairs + (counts[slot],) * reduced + (counts[2],) * (not unit_a)
         # B of a plan whose A is U meets only alpha, so it reads each
-        # element once and stays strided unless it is reduced, or is
-        # complex and D is stored part by part (see _finish).
-        dense = not unit_a or reduced or layout.pairs and parted
+        # element once and stays strided unless it is reduced (see _pass).
+        dense = not unit_a or reduced
         return _Load(slot, layout, shape + span, dtype, layout.dtype != dtype, reduced, dense)
 
     loads = (
@@ -619,18 +644,22 @@ def _sum_k(x: np.ndarray, axis: int, acc: np.ndarray | None = None):
     ``axis`` (K, or R before a reduction: 0, or 1 after a pairs axis),
     left to right.  ``x`` itself is changed only when ``acc`` is given.
 
-    One numpy call sums all rows.  ``np.add.reduce`` runs the summed axis
-    outside, in index order, on a C-contiguous ``x`` with at least two
-    cells a row; on one cell, or on other strides, it may make the summed
-    axis the inner loop and sum it pairwise, so those go through
-    ``np.add.accumulate``, which always sums in index order.  The reduce
-    starts from -0.0, the identity of IEEE addition: numpy's own start,
-    +0.0, would turn a sum of -0.0 terms into +0.0."""
+    One numpy call sums all rows.  Two rows are one ``np.add``, a pass
+    fewer than the reduce, which first fills its output with its start.
+    ``np.add.reduce`` runs the summed axis outside, in index order, on a
+    C-contiguous ``x`` with at least two cells a row; on one cell, or on
+    other strides, it may make the summed axis the inner loop and sum it
+    pairwise, so those go through ``np.add.accumulate``, which always sums
+    in index order.  The reduce starts from -0.0, the identity of IEEE
+    addition: numpy's own start, +0.0, would turn a sum of -0.0 terms into
+    +0.0."""
     lead = (_ALL,) * axis
     if acc is not None:
         x[(*lead, 0)] += acc
     if x.shape[axis] == 1:
         return x[(*lead, 0)]
+    if x.shape[axis] == 2:
+        return np.add(x[(*lead, 0)], x[(*lead, 1)])
     if math.prod(x.shape[axis + 1 :]) > 1 and x.flags.c_contiguous:
         return np.add.reduce(x, axis, None, None, False, -0.0)
     return np.add.accumulate(x, axis)[(*lead, -1)]
@@ -768,10 +797,14 @@ def _sum(plan: ContractionPlan, loaded, block):
 def _pass(plan: ContractionPlan, loaded, block):
     """What replaces *sum* where A is the unit operand U, whose product is
     exact: B's loaded block (``loaded``: B, without K), broadcast along
-    U's labels by *finish*."""
-    if block is None:
-        return loaded
-    return loaded[(..., *_cut(plan, block, not plan.swap_ab))]  # B is G's unless traded
+    U's labels by *finish*.  A complex B whose D is stored part by part
+    (``plan.parted``) is copied C-contiguous one block at a time, unless
+    *load* copied it whole, so that alpha's product comes out in D's
+    order."""
+    x = loaded if block is None else loaded[(..., *_cut(plan, block, not plan.swap_ab))]
+    if plan.parted and plan.pairs and not loaded.flags.c_contiguous:
+        x = np.ascontiguousarray(x)
+    return x
 
 
 def _finish(plan: ContractionPlan, dv, block, acc, cg, al, be):

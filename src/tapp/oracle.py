@@ -109,9 +109,11 @@ def _fsum(values: list[float]) -> float:
     """``math.fsum``, given a result where it raises (on +inf and -inf
     terms, or where a partial sum overflows): the IEEE sum of the terms
     that are not finite, if any, else the exact sum of the finite terms,
-    rounded, or an infinity where it is beyond float's range."""
+    rounded, or an infinity where it is beyond float's range.  A sum of
+    -0.0 terms is -0.0, as IEEE addition gives it, where ``math.fsum``,
+    which starts from +0.0, gives +0.0."""
     try:
-        return math.fsum(values)
+        total = math.fsum(values)
     except (ValueError, OverflowError):
         special = [v for v in values if not math.isfinite(v)]
         if special:  # +inf and -inf give NaN
@@ -121,6 +123,9 @@ def _fsum(values: list[float]) -> float:
             return float(total)
         except OverflowError:
             return math.inf if total > 0 else -math.inf
+    if total == 0.0 and values and all(v == 0.0 and math.copysign(1.0, v) < 0 for v in values):
+        return -0.0
+    return total
 
 
 def _mul(x, y) -> float | complex:

@@ -116,23 +116,44 @@ def test_plan_loop_sizes():
 
 
 @pytest.mark.parametrize("chunk", [61, 256, 1000, engine._CHUNK])
-def test_blocks_cover_each_output_cell_once_within_the_chunk(monkeypatch, chunk):
+@pytest.mark.parametrize("pairs", [False, True])
+def test_blocks_cover_each_output_cell_once_within_the_chunk(monkeypatch, chunk, pairs):
+    # Two budgets: a block holds at most _CHUNK cells, and a contracted
+    # step forms at most _CHUNK products over (re, im) pairs, else
+    # _STEP_BYTES of float64 products, patched here to twice the chunk.
     monkeypatch.setattr(engine, "_CHUNK", chunk)
+    monkeypatch.setattr(engine, "_STEP_BYTES", 16 * chunk)
+    products = chunk if pairs else 2 * chunk
     rng = random.Random(chunk)
     for _ in range(60):
         sizes = (1e7,)
         while math.prod(sizes) > 10**6:  # up to 10^6 cells, log-uniform extents
             sizes = tuple(round(10 ** rng.uniform(0, 4)) for _ in range(rng.randint(1, 4)))
         k = round(10 ** rng.uniform(0, 3))
-        box = engine._box(k, sizes)
+        box = engine._box(k, sizes, pairs)
         blocks = list(engine._blocks(sizes, box))
         cover = np.zeros(sizes, np.int32)
         for block in blocks:
             cover[block] += 1
             cells = math.prod(len(range(n)[s]) for n, s in zip(sizes, block))
-            assert cells <= chunk and box[0] * cells <= chunk
+            assert cells <= chunk and box[0] * cells <= products
         assert (cover == 1).all(), (k, sizes)
         assert (len(blocks) == 1) == (math.prod(sizes) <= chunk)
+        # a step takes as many rows as the budget allows
+        assert box[0] == min(k, products // math.prod(box[1:]))
+
+
+@pytest.mark.parametrize("dtype", list(DType))
+def test_real_matmul_sums_all_of_k_in_one_step(dtype):
+    # 32x32x32: a real step forms all 32,768 products at once; a complex
+    # one keeps 8,192 (re, im) products, so K splits.
+    desc = TensorDesc.column_major((32, 32), dtype)
+    plan = make_plan(parse_einsum("ij,jk->ik"), desc, desc, desc, desc)
+    step, *box = plan.box
+    if dtype.is_complex:
+        assert step * math.prod(box) <= 8192 and step < 32
+    else:
+        assert step == 32 and plan.whole
 
 
 def _plan_error(einsum, descs, **kwargs):

@@ -402,9 +402,11 @@ def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rng = random.Random(f"{chunk}{dtype}")
     extents = {"i": 16, "j": 24, "k": 16}
-    box = engine._box(24, (1, 16, 16))  # 256-cell blocks, K = 24
+    # 256-cell blocks, K = 24: complex products keep the patched budget
+    box = engine._box(24, (1, 16, 16), True)
     blocks = engine._blocks((1, 16, 16), box)
-    assert box[0] < 24 and all(len(range(16)[g]) > 1 for *_, g in blocks)
+    assert box[0] < 24 and box[0] * math.prod(box[1:]) <= chunk
+    assert all(len(range(16)[g]) > 1 for *_, g in blocks)
     for special in (0.0, 0.05):
         _random_product(rng, "ij,jk->ik", extents, [dtype] * 4, special)
 
@@ -550,3 +552,52 @@ def test_inputs_whose_labels_share_or_skip_addresses_match_scalar_loop(strides_a
     c, d = (_view(rng, [3, 4], dtype, 0.05, output=True) for _ in range(2))
     plan = make_plan(parse_einsum("ijk,k->ij"), a.desc, b.desc, c.desc, d.desc)
     _check(plan, 1.5, a, b, 0.5, c, d)
+
+
+@pytest.mark.parametrize("special", [0.0, 0.3])
+def test_complex_transpose_copied_block_by_block_matches_scalar_loop(special):
+    # D is stored part by part, so B is copied C-contiguous one block at a
+    # time, not whole before the first block; in place, it is copied whole.
+    rng = random.Random(f"transpose{special}")
+    dtype = DType.C64
+    alpha = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+    u = TensorView(TensorDesc((), (), DType.R32), np.ones(1, np.float32))
+    a = _view(rng, [128, 128], dtype, special)
+    b = _view(rng, [128, 128], dtype, special)
+    out = _view(rng, [128, 128], dtype, special, output=True)
+    plans = [
+        make_binary_plan("ij", a.desc, "ji", b.desc, "ji", out.desc),
+        make_binary_plan("ij", a.desc, "ji", out.desc, "ji", out.desc),
+        make_unary_plan("ij", a.desc, "ji", out.desc),
+    ]
+    for plan in plans:
+        assert plan.parted and len(list(engine._blocks(plan.cells, plan.box))) > 1
+        loaded = engine._load(plan, [None, engine._view(a, plan.layout_b), None], (False, False))
+        assert np.shares_memory(loaded, a.buffer)  # not copied by load
+    beta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+    for be in (0.0, beta):
+        _check(plans[0], alpha, u, a, be, b, out)
+        _check(plans[1], alpha, u, a, be, out, out, in_place=True)  # C is D
+    _check(plans[2], alpha, u, a, 0.0, out, out, in_place=True)
+    # A is D: later blocks read A as it was before the first store
+    x = _view(rng, [128, 128], dtype, special, output=True)
+    plan = make_unary_plan("ij", x.desc, "ji", x.desc)
+    want = _copy(x)
+    scalar_contract(plan, alpha, u, _copy(x), 0.0, want, want)
+    engine.run_unary(plan, alpha, x, x)
+    _assert_same_bits(x.buffer, want.buffer)
+
+
+@pytest.mark.parametrize("dtype", [DType.R32, DType.R64])
+def test_two_row_contracted_step_matches_scalar_loop(dtype):
+    # oneshot_wide's ijk,ijk->ij: K = 2 summed in one two-row step per block
+    rng = random.Random(str(dtype))
+    spec = parse_einsum("ijk,ijk->ij")
+    desc_a = TensorDesc.column_major((256, 256, 2), dtype)
+    desc_d = TensorDesc.column_major((256, 256), dtype)
+    plan = make_plan(spec, desc_a, desc_a, desc_d, desc_d)
+    assert plan.box[0] == 2 and len(list(engine._blocks(plan.cells, plan.box))) > 1
+    a, b = (TensorView(desc_a, _values(rng, 256 * 256 * 2, dtype, 0.2)) for _ in "ab")
+    c, d = (TensorView(desc_d, _values(rng, 256 * 256, dtype, 0.2)) for _ in "cd")
+    _check(plan, 1.5, a, b, 0.0, c, d)
+    _check(plan, 1.5, a, b, -0.5, c, d)

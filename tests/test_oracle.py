@@ -12,13 +12,15 @@ from tapp import (
     TappError,
     TensorDesc,
     TensorView,
+    contract,
     densify,
+    make_plan,
     oracle_contract,
     parse_einsum,
 )
 from tapp.core import column_major_strides
 from tapp.errors import ErrorCode
-from tapp.oracle import _addresses, _exact_sum
+from tapp.oracle import _addresses, _exact_sum, _fsum
 
 
 def view(extents, data, strides=None, base=0, dtype=DType.R64):
@@ -280,6 +282,28 @@ def test_exact_sum_gives_a_result_where_fsum_raises(terms, want):
     got = _exact_sum([complex(t, -t) for t in terms])
     for part, w in ((got.real, want), (-got.imag, want)):
         assert part == w or (math.isnan(part) and math.isnan(w))
+
+
+def test_sum_of_negative_zeros_is_negative_zero():
+    # as IEEE addition gives it; math.fsum starts from +0.0
+    assert math.copysign(1.0, _fsum([-0.0, -0.0])) == -1.0
+    assert math.copysign(1.0, _fsum([-0.0])) == -1.0
+    for terms in ([0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], []):
+        assert math.copysign(1.0, _fsum(terms)) == 1.0
+
+
+def test_oracle_keeps_a_negative_zero_part_as_the_engine_does():
+    # r64 [2.0] times c64 [(1, -0.0)]: the product's imaginary part, -0.0,
+    # is the only term of its sum
+    spec = parse_einsum("i,i->")
+    a, b = view([1], [2.0]), view([1], [complex(1.0, -0.0)], dtype=DType.C64)
+    d = view([], [complex(7.0, 7.0)], dtype=DType.C64)
+    contract(make_plan(spec, a.desc, b.desc, d.desc, d.desc), 1.0, a, b, 0.0, d, d)
+    got = oracle_contract(spec, densify(a, spec.labels_a)[0], densify(b, spec.labels_b)[0],
+                          dense([], [0j], DType.C64), 1.0, 0.0, out_dtype=DType.C64)
+    want = complex(d.buffer[0])
+    assert (got.elements[0].real, math.copysign(1.0, got.elements[0].imag)) == (2.0, -1.0)
+    assert np.array([got.elements[0]]).tobytes() == np.array([want]).tobytes()
 
 
 def test_oracle_sums_products_that_overflow_both_ways_to_nan():

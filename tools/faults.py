@@ -1,0 +1,88 @@
+"""Time a fixed mix of planned ops through tapp's public API and count the
+minor page faults each call takes: r32, r64, c32 and c64 32x32x32 matmuls
+and a c64 128x128 transpose (unary ``ij->ji``) at complex alpha.  The ops
+run round-robin, as a benchmark client would call them; after a warm-up,
+each op's line gives its median time per call and its minor faults per
+call, read with ``resource.getrusage`` around each call.  A fault here is
+a fresh page of a temporary that the allocator took from the kernel.
+Run from the repository root::
+
+    python tools/faults.py [--calls N] [--warmup N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import statistics
+import sys
+from functools import partial
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import tapp  # noqa: E402
+
+_NP = {"r32": np.float32, "r64": np.float64, "c32": np.complex64, "c64": np.complex128}
+
+
+def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict):
+    """The op's name and a function that executes it once."""
+    head, out = labels.split("->")
+    names = head.split(",") + [out] * (2 if kind == "product" else 1)
+    infos, buffers = [], []
+    for ls in names:
+        shape = [extents[l] for l in ls]
+        infos.append(tapp.tapp_create_tensor_info(handle, tapp.DType(dtype), len(shape), shape))
+        re, im = rng.uniform(-1, 1, (2, int(np.prod(shape))))
+        buffers.append((re + 1j * im if dtype[0] == "c" else re).astype(_NP[dtype]))
+    args = [x for pair in zip(infos, names) for x in pair]
+    alpha = complex(1.25, -0.5) if dtype[0] == "c" else 1.25
+    if kind == "product":
+        desc = tapp.tapp_create_contraction(handle, *args)
+        a, b, c, d = buffers
+        run = partial(tapp.tapp_execute_product, desc, executor, alpha, a, b, 0.0, c, d)
+    else:
+        desc = tapp.tapp_create_unary_op(handle, *args)
+        run = partial(tapp.tapp_execute_unary, desc, executor, alpha, *buffers)
+    if isinstance(desc, tapp.ErrorCode):
+        raise RuntimeError(f"planning {dtype} {labels} failed: {desc!r}")
+    size = "x".join(str(extents[l]) for l in dict.fromkeys(head.replace(",", "")))
+    return f"{dtype} {labels} {size}", run
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--calls", type=int, default=500, help="timed calls per op")
+    parser.add_argument("--warmup", type=int, default=20, help="untimed calls per op first")
+    args = parser.parse_args()
+    handle = tapp.tapp_create_handle()
+    executor = tapp.tapp_get_default_executor(handle)
+    rng = np.random.default_rng(0)
+    cube, square = dict(i=32, j=32, k=32), dict(i=128, j=128)
+    ops = [_op(handle, executor, rng, "product", "ij,jk->ik", dt, cube)
+           for dt in ("r32", "r64", "c32", "c64")]
+    ops.append(_op(handle, executor, rng, "unary", "ij->ji", "c64", square))
+    for _ in range(args.warmup):
+        for _, run in ops:
+            run()
+    times = [[] for _ in ops]
+    faults = [0] * len(ops)
+    for _ in range(args.calls):
+        for n, (_, run) in enumerate(ops):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = perf_counter()
+            code = run()
+            times[n].append(perf_counter() - t0)
+            faults[n] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            if code != tapp.ErrorCode.OK:
+                raise RuntimeError(f"{ops[n][0]} returned {code!r}")
+    print(f"{'op':28s} {'median_us':>10s} {'faults/call':>12s}")
+    for (name, _), t, f in zip(ops, times, faults):
+        print(f"{name:28s} {statistics.median(t) * 1e6:10.1f} {f / args.calls:12.2f}")
+
+
+if __name__ == "__main__":
+    main()
