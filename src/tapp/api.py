@@ -27,8 +27,6 @@ import functools
 import threading
 from typing import Sequence
 
-import numpy as np
-
 from . import engine
 from .core import DType, TensorDesc, TensorView, integral
 from .engine import StatusRecord
@@ -305,17 +303,9 @@ def tapp_create_unary_op(
 
 
 def _as_view(desc: TensorDesc, data) -> TensorView:
-    """Bind a descriptor to a flat numpy array or an ``(array, base)`` pair."""
+    """Bind a descriptor to a flat numpy array or an ``(array, base)`` pair;
+    the view checks both."""
     buffer, base = data if isinstance(data, tuple) and len(data) == 2 else (data, 0)
-    if not isinstance(buffer, np.ndarray):
-        raise TappError(
-            ErrorCode.ERR_DTYPE_MISMATCH,
-            "tensor data must be a numpy array or an (array, base) pair",
-        )
-    if type(base) is not int:  # 2.0 and np.int64(2) bind as 2
-        base = integral(base)
-        if base is None:
-            raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "base offset must be an integer")
     return TensorView(desc, buffer, base)
 
 

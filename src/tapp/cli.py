@@ -48,6 +48,7 @@ import numpy as np
 
 from .api import (
     StatusRecord,
+    _plan,
     tapp_create_contraction,
     tapp_create_handle,
     tapp_create_tensor_info,
@@ -269,11 +270,11 @@ class EngineRun:
     detail: str = ""  # why the run failed, where the library says so
 
 
-def _rejection(entry: _TensorEntry) -> str:
-    """Why a descriptor of ``entry`` is rejected, in the library's words:
-    ``tapp_create_tensor_info`` returns only the code."""
+def _rejection(make, *args) -> str:
+    """Why ``make(*args)``, a descriptor or a plan, is rejected, in the
+    library's words: creates return only the code."""
     try:
-        TensorDesc(entry.extents, entry.strides, entry.dtype)
+        make(*args)
     except TappError as err:
         return str(err)
     return ""
@@ -281,7 +282,7 @@ def _rejection(entry: _TensorEntry) -> str:
 
 def execute_case(case: Case) -> EngineRun:
     """Run a case through the full handle/descriptor/execute stack.  A
-    failed descriptor or execute call gives its reason as ``detail``."""
+    failed create or execute call gives its reason as ``detail``."""
     handle = tapp_create_handle()
     try:
         operands = []  # info and labels of A, B, C and D in turn
@@ -295,11 +296,13 @@ def execute_case(case: Case) -> EngineRun:
                 handle, entry.dtype, len(entry.extents), entry.extents, entry.strides
             )
             if isinstance(info, ErrorCode):
-                return EngineRun(info, detail=_rejection(entry))
+                detail = _rejection(TensorDesc, entry.extents, entry.strides, entry.dtype)
+                return EngineRun(info, detail=detail)
             operands += [info, labels]
         op = tapp_create_contraction(handle, *operands)
         if isinstance(op, ErrorCode):
-            return EngineRun(op)
+            labels, descs = operands[1::2], tuple(i.desc for i in operands[::2])
+            return EngineRun(op, detail=_rejection(_plan, "contraction", labels, descs, None))
         d_buffer = np.zeros(
             _span(case.d.extents, case.d.strides, case.d.base), case.d.dtype.np_dtype
         )

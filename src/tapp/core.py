@@ -41,12 +41,6 @@ class DType(Enum):
     C32 = "c32", True, 32, np.complex64
     C64 = "c64", True, 64, np.complex128
 
-    # Members are singletons compared by identity, so the identity hash
-    # keeps equal members hashing equal, at C speed: Enum's own
-    # ``hash(self._name_)`` runs in Python, once per descriptor of every
-    # plan-cache key.
-    __hash__ = object.__hash__
-
     def __new__(cls, name: str, is_complex: bool, width: int, np_type: type):
         member = object.__new__(cls)
         member._value_ = name
@@ -147,14 +141,16 @@ def reach(extents: Sequence[int], strides: Sequence[int]) -> tuple[int, int]:
 class TensorDesc:
     """Logical shape, strided physical layout and dtype of one operand.
 
-    Equal descriptors hash equal; the hash is computed once, on
-    construction, as every plan-cache lookup hashes four descriptors."""
+    Descriptors compare, hash and pickle by value.  A dtype that is not a
+    :class:`DType` is ERR_DTYPE_MISMATCH."""
 
     extents: tuple[int, ...]
     strides: tuple[int, ...]
     dtype: DType
 
     def __post_init__(self):
+        if not isinstance(self.dtype, DType):
+            raise TappError(ErrorCode.ERR_DTYPE_MISMATCH, "dtype must be a DType")
         object.__setattr__(self, "extents", integers(self.extents, "extents"))
         object.__setattr__(self, "strides", integers(self.strides, "strides"))
         if len(self.extents) != len(self.strides):
@@ -169,15 +165,6 @@ class TensorDesc:
         span = (hi - lo + 1) * self.dtype.np_dtype.itemsize
         if max(self.size, span) > _INT64_MAX:
             raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "size or reach exceeds int64")
-        object.__setattr__(self, "_hash", hash((self.extents, self.strides, self.dtype)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuilt through the constructor: DType hashes by identity, so a
-        # hash carried into another process would not match there.
-        return TensorDesc, (self.extents, self.strides, self.dtype)
 
     @property
     def nmodes(self) -> int:
@@ -197,15 +184,28 @@ class TensorDesc:
 class TensorView:
     """A descriptor bound to flat element storage at an element offset.
 
-    The buffer is a one-dimensional numpy array whose dtype matches the
-    descriptor; the view grants no synchronization over it.  Views compare
-    by identity.  A plain class with slots, as every execute call binds
-    several: a frozen dataclass takes several times longer to build.
+    The view checks its inputs, in this order: a buffer that is not a
+    numpy array is ERR_DTYPE_MISMATCH, a base that is not integral
+    (``"0"``, None, 2.5) ERR_OUT_OF_BOUNDS (2.0 and ``np.int64(2)`` bind
+    as 2), a buffer that is not 1-D ERR_EXTENT_MISMATCH.  Execution checks
+    the buffer's dtype and span against the plan.  The view grants no
+    synchronization over the buffer.  Views compare by identity.  A plain
+    class with slots, as every execute call binds several: a frozen
+    dataclass takes several times longer to build.
     """
 
     __slots__ = ("desc", "buffer", "base")
 
     def __init__(self, desc: TensorDesc, buffer: np.ndarray, base: int = 0):
+        if not isinstance(buffer, np.ndarray):
+            raise TappError(
+                ErrorCode.ERR_DTYPE_MISMATCH,
+                "tensor data must be a numpy array or an (array, base) pair",
+            )
+        if type(base) is not int:
+            base = integral(base)
+            if base is None:
+                raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "base offset must be an integer")
         if buffer.ndim != 1:
             raise TappError(
                 ErrorCode.ERR_EXTENT_MISMATCH, "tensor storage must be a flat 1-D buffer"

@@ -703,8 +703,11 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     plan), A's slot is not the caller's: it is neither checked nor probed
     for overlap.
 
-    Any other overlap between D and an operand is ERR_ALIASING.  This is
-    the one in-place rule of every operation.  It is decided exactly by
+    C may cover D's elements exactly, and so may the operand of a plan
+    whose A is U where it is C's object too, as :func:`run_unary` passes
+    it.  Any other overlap between D and an operand is ERR_ALIASING, also
+    where the operand is C's object in another slot.  This is the one
+    in-place rule of every operation.  It is decided exactly by
     ``np.shares_memory`` on the operands' views, or by byte intervals
     where that needs more than ``_OVERLAP_WORK``."""
     al = _scalar_for(alpha, plan.compute_dtype, "alpha")
@@ -728,7 +731,7 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     for k, view in enumerate((a, b, c)[unit:], unit):
         if not np.may_share_memory(view.buffer, d.buffer):
             continue
-        if view is c and (c is d or _same_elements(c, d)):
+        if view is c and (k == 2 or unit) and (c is d or _same_elements(c, d)):
             in_place = True
             continue
         if views[k] is None:
@@ -742,22 +745,19 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     return al, be, views, dv, in_place
 
 
-def _load(plan: ContractionPlan, views, copies):
+def _load(plan: ContractionPlan, views, copy: bool):
     """The *load* stage: A and B in loop order (traded where
     ``plan.swap_ab``), read whole and summed over their input-only
     reductions, as ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)``
     arrays, each ``(re, im)`` pairs where it is complex.  ``views`` holds
-    A's and B's numpy views, and ``copies`` whether each is also C, D's
-    identical view (in-place unary): such an operand is copied, as later
-    blocks read it after the first store.  Where A is the unit operand U,
-    U is not loaded: only B is, without K."""
+    A's and B's numpy views.  Where A is the unit operand U, U is not
+    loaded: only B is, without K, and copied where ``copy`` (B is also C,
+    D's identical view, as in an in-place unary), as later blocks read it
+    after the first store."""
     f, g = plan.loads
     if plan.unit_a:
-        return _operand(views[1], g if f is None else f, copies[1])
-    return (
-        _operand(views[f.slot], f, copies[f.slot]),
-        _operand(views[g.slot], g, copies[g.slot]),
-    )
+        return _operand(views[1], g if f is None else f, copy)
+    return _operand(views[f.slot], f, False), _operand(views[g.slot], g, False)
 
 
 def _cut(plan: ContractionPlan, block, g: bool) -> tuple:
@@ -866,16 +866,17 @@ def contract(
     Where A is the unit operand U (a binary or unary plan), U is not an
     argument and ``a`` is not read: the binary and unary adapters pass
     None.  *sum* is skipped: :func:`_pass` hands B's loaded block
-    straight to *finish*.  :func:`_bind` holds the in-place rule: C and D may be the identical
-    view (in-place update); any other overlap between D and an operand is
-    rejected.
+    straight to *finish*.  :func:`_bind` holds the in-place rule: C and D
+    may be the identical view (in-place update), and so may a unit plan's
+    operand where it is C's object too; any other overlap between D and
+    an operand is rejected.
     """
     t0 = time.perf_counter()
     al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d)
     read_ab = al != 0
     with np.errstate(all="ignore"):
         if read_ab:
-            loaded = _load(plan, views, (in_place and a is c, in_place and b is c))
+            loaded = _load(plan, views, in_place and b is c)
         cv = views[2] if be != 0 else None
         stage = _pass if plan.unit_a else _sum
         for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
@@ -931,7 +932,10 @@ def run_binary(
 ) -> StatusRecord:
     """Execute a binary plan: A and B take B's and C's places, and U,
     which is never read, A's, so A's slot is None.  B may be the output's
-    identical view."""
+    identical view; A may not, also where A and B are one object, whose
+    A's slot then takes a view of its own."""
+    if a is b:
+        a = TensorView(a.desc, a.buffer, a.base)
     return contract(plan, alpha, None, a, beta, b, out)
 
 

@@ -366,6 +366,40 @@ def test_malformed_array_base_pairs_return_codes(handle):
             assert out.tolist() == [2.0, 3.0]
 
 
+def test_the_functional_surface_gives_the_apis_codes_for_bad_buffers(handle):
+    # The view checks its own buffer and base, so each functional call
+    # fails with the code the API returns for the same data.
+    iv = tapp_create_tensor_info(handle, DType.R64, 1, (2,), (1,))
+    add = tapp_create_binary_op(handle, iv, "i", iv, "i", iv, "i")
+    ex = tapp_get_default_executor(handle)
+    desc = iv.desc
+    plan = tapp.make_plan(tapp.LabelSpec.of("i", "i", "i", "i"), desc, desc, desc, desc)
+    a, ones = np.arange(6.0), tapp.TensorView(desc, np.ones(2))
+    calls = {
+        "contract": lambda x, out: tapp.contract(plan, 1.0, x, ones, 0.0, ones, out),
+        "binary_op": lambda x, out: tapp.binary_op(1.0, x, "i", 0.0, ones, "i", out, "i"),
+        "unary_op": lambda x, out: tapp.unary_op(1.0, x, "i", out, "i"),
+        "densify": lambda x, out: tapp.densify(x, "i"),
+    }
+    for buffer, base in (
+        (a.tolist(), 0), (a.reshape(3, 2), 0), (a, "0"), (a, None), (a, 2.5)
+    ):
+        data = (buffer, base)
+        expected = tapp_execute_binary(add, ex, 1.0, data, 0.0, np.ones(2), np.zeros(2))
+        assert expected is not ErrorCode.OK
+        for name, call in calls.items():
+            with pytest.raises(tapp.TappError) as err:
+                call(tapp.TensorView(desc, buffer, base), tapp.TensorView(desc, np.zeros(2)))
+            assert err.value.code is expected, (name, buffer, base)
+    for base in (2.0, np.int64(2)):  # integral bases bind as 2
+        assert type(tapp.TensorView(desc, a, base).base) is int
+        for name, call in calls.items():
+            out = tapp.TensorView(desc, np.zeros(2))
+            got = call(tapp.TensorView(desc, a, base), out)
+            values = got[0].elements if name == "densify" else out.buffer.tolist()
+            assert list(values) == [2.0, 3.0], name
+
+
 def test_execute_boundary_failures_return_codes_and_leave_d_untouched(handle):
     op = _matmul_setup(handle)
     ex = tapp_get_default_executor(handle)

@@ -569,6 +569,20 @@ def test_run_and_check_print_the_reason_an_execute_call_gives(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
+def test_run_and_check_print_the_reason_a_create_call_gives(tmp_path, capsys, command):
+    # tapp_create_contraction returns only the code; the planner's reason
+    # reaches the output, not the code's generic string.
+    doc = _dot("i,i->", [2], [3], None, [])
+    doc["b"]["data"] = [1.0, 2.0, 3.0]
+    assert main([command, _write(tmp_path, doc)]) == int(ErrorCode.ERR_EXTENT_MISMATCH)
+    out = json.loads(capsys.readouterr().out)
+    if command == "check":
+        assert out["detail"] == "error codes agree: label 'i' has extents 2 and 3"
+    else:
+        assert out["message"] == "label 'i' has extents 2 and 3"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize(
     "dtype, element, parsed",
     [

@@ -1,4 +1,9 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,3 +114,43 @@ def test_desc_rejects_bad_shapes():
     with pytest.raises(TappError):
         TensorDesc((2,), (1, 2), DType.R64)
 
+
+@pytest.mark.parametrize("dtype", ["r64", None, np.float64])
+def test_desc_rejects_a_dtype_that_is_no_dtype(dtype):
+    with pytest.raises(TappError) as err:
+        TensorDesc((2,), (1,), dtype)
+    assert err.value.code is ErrorCode.ERR_DTYPE_MISMATCH
+
+
+def test_a_pickled_desc_matches_one_built_in_a_fresh_interpreter():
+    # Descriptors hash by value: one pickled here equals, hashes like and
+    # finds the dict entry of one built in another process, whose string
+    # hashes (and so DType's) differ from this one's.
+    desc = TensorDesc((2, 3), (3, -1), DType.C64)
+    script = (
+        "import pickle, sys\n"
+        "from tapp import DType, TensorDesc\n"
+        "theirs = pickle.loads(sys.stdin.buffer.read())\n"
+        "ours = TensorDesc((2, 3), (3, -1), DType.C64)\n"
+        "assert theirs == ours and hash(theirs) == hash(ours)\n"
+        "assert {ours: 'plan'}[theirs] == 'plan' and theirs._reach == ours._reach\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "random"}
+    subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(desc), env=env, check=True
+    )
+
+
+@pytest.mark.parametrize(
+    "buffer, base, code",
+    [
+        ([[1.0], [2.0]], None, ErrorCode.ERR_DTYPE_MISMATCH),
+        (np.zeros((2, 1)), 2.5, ErrorCode.ERR_OUT_OF_BOUNDS),
+        (np.zeros((2, 1)), 0, ErrorCode.ERR_EXTENT_MISMATCH),
+    ],
+)
+def test_a_view_checks_its_buffer_then_its_base_then_its_shape(buffer, base, code):
+    with pytest.raises(TappError) as err:
+        TensorView(TensorDesc.column_major((2,), DType.R64), buffer, base)
+    assert err.value.code is code

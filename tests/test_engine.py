@@ -635,6 +635,36 @@ def test_binary_in_place_on_the_identical_view():
     assert buf.tolist() == [11.0, 22.0]
 
 
+def test_one_view_object_in_place_only_in_c_or_a_unary_operand():
+    # Being C's object exempts only C's slot, and a unary op's operand: an
+    # input that is also C and D overlaps D, as it does through the API,
+    # where every operand is a view object of its own.
+    spec = parse_einsum("i,i->i")
+    x, b = view([2], [1.0, 2.0]), view([2], [3.0, 4.0])
+    plan = make_plan(spec, x.desc, b.desc, x.desc, x.desc)
+    with pytest.raises(TappError) as err:
+        contract(plan, 1.0, x, b, 1.0, x, x)
+    assert err.value.code is ErrorCode.ERR_ALIASING
+    with pytest.raises(TappError) as err:
+        contract(plan, 1.0, b, x, 1.0, x, x)
+    assert err.value.code is ErrorCode.ERR_ALIASING
+    assert x.buffer.tolist() == [1.0, 2.0]
+    contract(plan, 1.0, b, b, 1.0, x, x)
+    assert x.buffer.tolist() == [10.0, 18.0]
+
+    with pytest.raises(TappError) as err:  # A is the output, also as B's object
+        binary_op(1.0, x, "i", 1.0, x, "i", x, "i")
+    assert err.value.code is ErrorCode.ERR_ALIASING
+    assert x.buffer.tolist() == [10.0, 18.0]
+    out = view([2])
+    binary_op(1.0, x, "i", 1.0, x, "i", out, "i")  # A and B one object, not D
+    assert out.buffer.tolist() == [20.0, 36.0]
+
+    square = view([2, 2], [1.0, 2.0, 3.0, 4.0])
+    unary_op(2.0, square, "ij", square, "ji")
+    assert square.buffer.tolist() == [2.0, 6.0, 4.0, 8.0]
+
+
 @pytest.mark.parametrize("dtype", [DType.R32, DType.R64])
 def test_real_copies_keep_negative_zero(dtype):
     src = view([2], [-0.0, 1.0], dtype=dtype)

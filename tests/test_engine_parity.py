@@ -211,7 +211,7 @@ def test_random_long_sums_over_few_cells_match_scalar_loop(seed):
 @pytest.mark.parametrize(
     "einsum, extents",
     [
-        # cells x K spans three steps of the contracted loop
+        # K = 48 in steps of 8 rows: plan.box is (8, 1, 64, 64), six steps
         ("ij,jk->ik", {"i": 64, "j": 48, "k": 64}),
         # more cells than one block holds
         ("i,j->ij", {"i": 300, "j": 240}),
@@ -414,10 +414,10 @@ def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
 @pytest.mark.parametrize("dtype", list(DType))
 @pytest.mark.parametrize("specials", [(0.0, -0.0), (0.0, -0.0, math.inf), SPECIALS])
 def test_long_narrow_sum_matches_scalar_loop(dtype, specials):
-    # 50,000 terms in one cell: accumulate, over several contracted steps.
+    # 50,000 terms in one cell: accumulate, over several contracted steps
+    # (2 of at most 32,768 real products, 7 of at most 8,192 complex ones).
     rng = random.Random(f"{dtype}{specials}")
     n = 50_000
-    assert n > engine._CHUNK
 
     def values(count):
         data = [rng.choice(specials) if rng.random() < 0.9 else rng.uniform(-2, 2)
@@ -431,6 +431,7 @@ def test_long_narrow_sum_matches_scalar_loop(dtype, specials):
     scalar = TensorDesc((), (), dtype)
     c, d = TensorView(scalar, values(1)), TensorView(scalar, values(1))
     plan = make_plan(parse_einsum("i,i->"), desc, desc, scalar, scalar)
+    assert math.ceil(n / plan.box[0]) >= 2
     _check(plan, 1.0, a, b, 0.5, c, d)
 
 
@@ -572,7 +573,7 @@ def test_complex_transpose_copied_block_by_block_matches_scalar_loop(special):
     ]
     for plan in plans:
         assert plan.parted and len(list(engine._blocks(plan.cells, plan.box))) > 1
-        loaded = engine._load(plan, [None, engine._view(a, plan.layout_b), None], (False, False))
+        loaded = engine._load(plan, [None, engine._view(a, plan.layout_b), None], False)
         assert np.shares_memory(loaded, a.buffer)  # not copied by load
     beta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
     for be in (0.0, beta):
