@@ -12,9 +12,13 @@ Each handle keeps the plans of its last 64 distinct layouts in a
 ``functools.lru_cache``, least recently used dropped first: a descriptor
 created for a layout (the operation kind, the label lists, the tensor
 descriptors and the compute dtype) already planned under the same handle
-shares that plan, which is immutable.  A create that fails is never
+shares that plan, which is immutable.  Each handle also keeps its last
+256 distinct validated tensor descriptors, by dtype, extents and strides
+as given: a tensor info created for an equal layout is a new
+:class:`TensorInfo` that shares the descriptor, which is immutable too,
+so a repeated create skips its validation.  A create that fails is never
 cached, so it fails again with the same code; destroying the handle frees
-its plans.
+its plans and descriptors.
 
 Execution is synchronous; the executor argument selects no resources in
 this single-backend implementation but is validated and recorded in the
@@ -98,6 +102,19 @@ class VKVStore:
 # number of modes, not of elements.
 _PLAN_CACHE_SIZE = 64
 
+# The most tensor descriptors a handle keeps for reuse: the four of each
+# plan it keeps.  A descriptor takes memory in the number of modes.
+_DESC_CACHE_SIZE = 4 * _PLAN_CACHE_SIZE
+
+
+def _desc(dtype: DType, extents: tuple, strides: tuple | None) -> TensorDesc:
+    """The validated descriptor of a layout, made from its cache key alone:
+    dense column-major where ``strides`` is None.  ``TensorDesc`` is looked
+    up at each call, where tests patch it."""
+    if strides is None:
+        return TensorDesc.column_major(extents, dtype)
+    return TensorDesc(extents, strides, dtype)
+
 
 def _plan(kind: str, labels: tuple, descs: tuple, compute_dtype):
     """The plan of a ``kind`` operation, made from its cache key alone.
@@ -118,6 +135,7 @@ class Handle:
         self._alive = True
         self._default_executor = Executor(self)
         self._plans = functools.lru_cache(_PLAN_CACHE_SIZE)(_plan)
+        self._descs = functools.lru_cache(_DESC_CACHE_SIZE)(_desc)
 
     @property
     def alive(self) -> bool:
@@ -126,6 +144,7 @@ class Handle:
     def _destroy(self) -> None:
         self._alive = False
         self._plans.cache_clear()
+        self._descs.cache_clear()
 
 
 class Executor:
@@ -197,7 +216,9 @@ def tapp_create_tensor_info(
     """Describe a tensor's shape, layout and dtype.
 
     ``strides`` defaults to the dense column-major layout; negative and
-    zero strides are accepted.
+    zero strides are accepted.  The handle's descriptor of an equal layout
+    is shared, made on a miss; a key that cannot be hashed (an extent that
+    is a 0-d array) is built without the cache.
     """
     if not _live_handle(handle):
         return ErrorCode.ERR_INVALID_HANDLE
@@ -206,10 +227,11 @@ def tapp_create_tensor_info(
     try:
         if nmodes != len(extents) or (strides is not None and nmodes != len(strides)):
             return ErrorCode.ERR_EXTENT_MISMATCH
-        if strides is None:
-            desc = TensorDesc.column_major(tuple(extents), dtype)
-        else:
-            desc = TensorDesc(tuple(extents), tuple(strides), dtype)
+        key = dtype, tuple(extents), None if strides is None else tuple(strides)
+        try:
+            desc = handle._descs(*key)
+        except TypeError:  # an unhashable key part, or one raised in validation
+            desc = _desc(*key)
     except TypeError:  # extents or strides that are not sequences
         return ErrorCode.ERR_EXTENT_MISMATCH
     except TappError as err:

@@ -82,21 +82,24 @@ which copy it whole.  Where it is complex and D is stored part by part
 turn, so that alpha's product comes out in D's order.  U has no buffer
 and is never loaded.
 Input-only reductions are summed in index order.  The output cells are
-then walked in blocks of at most ``_CHUNK`` cells, a range on each cell
-axis with the last filled first.  A block's products ``A[k, h, f] *
-B[k, h, g]`` (with A and B exchanged when they trade places) are formed
-a contracted step of rows at a time, each step within a budget in bytes
-(see ``_STEP_BYTES``): 256 KiB of float64 products where A and B are
-real, all of K for a 32x32x32 matmul, and ``_CHUNK`` products where
-either is complex, as ``(re, im)`` pairs whose float64 pair arrays take
-128 KiB each.  They are summed over k from left to right,
+then walked in blocks, a range on each cell axis with the last filled
+first: at most 65,536 cells where the compute dtype is real, whose
+float64 temporaries take 512 KiB each (see ``_BLOCK_BYTES``), and
+``_CHUNK`` (8,192) where it is complex, as ``(re, im)`` pairs.  A
+block's products ``A[k, h, f] * B[k, h, g]`` (with A and B exchanged
+when they trade places) are formed a contracted step of rows at a time,
+each step within a budget in bytes (see ``_STEP_BYTES``): 256 KiB of
+float64 products where A and B are real, all of K for a 32x32x32
+matmul, and ``_CHUNK`` products where either is complex, as ``(re,
+im)`` pairs whose float64 pair arrays take 128 KiB each; a block wider
+than its step's budget takes one row a step.  They are summed over k from left to right,
 ``((p0 + p1) + p2) + ...``: every cell keeps the summation order of a
 scalar loop that runs batch, free-of-A and free-of-B outside and the
 contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C``
 read through C's view, and one cast on store through a writable view of
 D, block by block: besides A and B, a call takes memory for one step's
-products, at most 256 KiB, and one block's temporaries, at most 128 KiB
-each, whatever D's strides.
+products and one block's temporaries, at most 512 KiB each, whatever
+D's strides.
 
 A sum of rows (K products, or R reduced values, per cell) is one numpy
 call (see :func:`_sum_k`): ``np.add`` of two rows; ``np.add.reduce``
@@ -176,16 +179,27 @@ __all__ = [
     "run_unary",
 ]
 
-# The most cells in a block, which *finish* works on at once, and the
-# most products a contracted step over (re, im) pairs forms.  A block's
-# float64 temporaries then take at most 64 KiB each, so they stay in
-# cache, and a complex pair array 128 KiB, at glibc's default mmap
-# threshold.  A step of two complex operands forms two float64 pair
-# arrays (see _cmul) of 128 KiB each, so steps over pairs keep this
-# count: at 16,384 products the c32 and c64 32x32x32 matmuls of
-# `steady_large`'s mix took 192 and 132 minor page faults a call, and
-# about twice the time.
+# The most cells in a block where the compute dtype is complex, which
+# *finish* works on at once as (re, im) pairs, and the most products a
+# contracted step over pairs forms.  A complex pair array then takes at
+# most 128 KiB, at glibc's default mmap threshold.  A step of two complex
+# operands forms two float64 pair arrays (see _cmul) of 128 KiB each, so
+# steps over pairs keep this count: at 16,384 products the c32 and c64
+# 32x32x32 matmuls of `steady_large`'s mix took 192 and 132 minor page
+# faults a call, and about twice the time.  Blocks keep it too: as one
+# 16,384-cell block, a planned c64 128x128 transpose at complex alpha
+# took 264 us against 144 us in two (medians of 200 alternated calls).
 _CHUNK = 1 << 13
+
+# The most bytes of float64 temporaries a block takes where the compute
+# dtype is real: 512 KiB, 65,536 cells (float32 temporaries keep that
+# count, 256 KiB).  Each block costs about 12 us of fixed Python and numpy
+# set-up, so creating and running a 256x256 r64 outer product, one block,
+# takes 219 us, against 338 us in eight blocks of 8,192 cells (medians of
+# 300 alternated calls, 2-core x86-64 Linux).  `tools/faults.py` counts
+# 0.00 minor page faults a call for that product and for the 256x256 r64
+# binary `ij->ji` (1,000 calls each, glibc's default malloc settings).
+_BLOCK_BYTES = 1 << 19
 
 # The most bytes of products a contracted step of real operands forms at
 # once: 256 KiB, 32,768 float64 products, so that a 32x32x32 matmul sums
@@ -297,19 +311,22 @@ def _layout(dtype: DType, *groups) -> _Layout:
     return _Layout(shape, strides, steps, element, pairs, broadcast)
 
 
-def _box(k: int, cells: tuple[int, ...], pairs: bool) -> tuple[int, ...]:
+def _box(k: int, cells: tuple[int, ...], pairs: bool, real: bool) -> tuple[int, ...]:
     """The block shape ``(step, *box)`` for trip count K over the output
-    ``cells``: all cells where there are at most ``_CHUNK``, else a box
-    of at most ``_CHUNK`` cells filled from the last axis; ``step`` is
-    the contracted step that keeps a block's products within the step's
-    budget: ``_CHUNK`` where they are (re, im) ``pairs``, else
-    ``_STEP_BYTES`` of float64, and never fewer than a block's cells."""
+    ``cells``: all cells where they fit one block, else a box filled from
+    the last axis, of at most ``_BLOCK_BYTES`` of float64 cells where the
+    compute dtype is ``real``, else of ``_CHUNK`` cells, as a block's
+    values may then be (re, im) pairs; ``step`` is the contracted step
+    that keeps a block's products within the step's budget, ``_CHUNK``
+    where they are (re, im) ``pairs``, else ``_STEP_BYTES`` of float64,
+    but at least one row."""
+    most = _BLOCK_BYTES // _F64.itemsize if real else _CHUNK
     box = list(cells)
-    if math.prod(cells) > _CHUNK:
+    if math.prod(cells) > most:
         for i in reversed(range(len(cells))):
-            box[i] = min(cells[i], max(1, _CHUNK // math.prod(box[i + 1 :])))
-    products = _CHUNK if pairs else max(_CHUNK, _STEP_BYTES // _F64.itemsize)
-    return (min(k, products // math.prod(box)), *box)
+            box[i] = min(cells[i], max(1, most // math.prod(box[i + 1 :])))
+    products = _CHUNK if pairs else _STEP_BYTES // _F64.itemsize
+    return (max(1, min(k, products // math.prod(box))), *box)
 
 
 def _blocks(cells: tuple[int, ...], box: tuple[int, ...]):
@@ -489,7 +506,7 @@ def make_plan(
     h, f = (max(1, sum(e > 1 for e in g.extents)) for g in groups[:2])
     hf, ones = h + f, (1,) * len(cells)
     spans = cells[:hf] + ones[hf:], cells[:h] + ones[h:hf] + cells[hf:]
-    box = _box(counts[2], cells, pairs)
+    box = _box(counts[2], cells, pairs, not cdt.is_complex)
     parted = layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART
 
     def load(slot: int, layout: _Layout, span: tuple[int, ...]) -> _Load:
@@ -693,7 +710,7 @@ def _cmul(x: np.ndarray, y, part: np.dtype, pairs: bool = True) -> np.ndarray:
     return x_yr if part is _F64 else x_yr.astype(part)
 
 
-def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
+def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d, names: str):
     """The *bind* stage: alpha and beta rounded to the compute dtype, the
     view checks, the read-only check on D and the overlap check.  Returns
     ``al, be``, the numpy views of A, B and C on their layouts' axes (None
@@ -701,7 +718,8 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     not need it), D's view, and whether C is D's identical view (an
     in-place update).  Where A is the unit operand U (a binary or unary
     plan), A's slot is not the caller's: it is neither checked nor probed
-    for overlap.
+    for overlap.  An error names the operand in each slot by that slot's
+    character in ``names``, as the caller knows it.
 
     C may cover D's elements exactly, and so may the operand of a plan
     whose A is U where it is C's object too, as :func:`run_unary` passes
@@ -714,12 +732,12 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
     be = _scalar_for(beta, plan.compute_dtype, "beta")
     unit = plan.unit_a
     if not unit:
-        _check_view(a, plan.desc_a, "A")
-    _check_view(b, plan.desc_b, "B")
-    _check_view(c, plan.desc_c, "C")
-    _check_view(d, plan.desc_d, "D")
+        _check_view(a, plan.desc_a, names[0])
+    _check_view(b, plan.desc_b, names[1])
+    _check_view(c, plan.desc_c, names[2])
+    _check_view(d, plan.desc_d, names[3])
     if not d.buffer.flags.writeable:
-        raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "D: buffer is read-only")
+        raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, f"{names[3]}: buffer is read-only")
     dv = _view(d, plan.layout_d)
     layouts = (plan.layout_a, plan.layout_b, plan.layout_c)
     views = [
@@ -741,7 +759,7 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d):
         except np.exceptions.TooHardError:  # raised only where byte intervals overlap
             overlap = True
         if overlap:
-            raise TappError(ErrorCode.ERR_ALIASING, f"D overlaps operand {'ABC'[k]}")
+            raise TappError(ErrorCode.ERR_ALIASING, f"{names[3]} overlaps operand {names[k]}")
     return al, be, views, dv, in_place
 
 
@@ -855,6 +873,7 @@ def contract(
     beta: int | float | complex,
     c: TensorView,
     d: TensorView,
+    names: str = "ABCD",
 ) -> StatusRecord:
     """Run the planned contraction over concrete views, in four stages:
     :func:`_bind` checks the views and returns the scalars, the operands'
@@ -869,10 +888,11 @@ def contract(
     straight to *finish*.  :func:`_bind` holds the in-place rule: C and D
     may be the identical view (in-place update), and so may a unit plan's
     operand where it is C's object too; any other overlap between D and
-    an operand is rejected.
+    an operand is rejected.  An error names the operands in the slots A,
+    B, C and D as the four characters of ``names`` do.
     """
     t0 = time.perf_counter()
-    al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d)
+    al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d, names)
     read_ab = al != 0
     with np.errstate(all="ignore"):
         if read_ab:
@@ -936,7 +956,7 @@ def run_binary(
     A's slot then takes a view of its own."""
     if a is b:
         a = TensorView(a.desc, a.buffer, a.base)
-    return contract(plan, alpha, None, a, beta, b, out)
+    return contract(plan, alpha, None, a, beta, b, out, " ABC")
 
 
 def binary_op(
@@ -989,7 +1009,8 @@ def run_unary(
     it fills C's unread slot as well, so :func:`_bind`'s in-place rule
     decides: A as the output's identical view runs in place, and any
     other overlap with it is ERR_ALIASING."""
-    return contract(plan, alpha, None, a, 0.0, a if a.desc == out.desc else out, out)
+    c, names = (a, " AAB") if a.desc == out.desc else (out, " ABB")
+    return contract(plan, alpha, None, a, 0.0, c, out, names)
 
 
 def unary_op(

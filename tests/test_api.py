@@ -203,6 +203,34 @@ def test_execute_reports_engine_errors_in_status(handle):
     assert code is ErrorCode.OK and status.detail == ""
 
 
+def test_binary_and_unary_errors_name_the_callers_operands(handle):
+    # The engine runs both with the operands in other slots than the
+    # caller's; a status's detail names each operand as the caller does.
+    ex = tapp_get_default_executor(handle)
+    iv = tapp_create_tensor_info(handle, DType.R64, 1, (4,))
+    m, v = (tapp_create_tensor_info(handle, DType.R64, n, (2,) * n) for n in (2, 1))
+    binary = tapp_create_binary_op(handle, iv, "i", iv, "i", iv, "i")
+    unary = tapp_create_unary_op(handle, iv, "i", iv, "i")
+    reduce = tapp_create_unary_op(handle, m, "ij", v, "i")  # A's and B's layouts differ
+    ok, short, shared = np.zeros(4), np.zeros(3), np.zeros(6)
+    cases = [
+        (binary, (1.0, (shared, 0), 0.5, ok, (shared, 2)), "C overlaps operand A"),
+        (binary, (1.0, ok, 0.5, (shared, 0), (shared, 2)), "C overlaps operand B"),
+        (binary, (1.0, short, 0.5, ok, ok.copy()), "A: view escapes its buffer"),
+        (binary, (1.0, ok, 0.5, short, ok.copy()), "B: view escapes its buffer"),
+        (binary, (1.0, ok, 0.5, ok.copy(), short), "C: view escapes its buffer"),
+        (unary, (1.0, (shared, 0), (shared, 2)), "B overlaps operand A"),
+        (unary, (1.0, short, ok), "A: view escapes its buffer"),
+        (unary, (1.0, ok, short), "B: view escapes its buffer"),
+        (reduce, (1.0, ok, np.zeros(1)), "B: view escapes its buffer"),
+    ]
+    for op, args, detail in cases:
+        status = StatusRecord()
+        run = tapp_execute_binary if op is binary else tapp_execute_unary
+        code = run(op, ex, *args, status_out=status)
+        assert code is status.error and status.detail == detail, (detail, status)
+
+
 class _Slotted:
     __slots__ = ("error",)
 
@@ -828,6 +856,63 @@ def test_the_cache_keeps_the_64_most_recently_used_plans(handle, count_plans):
     assert handle._plans.cache_info().currsize == 64
 
 
+# -- the per-handle descriptor cache ------------------------------------------
+
+
+def test_an_equal_layout_gives_a_new_info_that_shares_the_descriptor(handle):
+    first = tapp_create_tensor_info(handle, DType.R64, 2, (3, 4), (1, 3))
+    again = tapp_create_tensor_info(handle, DType.R64, 2, [3, 4], np.array([1, 3]))
+    assert again is not first and again.desc is first.desc
+    assert handle._descs.cache_info().hits == 1
+    # each info keeps its own key-value store
+    assert tapp_vkv_set(first, 1, b"x") is ErrorCode.OK
+    assert tapp_vkv_get(again, 1) is ErrorCode.ERR_KEY_NOT_FOUND
+    # another dtype, or strides left to their default, is another key
+    r32 = tapp_create_tensor_info(handle, DType.R32, 2, (3, 4), (1, 3))
+    dense = tapp_create_tensor_info(handle, DType.R64, 2, (3, 4))
+    assert r32.desc.dtype is DType.R32 and dense.desc == first.desc
+    assert dense.desc is not first.desc and handle._descs.cache_info().currsize == 3
+
+
+@pytest.mark.parametrize(
+    "extents", [(2.0, 3), (np.int64(2), 3), np.array([2, 3]), np.array([2.0, 3.0])]
+)
+def test_integral_extents_come_back_as_python_ints_on_a_hit_and_a_miss(handle, extents):
+    tapp_create_tensor_info(handle, DType.R32, 2, (2, 3))
+    hit = tapp_create_tensor_info(handle, DType.R32, 2, extents)
+    fresh = tapp_create_handle()
+    miss = tapp_create_tensor_info(fresh, DType.R32, 2, extents)
+    after = tapp_create_tensor_info(fresh, DType.R32, 2, (2, 3))  # hits the miss's entry
+    tapp_destroy_handle(fresh)
+    assert handle._descs.cache_info().hits == 1 and after.desc is miss.desc
+    for info in (hit, miss):
+        assert info.desc.extents == (2, 3) and info.desc.strides == (1, 2)
+        assert all(type(x) is int for x in info.desc.extents + info.desc.strides)
+
+
+def test_an_unhashable_layout_is_built_without_the_cache(handle):
+    # A 0-d array is integral but cannot be hashed; a list is neither.
+    info = tapp_create_tensor_info(handle, DType.R64, 2, (np.array(2), 3), (1, np.array(2)))
+    assert info.desc.extents == (2, 3) and info.desc.strides == (1, 2)
+    assert tapp_create_tensor_info(handle, DType.R64, 2, ([2], 3)) is (
+        ErrorCode.ERR_EXTENT_MISMATCH
+    )
+    assert handle._descs.cache_info().currsize == 0
+
+
+def test_failing_tensor_infos_are_not_cached(handle):
+    bad = [
+        ((2, 0), (1, 2), ErrorCode.ERR_EXTENT_MISMATCH),
+        ((2.5,), None, ErrorCode.ERR_EXTENT_MISMATCH),
+        (("2",), (1,), ErrorCode.ERR_EXTENT_MISMATCH),
+        ((2,), (2**61,), ErrorCode.ERR_OUT_OF_BOUNDS),
+    ]
+    for extents, strides, code in bad:
+        for _ in range(2):
+            assert tapp_create_tensor_info(handle, DType.R64, len(extents), extents, strides) is code
+    assert handle._descs.cache_info().currsize == 0 and handle._descs.cache_info().hits == 0
+
+
 def test_plans_belong_to_one_handle(count_plans):
     h1, h2 = tapp_create_handle(), tapp_create_handle()
 
@@ -841,7 +926,7 @@ def test_plans_belong_to_one_handle(count_plans):
     assert count_plans["make_unary_plan"] == 2
     info = tapp_create_tensor_info(h1, DType.R64, 1, (3,))
     assert tapp_destroy_handle(h1) is ErrorCode.OK
-    assert h1._plans.cache_info().currsize == 0
+    assert h1._plans.cache_info().currsize == 0 and h1._descs.cache_info().currsize == 0
     assert tapp_create_unary_op(h1, info, "i", info, "i") is ErrorCode.ERR_INVALID_HANDLE
     assert count_plans["make_unary_plan"] == 2
     tapp_destroy_handle(h2)

@@ -118,11 +118,15 @@ def test_plan_loop_sizes():
 @pytest.mark.parametrize("chunk", [61, 256, 1000, engine._CHUNK])
 @pytest.mark.parametrize("pairs", [False, True])
 def test_blocks_cover_each_output_cell_once_within_the_chunk(monkeypatch, chunk, pairs):
-    # Two budgets: a block holds at most _CHUNK cells, and a contracted
-    # step forms at most _CHUNK products over (re, im) pairs, else
-    # _STEP_BYTES of float64 products, patched here to twice the chunk.
+    # Three budgets: a block holds at most _CHUNK cells where the compute
+    # dtype is complex, else _BLOCK_BYTES of float64 cells, patched here to
+    # four times the chunk; a contracted step forms at most _CHUNK products
+    # over (re, im) pairs, else _STEP_BYTES of float64 products, patched to
+    # twice the chunk, but at least one row.
     monkeypatch.setattr(engine, "_CHUNK", chunk)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 32 * chunk)
     monkeypatch.setattr(engine, "_STEP_BYTES", 16 * chunk)
+    most = chunk if pairs else 4 * chunk
     products = chunk if pairs else 2 * chunk
     rng = random.Random(chunk)
     for _ in range(60):
@@ -130,17 +134,17 @@ def test_blocks_cover_each_output_cell_once_within_the_chunk(monkeypatch, chunk,
         while math.prod(sizes) > 10**6:  # up to 10^6 cells, log-uniform extents
             sizes = tuple(round(10 ** rng.uniform(0, 4)) for _ in range(rng.randint(1, 4)))
         k = round(10 ** rng.uniform(0, 3))
-        box = engine._box(k, sizes, pairs)
+        box = engine._box(k, sizes, pairs, not pairs)
         blocks = list(engine._blocks(sizes, box))
         cover = np.zeros(sizes, np.int32)
         for block in blocks:
             cover[block] += 1
             cells = math.prod(len(range(n)[s]) for n, s in zip(sizes, block))
-            assert cells <= chunk and box[0] * cells <= products
+            assert cells <= most and box[0] * cells <= max(products, cells)
         assert (cover == 1).all(), (k, sizes)
-        assert (len(blocks) == 1) == (math.prod(sizes) <= chunk)
-        # a step takes as many rows as the budget allows
-        assert box[0] == min(k, products // math.prod(box[1:]))
+        assert (len(blocks) == 1) == (math.prod(sizes) <= most)
+        # a step takes as many rows as the budget allows, at least one
+        assert box[0] == max(1, min(k, products // math.prod(box[1:])))
 
 
 @pytest.mark.parametrize("dtype", list(DType))
@@ -154,6 +158,21 @@ def test_real_matmul_sums_all_of_k_in_one_step(dtype):
         assert step * math.prod(box) <= 8192 and step < 32
     else:
         assert step == 32 and plan.whole
+
+
+def test_oneshot_real_outputs_run_as_one_block_and_complex_ones_keep_8192_cells():
+    # 256x256 r64: 512 KiB of float64 in one block.  A complex compute
+    # dtype keeps 8,192 cells a block, also where only the output is
+    # complex, as its values may then be (re, im) pairs.
+    spec = parse_einsum("i,j->ij")
+    vec = {dt: TensorDesc.column_major((256,), dt) for dt in (DType.R64, DType.C64)}
+    r64, c64 = (TensorDesc.column_major((256, 256), dt) for dt in (DType.R64, DType.C64))
+    outer = make_plan(spec, vec[DType.R64], vec[DType.R64], r64, r64)
+    binary = engine.make_binary_plan("ij", r64, "ji", r64, "ji", r64)
+    assert outer.whole and binary.whole and outer.box == (1, 1, 256, 256)
+    for dt in vec:
+        plan = make_plan(spec, vec[dt], vec[dt], c64, c64)
+        assert math.prod(plan.box[1:]) == 8192 and not plan.whole
 
 
 def _plan_error(einsum, descs, **kwargs):

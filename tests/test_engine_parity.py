@@ -185,7 +185,9 @@ def _random_labels(rng):
 
 @pytest.mark.parametrize("chunk", [1, 5, 64, engine._CHUNK, 1 << 16])
 def test_random_products_match_scalar_loop_at_every_chunk_size(monkeypatch, chunk):
+    # A real block holds _BLOCK_BYTES of float64 cells, patched to the chunk.
     monkeypatch.setattr(engine, "_CHUNK", chunk)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * chunk)
     rng = random.Random(chunk)
     for _ in range(60):
         einsum, extents = _random_labels(rng)
@@ -403,7 +405,7 @@ def test_fused_sum_carries_across_contracted_steps(monkeypatch, chunk, dtype):
     rng = random.Random(f"{chunk}{dtype}")
     extents = {"i": 16, "j": 24, "k": 16}
     # 256-cell blocks, K = 24: complex products keep the patched budget
-    box = engine._box(24, (1, 16, 16), True)
+    box = engine._box(24, (1, 16, 16), True, False)
     blocks = engine._blocks((1, 16, 16), box)
     assert box[0] < 24 and box[0] * math.prod(box[1:]) <= chunk
     assert all(len(range(16)[g]) > 1 for *_, g in blocks)
@@ -482,7 +484,9 @@ def test_large_complex_unary_with_wide_and_narrow_blocks_matches_scalar_loop(dty
 def test_output_groups_that_do_not_fold_are_stored_in_boxes(
     monkeypatch, chunk, extents, strides_d, dtypes, alpha, beta
 ):
+    # A real block holds _BLOCK_BYTES of float64 cells, patched to the chunk.
     monkeypatch.setattr(engine, "_CHUNK", chunk)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * chunk)
     labels = "".join(extents)
     spec = parse_einsum(f"i,{labels[1:]}->{labels}")
     rng = random.Random(f"{extents}{dtypes[0]}")  # the same data for each scalar pair
@@ -503,9 +507,13 @@ def test_output_groups_that_do_not_fold_are_stored_in_boxes(
 
 @pytest.mark.parametrize("dtype", [DType.R64, DType.C64])
 @pytest.mark.parametrize("strides", [(1, 128), (128, 1)])
-def test_in_place_transpose_over_several_blocks_matches_scalar_loop(dtype, strides):
+def test_in_place_transpose_over_several_blocks_matches_scalar_loop(
+    monkeypatch, dtype, strides
+):
     # Later blocks must read A as it was before the first store, also where
-    # A's view needs no copy (row-major: A's labels fold, D's do not).
+    # A's view needs no copy (row-major: A's labels fold, D's do not).  A
+    # real block is patched to 8,192 cells, so that R64 takes two.
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 1 << 16)
     rng = random.Random(f"{dtype}{strides}")
     desc = TensorDesc((128, 128), strides, dtype)
     x = TensorView(desc, _values(rng, 128 * 128, dtype, 0.05))
@@ -589,15 +597,22 @@ def test_complex_transpose_copied_block_by_block_matches_scalar_loop(special):
     _assert_same_bits(x.buffer, want.buffer)
 
 
+@pytest.mark.parametrize("block_bytes, step, blocks", [(None, 1, 1), (1 << 16, 2, 8)])
 @pytest.mark.parametrize("dtype", [DType.R32, DType.R64])
-def test_two_row_contracted_step_matches_scalar_loop(dtype):
-    # oneshot_wide's ijk,ijk->ij: K = 2 summed in one two-row step per block
+def test_two_row_contracted_step_matches_scalar_loop(
+    monkeypatch, dtype, block_bytes, step, blocks
+):
+    # oneshot_wide's ijk,ijk->ij: K = 2 summed in two one-row steps over
+    # one 65,536-cell block, wider than a step's 32,768 products; with the
+    # block patched to 8,192 cells, in one two-row step per block
+    if block_bytes is not None:
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", block_bytes)
     rng = random.Random(str(dtype))
     spec = parse_einsum("ijk,ijk->ij")
     desc_a = TensorDesc.column_major((256, 256, 2), dtype)
     desc_d = TensorDesc.column_major((256, 256), dtype)
     plan = make_plan(spec, desc_a, desc_a, desc_d, desc_d)
-    assert plan.box[0] == 2 and len(list(engine._blocks(plan.cells, plan.box))) > 1
+    assert plan.box[0] == step and len(list(engine._blocks(plan.cells, plan.box))) == blocks
     a, b = (TensorView(desc_a, _values(rng, 256 * 256 * 2, dtype, 0.2)) for _ in "ab")
     c, d = (TensorView(desc_d, _values(rng, 256 * 256, dtype, 0.2)) for _ in "cd")
     _check(plan, 1.5, a, b, 0.0, c, d)

@@ -1,6 +1,8 @@
 """Time a fixed mix of planned ops through tapp's public API and count the
-minor page faults each call takes: r32, r64, c32 and c64 32x32x32 matmuls
-and a c64 128x128 transpose (unary ``ij->ji``) at complex alpha.  The ops
+minor page faults each call takes: r32, r64, c32 and c64 32x32x32 matmuls,
+a c64 128x128 transpose (unary ``ij->ji``) at complex alpha, and two r64
+256x256 ops whose output is one 512 KiB block: the outer product
+``i,j->ij`` and the transpose-add (binary ``ij,ji->ji``, beta 0).  The ops
 run round-robin, as a benchmark client would call them; after a warm-up,
 each op's line gives its median time per call and its minor faults per
 call, read with ``resource.getrusage`` around each call.  A fault here is
@@ -31,7 +33,7 @@ _NP = {"r32": np.float32, "r64": np.float64, "c32": np.complex64, "c64": np.comp
 def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict):
     """The op's name and a function that executes it once."""
     head, out = labels.split("->")
-    names = head.split(",") + [out] * (2 if kind == "product" else 1)
+    names = head.split(",") + [out] * (2 if kind == "product" else 1)  # binary: A, B, C
     infos, buffers = [], []
     for ls in names:
         shape = [extents[l] for l in ls]
@@ -44,6 +46,10 @@ def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict
         desc = tapp.tapp_create_contraction(handle, *args)
         a, b, c, d = buffers
         run = partial(tapp.tapp_execute_product, desc, executor, alpha, a, b, 0.0, c, d)
+    elif kind == "binary":
+        desc = tapp.tapp_create_binary_op(handle, *args)
+        a, b, c = buffers
+        run = partial(tapp.tapp_execute_binary, desc, executor, alpha, a, 0.0, b, c)
     else:
         desc = tapp.tapp_create_unary_op(handle, *args)
         run = partial(tapp.tapp_execute_unary, desc, executor, alpha, *buffers)
@@ -65,6 +71,9 @@ def main() -> None:
     ops = [_op(handle, executor, rng, "product", "ij,jk->ik", dt, cube)
            for dt in ("r32", "r64", "c32", "c64")]
     ops.append(_op(handle, executor, rng, "unary", "ij->ji", "c64", square))
+    wide = dict(i=256, j=256)
+    ops.append(_op(handle, executor, rng, "product", "i,j->ij", "r64", wide))
+    ops.append(_op(handle, executor, rng, "binary", "ij,ji->ji", "r64", wide))
     for _ in range(args.warmup):
         for _, run in ops:
             run()
