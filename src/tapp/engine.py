@@ -101,6 +101,22 @@ D, block by block: besides A and B, a call takes memory for one step's
 products and one block's temporaries, at most 512 KiB each, whatever
 D's strides.
 
+A block's products ``A[k, f] * B[k, g]`` broadcast A along G and B along
+F, so numpy cannot fold them into one inner loop.  With a ufunc buffer
+longer than a row (numpy's default is 8,192 elements), numpy's buffered
+iterator copies the operands into buffers to run its inner loop past the
+row.  So a call whose blocks are such outer products, with F and G of
+more than one cell each and rows (a block's last axis) of at least
+``_ROW_BUFFER`` (128) cells (``ContractionPlan.long_rows``), runs with a
+buffer of 128 elements, and numpy runs each row without copying.  The
+buffer changes no bits: products and sums are formed element by element,
+and *sum* never lets numpy sum pairwise (see :func:`_sum_k`).
+:func:`contract` sets the size once for the whole call, inside its
+``np.errstate`` block, and gives the caller's size back as it leaves,
+also on an error: numpy >= 2 scopes the size to the ``errstate``, and
+for numpy 1.x, whose ``errstate`` restores only the error handling, a
+``finally`` restores it.
+
 A sum of rows (K products, or R reduced values, per cell) is one numpy
 call (see :func:`_sum_k`): ``np.add`` of two rows; ``np.add.reduce``
 from -0.0 over a C-contiguous block of more rows and at least two cells
@@ -220,6 +236,24 @@ _STEP_BYTES = 1 << 18
 # of a binary or unary op is then copied C-contiguous a block, at most
 # 128 KiB, at a time (see _pass), not whole: a 128x128 c64 one is 256 KiB.
 _PART_BY_PART = 256
+
+# numpy's ufunc buffer, in elements, for a call whose blocks are outer
+# products with long rows (``ContractionPlan.long_rows``), and the fewest
+# cells a block's row must have for it.  With a buffer longer than a row,
+# numpy copies the operands into buffers to run its inner loop past the
+# row (see the module docstring); with one no longer, it runs each row
+# without copying: a float64 (1, 256, 1) x (1, 1, 256) multiply into `out` took 80 us with
+# the default 8,192 elements against 23 us with 128 or 256 (best of 5
+# timeit runs of 200).  Planned executes with the rule on against off
+# (medians of 120 alternated rounds): r64 256x256 `i,j->ij` 274 -> 220
+# us, c64 at complex alpha and beta 1,530 -> 1,328 us, r64 512x512 888 ->
+# 582 us, r64 `ij,jk->ik` with i=128, j=16, k=256 1,248 -> 886 us.
+# Shorter rows stay out: rows of 64 moved +3% in r64 and 0% in c64, and
+# the 32x32x32 matmuls took 18% longer in r64 and c64.  The size is set
+# once per call, not around each block's products, as each switch costs
+# about 2 us; numpy 1.x requires a multiple of 16.  (numpy 2.4, Python
+# 3.11, 2-core x86-64 Linux.)
+_ROW_BUFFER = 128
 
 # The most output addresses enumerated where the sorted-stride test cannot
 # decide injectivity (8 MB of int64); a larger layout is ERR_UNSUPPORTED.
@@ -395,6 +429,11 @@ class ContractionPlan:
     loads: tuple[_Load | None, _Load | None] = field(repr=False, compare=False)
     whole: bool = field(repr=False, compare=False)
     parted: bool = field(repr=False, compare=False)
+    # Whether the blocks are outer products with long rows, for which
+    # contract runs numpy's ufuncs with a ``_ROW_BUFFER`` buffer: both F
+    # and G have more than one cell, A is not U, and a block's rows, its
+    # last axis, have at least ``_ROW_BUFFER`` cells.
+    long_rows: bool = field(repr=False, compare=False)
     # Whether A is the unit operand U (a binary or unary plan): U is never
     # read, and execution skips *sum*.
     unit_a: bool = False
@@ -508,6 +547,7 @@ def make_plan(
     spans = cells[:hf] + ones[hf:], cells[:h] + ones[h:hf] + cells[hf:]
     box = _box(counts[2], cells, pairs, not cdt.is_complex)
     parted = layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART
+    long_rows = not unit_a and counts[4] > 1 and counts[5] > 1 and box[-1] >= _ROW_BUFFER
 
     def load(slot: int, layout: _Layout, span: tuple[int, ...]) -> _Load:
         reduced = counts[slot] > 1
@@ -544,6 +584,7 @@ def make_plan(
         loads=loads[::-1] if swap_ab else loads,
         whole=box == (counts[2], *cells),
         parted=parted,
+        long_rows=long_rows,
         unit_a=unit_a,
     )
 
@@ -895,13 +936,20 @@ def contract(
     al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d, names)
     read_ab = al != 0
     with np.errstate(all="ignore"):
-        if read_ab:
-            loaded = _load(plan, views, in_place and b is c)
-        cv = views[2] if be != 0 else None
-        stage = _pass if plan.unit_a else _sum
-        for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
-            acc = stage(plan, loaded, block) if read_ab else None
-            _finish(plan, dv, block, acc, cv, al, be)
+        # numpy >= 2 restores the caller's buffer size as errstate exits,
+        # numpy 1.x only through the finally.
+        bufsize = np.setbufsize(_ROW_BUFFER) if plan.long_rows else None
+        try:
+            if read_ab:
+                loaded = _load(plan, views, in_place and b is c)
+            cv = views[2] if be != 0 else None
+            stage = _pass if plan.unit_a else _sum
+            for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
+                acc = stage(plan, loaded, block) if read_ab else None
+                _finish(plan, dv, block, acc, cv, al, be)
+        finally:
+            if bufsize is not None:
+                np.setbufsize(bufsize)
     _, _, k, h, f, g = plan.counts
     return StatusRecord(
         seconds_elapsed=time.perf_counter() - t0,

@@ -692,6 +692,46 @@ def test_unexpected_exceptions_become_codes(handle, monkeypatch):
     assert not d.any()
 
 
+def test_executes_leave_the_callers_numpy_state_as_it_was(handle, monkeypatch):
+    # A 256x256 outer product runs with a small ufunc buffer, a 32^3 matmul
+    # and a binary transpose with numpy's; an error in the block loop
+    # restores the caller's state too.
+    from tapp import engine
+
+    ex = tapp_get_default_executor(handle)
+    vec = tapp_create_tensor_info(handle, DType.R64, 1, (256,))
+    square = tapp_create_tensor_info(handle, DType.R64, 2, (256, 256))
+    cube = tapp_create_tensor_info(handle, DType.R64, 2, (32, 32))
+    outer = tapp_create_contraction(handle, vec, "i", vec, "j", square, "ij", square, "ij")
+    matmul = tapp_create_contraction(handle, cube, "ij", cube, "jk", cube, "ik", cube, "ik")
+    add = tapp_create_binary_op(handle, square, "ij", square, "ji", square, "ji")
+    assert outer.plan.long_rows and not matmul.plan.long_rows
+    v, m, s = np.ones(256), np.ones(32 * 32), np.ones(256 * 256)
+    runs = [
+        lambda: tapp_execute_product(outer, ex, 1.5, v, v, 0.5, s, s.copy()),
+        lambda: tapp_execute_product(matmul, ex, 1.5, m, m, 0.5, m, m.copy()),
+        lambda: tapp_execute_binary(add, ex, 1.5, s, 0.5, s.copy(), s.copy()),
+    ]
+    with np.errstate(over="raise", divide="warn", invalid="ignore", under="print"):
+        np.setbufsize(4096)
+        state = np.getbufsize(), np.geterr()
+        for run in runs:
+            assert run() is ErrorCode.OK
+            assert (np.getbufsize(), np.geterr()) == state
+        sizes = []
+
+        def fail(*_args):
+            sizes.append(np.getbufsize())
+            raise RuntimeError("sum")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_sum", fail)
+            for run in runs[:2]:
+                assert run() is ErrorCode.ERR_INTERNAL
+                assert (np.getbufsize(), np.geterr()) == state
+        assert sizes == [engine._ROW_BUFFER, 4096]
+
+
 # -- the per-handle plan cache ------------------------------------------------
 
 

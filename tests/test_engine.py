@@ -175,6 +175,52 @@ def test_oneshot_real_outputs_run_as_one_block_and_complex_ones_keep_8192_cells(
         assert math.prod(plan.box[1:]) == 8192 and not plan.whole
 
 
+def _product_plan(einsum, extents, dtype=DType.R64, row_major=False):
+    spec = parse_einsum(einsum)
+    descs = []
+    for labels in (spec.labels_a, spec.labels_b, spec.labels_d):
+        shape = tuple(extents[l] for l in labels)
+        if row_major:
+            strides = TensorDesc.column_major(shape[::-1], dtype).strides[::-1]
+            descs.append(TensorDesc(shape, strides, dtype))
+        else:
+            descs.append(TensorDesc.column_major(shape, dtype))
+    return make_plan(spec, *descs, descs[-1])
+
+
+def test_long_rows_mark_outer_products_whose_rows_hold_128_cells():
+    # Fires: both F and G above one cell, and a block's rows of >= 128.
+    wide = {"i": 256, "j": 256}
+    for dtype in (DType.R64, DType.C64):
+        assert _product_plan("i,j->ij", wide, dtype).long_rows
+    long_k = {"i": 128, "j": 16, "k": 256}
+    for row_major in (False, True):  # rows of i (128) or of k (256)
+        plan = _product_plan("ij,jk->ik", long_k, row_major=row_major)
+        assert plan.long_rows and plan.box[-1] == (256 if row_major else 128)
+    # Does not fire: rows of 32 or 64 cells, F or G of one cell, A as U.
+    for dtype in DType:
+        assert not _product_plan("ij,jk->ik", {"i": 32, "j": 32, "k": 32}, dtype).long_rows
+    for dtype in (DType.R64, DType.C64):  # column-major D: rows of i
+        assert not _product_plan("i,j->ij", {"i": 64, "j": 256}, dtype).long_rows
+    assert not _product_plan("ij,jk->ik", {"i": 64, "j": 16, "k": 256}).long_rows
+    assert not _product_plan("ijk,ijk->ij", {"i": 256, "j": 256, "k": 2}).long_rows
+    square = TensorDesc.column_major((256, 256), DType.R64)
+    assert not engine.make_binary_plan("ij", square, "ji", square, "ji", square).long_rows
+    assert not make_unary_plan("ij", square, "ji", square).long_rows
+    assert not engine.make_binary_plan(
+        "i", TensorDesc.column_major((256,), DType.R64), "ij", square, "ij", square
+    ).long_rows
+    # A round of small ops: 2x3x2 products, 4x4 binary transposes, 2x2x2
+    # unary `ijk->ki`s and a dot product of 4.
+    for dtype in DType:
+        assert not _product_plan("ij,jk->ik", {"i": 2, "j": 3, "k": 2}, dtype).long_rows
+        small = TensorDesc.column_major((4, 4), dtype)
+        assert not engine.make_binary_plan("ij", small, "ji", small, "ji", small).long_rows
+        cube, pair = (TensorDesc.column_major(s, dtype) for s in ((2, 2, 2), (2, 2)))
+        assert not make_unary_plan("ijk", cube, "ki", pair).long_rows
+    assert not _product_plan("i,i->", {"i": 4}).long_rows
+
+
 def _plan_error(einsum, descs, **kwargs):
     with pytest.raises(TappError) as err:
         make_plan(parse_einsum(einsum), *descs, **kwargs)

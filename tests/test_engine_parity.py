@@ -6,6 +6,7 @@ requires equal bits everywhere, guard elements included.  NaN is compared
 by position only: its sign and payload are not part of the contract.
 """
 
+import dataclasses
 import functools
 import math
 import operator
@@ -617,3 +618,45 @@ def test_two_row_contracted_step_matches_scalar_loop(
     c, d = (TensorView(desc_d, _values(rng, 256 * 256, dtype, 0.2)) for _ in "cd")
     _check(plan, 1.5, a, b, 0.0, c, d)
     _check(plan, 1.5, a, b, -0.5, c, d)
+
+
+# Outer products with long rows (ContractionPlan.long_rows), over several
+# blocks where the compute dtype is complex and in contracted steps of one
+# to four rows, and plans with short rows or no F; whether the rule fires.
+BUFFER_CASES = [
+    ("i,j->ij", {"i": 256, "j": 256}, True),
+    ("ij,jk->ik", {"i": 128, "j": 16, "k": 256}, True),
+    ("bij,bjk->bik", {"b": 2, "i": 16, "j": 8, "k": 256}, True),
+    ("ij,jk->ik", {"i": 32, "j": 32, "k": 32}, False),
+    ("ijk,ijk->ij", {"i": 64, "j": 64, "k": 3}, False),
+]
+
+
+@pytest.mark.parametrize("einsum, extents, fires", BUFFER_CASES)
+@pytest.mark.parametrize("dtype", list(DType))
+def test_outputs_do_not_depend_on_numpys_ufunc_buffer(einsum, extents, fires, dtype):
+    # The caller's buffer of 16 or 1 << 20 elements, and the plan run with
+    # numpy's default buffer throughout, give the default run's bits.
+    rng = random.Random(f"{einsum}{dtype}")
+    spec = parse_einsum(einsum)
+    labels = (spec.labels_a, spec.labels_b, spec.labels_c, spec.labels_d)
+    a, b, c, d = (
+        _view(rng, [extents[l] for l in ls], dtype, 0.1, output=(k == 3))
+        for k, ls in enumerate(labels)
+    )
+    plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
+    assert plan.long_rows is fires
+    alpha, beta = (1.25 - 0.5j, 0.5 + 0.75j) if dtype.is_complex else (1.25, 0.5)
+    default = np.getbufsize()
+    runs = [(plan, None), (plan, 16), (plan, 1 << 20)]
+    runs.append((dataclasses.replace(plan, long_rows=False), None))
+    outputs = []
+    for p, size in runs:
+        out = _copy(d)
+        with np.errstate():
+            if size is not None:
+                np.setbufsize(size)
+            contract(p, alpha, a, b, beta, c, out)
+            assert np.getbufsize() == (size or default)
+        outputs.append(out.buffer.tobytes())
+    assert outputs[1:] == outputs[:1] * 3

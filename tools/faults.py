@@ -1,13 +1,17 @@
 """Time a fixed mix of planned ops through tapp's public API and count the
 minor page faults each call takes: r32, r64, c32 and c64 32x32x32 matmuls,
-a c64 128x128 transpose (unary ``ij->ji``) at complex alpha, and two r64
+a c64 128x128 transpose (unary ``ij->ji``) at complex alpha, two r64
 256x256 ops whose output is one 512 KiB block: the outer product
-``i,j->ij`` and the transpose-add (binary ``ij,ji->ji``, beta 0).  The ops
-run round-robin, as a benchmark client would call them; after a warm-up,
-each op's line gives its median time per call and its minor faults per
-call, read with ``resource.getrusage`` around each call.  A fault here is
-a fresh page of a temporary that the allocator took from the kernel.
-Run from the repository root::
+``i,j->ij`` and the transpose-add (binary ``ij,ji->ji``, beta 0), and two
+outer products whose rows hold at least 128 cells, which run with a small
+ufunc buffer (``engine._ROW_BUFFER``): the c64 256x256 ``i,j->ij`` at
+complex alpha and beta, and an r64 ``ij,jk->ik`` with i=128, j=16,
+k=256.  The ops run round-robin, as a benchmark client would call them;
+after a warm-up, each op's line gives its median time per call and its
+minor faults per call, read with ``resource.getrusage`` around each call.
+A fault here is a fresh page of a temporary that the allocator took from
+the kernel.  The header names numpy's version, as the ufunc buffer's
+behaviour is numpy's.  Run from the repository root::
 
     python tools/faults.py [--calls N] [--warmup N]
 """
@@ -30,8 +34,9 @@ import tapp  # noqa: E402
 _NP = {"r32": np.float32, "r64": np.float64, "c32": np.complex64, "c64": np.complex128}
 
 
-def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict):
-    """The op's name and a function that executes it once."""
+def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict, beta=0.0):
+    """The op's name and a function that executes it once, at ``beta``
+    where the op has one."""
     head, out = labels.split("->")
     names = head.split(",") + [out] * (2 if kind == "product" else 1)  # binary: A, B, C
     infos, buffers = [], []
@@ -45,11 +50,11 @@ def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict
     if kind == "product":
         desc = tapp.tapp_create_contraction(handle, *args)
         a, b, c, d = buffers
-        run = partial(tapp.tapp_execute_product, desc, executor, alpha, a, b, 0.0, c, d)
+        run = partial(tapp.tapp_execute_product, desc, executor, alpha, a, b, beta, c, d)
     elif kind == "binary":
         desc = tapp.tapp_create_binary_op(handle, *args)
         a, b, c = buffers
-        run = partial(tapp.tapp_execute_binary, desc, executor, alpha, a, 0.0, b, c)
+        run = partial(tapp.tapp_execute_binary, desc, executor, alpha, a, beta, b, c)
     else:
         desc = tapp.tapp_create_unary_op(handle, *args)
         run = partial(tapp.tapp_execute_unary, desc, executor, alpha, *buffers)
@@ -74,6 +79,9 @@ def main() -> None:
     wide = dict(i=256, j=256)
     ops.append(_op(handle, executor, rng, "product", "i,j->ij", "r64", wide))
     ops.append(_op(handle, executor, rng, "binary", "ij,ji->ji", "r64", wide))
+    ops.append(_op(handle, executor, rng, "product", "i,j->ij", "c64", wide, 0.5 + 0.75j))
+    long_k = dict(i=128, j=16, k=256)
+    ops.append(_op(handle, executor, rng, "product", "ij,jk->ik", "r64", long_k))
     for _ in range(args.warmup):
         for _, run in ops:
             run()
@@ -88,6 +96,7 @@ def main() -> None:
             faults[n] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             if code != tapp.ErrorCode.OK:
                 raise RuntimeError(f"{ops[n][0]} returned {code!r}")
+    print(f"numpy {np.__version__}, Python {sys.version.split()[0]}")
     print(f"{'op':28s} {'median_us':>10s} {'faults/call':>12s}")
     for (name, _), t, f in zip(ops, times, faults):
         print(f"{name:28s} {statistics.median(t) * 1e6:10.1f} {f / args.calls:12.2f}")
