@@ -18,7 +18,8 @@ as given: a tensor info created for an equal layout is a new
 :class:`TensorInfo` that shares the descriptor, which is immutable too,
 so a repeated create skips its validation.  A create that fails is never
 cached, so it fails again with the same code; destroying the handle frees
-its plans and descriptors.
+its plans and descriptors.  A create that fails on a live handle leaves
+its reason in the handle's ``detail``.
 
 Execution is synchronous; the executor argument selects no resources in
 this single-backend implementation but is validated and recorded in the
@@ -128,10 +129,19 @@ def _plan(kind: str, labels: tuple, descs: tuple, compute_dtype):
 
 
 class Handle:
-    """Root object owning all other library objects."""
+    """Root object owning all other library objects.
+
+    ``detail`` is the reason for the code of the handle's most recent
+    failed create: the library's message, or the code's string for a
+    failure the call finds itself (a foreign tensor info, a wrong
+    ``nmodes``, a dtype that is not a DType).  A successful create leaves
+    it as it was.  Like ``errno``, it is one value per handle: across
+    threads, the last failure written wins.
+    """
 
     def __init__(self):
         self.vkv = VKVStore()
+        self.detail = ""
         self._alive = True
         self._default_executor = Executor(self)
         self._plans = functools.lru_cache(_PLAN_CACHE_SIZE)(_plan)
@@ -199,6 +209,13 @@ def _live_handle(handle) -> bool:
     return isinstance(handle, Handle) and handle.alive
 
 
+def _failed(handle: Handle, code: ErrorCode, reason: str = "") -> ErrorCode:
+    """``code``, after keeping ``reason``, by default the code's string,
+    as the live ``handle``'s ``detail``."""
+    handle.detail = reason or error_string(code)
+    return code
+
+
 def tapp_get_default_executor(handle) -> Executor | ErrorCode:
     """The constant executor of ``handle``, usable without setup."""
     if not _live_handle(handle):
@@ -223,29 +240,30 @@ def tapp_create_tensor_info(
     if not _live_handle(handle):
         return ErrorCode.ERR_INVALID_HANDLE
     if not isinstance(dtype, DType):
-        return ErrorCode.ERR_DTYPE_MISMATCH
+        return _failed(handle, ErrorCode.ERR_DTYPE_MISMATCH)
     try:
-        if nmodes != len(extents) or (strides is not None and nmodes != len(strides)):
-            return ErrorCode.ERR_EXTENT_MISMATCH
+        if nmodes != len(extents):
+            return _failed(handle, ErrorCode.ERR_EXTENT_MISMATCH)
+        if strides is not None and nmodes != len(strides):
+            return _failed(
+                handle, ErrorCode.ERR_EXTENT_MISMATCH, "extent and stride lists differ in length"
+            )
         key = dtype, tuple(extents), None if strides is None else tuple(strides)
         try:
             desc = handle._descs(*key)
         except TypeError:  # an unhashable key part, or one raised in validation
             desc = _desc(*key)
     except TypeError:  # extents or strides that are not sequences
-        return ErrorCode.ERR_EXTENT_MISMATCH
+        return _failed(handle, ErrorCode.ERR_EXTENT_MISMATCH)
     except TappError as err:
-        return err.code
+        return _failed(handle, err.code, str(err))
     except Exception as err:  # such as MemoryError: a code all the same
-        return _internal(err)
+        return _failed(handle, _internal(err))
     return TensorInfo(handle, desc)
 
 
 def _owned(handle: Handle, *infos) -> bool:
-    return all(
-        isinstance(i, TensorInfo) and i.handle is handle and handle.alive
-        for i in infos
-    )
+    return all(isinstance(i, TensorInfo) and i.handle is handle for i in infos)
 
 
 def _label_tuples(*labels) -> tuple[tuple, ...]:
@@ -263,9 +281,11 @@ def _create(
     for the same kind, labels, descriptors and ``compute_dtype``, made on a
     miss; a key that cannot be hashed (a label that is a list) is planned
     without the cache.  A TappError becomes its code, any other exception
-    ERR_INTERNAL."""
-    if not _live_handle(handle) or not _owned(handle, *infos):
+    ERR_INTERNAL; a live handle keeps the reason of either."""
+    if not _live_handle(handle):
         return ErrorCode.ERR_INVALID_HANDLE
+    if not _owned(handle, *infos):
+        return _failed(handle, ErrorCode.ERR_INVALID_HANDLE)
     try:
         key = kind, _label_tuples(*labels), tuple(i.desc for i in infos), compute_dtype
         try:
@@ -274,9 +294,9 @@ def _create(
             plan = _plan(*key)
         return OperationDescriptor(handle, kind, plan)
     except TappError as err:
-        return err.code
+        return _failed(handle, err.code, str(err))
     except Exception as err:  # such as MemoryError: a code all the same
-        return _internal(err)
+        return _failed(handle, _internal(err))
 
 
 def tapp_create_contraction(

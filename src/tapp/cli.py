@@ -48,7 +48,6 @@ import numpy as np
 
 from .api import (
     StatusRecord,
-    _plan,
     tapp_create_contraction,
     tapp_create_handle,
     tapp_create_tensor_info,
@@ -57,7 +56,7 @@ from .api import (
     tapp_get_default_executor,
 )
 from .core import (
-    _INT64_MAX, DType, TensorDesc, TensorView, column_major_strides, integers, reach,
+    DType, TensorDesc, TensorView, column_major_strides, integers, reach,
 )
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec, parse_einsum
@@ -231,7 +230,7 @@ def parse_case(doc) -> Case:
         # Zeros only where a descriptor can hold D's size: otherwise C's
         # descriptor is rejected first on both paths, and C's buffer is
         # never read.
-        fits = max(math.prod(d.extents), span * d.dtype.np_dtype.itemsize) <= _INT64_MAX
+        fits = max(math.prod(d.extents), span * d.dtype.np_dtype.itemsize) < 1 << 63
         zeros = np.zeros(span if fits else 0, d.dtype.np_dtype)
         zeros.flags.writeable = False
         c = _TensorEntry(d.dtype, d.extents, strides, 0, zeros)
@@ -270,19 +269,10 @@ class EngineRun:
     detail: str = ""  # why the run failed, where the library says so
 
 
-def _rejection(make, *args) -> str:
-    """Why ``make(*args)``, a descriptor or a plan, is rejected, in the
-    library's words: creates return only the code."""
-    try:
-        make(*args)
-    except TappError as err:
-        return str(err)
-    return ""
-
-
 def execute_case(case: Case) -> EngineRun:
     """Run a case through the full handle/descriptor/execute stack.  A
-    failed create or execute call gives its reason as ``detail``."""
+    failed create gives as ``detail`` the reason the handle keeps, a
+    failed execute the reason in its StatusRecord."""
     handle = tapp_create_handle()
     try:
         operands = []  # info and labels of A, B, C and D in turn
@@ -296,13 +286,11 @@ def execute_case(case: Case) -> EngineRun:
                 handle, entry.dtype, len(entry.extents), entry.extents, entry.strides
             )
             if isinstance(info, ErrorCode):
-                detail = _rejection(TensorDesc, entry.extents, entry.strides, entry.dtype)
-                return EngineRun(info, detail=detail)
+                return EngineRun(info, detail=handle.detail)
             operands += [info, labels]
         op = tapp_create_contraction(handle, *operands)
         if isinstance(op, ErrorCode):
-            labels, descs = operands[1::2], tuple(i.desc for i in operands[::2])
-            return EngineRun(op, detail=_rejection(_plan, "contraction", labels, descs, None))
+            return EngineRun(op, detail=handle.detail)
         d_buffer = np.zeros(
             _span(case.d.extents, case.d.strides, case.d.base), case.d.dtype.np_dtype
         )

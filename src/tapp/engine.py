@@ -112,10 +112,8 @@ buffer of 128 elements, and numpy runs each row without copying.  The
 buffer changes no bits: products and sums are formed element by element,
 and *sum* never lets numpy sum pairwise (see :func:`_sum_k`).
 :func:`contract` sets the size once for the whole call, inside its
-``np.errstate`` block, and gives the caller's size back as it leaves,
-also on an error: numpy >= 2 scopes the size to the ``errstate``, and
-for numpy 1.x, whose ``errstate`` restores only the error handling, a
-``finally`` restores it.
+``np.errstate`` block, which gives the caller's size back as it leaves,
+also on an error.
 
 A sum of rows (K products, or R reduced values, per cell) is one numpy
 call (see :func:`_sum_k`): ``np.add`` of two rows; ``np.add.reduce``
@@ -251,8 +249,7 @@ _PART_BY_PART = 256
 # Shorter rows stay out: rows of 64 moved +3% in r64 and 0% in c64, and
 # the 32x32x32 matmuls took 18% longer in r64 and c64.  The size is set
 # once per call, not around each block's products, as each switch costs
-# about 2 us; numpy 1.x requires a multiple of 16.  (numpy 2.4, Python
-# 3.11, 2-core x86-64 Linux.)
+# about 2 us.  (numpy 2.4, Python 3.11, 2-core x86-64 Linux.)
 _ROW_BUFFER = 128
 
 # The most output addresses enumerated where the sorted-stride test cannot
@@ -935,21 +932,16 @@ def contract(
     t0 = time.perf_counter()
     al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d, names)
     read_ab = al != 0
-    with np.errstate(all="ignore"):
-        # numpy >= 2 restores the caller's buffer size as errstate exits,
-        # numpy 1.x only through the finally.
-        bufsize = np.setbufsize(_ROW_BUFFER) if plan.long_rows else None
-        try:
-            if read_ab:
-                loaded = _load(plan, views, in_place and b is c)
-            cv = views[2] if be != 0 else None
-            stage = _pass if plan.unit_a else _sum
-            for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
-                acc = stage(plan, loaded, block) if read_ab else None
-                _finish(plan, dv, block, acc, cv, al, be)
-        finally:
-            if bufsize is not None:
-                np.setbufsize(bufsize)
+    with np.errstate(all="ignore"):  # also restores the caller's buffer size
+        if plan.long_rows:
+            np.setbufsize(_ROW_BUFFER)
+        if read_ab:
+            loaded = _load(plan, views, in_place and b is c)
+        cv = views[2] if be != 0 else None
+        stage = _pass if plan.unit_a else _sum
+        for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
+            acc = stage(plan, loaded, block) if read_ab else None
+            _finish(plan, dv, block, acc, cv, al, be)
     _, _, k, h, f, g = plan.counts
     return StatusRecord(
         seconds_elapsed=time.perf_counter() - t0,

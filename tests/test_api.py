@@ -953,6 +953,50 @@ def test_failing_tensor_infos_are_not_cached(handle):
     assert handle._descs.cache_info().currsize == 0 and handle._descs.cache_info().hits == 0
 
 
+def test_a_failed_create_leaves_the_librarys_reason_on_the_handle(handle):
+    assert handle.detail == ""
+    assert tapp_create_tensor_info(handle, DType.R64, 1, (0,)) is ErrorCode.ERR_EXTENT_MISMATCH
+    assert handle.detail == "extents must be >= 1"
+    two, three = (tapp_create_tensor_info(handle, DType.R64, 1, (n,)) for n in (2, 3))
+    square = tapp_create_tensor_info(handle, DType.R64, 2, (2, 2))
+    failures = [
+        (lambda: tapp_create_contraction(handle, two, "i", three, "i", two, "i", two, "i"),
+         ErrorCode.ERR_EXTENT_MISMATCH, "label 'i' has extents 2 and 3"),
+        (lambda: tapp_create_binary_op(handle, two, "i", two, "j", two, "i"),
+         ErrorCode.ERR_OUTPUT_MISMATCH,
+         "binary output must carry B's labels, in order, with equal extents"),
+        (lambda: tapp_create_unary_op(handle, square, "ij", square, "ik"),
+         ErrorCode.ERR_UNSUPPORTED, "output-only label 'k' is not supported"),
+    ]
+    for create, code, reason in failures:
+        assert create() is code and handle.detail == reason
+        # a successful create leaves the reason as it was
+        assert isinstance(tapp_create_unary_op(handle, two, "i", two, "i"), tapp.OperationDescriptor)
+        assert handle.detail == reason
+
+
+def test_a_failure_found_before_planning_replaces_the_reason(handle):
+    foreign = tapp_create_handle()
+    theirs = tapp_create_tensor_info(foreign, DType.R64, 1, (2,))
+    tapp_destroy_handle(foreign)
+    ours = tapp_create_tensor_info(handle, DType.R64, 1, (2,))
+    failures = [
+        (lambda: tapp_create_unary_op(handle, theirs, "i", ours, "i"),
+         ErrorCode.ERR_INVALID_HANDLE),
+        (lambda: tapp_create_tensor_info(handle, DType.R64, 2, (2,)),
+         ErrorCode.ERR_EXTENT_MISMATCH),
+        (lambda: tapp_create_tensor_info(handle, DType.R64, 1, 5), ErrorCode.ERR_EXTENT_MISMATCH),
+        (lambda: tapp_create_tensor_info(handle, "r64", 1, (2,)), ErrorCode.ERR_DTYPE_MISMATCH),
+    ]
+    for create, code in failures:
+        assert tapp_create_tensor_info(handle, DType.R64, 1, (0,)) is ErrorCode.ERR_EXTENT_MISMATCH
+        assert handle.detail == "extents must be >= 1"
+        assert create() is code and handle.detail == tapp_error_string(code)
+    # a handle that is not live keeps no reason
+    assert tapp_create_unary_op(foreign, theirs, "i", theirs, "i") is ErrorCode.ERR_INVALID_HANDLE
+    assert foreign.detail == ""
+
+
 def test_plans_belong_to_one_handle(count_plans):
     h1, h2 = tapp_create_handle(), tapp_create_handle()
 

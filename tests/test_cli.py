@@ -339,6 +339,20 @@ def test_gen_error_categories_yield_their_codes():
             assert orun.code is expected, (category, seed, orun.code)
 
 
+@pytest.mark.parametrize("category", [26, 27, 28])
+def test_a_failing_create_is_planned_once(monkeypatch, category):
+    # The reason for the code comes from the handle, not from planning the
+    # failed create a second time.
+    from tapp import engine
+
+    calls = []
+    make_plan = engine.make_plan
+    monkeypatch.setattr(engine, "make_plan", lambda *args: calls.append(1) or make_plan(*args))
+    run = execute_case(parse_case(generate_case(category, 0)))
+    assert run.code is CATEGORIES[category].expect and run.detail
+    assert len(calls) == 1
+
+
 def test_gen_valid_categories_round_trip_through_check():
     for category in range(1, 26):
         case = parse_case(generate_case(category, 1))

@@ -48,3 +48,12 @@ def test_oracle_imports_only_core_errors_and_label_spec():
 
 def test_cli_takes_only_label_spec_and_parse_einsum_from_labels():
     assert _package_imports("cli.py")["labels"] <= {"LabelSpec", "parse_einsum"}
+
+
+def test_cli_imports_no_private_name_from_api_or_core():
+    # The conformance tool certifies the library through its public
+    # interface: a failed create's reason comes from the handle, not from
+    # re-planning it through the API's internals.
+    imports = _package_imports("cli.py")
+    private = {m: {n for n in imports.get(m, ()) if n.startswith("_")} for m in ("api", "core")}
+    assert private == {"api": set(), "core": set()}
