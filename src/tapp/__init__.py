@@ -33,7 +33,7 @@ from .labels import (
     merge_repeats,
     parse_einsum,
 )
-from .oracle import DenseTensor, densify, oracle_contract
+from .oracle import DenseTensor, densify, oracle_contract, ordered_contract
 from .api import (
     Executor,
     Handle,

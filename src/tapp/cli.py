@@ -334,11 +334,14 @@ def _validate_case_contract(case: Case) -> ErrorCode:
         (case.spec.labels_b, case.b),
         (case.spec.labels_d, case.d),
     )
-    # Each descriptor, in the order the engine creates them: extents of at
-    # least 1, then an element count and a byte reach within int64.
+    # Each descriptor, in the order the engine creates them: one stride per
+    # extent, extents of at least 1, then an element count and a byte reach
+    # within int64.
     operands = (case.a, case.b, case.c, case.d)
     reaches = []
     for entry in operands:
+        if len(entry.strides) != len(entry.extents):
+            return ErrorCode.ERR_EXTENT_MISMATCH
         if min(entry.extents, default=1) < 1:
             return ErrorCode.ERR_EXTENT_MISMATCH
         lo, hi = reach(entry.extents, entry.strides)
@@ -400,21 +403,18 @@ def oracle_case(case: Case) -> OracleRun:
     code = _validate_case_contract(case)
     if code is not ErrorCode.OK:
         return OracleRun(code)
-    try:
-        dense_a, ua = densify(_view(case.a), case.spec.labels_a)
-        dense_b, ub = densify(_view(case.b), case.spec.labels_b)
-        dense_c, uc = densify(_view(case.c), case.spec.labels_c)
-        dense = oracle_contract(
-            LabelSpec.of(ua, ub, uc, uc),  # C carries D's labels
-            dense_a,
-            dense_b,
-            dense_c,
-            case.alpha,
-            case.beta,
-            out_dtype=case.d.dtype,
-        )
-    except TappError as err:
-        return OracleRun(err.code)
+    dense_a, ua = densify(_view(case.a), case.spec.labels_a)
+    dense_b, ub = densify(_view(case.b), case.spec.labels_b)
+    dense_c, uc = densify(_view(case.c), case.spec.labels_c)
+    dense = oracle_contract(
+        LabelSpec.of(ua, ub, uc, uc),  # C carries D's labels
+        dense_a,
+        dense_b,
+        dense_c,
+        case.alpha,
+        case.beta,
+        out_dtype=case.d.dtype,
+    )
     return OracleRun(ErrorCode.OK, dense=dense)
 
 

@@ -123,8 +123,9 @@ for a long dot product into one cell.  All add the same values in the
 same order, so they give the same bits.
 
 Arithmetic happens in the plan's compute dtype, each operation rounded to
-it, and the bits are those of the same scalar loop in Python numbers
-(NaN signs aside):
+it, and the bits are those of the oracle's ordered form,
+``oracle.ordered_contract``, which sums each cell in Python numbers (NaN
+signs aside):
 
 * Real compute dtypes use native float32 or float64 operations.  A
   float32 sum or product equals the float64 one rounded to float32.

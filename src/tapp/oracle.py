@@ -1,13 +1,19 @@
-"""Brute-force contraction evaluator used as conformance ground truth.
+"""Brute-force contraction evaluators used as conformance ground truth,
+in two forms.
 
-This module deliberately avoids the engine's grouped loop structure:
-it walks the full Cartesian product of label values, the first label
-slowest, with one address walk (``_addresses``) per operand, collecting
-raw product terms per output cell, and finally combines them with
-exactly rounded summation (``math.fsum`` componentwise).  Output-only
-labels are supported here (each product is broadcast into every
-position along them) even though the engine rejects them.  Agreement
-between the two paths is therefore evidence, not tautology.
+The exact form, :func:`oracle_contract`, deliberately avoids the
+engine's grouped loop structure: it walks the full Cartesian product of
+label values, the first label slowest, with one address walk
+(``_addresses``) per operand, collecting raw product terms per output
+cell, and finally combines them with exactly rounded summation
+(``math.fsum`` componentwise).  The ordered form,
+:func:`ordered_contract`, sums each cell in the contract's order and
+rounds each operation to the compute dtype, so it gives the engine's
+bits; it is written from the contract's statement over dense operands
+and label lists, not from the engine's plan.  Both support output-only
+labels (each product is broadcast into every position along them) even
+though the engine rejects them.  Agreement between the paths is
+therefore evidence, not tautology.
 
 Products, ``alpha * sum`` and ``beta * C`` follow C99 Annex G's rule for
 a real factor, as the engine's contract does: a real x times a complex
@@ -20,16 +26,17 @@ infinity stays an infinity next to a zero part.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    DType, TensorView, column_major_strides, dtype_promote, round_to, validate_view
+    DType, TensorView, _to_f32, column_major_strides, dtype_promote, round_to, validate_view
 )
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec
 
-__all__ = ["DenseTensor", "densify", "oracle_contract"]
+__all__ = ["DenseTensor", "densify", "oracle_contract", "ordered_contract"]
 
 
 @dataclass(frozen=True)
@@ -145,22 +152,9 @@ def _exact_sum(values) -> float | complex:
     return _fsum(values)
 
 
-def oracle_contract(
-    spec: LabelSpec,
-    a: DenseTensor,
-    b: DenseTensor,
-    c: DenseTensor,
-    alpha: int | float | complex,
-    beta: int | float | complex,
-    out_dtype: DType | None = None,
-) -> DenseTensor:
-    """Evaluate ``alpha * A B + beta * C`` over dense operands.
-
-    Handles every label class, including output-only labels.  ``alpha``
-    and ``beta`` are Python numbers, used as given: a complex one is
-    complex even where its imaginary part is zero.  When ``alpha``
-    (``beta``) is exactly zero the inputs (C) are never read.
-    """
+def _label_extents(spec: LabelSpec, a: DenseTensor, b: DenseTensor, c: DenseTensor):
+    """Each label's extent, where A, B and C have one label per mode, each
+    label one extent and C D's labels; else ERR_EXTENT_MISMATCH."""
     extent_of: dict[str, int] = {}
     for labels, dense, what in (
         (spec.labels_a, a, "A"),
@@ -182,7 +176,26 @@ def oracle_contract(
         raise TappError(
             ErrorCode.ERR_EXTENT_MISMATCH, "C and D label lists differ"
         )
+    return extent_of
 
+
+def oracle_contract(
+    spec: LabelSpec,
+    a: DenseTensor,
+    b: DenseTensor,
+    c: DenseTensor,
+    alpha: int | float | complex,
+    beta: int | float | complex,
+    out_dtype: DType | None = None,
+) -> DenseTensor:
+    """Evaluate ``alpha * A B + beta * C`` over dense operands.
+
+    Handles every label class, including output-only labels.  ``alpha``
+    and ``beta`` are Python numbers, used as given: a complex one is
+    complex even where its imaginary part is zero.  When ``alpha``
+    (``beta``) is exactly zero the inputs (C) are never read.
+    """
+    extent_of = _label_extents(spec, a, b, c)
     out_extents = tuple(extent_of[l] for l in spec.labels_d)
     out_size = math.prod(out_extents)
     if out_dtype is None:
@@ -231,3 +244,84 @@ def oracle_contract(
             v = v + (beta * x if type(x) is type(beta) else _mul(beta, x))
         out.append(round_to(v, out_dtype))
     return DenseTensor(out_extents, tuple(out), out_dtype)
+
+
+def ordered_contract(
+    spec: LabelSpec, a: DenseTensor, b: DenseTensor, c: DenseTensor,
+    alpha: int | float | complex, beta: int | float | complex,
+    compute_dtype: DType, out_dtype: DType,
+) -> DenseTensor:
+    """Evaluate ``alpha * A B + beta * C`` over dense operands in the
+    contract's order, with the contract's rounding: the bits the engine
+    must give.  The result holds D over its distinct labels, the first
+    fastest, as ``densify`` reads D.
+
+    The contract, in full:
+
+    * Arithmetic is in ``compute_dtype``, the promotion of the four
+      operands' dtypes or a wider one, and alpha and beta are rounded to
+      it; a complex one whose imaginary part is zero is real.
+    * An input-only label of A (of B) is summed first, for each position
+      of A's other labels: over A's input-only labels in A's order, the
+      first label fastest, from the first element.
+    * Each cell then sums the products over the contracted labels in A's
+      order, the first label fastest, from the first product.
+    * Each product and each add is rounded to the compute dtype's width:
+      a real value stays real, a complex one complex.
+    * A real factor multiplies each part of a complex one (C99 Annex G,
+      see :func:`_mul`), and a real value added to a complex one is
+      ``(x, +0.0)``, as CPython 3.11's ``+`` adds them.
+    * Then ``alpha * acc``, and ``+ beta * C`` where beta is nonzero,
+      each step rounded, and the cell is rounded to ``out_dtype``.  Where
+      alpha (beta) is zero, A and B (C) are not read.
+
+    Extents are at least 1, as a ``TensorDesc``'s are.  Output-only
+    labels broadcast, as in :func:`oracle_contract`.
+    """
+    extent_of = _label_extents(spec, a, b, c)
+
+    def rnd(x):
+        return round_to(x, DType.C32) if type(x) is complex else _to_f32(x)
+
+    if compute_dtype.width == 64:
+        rnd = operator.pos  # +x is x: Python's numbers are float64 already
+
+    def walk(weight, labels) -> list[int]:
+        """A tensor's element positions over ``labels``, the first fastest."""
+        return _addresses([extent_of[l] for l in labels], [weight.get(l, 0) for l in labels])
+
+    out_labels = list(dict.fromkeys(spec.labels_d))
+    wa, wb, wc = (dict(zip(*_diagonal_weights(ls, column_major_strides(t.extents))))
+                  for ls, t in ((spec.labels_a, a), (spec.labels_b, b), (spec.labels_c, c)))
+
+    def reduced(dense, weight, other) -> list:
+        """An input's elements, where each one whose input-only labels are
+        all 0 holds its sum over them."""
+        elements = list(dense.elements)
+        summed = [l for l in weight if l not in other and l not in out_labels]
+        if summed:
+            rest = walk(weight, summed)[1:]
+            for p in walk(weight, [l for l in weight if l not in summed]):
+                v = elements[p]
+                for m in rest:
+                    v = rnd(v + elements[p + m])
+                elements[p] = v
+        return elements
+
+    al, be = (rnd(x.real if x.imag == 0 else x) for x in map(complex, (alpha, beta)))
+    out = [0.0] * math.prod(extent_of[l] for l in out_labels)
+    if al != 0:
+        ea, eb = reduced(a, wa, wb), reduced(b, wb, wa)
+        # Where the factors are all real or all complex, _mul is Python's *.
+        mul = _mul if len({*map(type, ea), *map(type, eb)}) > 1 else operator.mul
+        con = [l for l in wa if l in wb and l not in out_labels]
+        rest = list(zip(walk(wa, con), walk(wb, con)))[1:]
+        for n, (i, j) in enumerate(zip(walk(wa, out_labels), walk(wb, out_labels))):
+            acc = rnd(mul(ea[i], eb[j]))
+            for k, m in rest:
+                acc = rnd(acc + rnd(mul(ea[i + k], eb[j + m])))
+            out[n] = rnd(_mul(al, acc))
+    if be != 0:
+        out = [rnd(v + rnd(_mul(be, c.elements[k]))) for v, k in zip(out, walk(wc, out_labels))]
+    extents = tuple(extent_of[l] for l in out_labels)
+    return DenseTensor(extents, tuple(round_to(v, out_dtype) for v in out), out_dtype)

@@ -504,6 +504,13 @@ def test_run_prints_complex_elements_as_pairs(tmp_path, capsys):
             id="label-count",
         ),
         pytest.param({"a": {"extents": [0, 2]}}, ErrorCode.ERR_EXTENT_MISMATCH, id="extent-0"),
+        # one stride for two extents: TensorDesc's code, before D's aliasing
+        pytest.param({"a": {"strides": [2]}}, ErrorCode.ERR_EXTENT_MISMATCH, id="stride-count"),
+        pytest.param(
+            {"a": {"strides": [2]}, "d": {"strides": [0, 1]}},
+            ErrorCode.ERR_EXTENT_MISMATCH,
+            id="stride-count-aliasing-d",
+        ),
         pytest.param(
             {"einsum": "ii,ik->ik", "a": {"extents": [2, 3], "strides": [1, 2], "data": [1] * 6}},
             ErrorCode.ERR_EXTENT_MISMATCH,

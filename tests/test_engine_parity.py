@@ -1,9 +1,10 @@
-"""Bitwise parity of ``engine.contract`` with the scalar reference loop.
+"""Bitwise parity of ``engine.contract`` with the oracle's ordered form.
 
-Every case runs the same plan through the engine and through
-``scalar_engine.scalar_contract`` on equal copies of the output buffer, and
-requires equal bits everywhere, guard elements included.  NaN is compared
-by position only: its sign and payload are not part of the contract.
+Every case runs a plan through the engine, and densifies its operands for
+``oracle.ordered_contract``, which reads only the plan's label spec and
+compute dtype, on equal copies of the output buffer.  Both must give equal
+bits everywhere, guard elements included.  NaN is compared by position
+only: its sign and payload are not part of the contract.
 """
 
 import dataclasses
@@ -15,7 +16,6 @@ import random
 import numpy as np
 import pytest
 
-from scalar_engine import scalar_contract
 from tapp import (
     DType,
     TensorDesc,
@@ -29,6 +29,8 @@ from tapp import (
     parse_einsum,
 )
 from tapp.core import reach
+from tapp.labels import LabelSpec
+from tapp.oracle import _addresses, _diagonal_weights, densify, ordered_contract
 
 SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
 
@@ -99,6 +101,20 @@ def _scalar(rng, cdt):
     return rng.uniform(-2, 2)
 
 
+def _ordered(plan, alpha, a, b, beta, c, d):
+    """Write into D's cells what the ordered oracle gives for the plan's
+    label spec and compute dtype; D's other elements stay."""
+    spec = plan.spec
+    (da, ua), (db, ub), (dc, uc) = (
+        densify(v, ls) for v, ls in zip((a, b, c), (spec.labels_a, spec.labels_b, spec.labels_c))
+    )
+    want = ordered_contract(
+        LabelSpec.of(ua, ub, uc, uc), da, db, dc, alpha, beta, plan.compute_dtype, d.desc.dtype
+    )
+    _, weights = _diagonal_weights(spec.labels_d, d.desc.strides)
+    d.buffer[_addresses(want.extents, weights, d.base)] = want.elements
+
+
 def _check(plan, alpha, a, b, beta, c, d, in_place=False):
     """Run the engine and the reference on equal copies of D (C is D's
     copy too when ``in_place``); the engine must leave its inputs intact."""
@@ -110,7 +126,7 @@ def _check(plan, alpha, a, b, beta, c, d, in_place=False):
     before = [x.buffer.tobytes() for x in inputs]
     contract(plan, alpha, a, b, beta, *sides[0])
     assert [x.buffer.tobytes() for x in inputs] == before
-    scalar_contract(plan, alpha, a, b, beta, *sides[1])
+    _ordered(plan, alpha, a, b, beta, *sides[1])
     _assert_same_bits(sides[0][1].buffer, sides[1][1].buffer)
 
 
@@ -522,7 +538,7 @@ def test_in_place_transpose_over_several_blocks_matches_scalar_loop(
     assert len(list(engine._blocks(plan.cells, plan.box))) > 1
     want = _copy(x)
     u = TensorView(plan.desc_a, np.ones(1, np.float32))
-    scalar_contract(plan, 1.5, u, _copy(x), 0.0, want, want)
+    _ordered(plan, 1.5, u, _copy(x), 0.0, want, want)
     engine.run_unary(plan, 1.5, x, x)
     _assert_same_bits(x.buffer, want.buffer)
 
@@ -593,7 +609,7 @@ def test_complex_transpose_copied_block_by_block_matches_scalar_loop(special):
     x = _view(rng, [128, 128], dtype, special, output=True)
     plan = make_unary_plan("ij", x.desc, "ji", x.desc)
     want = _copy(x)
-    scalar_contract(plan, alpha, u, _copy(x), 0.0, want, want)
+    _ordered(plan, alpha, u, _copy(x), 0.0, want, want)
     engine.run_unary(plan, alpha, x, x)
     _assert_same_bits(x.buffer, want.buffer)
 

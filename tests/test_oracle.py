@@ -16,6 +16,7 @@ from tapp import (
     densify,
     make_plan,
     oracle_contract,
+    ordered_contract,
     parse_einsum,
 )
 from tapp.core import column_major_strides
@@ -232,20 +233,22 @@ def test_oracle_supports_output_only_labels():
     assert list(got.elements) == expected
 
 
-@pytest.mark.parametrize(
-    "spec, extents_a",
-    [
-        (parse_einsum("ij,jk->ik"), [2, 3]),  # j is 3 in A and 4 in B
-        (parse_einsum("ij,jk->ik"), [2]),  # two labels for A's one mode
-        (LabelSpec.of("ij", "jk", "ik", labels_c="ki"), [2, 4]),  # C's labels are not D's
-    ],
-)
-def test_oracle_rejects_extent_conflicts(spec, extents_a):
+EXTENT_CONFLICTS = [
+    (parse_einsum("ij,jk->ik"), [2, 3]),  # j is 3 in A and 4 in B
+    (parse_einsum("ij,jk->ik"), [2]),  # two labels for A's one mode
+    (LabelSpec.of("ij", "jk", "ik", labels_c="ki"), [2, 4]),  # C's labels are not D's
+]
+
+
+def _conflicting(extents_a):
     a = dense(extents_a, [0.0] * math.prod(extents_a))
-    b = dense([4, 2], [0.0] * 8)
-    c = dense([2, 2], [0.0] * 4)
+    return a, dense([4, 2], [0.0] * 8), dense([2, 2], [0.0] * 4)
+
+
+@pytest.mark.parametrize("spec, extents_a", EXTENT_CONFLICTS)
+def test_oracle_rejects_extent_conflicts(spec, extents_a):
     with pytest.raises(TappError) as err:
-        oracle_contract(spec, a, b, c, 1.0, 0.0)
+        oracle_contract(spec, *_conflicting(extents_a), 1.0, 0.0)
     assert err.value.code is ErrorCode.ERR_EXTENT_MISMATCH
 
 
@@ -352,3 +355,51 @@ def test_real_operands_sum_each_cell_as_exact_sum_does():
                 want.append(alpha * _exact_sum(terms) + beta * c[i + m * j])
         assert np.array(got.elements).tobytes() == np.array(want).tobytes()
     assert raised == {ValueError, OverflowError}
+
+
+def _ordered(einsum, a, b, dtypes, alpha=1.0):
+    """``ordered_contract`` of A and B, of one label or none each, with
+    beta 0, where ``dtypes`` are A's, B's and D's, which computes."""
+    spec = parse_einsum(einsum)
+    da, db = (dense([len(x)] * len(ls), x, dt)
+              for x, ls, dt in zip((a, b), (spec.labels_a, spec.labels_b), dtypes))
+    c = dense([], [0.0], dtypes[2])
+    return ordered_contract(spec, da, db, c, alpha, 0.0, dtypes[2], dtypes[2]).elements
+
+
+def test_ordered_oracle_sums_in_the_contracts_order_where_the_exact_one_cancels():
+    spec = parse_einsum("i,i->")
+    a, b, c = dense([3], [1e17, 1.0, -1e17]), dense([3], [1.0] * 3), dense([], [0.0])
+    # ((1e17 + 1) + -1e17) is 0 in float64; the exact sum is 1
+    assert ordered_contract(spec, a, b, c, 1.0, 0.0, DType.R64, DType.R64).elements == (0.0,)
+    assert oracle_contract(spec, a, b, c, 1.0, 0.0).elements == (1.0,)
+
+
+def test_ordered_oracle_keeps_a_sum_of_negative_zeros_negative():
+    (got,) = _ordered("i,i->", [-0.0, 0.0, -0.0], [1.0, -1.0, 2.0], [DType.R64] * 3)
+    assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+
+def test_ordered_oracle_sums_a_reduction_before_its_product():
+    # In float32, (1 + 2**-24) rounds to 1, so 3 * (1 + 2**-24) is 3; the
+    # products 3 and 3 * 2**-24 summed as a contracted label give the next
+    # float32 above 3.
+    r32 = [DType.R32] * 3
+    assert _ordered("r,->", [1.0, 2.0**-24], [3.0], r32) == (3.0,)
+    assert _ordered("r,r->", [1.0, 2.0**-24], [3.0, 3.0], r32) == (3.0 + 2.0**-22,)
+
+
+@pytest.mark.parametrize("alpha", [1.0, complex(1.0, 0.0)])
+def test_ordered_oracle_multiplies_a_real_factor_into_each_part(alpha):
+    # C99 Annex G: (1e308 * 10, 1e308 * 0), where a complex (1e308, +0.0)
+    # times (10, 0) and then by alpha would make the imaginary part NaN
+    got = _ordered("i,i->", [1e308], [complex(10.0, 0.0)], [DType.R64, DType.C64, DType.C64],
+                   alpha)
+    assert got == (complex(math.inf, 0.0),)
+
+
+@pytest.mark.parametrize("spec, extents_a", EXTENT_CONFLICTS)
+def test_ordered_oracle_rejects_what_the_exact_one_rejects(spec, extents_a):
+    with pytest.raises(TappError) as err:
+        ordered_contract(spec, *_conflicting(extents_a), 1.0, 0.0, DType.R64, DType.R64)
+    assert err.value.code is ErrorCode.ERR_EXTENT_MISMATCH

@@ -1,6 +1,6 @@
 """Count the code lines of ``src/tapp``'s modules: physical lines that are
 not blank, not only a comment and not part of a docstring, per file and in
-total.  Run from the repository root::
+total, then the total of ``tests/``.  Run from the repository root::
 
     python tools/code_lines.py
 """
@@ -32,3 +32,5 @@ if __name__ == "__main__":
         total += (n := code_lines(path.read_text()))
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    tests = sum(code_lines(path.read_text()) for path in pathlib.Path("tests").glob("*.py"))
+    print(f"{tests:6d}  tests/ total")
