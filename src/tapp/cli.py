@@ -730,7 +730,7 @@ def _swap_operands(case: Case, rng=None) -> tuple[Case, _TensorEntry]:
     """Category 3's transform: A and B trade places; ``rng`` is not drawn
     from.  Returns the transformed case and the layout that reads its D in
     this case's order: D's own."""
-    spec = replace(case.spec, labels_a=case.spec.labels_b, labels_b=case.spec.labels_a)
+    spec = case.spec._replace(labels_a=case.spec.labels_b, labels_b=case.spec.labels_a)
     return replace(case, spec=spec, a=case.b, b=case.a), case.d
 
 
@@ -754,7 +754,7 @@ def _permute_output(case: Case, rng: random.Random) -> tuple[Case, _TensorEntry]
     inverse = sorted(range(n), key=perm.__getitem__)
     return replace(
         case,
-        spec=replace(case.spec, labels_c=labels_d, labels_d=labels_d),
+        spec=case.spec._replace(labels_c=labels_d, labels_d=labels_d),
         c=replace(case.c, extents=permuted(case.c.extents), strides=permuted(case.c.strides)),
         d=replace(case.d, extents=extents, strides=strides, base=0),
     ), replace(case.d, strides=tuple(strides[k] for k in inverse), base=0)

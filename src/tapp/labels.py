@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import TensorDesc
 from .errors import ErrorCode, TappError
@@ -51,11 +51,15 @@ def check_labels(*segments: Sequence[str]) -> None:
                 raise TappError(ErrorCode.ERR_PARSE, f"invalid label {ch!r}")
 
 
-@dataclass(frozen=True)
-class LabelSpec:
+class LabelSpec(NamedTuple):
     """Per-tensor label lists of one contraction.  The constructor takes
     any labels; :meth:`of` and :func:`parse_einsum` accept only single
-    ASCII letters and digits (see :func:`check_labels`)."""
+    ASCII letters and digits (see :func:`check_labels`).
+
+    This record and the other two value records of this module,
+    :class:`MergedTensorLabels` and :class:`LabelGroup`, are NamedTuples:
+    immutable, compared and hashed by value, and built at import without
+    the generated methods a frozen dataclass compiles."""
 
     labels_a: tuple[str, ...]
     labels_b: tuple[str, ...]
@@ -92,8 +96,7 @@ def parse_einsum(expr: str) -> LabelSpec:
     return LabelSpec.of(tuple(parts[0]), tuple(parts[1]), tuple(out))
 
 
-@dataclass(frozen=True)
-class MergedTensorLabels:
+class MergedTensorLabels(NamedTuple):
     """Repeat-free labels of one tensor with summed member strides."""
 
     labels: tuple[str, ...]
@@ -148,8 +151,7 @@ def label_extents(*merged: MergedTensorLabels) -> dict[str, int]:
     return extent_of
 
 
-@dataclass(frozen=True)
-class LabelGroup:
+class LabelGroup(NamedTuple):
     """One label class with its extents and per-tensor stride vectors.
 
     Stride vectors cover (A, B, D); a tensor not carrying a label holds
@@ -181,6 +183,21 @@ class ClassifiedLabels:
     broadcast_out: LabelGroup
 
 
+_EMPTY_GROUP = LabelGroup((), (), (), (), ())
+
+# Each class by which of (A, B, D) hold its labels, in ClassifiedLabels'
+# field order.
+_CLASS_KEYS = (
+    (True, True, False),  # contracted
+    (True, False, True),  # free_a
+    (False, True, True),  # free_b
+    (True, True, True),  # batch
+    (True, False, False),  # reduced_a
+    (False, True, False),  # reduced_b
+    (False, False, True),  # broadcast_out
+)
+
+
 def classify(
     merged_a: MergedTensorLabels,
     merged_b: MergedTensorLabels,
@@ -194,7 +211,6 @@ def classify(
     follow A's order and ``reduced_b`` follows B's; that order fixes the
     loop nesting (and therefore summation order) downstream.
     """
-    set_a, set_b, set_d = set(merged_a.labels), set(merged_b.labels), set(merged_d.labels)
     extent_of = label_extents(merged_a, merged_b, merged_d)
 
     stride_a, stride_b, stride_d = (
@@ -202,22 +218,20 @@ def classify(
     )
 
     def group(names: list[str]) -> LabelGroup:
+        if not names:
+            return _EMPTY_GROUP
         return LabelGroup(
             tuple(names),
-            tuple(extent_of[n] for n in names),
-            tuple(stride_a.get(n, 0) for n in names),
-            tuple(stride_b.get(n, 0) for n in names),
-            tuple(stride_d.get(n, 0) for n in names),
+            tuple([extent_of[n] for n in names]),
+            tuple([stride_a.get(n, 0) for n in names]),
+            tuple([stride_b.get(n, 0) for n in names]),
+            tuple([stride_d.get(n, 0) for n in names]),
         )
 
-    return ClassifiedLabels(
-        contracted=group([l for l in merged_a.labels if l in set_b and l not in set_d]),
-        free_a=group([l for l in merged_d.labels if l in set_a and l not in set_b]),
-        free_b=group([l for l in merged_d.labels if l in set_b and l not in set_a]),
-        batch=group([l for l in merged_d.labels if l in set_a and l in set_b]),
-        reduced_a=group([l for l in merged_a.labels if l not in set_b and l not in set_d]),
-        reduced_b=group([l for l in merged_b.labels if l not in set_a and l not in set_d]),
-        broadcast_out=group(
-            [l for l in merged_d.labels if l not in set_a and l not in set_b]
-        ),
-    )
+    # Walking D's labels, then A's, then B's puts each class in the order
+    # of the first tensor walked that holds it: D's for the classes in D,
+    # A's for contracted and reduced_a, B's for reduced_b.
+    members: dict[tuple[bool, bool, bool], list[str]] = {k: [] for k in _CLASS_KEYS}
+    for lbl in dict.fromkeys((*merged_d.labels, *merged_a.labels, *merged_b.labels)):
+        members[lbl in stride_a, lbl in stride_b, lbl in stride_d].append(lbl)
+    return ClassifiedLabels(*(group(members[k]) for k in _CLASS_KEYS))

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     DType, TensorView, _to_f32, column_major_strides, dtype_promote, round_to, validate_view
@@ -125,6 +124,8 @@ def _fsum(values: list[float]) -> float:
         special = [v for v in values if not math.isfinite(v)]
         if special:  # +inf and -inf give NaN
             return sum(special)
+        from fractions import Fraction  # only here: it imports decimal
+
         total = sum(map(Fraction, values))
         try:
             return float(total)

@@ -2,7 +2,8 @@
 
 Agreement between the engine and the oracle is evidence only while the
 two paths share no code, so this reads the imports of ``oracle.py`` and
-``cli.py`` and pins what each takes from the rest of the package.
+``cli.py`` and pins what each takes from the rest of the package.  It
+also pins that ``__init__.py`` leaves the oracle to load on first use.
 """
 
 import ast
@@ -57,3 +58,22 @@ def test_cli_imports_no_private_name_from_api_or_core():
     imports = _package_imports("cli.py")
     private = {m: {n for n in imports.get(m, ()) if n.startswith("_")} for m in ("api", "core")}
     assert private == {"api": set(), "core": set()}
+
+
+def test_init_imports_nothing_from_the_oracle_at_import():
+    # `import tapp` leaves oracle.py unloaded; the package's __getattr__
+    # imports it on the first read of one of its names.
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    run_at_import, pending = [], list(tree.body)
+    while pending:  # every node but those inside a function body
+        node = pending.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            run_at_import.append(node)
+            pending.extend(ast.iter_child_nodes(node))
+    imported = [
+        name
+        for node in run_at_import
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+    ]
+    assert imported and not [n for n in imported if n.split(".")[-1] == "oracle"]

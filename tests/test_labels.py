@@ -1,9 +1,13 @@
+import pickle
 import random
 
 import pytest
 
 from tapp import (
     DType,
+    LabelGroup,
+    LabelSpec,
+    MergedTensorLabels,
     TappError,
     TensorDesc,
     classify,
@@ -171,3 +175,58 @@ def test_classify_invariant_under_mode_permutation():
             assert dict(zip(group.labels, group.strides_a)) == dict(
                 zip(other.labels, other.strides_a)
             )
+
+
+# The three value records, each with its fields in order.
+RECORDS = [
+    (LabelSpec.of("ij", "jk", "ik"), ("labels_a", "labels_b", "labels_c", "labels_d")),
+    (MergedTensorLabels(("i", "j"), (2, 3), (1, 2)), ("labels", "extents", "strides")),
+    (
+        LabelGroup(("i", "j"), (2, 3), (1, 2), (0, 4), (3, 0)),
+        ("labels", "extents", "strides_a", "strides_b", "strides_d"),
+    ),
+]
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+def _rebuilt(record, fields):
+    """An equal record built from copies of ``record``'s field values."""
+    return type(record)(*(tuple(getattr(record, f)) for f in fields))
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
+def test_equal_records_compare_and_hash_equal(record, fields):
+    twin = _rebuilt(record, fields)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    other = type(record)(*(getattr(record, f) for f in fields[:-1]), ("x",))
+    assert other != record
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
+def test_a_record_survives_a_pickle_round_trip(record, fields):
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
+def test_a_record_is_immutable(record, fields):
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
+    assert record == _rebuilt(record, fields)
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
+def test_a_record_repr_names_each_field_in_order(record, fields):
+    items = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+    assert repr(record) == f"{type(record).__name__}({items})"
+
+
+def test_record_methods():
+    assert LabelSpec.of("ij", "j", "i", labels_c="") == LabelSpec(
+        ("i", "j"), ("j",), (), ("i",)
+    )
+    merged = MergedTensorLabels(("i", "j"), (2, 3), (1, 2))
+    assert [merged.stride_of(l) for l in "ijk"] == [1, 2, 0]
+    assert LabelGroup(("i", "j"), (2, 3), (1, 2), (0, 4), (3, 0)).size == 6
+    assert LabelGroup((), (), (), (), ()).size == 1
