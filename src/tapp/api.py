@@ -358,7 +358,7 @@ def _execute(op, executor, kind: str, status_out, run) -> ErrorCode:
     message as the status's ``detail``, any other exception ERR_INTERNAL."""
     if (
         not isinstance(op, OperationDescriptor)
-        or not op.handle.alive
+        or not op.handle._alive  # the flag itself: the property is one call more
         or op.kind != kind
         or not isinstance(executor, Executor)
         or executor.handle is not op.handle

@@ -51,11 +51,11 @@ then does only the work its buffers need.
 replaced alone:
 
 * *bind* (:func:`_bind`) rounds alpha and beta, plain numbers whose one
-  rule :func:`_scalar_for` states, checks the caller's views (not U),
-  D's writability and the overlap of D with A, B and C; it returns the
-  scalars, the operands' numpy views (each built once, for the overlap
-  check and for *load*) and whether C is D's identical view, the only
-  overlap it allows;
+  rule :func:`_scalar_for` states, checks each of the caller's views (not
+  U) and builds its numpy view in the same step (:func:`_bind_view`),
+  checks D's writability and the overlap of D with A, B and C; it
+  returns the scalars, the numpy views that execution reads, D's, and
+  whether C is D's identical view, the only overlap it allows;
 * *load* (:func:`_load`) returns A and B in loop order as
   ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)`` arrays, one axis per
   cell axis, summed over their input-only reductions; for a plan whose A
@@ -71,8 +71,9 @@ replaced alone:
 Execution views each operand in place, as a numpy array over its buffer
 with byte strides = element strides x the buffer's byte stride; complex
 elements are viewed as float ``(re, im)`` pairs on a first axis.  Each
-of A and B is reshaped so that its R and K are one axis each (a view
-where their labels fold, else one strided copy), and copied C-contiguous
+of A and B takes its loaded shape, with its R and K one axis each: *bind*
+views it so where their labels fold (see :func:`_folded`), else *load*
+reshapes it by one strided copy.  Each is then copied C-contiguous
 before the first store unless it is so already or is a stride-0 view
 (which takes no memory).  The operand of a binary or unary op meets only
 alpha, so it reads each element once: it stays a view of its buffer
@@ -111,9 +112,10 @@ more than one cell each and rows (a block's last axis) of at least
 buffer of 128 elements, and numpy runs each row without copying.  The
 buffer changes no bits: products and sums are formed element by element,
 and *sum* never lets numpy sum pairwise (see :func:`_sum_k`).
-:func:`contract` sets the size once for the whole call, inside its
-``np.errstate`` block, which gives the caller's size back as it leaves,
-also on an error.
+:func:`contract` sets the size once for the whole call.  It runs under
+``np.errstate`` as a decorator, which ignores floating-point errors for
+the call and, as it leaves, also on an error, gives the calling thread
+its own error state and buffer size back.
 
 A sum of rows (K products, or R reduced values, per cell) is one numpy
 call (see :func:`_sum_k`): ``np.add`` of two rows; ``np.add.reduce``
@@ -370,12 +372,36 @@ def _blocks(cells: tuple[int, ...], box: tuple[int, ...]):
     ])
 
 
+def _folded(layout: _Layout, shape: tuple[int, ...]) -> _Layout:
+    """``layout`` with the axes of ``shape``, where numpy reshapes its view
+    into ``shape`` without a copy; else ``layout`` itself.  ``shape``
+    merges runs of ``layout``'s axes, with axes of 1 anywhere.  A run
+    merges without a copy where each of its strides is the next one's
+    times that one's extent, and the merged axis takes the run's last
+    stride (numpy's rule in C order); axes of 1 take stride 0."""
+    axes = [(n, s) for n, s in zip(layout.shape, layout.strides) if n > 1]
+    strides, k = [], 0
+    for n in shape:
+        size, stride = 1, 0
+        while size < n:
+            extent, inner = axes[k]
+            if size > 1 and stride != inner * extent:
+                return layout
+            size, stride, k = size * extent, inner, k + 1
+        if size != n:
+            return layout
+        strides.append(stride)
+    element = layout.dtype.itemsize * (1 + layout.pairs)
+    steps = tuple([s // element for s in strides[layout.pairs :]])
+    return _Layout(shape, tuple(strides), steps, layout.dtype, layout.pairs, layout.broadcast)
+
+
 class _Load(NamedTuple):
     """How *load* reads one of A and B in loop order: from which slot, on
     which layout, in which dtype, and what it does to the view."""
 
     slot: int  # 0 for A, 1 for B
-    layout: _Layout
+    layout: _Layout  # bind's view: in ``shape`` where the labels fold (see _folded)
     shape: tuple[int, ...]  # (2,) if pairs, (R,) if reduced, (K,) unless A is U, cells
     dtype: np.dtype  # the loaded elements' (parts') dtype
     cast: bool  # the view's dtype is not ``dtype``
@@ -553,7 +579,8 @@ def make_plan(
         # B of a plan whose A is U meets only alpha, so it reads each
         # element once and stays strided unless it is reduced (see _pass).
         dense = not unit_a or reduced
-        return _Load(slot, layout, shape + span, dtype, layout.dtype != dtype, reduced, dense)
+        shape += span
+        return _Load(slot, _folded(layout, shape), shape, dtype, layout.dtype != dtype, reduced, dense)
 
     loads = (
         None if unit_a else load(0, layout_a, spans[swap_ab]),
@@ -598,25 +625,6 @@ def _same_elements(x: TensorView, y: TensorView) -> bool:
     )
 
 
-def _check_view(view: TensorView, desc: TensorDesc, name: str) -> None:
-    own = view.desc is desc  # as the API binds buffers to a plan's descriptors
-    if view.buffer.dtype != desc.dtype.np_dtype or (
-        not own and view.desc.dtype is not desc.dtype
-    ):
-        raise TappError(
-            ErrorCode.ERR_DTYPE_MISMATCH, f"{name}: buffer dtype differs from plan"
-        )
-    if not own and (
-        view.desc.extents != desc.extents or view.desc.strides != desc.strides
-    ):
-        raise TappError(
-            ErrorCode.ERR_OUT_OF_BOUNDS, f"{name}: view layout differs from plan"
-        )
-    code = validate_view(view)
-    if code:  # OK is zero
-        raise TappError(code, f"{name}: view escapes its buffer")
-
-
 def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
     """``value``, alpha or beta, rounded to the compute dtype.  This is the
     library's one scalar rule:
@@ -656,10 +664,33 @@ def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
     return value.real, value.imag
 
 
-def _view(view: TensorView, layout: _Layout) -> np.ndarray:
-    """The elements of ``view`` on the axes of ``layout``, as a numpy view
-    of its buffer."""
+def _bind_view(
+    view: TensorView, desc: TensorDesc, layout: _Layout | None, name: str
+) -> np.ndarray | None:
+    """Check ``view`` against the plan's ``desc``: its buffer's dtype, its
+    layout and its reach into the buffer (:func:`validate_view`), each an
+    error that names the operand ``name``.  Returns its elements on the
+    axes of ``layout`` as a numpy view of its buffer, or None where
+    ``layout`` is None, as for an operand that execution does not read."""
     buffer = view.buffer
+    own = view.desc is desc  # as the API binds buffers to a plan's descriptors
+    if buffer.dtype != desc.dtype.np_dtype or (
+        not own and view.desc.dtype is not desc.dtype
+    ):
+        raise TappError(
+            ErrorCode.ERR_DTYPE_MISMATCH, f"{name}: buffer dtype differs from plan"
+        )
+    if not own and (
+        view.desc.extents != desc.extents or view.desc.strides != desc.strides
+    ):
+        raise TappError(
+            ErrorCode.ERR_OUT_OF_BOUNDS, f"{name}: view layout differs from plan"
+        )
+    code = validate_view(view)
+    if code:  # OK is zero
+        raise TappError(code, f"{name}: view escapes its buffer")
+    if layout is None:
+        return None
     step = buffer.strides[0]
     if step == buffer.itemsize:  # contiguous: this constructor is many times faster
         offset = view.base * step
@@ -670,17 +701,24 @@ def _view(view: TensorView, layout: _Layout) -> np.ndarray:
     return as_strided(origin, layout.shape, strides)
 
 
+def _view(view: TensorView, layout: _Layout) -> np.ndarray:
+    """The elements of a valid ``view`` on the axes of ``layout``, as a
+    numpy view of its buffer."""
+    return _bind_view(view, view.desc, layout, "")
+
+
 def _operand(x: np.ndarray, load: _Load, copy: bool) -> np.ndarray:
     """A or B, viewed as ``x``, in ``load``'s dtype and shape, summed over
     its input-only reduction: ``(K, *H, *F, 1...)`` or ``(K, *H, 1...,
-    *G)``, without K where A is U.  The reshape into that shape is a view
-    where the labels of R and of K fold into one axis each, else one
-    strided copy.  A ``load.dense`` operand, one that meets many elements
-    of the other, is made C-contiguous, as numpy's loops run several times
-    slower over strided elements, unless it is already, or is a stride-0
-    view (which takes no memory).  Any operand is copied when ``copy`` or
-    cast."""
-    x = x.reshape(load.shape)
+    *G)``, without K where A is U.  *bind* views it in that shape where
+    the labels of R and of K fold into one axis each; else it is reshaped
+    here, by one strided copy.  A ``load.dense`` operand, one that meets
+    many elements of the other, is made C-contiguous, as numpy's loops run
+    several times slower over strided elements, unless it is already, or
+    is a stride-0 view (which takes no memory).  Any operand is copied
+    when ``copy`` or cast."""
+    if x.shape != load.shape:
+        x = x.reshape(load.shape)
     if copy or load.cast or load.dense and not (load.layout.broadcast or x.flags.c_contiguous):
         x = x.astype(load.dtype, order="C")
     if load.reduced:
@@ -752,49 +790,55 @@ def _cmul(x: np.ndarray, y, part: np.dtype, pairs: bool = True) -> np.ndarray:
 def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d, names: str):
     """The *bind* stage: alpha and beta rounded to the compute dtype, the
     view checks, the read-only check on D and the overlap check.  Returns
-    ``al, be``, the numpy views of A, B and C on their layouts' axes (None
-    where execution does not read the operand and the overlap check did
-    not need it), D's view, and whether C is D's identical view (an
-    in-place update).  Where A is the unit operand U (a binary or unary
-    plan), A's slot is not the caller's: it is neither checked nor probed
-    for overlap.  An error names the operand in each slot by that slot's
+    ``al, be``, the numpy views of A and B on their loads' layouts and
+    C's on its layout's axes (None where execution does not read the
+    operand), D's view, and whether C is D's identical view (an in-place
+    update).  Where A is the unit operand U (a binary or unary plan), A's
+    slot is not the caller's: it is neither checked nor probed for
+    overlap.  An error names the operand in each slot by that slot's
     character in ``names``, as the caller knows it.
 
     C may cover D's elements exactly, and so may the operand of a plan
     whose A is U where it is C's object too, as :func:`run_unary` passes
     it.  Any other overlap between D and an operand is ERR_ALIASING, also
     where the operand is C's object in another slot.  This is the one
-    in-place rule of every operation.  It is decided exactly by
-    ``np.shares_memory`` on the operands' views, or by byte intervals
-    where that needs more than ``_OVERLAP_WORK``."""
+    in-place rule of every operation.  An operand whose buffer is another
+    array than D's, where both own their data, is a separate allocation,
+    so it overlaps nothing of D's and is not probed.  Any other pair is
+    probed with ``np.may_share_memory``; where that finds one allocation,
+    the overlap is decided exactly by ``np.shares_memory`` on the two
+    views with one axis per label, or by byte intervals where that needs
+    more than ``_OVERLAP_WORK``."""
     al = _scalar_for(alpha, plan.compute_dtype, "alpha")
     be = _scalar_for(beta, plan.compute_dtype, "beta")
-    unit = plan.unit_a
-    if not unit:
-        _check_view(a, plan.desc_a, names[0])
-    _check_view(b, plan.desc_b, names[1])
-    _check_view(c, plan.desc_c, names[2])
-    _check_view(d, plan.desc_d, names[3])
-    if not d.buffer.flags.writeable:
-        raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, f"{names[3]}: buffer is read-only")
-    dv = _view(d, plan.layout_d)
-    layouts = (plan.layout_a, plan.layout_b, plan.layout_c)
+    unit, ab = plan.unit_a, al != 0
+    f, g = plan.loads  # in loop order
+    load_a, load_b = (g, f) if plan.swap_ab else (f, g)
     views = [
-        _view(a, layouts[0]) if al != 0 and not unit else None,
-        _view(b, layouts[1]) if al != 0 else None,
-        _view(c, layouts[2]) if be != 0 else None,
+        None if unit else _bind_view(a, plan.desc_a, load_a.layout if ab else None, names[0]),
+        _bind_view(b, plan.desc_b, load_b.layout if ab else None, names[1]),
+        _bind_view(c, plan.desc_c, plan.layout_c if be != 0 else None, names[2]),
     ]
+    dv = _bind_view(d, plan.desc_d, plan.layout_d, names[3])
+    out = d.buffer
+    if not out.flags.writeable:
+        raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, f"{names[3]}: buffer is read-only")
+    owned = out.flags.owndata
     in_place = False
     for k, view in enumerate((a, b, c)[unit:], unit):
-        if not np.may_share_memory(view.buffer, d.buffer):
+        buffer = view.buffer
+        if buffer is not out and owned and buffer.flags.owndata:  # separate allocations
+            continue
+        if not np.may_share_memory(buffer, out):
             continue
         if view is c and (k == 2 or unit) and (c is d or _same_elements(c, d)):
             in_place = True
             continue
-        if views[k] is None:
-            views[k] = _view(view, layouts[k])
+        # On one axis per label, not A's or B's folded view, so that the
+        # work shares_memory takes, and so its answer, stays as it was.
+        probe = _view(view, (plan.layout_a, plan.layout_b, plan.layout_c)[k])
         try:
-            overlap = np.shares_memory(views[k], dv, max_work=_OVERLAP_WORK)
+            overlap = np.shares_memory(probe, dv, max_work=_OVERLAP_WORK)
         except np.exceptions.TooHardError:  # raised only where byte intervals overlap
             overlap = True
         if overlap:
@@ -904,6 +948,7 @@ def _finish(plan: ContractionPlan, dv, block, acc, cg, al, be):
         dv[cells] = v
 
 
+@np.errstate(all="ignore")  # also restores the caller's buffer size
 def contract(
     plan: ContractionPlan,
     alpha: int | float | complex,
@@ -933,22 +978,19 @@ def contract(
     t0 = time.perf_counter()
     al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d, names)
     read_ab = al != 0
-    with np.errstate(all="ignore"):  # also restores the caller's buffer size
-        if plan.long_rows:
-            np.setbufsize(_ROW_BUFFER)
-        if read_ab:
-            loaded = _load(plan, views, in_place and b is c)
-        cv = views[2] if be != 0 else None
-        stage = _pass if plan.unit_a else _sum
-        for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
-            acc = stage(plan, loaded, block) if read_ab else None
-            _finish(plan, dv, block, acc, cv, al, be)
+    if plan.long_rows:
+        np.setbufsize(_ROW_BUFFER)
+    if read_ab:
+        loaded = _load(plan, views, in_place and b is c)
+    cv = views[2] if be != 0 else None
+    stage = _pass if plan.unit_a else _sum
+    for block in (None,) if plan.whole else _blocks(plan.cells, plan.box):
+        acc = stage(plan, loaded, block) if read_ab else None
+        _finish(plan, dv, block, acc, cv, al, be)
     _, _, k, h, f, g = plan.counts
-    return StatusRecord(
-        seconds_elapsed=time.perf_counter() - t0,
-        elements_written=h * f * g,
-        multiply_adds=h * f * g * k if read_ab else 0,
-    )
+    # seconds_elapsed, elements_written, multiply_adds: passed by position,
+    # as keywords cost 0.2 us a call.
+    return StatusRecord(time.perf_counter() - t0, h * f * g, h * f * g * k if read_ab else 0)
 
 
 def make_binary_plan(
@@ -1050,7 +1092,9 @@ def run_unary(
     it fills C's unread slot as well, so :func:`_bind`'s in-place rule
     decides: A as the output's identical view runs in place, and any
     other overlap with it is ERR_ALIASING."""
-    c, names = (a, " AAB") if a.desc == out.desc else (out, " ABB")
+    # A handle shares one descriptor among equal layouts: identity mostly decides.
+    same = a.desc is out.desc or a.desc == out.desc
+    c, names = (a, " AAB") if same else (out, " ABB")
     return contract(plan, alpha, None, a, 0.0, c, out, names)
 
 

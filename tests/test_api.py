@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -573,8 +574,8 @@ def _tapp_calls(run) -> int:
 @pytest.mark.parametrize(
     "dtype, alpha, beta, limits",
     [
-        (DType.R64, 1.5, 0.5, {"product": 34, "binary": 29, "unary": 26}),
-        (DType.C64, 1.5 - 0.5j, 0.5 + 0.25j, {"product": 39, "binary": 34, "unary": 29}),
+        (DType.R64, 1.5, 0.5, {"product": 29, "binary": 24, "unary": 22}),
+        (DType.C64, 1.5 - 0.5j, 0.5 + 0.25j, {"product": 34, "binary": 28, "unary": 24}),
     ],
 )
 def test_planned_tiny_executes_make_few_python_calls(handle, dtype, alpha, beta, limits):
@@ -730,6 +731,57 @@ def test_executes_leave_the_callers_numpy_state_as_it_was(handle, monkeypatch):
                 assert run() is ErrorCode.ERR_INTERNAL
                 assert (np.getbufsize(), np.geterr()) == state
         assert sizes == [engine._ROW_BUFFER, 4096]
+
+
+def test_threads_keep_their_own_numpy_state_through_overflowing_executes(handle):
+    # One thread raises on overflow with a 4,096-element ufunc buffer, the
+    # other runs with numpy's defaults; both run executes whose products
+    # overflow at once, and a long-rows outer product sets a buffer of its
+    # own for each call.  Each call ignores the overflow (inf in D) and
+    # leaves its thread's state as it was.
+    ex = tapp_get_default_executor(handle)
+    m = tapp_create_tensor_info(handle, DType.R64, 2, (2, 2))
+    vec = tapp_create_tensor_info(handle, DType.R64, 1, (128,))
+    square = tapp_create_tensor_info(handle, DType.R64, 2, (128, 128))
+    matmul = tapp_create_contraction(handle, m, "ij", m, "jk", m, "ik", m, "ik")
+    outer = tapp_create_contraction(handle, vec, "i", vec, "j", square, "ij", square, "ij")
+    assert outer.plan.long_rows
+    big_m, big_v = np.full(4, 1e300), np.full(128, 1e300)
+    barrier, failures = threading.Barrier(2, timeout=10), []
+
+    def work(raise_on_overflow: bool) -> None:
+        try:
+            if raise_on_overflow:
+                with np.errstate(over="raise"):
+                    np.setbufsize(4096)
+                    run()
+            else:
+                run()
+        except BaseException as err:  # reported by the main thread
+            failures.append(err)
+
+    def run() -> None:
+        state = np.geterr(), np.getbufsize()
+        d, s = np.zeros(4), np.zeros(128 * 128)
+        barrier.wait()
+        for _ in range(150):
+            assert tapp_execute_product(matmul, ex, 1.0, big_m, big_m, 0.5, d, d) is ErrorCode.OK
+            assert tapp_execute_product(outer, ex, 1.0, big_v, big_v, 0.0, s, s) is ErrorCode.OK
+            assert np.isinf(d).all() and np.isinf(s).all()
+            assert (np.geterr(), np.getbufsize()) == state
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(flag,)) for flag in (True, False)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # -- the per-handle plan cache ------------------------------------------------

@@ -909,6 +909,102 @@ def test_overlap_too_hard_to_decide_falls_back_to_byte_intervals(monkeypatch):
     assert x.tolist() == list(range(8))
 
 
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(-6, 6)), min_size=1, max_size=5),
+    st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    st.sampled_from(list(DType)),
+)
+@settings(max_examples=300, deadline=None)
+def test_folded_layouts_are_the_views_numpy_reshapes_into(modes, cuts, dtype):
+    layout = engine._layout(dtype, ([e for e, _ in modes], [s for _, s in modes]))
+    # A load shape: runs of the label axes merged, with axes of 1 between.
+    axes, shape = list(layout.shape[layout.pairs :]), []
+    for cut in cuts:  # 0 puts an axis of 1, else the next ``cut`` axes merge
+        if cut == 0:
+            shape.append(1)
+        elif axes:
+            shape, axes = shape + [math.prod(axes[:cut])], axes[cut:]
+    shape = (*layout.shape[: layout.pairs], *shape, math.prod(axes))
+    folded = engine._folded(layout, shape)
+    probe = np.lib.stride_tricks.as_strided(np.zeros(1, layout.dtype), layout.shape, layout.strides)
+    try:
+        want = probe.reshape(shape, copy=False).strides
+    except ValueError:  # numpy copies
+        assert folded is layout
+        return
+    moving = [k for k, n in enumerate(shape) if n > 1]
+    assert folded.shape == shape
+    assert [folded.strides[k] for k in moving] == [want[k] for k in moving]
+    size, steps = dtype.np_dtype.itemsize, (0,) * layout.pairs + folded.steps
+    assert [steps[k] * size for k in moving[layout.pairs :]] == [
+        want[k] for k in moving[layout.pairs :]
+    ]
+
+
+def _probes(monkeypatch) -> list:
+    """The calls of ``np.may_share_memory`` made from here on."""
+    calls, probe = [], np.may_share_memory
+    monkeypatch.setattr(np, "may_share_memory", lambda *args: calls.append(args) or probe(*args))
+    return calls
+
+
+def test_two_owning_arrays_are_not_probed_for_overlap(monkeypatch):
+    # Arrays that each own their data are separate allocations, so "no
+    # overlap" is exact without asking numpy.
+    probes = _probes(monkeypatch)
+    a, b, c = view([2], [1.0, 2.0]), view([2], [3.0, 4.0]), view([2], [5.0, 6.0])
+    d, _ = run("i,i->i", a, b, c=c, d=view([2]), beta=0.5)
+    assert all(x.buffer.flags.owndata for x in (a, b, c, d))
+    assert d.buffer.tolist() == [5.5, 11.0] and probes == []
+
+
+def _frombuffer_pair(offset_d: int) -> tuple[TensorView, TensorView]:
+    """Two 2-element views over one bytearray, neither owning its data:
+    one from its first element, one from element ``offset_d``."""
+    raw = bytearray(np.arange(4.0).tobytes())
+    desc = TensorDesc.column_major([2], DType.R64)
+    x, y = (np.frombuffer(raw, np.float64, 2, 8 * k) for k in (0, offset_d))
+    return TensorView(desc, x), TensorView(desc, y)
+
+
+@pytest.mark.parametrize(
+    "case", ["slice of A's array", "overlapping frombuffer", "A's array"]
+)
+def test_one_allocation_is_still_probed_and_overlap_rejected(monkeypatch, case):
+    desc = TensorDesc.column_major([2], DType.R64)
+    owner = np.array([1.0, 2.0, 3.0])
+    if case == "slice of A's array":
+        a, d = TensorView(desc, owner), TensorView(desc, owner[1:])
+    elif case == "overlapping frombuffer":
+        a, d = _frombuffer_pair(1)
+    else:
+        a, d = TensorView(desc, owner), TensorView(desc, owner, 1)
+    before = d.buffer.tolist()
+    probes = _probes(monkeypatch)
+    with pytest.raises(TappError) as err:
+        run("i,i->i", a, view([2], [1.0, 1.0]), d=d)
+    assert err.value.code is ErrorCode.ERR_ALIASING
+    assert len(probes) == 1 and d.buffer.tolist() == before
+
+
+def test_disjoint_frombuffer_views_are_probed_and_run(monkeypatch):
+    a, d = _frombuffer_pair(2)
+    probes = _probes(monkeypatch)
+    run("i,i->i", a, view([2], [2.0, 3.0]), d=d)
+    # D does not own its data, so each of A, B and C is probed.
+    assert [x for x, _ in probes][0] is a.buffer and len(probes) == 3
+    assert d.buffer.tolist() == [0.0, 3.0]
+
+
+def test_c_and_d_on_one_owning_array_still_run_in_place(monkeypatch):
+    buf = np.array([10.0, 20.0])
+    desc = TensorDesc.column_major([2], DType.R64)
+    probes = _probes(monkeypatch)
+    run("i,i->i", view([2], [1.0, 2.0]), view([2], [3.0, 4.0]),
+        c=TensorView(desc, buf), d=TensorView(desc, buf), beta=1.0)
+    assert len(probes) == 1 and buf.tolist() == [13.0, 28.0]
+
+
 def _collides(extents, strides) -> bool:
     """Brute force: whether two multi-indices share an address."""
     seen = set()

@@ -2,13 +2,16 @@
 minor page faults each call takes: r32, r64, c32 and c64 32x32x32 matmuls,
 a c64 128x128 transpose (unary ``ij->ji``) at complex alpha, two r64
 256x256 ops whose output is one 512 KiB block: the outer product
-``i,j->ij`` and the transpose-add (binary ``ij,ji->ji``, beta 0), and two
+``i,j->ij`` and the transpose-add (binary ``ij,ji->ji``, beta 0), two
 outer products whose rows hold at least 128 cells, which run with a small
 ufunc buffer (``engine._ROW_BUFFER``): the c64 256x256 ``i,j->ij`` at
 complex alpha and beta, and an r64 ``ij,jk->ik`` with i=128, j=16,
-k=256.  The ops run round-robin, as a benchmark client would call them;
-after a warm-up, each op's line gives its median time per call and its
-minor faults per call, read with ``resource.getrusage`` around each call.
+k=256, and two tiny ops, whose time is mostly the fixed cost of a call:
+an r64 ``ij,jk->ik`` with i=2, j=3, k=2 at beta 0.5, and a c64 4x4
+transpose-add (binary ``ij,ji->ji``) at complex alpha and beta.  The ops
+run round-robin, as a benchmark client would call them; after a
+warm-up, each op's line gives its median time per call and its minor
+faults per call, read with ``resource.getrusage`` around each call.
 A fault here is a fresh page of a temporary that the allocator took from
 the kernel.  The header names numpy's version, as the ufunc buffer's
 behaviour is numpy's.  Run from the repository root::
@@ -82,6 +85,9 @@ def main() -> None:
     ops.append(_op(handle, executor, rng, "product", "i,j->ij", "c64", wide, 0.5 + 0.75j))
     long_k = dict(i=128, j=16, k=256)
     ops.append(_op(handle, executor, rng, "product", "ij,jk->ik", "r64", long_k))
+    tiny = dict(i=2, j=3, k=2)
+    ops.append(_op(handle, executor, rng, "product", "ij,jk->ik", "r64", tiny, 0.5))
+    ops.append(_op(handle, executor, rng, "binary", "ij,ji->ji", "c64", dict(i=4, j=4), 0.5 + 0.75j))
     for _ in range(args.warmup):
         for _, run in ops:
             run()
