@@ -920,13 +920,14 @@ def run_suite(
     tolerance: float | None = None,
     log=None,
 ) -> tuple[int, dict]:
-    """Generate and check ``iterations`` instances of each category, by
-    default of every key of ``CATEGORIES``.
+    """Generate and check ``iterations`` instances of each category, of
+    every key of ``CATEGORIES`` where ``categories`` is None; an empty
+    ``categories`` runs none.
 
     Returns (exit_code, report).  The report is fully deterministic for
     a given (seed, iterations, categories) triple.
     """
-    chosen = list(categories) if categories else list(CATEGORIES)
+    chosen = list(CATEGORIES if categories is None else categories)
     report = {
         "seed": seed,
         "iterations": iterations,

@@ -7,7 +7,7 @@ the operand takes B's place, and a one-element r32 unit operand U takes A's
 place, with stride zero along every output label the operand lacks.  U
 is not an execute argument, and A's slot of :func:`contract` is None.
 The binary update takes C's place; unary runs with ``beta = 0``, its
-operand also in C's unread slot where it has the output's descriptor, so
+operand also in C's unread slot, where *bind* does not check it again, so
 that the one in-place rule, in :func:`_bind`, decides whether it runs in
 place or is ERR_ALIASING.  Under the rule for real times complex below,
 U's product is exact: ``1 * x == x`` for real x, and ``(1*xr, 1*xi)`` for
@@ -51,11 +51,12 @@ then does only the work its buffers need.
 replaced alone:
 
 * *bind* (:func:`_bind`) rounds alpha and beta, plain numbers whose one
-  rule :func:`_scalar_for` states, checks each of the caller's views (not
-  U) and builds its numpy view in the same step (:func:`_bind_view`),
-  checks D's writability and the overlap of D with A, B and C; it
-  returns the scalars, the numpy views that execution reads, D's, and
-  whether C is D's identical view, the only overlap it allows;
+  rule :func:`_scalar_for` states, checks each of the caller's views
+  once (not U) and builds its numpy view in the same step
+  (:func:`_bind_view`), checks D's writability and the overlap of D with
+  A, B and C; it returns the scalars, the numpy views that execution
+  reads, D's, and whether C is D's identical view, the only overlap it
+  allows;
 * *load* (:func:`_load`) returns A and B in loop order as
   ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)`` arrays, one axis per
   cell axis, summed over their input-only reductions; for a plan whose A
@@ -179,9 +180,7 @@ from .core import (
     validate_view,
 )
 from .errors import ErrorCode, TappError
-from .labels import (
-    ClassifiedLabels, LabelSpec, check_labels, classify, label_extents, merge_repeats
-)
+from .labels import LabelSpec, check_labels, classify, label_extents, merge_repeats
 
 __all__ = [
     "StatusRecord",
@@ -319,11 +318,11 @@ class _Layout(NamedTuple):
     shows them: one axis per label of extent above 1, each group's
     slowest first, and an axis of extent 1 for a group with none (complex
     elements as float ``(re, im)`` pairs on a first axis).  Labels of
-    extent 1 take no axis, as numpy allows at most 64."""
+    extent 1 take no axis, as numpy allows at most 64.  A label axis's
+    byte stride is a whole number of elements."""
 
     shape: tuple[int, ...]  # the view's: (2,) if pairs, then the label axes
     strides: tuple[int, ...]  # its byte strides over contiguous elements
-    steps: tuple[int, ...]  # the label axes' element strides
     dtype: np.dtype  # the view's: the element's, or its part's if pairs
     pairs: bool  # complex elements
     broadcast: bool  # an axis has stride 0
@@ -342,7 +341,7 @@ def _layout(dtype: DType, *groups) -> _Layout:
     if pairs:
         element = _PARTS[element]
         shape, strides = (2, *shape), (element.itemsize, *strides)
-    return _Layout(shape, strides, steps, element, pairs, broadcast)
+    return _Layout(shape, strides, element, pairs, broadcast)
 
 
 def _box(k: int, cells: tuple[int, ...], pairs: bool, real: bool) -> tuple[int, ...]:
@@ -391,14 +390,13 @@ def _folded(layout: _Layout, shape: tuple[int, ...]) -> _Layout:
         if size != n:
             return layout
         strides.append(stride)
-    element = layout.dtype.itemsize * (1 + layout.pairs)
-    steps = tuple([s // element for s in strides[layout.pairs :]])
-    return _Layout(shape, tuple(strides), steps, layout.dtype, layout.pairs, layout.broadcast)
+    return layout._replace(shape=shape, strides=tuple(strides))
 
 
 class _Load(NamedTuple):
     """How *load* reads one of A and B in loop order: from which slot, on
-    which layout, in which dtype, and what it does to the view."""
+    which layout, in which dtype, what it does to the view, and which cell
+    axes a block leaves whole."""
 
     slot: int  # 0 for A, 1 for B
     layout: _Layout  # bind's view: in ``shape`` where the labels fold (see _folded)
@@ -407,6 +405,9 @@ class _Load(NamedTuple):
     cast: bool  # the view's dtype is not ``dtype``
     reduced: bool  # the first group is an input-only reduction, summed away
     dense: bool  # copied C-contiguous unless it is already, or is a stride-0 view
+    # The cell axes i:j, which have extent 1 here as they are the other
+    # operand's: F's for G's operand, G's for F's.
+    cut: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -418,7 +419,6 @@ class ContractionPlan:
     desc_b: TensorDesc
     desc_c: TensorDesc
     desc_d: TensorDesc
-    classified: ClassifiedLabels
     compute_dtype: DType
     # Each operand's view, one axis per label (see :class:`_Layout`), in
     # groups: A's (R_a, K, H, free_a), B's (R_b, K, H, free_b), C's and
@@ -432,12 +432,10 @@ class ContractionPlan:
     # of A's free labels, runs F = free_b and G = free_a.
     swap_ab: bool = field(compare=False)
     # The trip counts (R_a, R_b, K, H, F, G), F and G in loop order; the
-    # output cells, D's label axes (H, F, G), with the indices where F's
-    # and G's axes start; and the block shape (step, *box) over the cells
-    # (see :func:`_box`).
+    # output cells, D's label axes (H, F, G); and the block shape (step,
+    # *box) over the cells (see :func:`_box`).
     counts: tuple[int, ...] = field(compare=False)
     cells: tuple[int, ...] = field(repr=False, compare=False)
-    split: tuple[int, int] = field(repr=False, compare=False)
     box: tuple[int, ...] = field(repr=False, compare=False)
     # What execution derives from the plan alone: the compute dtype's part
     # dtype, whether the sums are ``(re, im)`` pairs (an operand is
@@ -501,7 +499,7 @@ def make_plan(
     merged_a = merge_repeats(spec.labels_a, desc_a)
     merged_b = merge_repeats(spec.labels_b, desc_b)
     merged_d = merge_repeats(spec.labels_d, desc_d)
-    classified = classify(merged_a, merged_b, merged_d)
+    cl = classify(merged_a, merged_b, merged_d)
 
     if spec.labels_c != spec.labels_d or desc_c.extents != desc_d.extents:
         raise TappError(
@@ -509,10 +507,10 @@ def make_plan(
             "C must carry D's labels, in order, with equal extents",
         )
 
-    if classified.broadcast_out.labels:
+    if cl.broadcast_out.labels:
         raise TappError(
             ErrorCode.ERR_UNSUPPORTED,
-            f"output-only labels {classified.broadcast_out.labels} are not supported",
+            f"output-only labels {cl.broadcast_out.labels} are not supported",
         )
     injective = _injective(merged_d.extents, merged_d.strides, _ENUMERATION_BUDGET)
     if injective is None:
@@ -528,7 +526,6 @@ def make_plan(
     cdt = _resolve_compute_dtype(
         compute_dtype, desc_a.dtype, desc_b.dtype, desc_c.dtype, desc_d.dtype
     )
-    cl = classified
     # D's fastest label: the smallest |stride| of extent > 1 (no two are
     # equal, as D is injective).
     moving = [
@@ -564,27 +561,28 @@ def make_plan(
     cmul = layout_a.pairs and layout_b.pairs
     dtype = _F64 if cmul and not reduced else part
     # Loaded, F's operand spans the cells' H and F axes and G's their H
-    # and G axes, each with extent 1 on the others.
+    # and G axes, each with extent 1 on the other's.
     cells = layout_d.shape[layout_d.pairs :]
     h, f = (max(1, sum(e > 1 for e in g.extents)) for g in groups[:2])
-    hf, ones = h + f, (1,) * len(cells)
-    spans = cells[:hf] + ones[hf:], cells[:h] + ones[h:hf] + cells[hf:]
+    cuts = (h + f, len(cells)), (h, h + f)
     box = _box(counts[2], cells, pairs, not cdt.is_complex)
     parted = layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART
     long_rows = not unit_a and counts[4] > 1 and counts[5] > 1 and box[-1] >= _ROW_BUFFER
 
-    def load(slot: int, layout: _Layout, span: tuple[int, ...]) -> _Load:
+    def load(slot: int, layout: _Layout, cut: tuple[int, int]) -> _Load:
         reduced = counts[slot] > 1
         shape = (2,) * layout.pairs + (counts[slot],) * reduced + (counts[2],) * (not unit_a)
         # B of a plan whose A is U meets only alpha, so it reads each
         # element once and stays strided unless it is reduced (see _pass).
         dense = not unit_a or reduced
-        shape += span
-        return _Load(slot, _folded(layout, shape), shape, dtype, layout.dtype != dtype, reduced, dense)
+        i, j = cut
+        shape += cells[:i] + (1,) * (j - i) + cells[j:]
+        cast = layout.dtype != dtype
+        return _Load(slot, _folded(layout, shape), shape, dtype, cast, reduced, dense, cut)
 
     loads = (
-        None if unit_a else load(0, layout_a, spans[swap_ab]),
-        load(1, layout_b, spans[not swap_ab]),
+        None if unit_a else load(0, layout_a, cuts[swap_ab]),
+        load(1, layout_b, cuts[not swap_ab]),
     )
     return ContractionPlan(
         spec=spec,
@@ -592,7 +590,6 @@ def make_plan(
         desc_b=desc_b,
         desc_c=desc_c,
         desc_d=desc_d,
-        classified=classified,
         compute_dtype=cdt,
         layout_a=layout_a,
         layout_b=layout_b,
@@ -601,7 +598,6 @@ def make_plan(
         swap_ab=swap_ab,
         counts=counts,
         cells=cells,
-        split=(h, hf),
         box=box,
         part=part,
         pairs=pairs,
@@ -695,16 +691,12 @@ def _bind_view(
     if step == buffer.itemsize:  # contiguous: this constructor is many times faster
         offset = view.base * step
         return np.ndarray(layout.shape, layout.dtype, buffer, offset, layout.strides)
-    origin, strides = buffer[view.base :], [s * step for s in layout.steps]
+    # Each label axis's byte stride is a whole number of elements.
+    strides = [s // buffer.itemsize * step for s in layout.strides[layout.pairs :]]
+    origin = buffer[view.base :]
     if layout.pairs:
         return as_strided(origin.real, layout.shape, [layout.dtype.itemsize, *strides])
     return as_strided(origin, layout.shape, strides)
-
-
-def _view(view: TensorView, layout: _Layout) -> np.ndarray:
-    """The elements of a valid ``view`` on the axes of ``layout``, as a
-    numpy view of its buffer."""
-    return _bind_view(view, view.desc, layout, "")
 
 
 def _operand(x: np.ndarray, load: _Load, copy: bool) -> np.ndarray:
@@ -795,29 +787,33 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d, names: str):
     operand), D's view, and whether C is D's identical view (an in-place
     update).  Where A is the unit operand U (a binary or unary plan), A's
     slot is not the caller's: it is neither checked nor probed for
-    overlap.  An error names the operand in each slot by that slot's
-    character in ``names``, as the caller knows it.
+    overlap.  Nor is C, where it is B's object and beta is 0, as
+    :func:`run_unary` passes it: C is then not read, and B's check of
+    that object has run.  An error names the operand in each slot by that
+    slot's character in ``names``, as the caller knows it.
 
     C may cover D's elements exactly, and so may the operand of a plan
-    whose A is U where it is C's object too, as :func:`run_unary` passes
-    it.  Any other overlap between D and an operand is ERR_ALIASING, also
-    where the operand is C's object in another slot.  This is the one
-    in-place rule of every operation.  An operand whose buffer is another
-    array than D's, where both own their data, is a separate allocation,
-    so it overlaps nothing of D's and is not probed.  Any other pair is
-    probed with ``np.may_share_memory``; where that finds one allocation,
-    the overlap is decided exactly by ``np.shares_memory`` on the two
-    views with one axis per label, or by byte intervals where that needs
-    more than ``_OVERLAP_WORK``."""
+    whose A is U where it is C's object too.  Any other overlap between D
+    and an operand is ERR_ALIASING, also where the operand is C's object
+    in another slot.  This is the one in-place rule of every operation.
+    An operand whose buffer is another array than D's, where both own
+    their data, is a separate allocation, so it overlaps nothing of D's
+    and is not probed.  Any other pair is probed with
+    ``np.may_share_memory``; where that finds one allocation, the overlap
+    is decided exactly by ``np.shares_memory`` on the two views with one
+    axis per label, or by byte intervals where that needs more than
+    ``_OVERLAP_WORK``."""
     al = _scalar_for(alpha, plan.compute_dtype, "alpha")
     be = _scalar_for(beta, plan.compute_dtype, "beta")
-    unit, ab = plan.unit_a, al != 0
+    unit, ab, read_c = plan.unit_a, al != 0, be != 0
+    skip_c = unit and c is b and not read_c
+    layout_c = plan.layout_c if read_c else None
     f, g = plan.loads  # in loop order
     load_a, load_b = (g, f) if plan.swap_ab else (f, g)
     views = [
         None if unit else _bind_view(a, plan.desc_a, load_a.layout if ab else None, names[0]),
         _bind_view(b, plan.desc_b, load_b.layout if ab else None, names[1]),
-        _bind_view(c, plan.desc_c, plan.layout_c if be != 0 else None, names[2]),
+        None if skip_c else _bind_view(c, plan.desc_c, layout_c, names[2]),
     ]
     dv = _bind_view(d, plan.desc_d, plan.layout_d, names[3])
     out = d.buffer
@@ -825,7 +821,7 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d, names: str):
         raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, f"{names[3]}: buffer is read-only")
     owned = out.flags.owndata
     in_place = False
-    for k, view in enumerate((a, b, c)[unit:], unit):
+    for k, view in enumerate((a, b, c)[unit : 3 - skip_c], unit):
         buffer = view.buffer
         if buffer is not out and owned and buffer.flags.owndata:  # separate allocations
             continue
@@ -836,7 +832,8 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d, names: str):
             continue
         # On one axis per label, not A's or B's folded view, so that the
         # work shares_memory takes, and so its answer, stays as it was.
-        probe = _view(view, (plan.layout_a, plan.layout_b, plan.layout_c)[k])
+        layout = (plan.layout_a, plan.layout_b, plan.layout_c)[k]
+        probe = _bind_view(view, view.desc, layout, "")
         try:
             overlap = np.shares_memory(probe, dv, max_work=_OVERLAP_WORK)
         except np.exceptions.TooHardError:  # raised only where byte intervals overlap
@@ -857,19 +854,16 @@ def _load(plan: ContractionPlan, views, copy: bool):
     after the first store."""
     f, g = plan.loads
     if plan.unit_a:
-        return _operand(views[1], g if f is None else f, copy)
+        return _operand(views[1], f or g, copy)
     return _operand(views[f.slot], f, False), _operand(views[g.slot], g, False)
 
 
-def _cut(plan: ContractionPlan, block, g: bool) -> tuple:
-    """The index of one ``block`` into F's operand, or into G's where
-    ``g``: each spans the cells' H axes and its own, with extent 1 on the
-    other's, so it is not cut along those."""
-    h, hf = plan.split
-    full = (_ALL,) * len(block)
-    if g:
-        return (*block[:h], *full[h:hf], *block[hf:])
-    return (*block[:hf], *full[hf:])
+def _cut(load: _Load, block) -> tuple:
+    """The index of one ``block`` into the operand that ``load`` loads: it
+    has extent 1 on the other operand's cell axes, ``load.cut``, so it is
+    not cut along those."""
+    i, j = load.cut
+    return (*block[:i], *(_ALL,) * (j - i), *block[j:])
 
 
 def _sum(plan: ContractionPlan, loaded, block):
@@ -884,7 +878,8 @@ def _sum(plan: ContractionPlan, loaded, block):
         steps = ((av, bv),)
     else:
         step, k = plan.box[0], plan.counts[2]
-        a, b = _cut(plan, block, False), _cut(plan, block, True)
+        f, g = plan.loads
+        a, b = _cut(f, block), _cut(g, block)
         ks = [slice(t, t + step) for t in range(0, k, step)] if step < k else [_ALL]
         steps = ((av[(..., s, *a)], bv[(..., s, *b)]) for s in ks)
     part, cmul, axis = plan.part, plan.cmul, int(plan.pairs)
@@ -902,7 +897,8 @@ def _pass(plan: ContractionPlan, loaded, block):
     (``plan.parted``) is copied C-contiguous one block at a time, unless
     *load* copied it whole, so that alpha's product comes out in D's
     order."""
-    x = loaded if block is None else loaded[(..., *_cut(plan, block, not plan.swap_ab))]
+    f, g = plan.loads
+    x = loaded if block is None else loaded[(..., *_cut(f or g, block))]
     if plan.parted and plan.pairs and not loaded.flags.c_contiguous:
         x = np.ascontiguousarray(x)
     return x
@@ -1088,14 +1084,11 @@ def run_unary(
     out: TensorView,
 ) -> StatusRecord:
     """Execute a unary plan: A takes B's place, and U, which is never
-    read, A's, so A's slot is None.  Where A has the output's descriptor
-    it fills C's unread slot as well, so :func:`_bind`'s in-place rule
+    read, A's, so A's slot is None.  A fills C's unread slot as well,
+    where :func:`_bind` does not check it again, so that its in-place rule
     decides: A as the output's identical view runs in place, and any
     other overlap with it is ERR_ALIASING."""
-    # A handle shares one descriptor among equal layouts: identity mostly decides.
-    same = a.desc is out.desc or a.desc == out.desc
-    c, names = (a, " AAB") if same else (out, " ABB")
-    return contract(plan, alpha, None, a, 0.0, c, out, names)
+    return contract(plan, alpha, None, a, 0.0, a, out, " AAB")
 
 
 def unary_op(

@@ -904,6 +904,12 @@ def test_suite_via_main(capsys):
     assert set(report["categories"]["3"]) == {"title", "passed", "failed", "max_rel_err"}
 
 
+def test_an_empty_category_list_runs_no_category():
+    # Only None means every category.
+    code, report = run_suite(seed=0, iterations=1, categories=[])
+    assert code == 0 and report["instances"] == 0 and report["categories"] == {}
+
+
 def test_every_category_has_a_title_and_the_suite_covers_exactly_the_table():
     assert all(isinstance(r.title, str) and r.title for r in CATEGORIES.values())
     code, report = run_suite(seed=0, iterations=0)

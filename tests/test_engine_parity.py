@@ -555,7 +555,8 @@ def test_wide_reduction_of_a_contiguous_operand_matches_scalar_loop(dtype):
     )
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
     load = plan.loads[plan.swap_ab]  # A's
-    assert np.shares_memory(engine._view(a, load.layout).reshape(load.shape), a.buffer)
+    view = engine._bind_view(a, a.desc, load.layout, "")
+    assert np.shares_memory(view.reshape(load.shape), a.buffer)
     _check(plan, 1.5, a, b, 0.5, c, d)
 
 
@@ -598,7 +599,8 @@ def test_complex_transpose_copied_block_by_block_matches_scalar_loop(special):
     ]
     for plan in plans:
         assert plan.parted and len(list(engine._blocks(plan.cells, plan.box))) > 1
-        loaded = engine._load(plan, [None, engine._view(a, plan.layout_b), None], False)
+        view = engine._bind_view(a, a.desc, plan.layout_b, "")
+        loaded = engine._load(plan, [None, view, None], False)
         assert np.shares_memory(loaded, a.buffer)  # not copied by load
     beta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
     for be in (0.0, beta):
@@ -612,6 +614,29 @@ def test_complex_transpose_copied_block_by_block_matches_scalar_loop(special):
     _ordered(plan, alpha, u, _copy(x), 0.0, want, want)
     engine.run_unary(plan, alpha, x, x)
     _assert_same_bits(x.buffer, want.buffer)
+
+
+@pytest.mark.parametrize(
+    "dtype, n, blocks",
+    [(DType.R32, 300, 2), (DType.R64, 300, 2), (DType.C32, 160, 4), (DType.C64, 160, 4)],
+)
+def test_binary_broadcast_along_ds_fastest_label_matches_scalar_loop(dtype, n, blocks):
+    # j,ij->ij with a column-major D: i, which A lacks, is D's fastest
+    # label, so U and A trade places (swap_ab) and A, F's operand, is cut
+    # along F's axes block by block; a complex D is stored part by part.
+    rng = random.Random(f"broadcast{dtype}")
+    u = TensorView(TensorDesc((n,), (0,), DType.R32), np.ones(1, np.float32))
+    a = TensorView(TensorDesc.column_major((n,), dtype), _values(rng, n, dtype, 0.05))
+    b, out = (
+        TensorView(TensorDesc.column_major((n, n), dtype), _values(rng, n * n, dtype, 0.05))
+        for _ in "bd"
+    )
+    plan = make_binary_plan("j", a.desc, "ij", b.desc, "ij", out.desc)
+    assert plan.desc_a == u.desc and plan.swap_ab and plan.parted is dtype.is_complex
+    assert len(list(engine._blocks(plan.cells, plan.box))) == blocks
+    alpha, beta = (1.25 - 0.5j, 0.5 + 0.75j) if dtype.is_complex else (1.25, 0.5)
+    for be in (0.0, beta):
+        _check(plan, alpha, u, a, be, b, out)
 
 
 @pytest.mark.parametrize("block_bytes, step, blocks", [(None, 1, 1), (1 << 16, 2, 8)])

@@ -10,11 +10,15 @@ k=256, and two tiny ops, whose time is mostly the fixed cost of a call:
 an r64 ``ij,jk->ik`` with i=2, j=3, k=2 at beta 0.5, and a c64 4x4
 transpose-add (binary ``ij,ji->ji``) at complex alpha and beta.  The ops
 run round-robin, as a benchmark client would call them; after a
-warm-up, each op's line gives its median time per call and its minor
-faults per call, read with ``resource.getrusage`` around each call.
-A fault here is a fresh page of a temporary that the allocator took from
-the kernel.  The header names numpy's version, as the ufunc buffer's
-behaviour is numpy's.  Run from the repository root::
+warm-up, each op's line gives its median time per call in that pass
+(``median_us``) and its minor faults per call, read with
+``resource.getrusage`` around each call.  A fault here is a fresh page of
+a temporary that the allocator took from the kernel.  Round-robin, a tiny
+op's time is mostly the cache refill after the large ops, so each line
+also gives the median of the op's own calls run back to back after a
+warm-up of its own (``alone_us``), its fixed cost.  The header names
+numpy's version, as the ufunc buffer's behaviour is numpy's, and says
+which median is which.  Run from the repository root::
 
     python tools/faults.py [--calls N] [--warmup N]
 """
@@ -67,6 +71,16 @@ def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict
     return f"{dtype} {labels} {size}", run
 
 
+def _call(name: str, run) -> float:
+    """The seconds one ``run()`` of op ``name`` takes; it must return OK."""
+    t0 = perf_counter()
+    code = run()
+    seconds = perf_counter() - t0
+    if code != tapp.ErrorCode.OK:
+        raise RuntimeError(f"{name} returned {code!r}")
+    return seconds
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--calls", type=int, default=500, help="timed calls per op")
@@ -94,18 +108,21 @@ def main() -> None:
     times = [[] for _ in ops]
     faults = [0] * len(ops)
     for _ in range(args.calls):
-        for n, (_, run) in enumerate(ops):
+        for n, (name, run) in enumerate(ops):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            t0 = perf_counter()
-            code = run()
-            times[n].append(perf_counter() - t0)
+            times[n].append(_call(name, run))
             faults[n] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-            if code != tapp.ErrorCode.OK:
-                raise RuntimeError(f"{ops[n][0]} returned {code!r}")
+    alone = []
+    for name, run in ops:
+        for _ in range(args.warmup):
+            run()
+        alone.append(statistics.median(_call(name, run) for _ in range(args.calls)))
     print(f"numpy {np.__version__}, Python {sys.version.split()[0]}")
-    print(f"{'op':28s} {'median_us':>10s} {'faults/call':>12s}")
-    for (name, _), t, f in zip(ops, times, faults):
-        print(f"{name:28s} {statistics.median(t) * 1e6:10.1f} {f / args.calls:12.2f}")
+    print("median_us: round-robin with the other ops; alone_us: the op's calls back to back")
+    print(f"{'op':28s} {'median_us':>10s} {'alone_us':>10s} {'faults/call':>12s}")
+    for (name, _), t, a, f in zip(ops, times, alone, faults):
+        median = statistics.median(t)
+        print(f"{name:28s} {median * 1e6:10.1f} {a * 1e6:10.1f} {f / args.calls:12.2f}")
 
 
 if __name__ == "__main__":
