@@ -82,7 +82,11 @@ unless it is cast, has an input-only reduction or is D's identical view,
 which copy it whole.  Where it is complex and D is stored part by part
 (see ``_PART_BY_PART``), each block of it is copied C-contiguous in
 turn, so that alpha's product comes out in D's order.  U has no buffer
-and is never loaded.
+and is never loaded.  A block of complex values that *finish* multiplies
+by a complex alpha or beta, such as C's, or such an operand's below
+``_PART_BY_PART`` cells, is copied once C-contiguous in float64 first,
+as numpy runs the product's four ufuncs several times slower over the
+strided parts of an interleaved buffer (see :func:`_cmul`).
 Input-only reductions are summed in index order.  The output cells are
 then walked in blocks, a range on each cell axis with the last filled
 first: at most 65,536 cells where the compute dtype is real, whose
@@ -661,30 +665,33 @@ def _scalar_for(value, compute_dtype: DType, name: str) -> float | complex:
 
 
 def _bind_view(
-    view: TensorView, desc: TensorDesc, layout: _Layout | None, name: str
+    view: TensorView, desc: TensorDesc, layout: _Layout | None, name: str, checked: bool = False
 ) -> np.ndarray | None:
     """Check ``view`` against the plan's ``desc``: its buffer's dtype, its
     layout and its reach into the buffer (:func:`validate_view`), each an
     error that names the operand ``name``.  Returns its elements on the
     axes of ``layout`` as a numpy view of its buffer, or None where
-    ``layout`` is None, as for an operand that execution does not read."""
+    ``layout`` is None, as for an operand that execution does not read.
+    A view that this call has ``checked`` already, as the overlap probe's,
+    is not checked again."""
     buffer = view.buffer
-    own = view.desc is desc  # as the API binds buffers to a plan's descriptors
-    if buffer.dtype != desc.dtype.np_dtype or (
-        not own and view.desc.dtype is not desc.dtype
-    ):
-        raise TappError(
-            ErrorCode.ERR_DTYPE_MISMATCH, f"{name}: buffer dtype differs from plan"
-        )
-    if not own and (
-        view.desc.extents != desc.extents or view.desc.strides != desc.strides
-    ):
-        raise TappError(
-            ErrorCode.ERR_OUT_OF_BOUNDS, f"{name}: view layout differs from plan"
-        )
-    code = validate_view(view)
-    if code:  # OK is zero
-        raise TappError(code, f"{name}: view escapes its buffer")
+    if not checked:
+        own = view.desc is desc  # as the API binds buffers to a plan's descriptors
+        if buffer.dtype != desc.dtype.np_dtype or (
+            not own and view.desc.dtype is not desc.dtype
+        ):
+            raise TappError(
+                ErrorCode.ERR_DTYPE_MISMATCH, f"{name}: buffer dtype differs from plan"
+            )
+        if not own and (
+            view.desc.extents != desc.extents or view.desc.strides != desc.strides
+        ):
+            raise TappError(
+                ErrorCode.ERR_OUT_OF_BOUNDS, f"{name}: view layout differs from plan"
+            )
+        code = validate_view(view)
+        if code:  # OK is zero
+            raise TappError(code, f"{name}: view escapes its buffer")
     if layout is None:
         return None
     step = buffer.strides[0]
@@ -762,16 +769,29 @@ def _cmul(x: np.ndarray, y, part: np.dtype, pairs: bool = True) -> np.ndarray:
     complex product ``(xr*yr - xi*yi, xr*yi + xi*yr)``, formed in float64
     and rounded to ``part`` once.  Float32 parts are widened first and the
     parts are combined in the first products' array, as a ufunc that
-    casts its inputs or into its output takes about twice as long."""
+    casts its inputs or into its output takes about twice as long.
+
+    Where ``y`` is a complex scalar, an ``x`` in float32 or not
+    C-contiguous, such as a block of C's interleaved view, is copied once
+    C-contiguous in float64 before the four ufuncs: over a strided view,
+    numpy runs each of them through its buffered iterator, and the one copy
+    took the product of a c64 2x2 block of an interleaved view from 10.9 to
+    3.3 us and of a c32 32x256 block from 48.0 to 31.6 us (timeit, best of
+    7).  Pairs of arrays, *sum*'s products, keep their layout, so that a
+    stride-0 operand stays a view."""
     if not pairs:  # a real x times a complex scalar
         xy = np.empty((2, *x.shape), part)
         np.multiply(x, y[0], xy[0], dtype=part)
         np.multiply(x, y[1], xy[1], dtype=part)
         return xy
-    if x.dtype != _F64:
-        x = x.astype(_F64)
-    if isinstance(y, np.ndarray) and y.dtype != _F64:
-        y = y.astype(_F64)
+    if type(y) is tuple:
+        if x.dtype != _F64 or not x.flags.c_contiguous:
+            x = x.astype(_F64, order="C")
+    else:
+        if x.dtype != _F64:
+            x = x.astype(_F64)
+        if y.dtype != _F64:
+            y = y.astype(_F64)
     x_yr, x_yi = x * y[0], x * y[1]  # (xr*yr, xi*yr), (xr*yi, xi*yi)
     re, im = x_yr[0], x_yr[1]
     np.subtract(re, x_yi[1], re)
@@ -833,7 +853,7 @@ def _bind(plan: ContractionPlan, alpha, a, b, beta, c, d, names: str):
         # On one axis per label, not A's or B's folded view, so that the
         # work shares_memory takes, and so its answer, stays as it was.
         layout = (plan.layout_a, plan.layout_b, plan.layout_c)[k]
-        probe = _bind_view(view, view.desc, layout, "")
+        probe = _bind_view(view, view.desc, layout, "", checked=True)
         try:
             overlap = np.shares_memory(probe, dv, max_work=_OVERLAP_WORK)
         except np.exceptions.TooHardError:  # raised only where byte intervals overlap

@@ -993,6 +993,20 @@ def test_disjoint_frombuffer_views_are_probed_and_run(monkeypatch):
     assert d.buffer.tolist() == [0.0, 3.0]
 
 
+def test_the_overlap_probe_checks_no_view_again(monkeypatch):
+    # A over the even elements and D over the odd ones of one buffer: A is
+    # probed, on a view built without checking it a second time.
+    x = np.arange(8.0)
+    d4 = TensorDesc.column_major([4], DType.R64)
+    a, d = TensorView(d4, x[::2]), TensorView(d4, x[1::2])
+    checks, check = [], engine.validate_view
+    monkeypatch.setattr(engine, "validate_view", lambda v: checks.append(v) or check(v))
+    probes = _probes(monkeypatch)
+    run("i,i->i", a, view([4], [1.0, 2.0, 3.0, 4.0]), d=d)
+    assert len(checks) == 4 and [p for p, _ in probes][0] is a.buffer
+    assert x.tolist() == [0.0, 0.0, 2.0, 4.0, 4.0, 12.0, 6.0, 24.0]
+
+
 def test_c_and_d_on_one_owning_array_still_run_in_place(monkeypatch):
     buf = np.array([10.0, 20.0])
     desc = TensorDesc.column_major([2], DType.R64)

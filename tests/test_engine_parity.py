@@ -331,24 +331,77 @@ def test_binary_with_unit_label_fastest_in_d_matches_scalar_loop(dtype, labels_a
                _scalar(rng, dtype), b, out)
 
 
-@pytest.mark.parametrize("dtype", list(DType))
-def test_binary_and_unary_match_scalar_loop(dtype):
-    rng = random.Random(str(dtype))
+def _in_parent(rng, extents, dtype, special, parent):
+    """A column-major view inside a larger buffer, with one guard element
+    at each end: each dimension padded by two elements where ``parent``
+    is "padded", every stride negated where it is "reversed"."""
+    strides, acc = [], 1
+    for e in extents:
+        strides.append(-acc if parent == "reversed" else acc)
+        acc *= e + 2 * (parent == "padded")
+    desc = TensorDesc(tuple(extents), tuple(strides), dtype)
+    lo, hi = reach(desc.extents, desc.strides)
+    return TensorView(desc, _values(rng, hi - lo + 3, dtype, special), 1 - lo)
+
+
+@pytest.mark.parametrize(
+    "dtype, parent",
+    [pytest.param(dt, None, id=str(dt)) for dt in DType]
+    + [
+        pytest.param(dt, parent, id=f"{dt}-{parent}")
+        for dt in (DType.C32, DType.C64)
+        for parent in ("padded", "reversed")
+    ],
+)
+def test_binary_and_unary_match_scalar_loop(dtype, parent):
+    rng = random.Random(str(dtype) if parent is None else f"{dtype}{parent}")
     unit = np.ones(1, np.float32)
-    shapes = [("ij", "ji"), ("rij", "ji"), ("ii", "i"), ("ri", ""), ("i", "ij"), ("", "ij")]
-    extents = {"i": 3, "j": 2, "r": 2}
-    for labels_a, labels_out in shapes:
-        for special in (0.0, 0.3):
-            a = _view(rng, [extents[l] for l in labels_a], dtype, special)
-            b = _view(rng, [extents[l] for l in labels_out], dtype, special)
-            out = _view(rng, [extents[l] for l in labels_out], dtype, special, output=True)
-            alpha, beta = _scalar(rng, dtype), _scalar(rng, dtype)
-            plan = make_binary_plan(labels_a, a.desc, labels_out, b.desc, labels_out, out.desc)
-            u = TensorView(plan.desc_a, unit)
-            _check(plan, alpha, u, a, beta, b, out)
-            if set(labels_out) <= set(labels_a):
-                plan = make_unary_plan(labels_a, a.desc, labels_out, out.desc)
-                _check(plan, alpha, u, a, 0.0, out, out, in_place=True)
+    if parent is None:
+        shapes = [("ij", "ji"), ("rij", "ji"), ("ii", "i"), ("ri", ""), ("i", "ij"), ("", "ij")]
+        sizes = [{"i": 3, "j": 2, "r": 2}]
+        operand = _view
+    else:
+        # Complex alpha and beta on blocks of fewer than _PART_BY_PART
+        # cells, which *finish* multiplies as strided views of the
+        # operand and of C.
+        shapes = [("ij", "ji"), ("rij", "ji"), ("ii", "i")]
+        sizes = [{"i": 3, "j": 2, "r": 2}, {"i": 16, "j": 15, "r": 2}]
+        operand = functools.partial(_in_parent, parent=parent)
+    for extents in sizes:
+        for labels_a, labels_out in shapes:
+            for special in (0.0, 0.3):
+                a = operand(rng, [extents[l] for l in labels_a], dtype, special)
+                b = operand(rng, [extents[l] for l in labels_out], dtype, special)
+                out = _view(rng, [extents[l] for l in labels_out], dtype, special, output=True)
+                if parent is None:
+                    alpha, beta = _scalar(rng, dtype), _scalar(rng, dtype)
+                else:
+                    alpha, beta = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in "ab")
+                plan = make_binary_plan(labels_a, a.desc, labels_out, b.desc, labels_out, out.desc)
+                assert parent is None or not plan.parted
+                u = TensorView(plan.desc_a, unit)
+                _check(plan, alpha, u, a, beta, b, out)
+                if set(labels_out) <= set(labels_a):
+                    plan = make_unary_plan(labels_a, a.desc, labels_out, out.desc)
+                    _check(plan, alpha, u, a, 0.0, out, out, in_place=True)
+
+
+@pytest.mark.parametrize("dtype", [DType.C32, DType.C64])
+def test_a_complex_scalar_multiplies_a_strided_block_as_its_contiguous_copy(dtype):
+    # (re, im) planes over an interleaved buffer, as *bind* views C: every
+    # other column, read backwards, of rows 1 to 6 of an 8x12 parent.
+    rng = random.Random(str(dtype))
+    parent = _values(rng, 96, dtype, 0.3).reshape(8, 12)[1:7, ::-2]
+    part = engine._PARTS[parent.dtype]
+    x = np.lib.stride_tricks.as_strided(
+        parent.real, (2, *parent.shape), (part.itemsize, *parent.strides)
+    )
+    assert not x.flags.c_contiguous and np.array_equal(x[1], parent.imag, equal_nan=True)
+    y = engine._scalar_for(complex(1.25, -0.6), dtype, "alpha")
+    with np.errstate(all="ignore"):  # as in contract
+        got, want = (engine._cmul(v, y, part) for v in (x, np.ascontiguousarray(x)))
+    assert got.flags.c_contiguous and got.dtype == part and got.shape == x.shape
+    _assert_same_bits(got, want)
 
 
 # Sums of rows of `cells` cells each on both sides of the split in
