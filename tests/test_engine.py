@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tapp
 from tapp import (
     DenseTensor,
     DType,
@@ -220,6 +222,144 @@ def test_long_rows_mark_outer_products_whose_rows_hold_128_cells():
         cube, pair = (TensorDesc.column_major(s, dtype) for s in ((2, 2, 2), (2, 2)))
         assert not make_unary_plan("ijk", cube, "ki", pair).long_rows
     assert not _product_plan("i,i->", {"i": 4}).long_rows
+
+
+def _layout_fingerprint(layout) -> tuple:
+    return layout.shape, layout.strides, str(layout.dtype), layout.pairs, layout.broadcast
+
+
+def _plan_fingerprint(plan) -> tuple:
+    """What execution reads of a plan, as plain values."""
+    loads = [
+        None if x is None else (
+            x.slot, _layout_fingerprint(x.layout), x.shape, str(x.dtype), x.cast,
+            x.reduced, x.dense, x.cut,
+        )
+        for x in plan.loads
+    ]
+    descs = [(d.extents, d.strides, d.dtype.value)
+             for d in (plan.desc_a, plan.desc_b, plan.desc_c, plan.desc_d)]
+    return (
+        tuple(plan.spec), descs, plan.compute_dtype.value, plan.counts, plan.cells,
+        plan.box, plan.swap_ab, plan.whole, plan.parted, plan.long_rows, str(plan.part),
+        plan.pairs, plan.cmul, plan.unit_a, loads,
+        [_layout_fingerprint(x) for x in (plan.layout_a, plan.layout_b, plan.layout_c,
+                                          plan.layout_d)],
+    )
+
+
+def _create_fingerprint(kind, operands, compute_dtype=None) -> tuple:
+    """The fingerprint of the plan that a fresh handle creates for the
+    ``(dtype, extents, strides, labels)`` operands, or the create's error
+    code and the handle's reason."""
+    handle = tapp.tapp_create_handle()
+    try:
+        args = []
+        for dtype, extents, strides, labels in operands:
+            info = tapp.tapp_create_tensor_info(handle, dtype, len(extents), extents, strides)
+            if isinstance(info, ErrorCode):
+                return "info", int(info), handle.detail
+            args += [info, labels]
+        create = {
+            "product": tapp.tapp_create_contraction,
+            "binary": tapp.tapp_create_binary_op,
+            "unary": tapp.tapp_create_unary_op,
+        }[kind]
+        op = create(handle, *args, *([compute_dtype] if compute_dtype else []))
+        if isinstance(op, ErrorCode):
+            return "create", int(op), handle.detail
+        return _plan_fingerprint(op.plan)
+    finally:
+        tapp.tapp_destroy_handle(handle)
+
+
+def _case_operands(case):
+    return [
+        (entry.dtype, entry.extents, entry.strides, labels)
+        for entry, labels in zip(
+            (case.a, case.b, case.c, case.d),
+            (case.spec.labels_a, case.spec.labels_b, case.spec.labels_c, case.spec.labels_d),
+        )
+    ]
+
+
+def _cm(*extents):
+    return TensorDesc.column_major(extents, DType.R64).strides
+
+
+# Binary and unary creates, (labels, extents, strides or None), beside the
+# suite's products: shapes and faults of this file's binary and unary tests.
+_OP_CREATES = [
+    ("binary", ("ij", "ji", "ji"), [(4, 4)] * 3, None),
+    ("binary", ("ij", "ji", "ji"), [(256, 256)] * 3, None),
+    ("binary", ("i", "ij", "ij"), [(256,), (256, 256), (256, 256)], None),
+    ("binary", ("ij", "ij", "ij"), [(2, 3)] * 3, [(1, 2), (3, 1), (3, 1)]),
+    ("binary", ("ij", "i", "i"), [(2, 2), (2,), (2,)], [(2, 1), None, None]),
+    ("binary", ("", "i", "i"), [(), (2,), (2,)], None),
+    ("binary", ("i", "i", "j"), [(2,), (2,), (2,)], None),
+    ("binary", ("i", "i", "j"), [(2,), (3,), (3,)], None),
+    ("binary", ("i", "j", "j"), [(2,), (3,), (2,)], None),
+    ("binary", ("ij", "ji", "ji"), [(4, 4), (4, 4), (4, 4)], [None, None, (1, 1)]),
+    ("unary", ("ijk", "ki"), [(2, 2, 2), (2, 2)], None),
+    ("unary", ("rij", "ji"), [(4, 3, 2), (2, 3)], None),
+    ("unary", ("ii", "i"), [(2, 2), (2,)], [(2, 1), None]),
+    ("unary", ("ri", ""), [(4, 3), ()], None),
+    ("unary", ("ij", "ji"), [(2, 3), (3, 2)], [(1, 2), (1, 3)]),
+    ("unary", ("i", ""), [(3,), ()], None),
+    ("unary", ("i$", "i"), [(2, 3), (2,)], None),
+    ("unary", ("ijk", "ij"), [(2, 3), (2, 3)], None),
+    ("unary", ("ij", "ii"), [(2, 3), (2, 3)], None),
+    ("unary", ("ij", "ijk"), [(2, 3), (2, 3, 2)], None),
+    ("unary", ("ij", "ji"), [(2, 3), (2, 2)], None),
+    ("unary", ("ij", "ij"), [(2, 3), (2, 3)], [None, (1, 1)]),
+    ("unary", ("i", "ij"), [(2,), (3, 2)], None),
+    ("unary", ("ij", "i"), [(2, 2), (3,)], None),
+]
+
+
+def _plan_fingerprints():
+    from tapp.cli import CATEGORIES, generate_case, parse_case
+
+    for category, recipe in CATEGORIES.items():
+        for seed in range(10):
+            doc = generate_case(category, seed)
+            case = parse_case(doc)
+            yield _create_fingerprint("product", _case_operands(case))
+            if recipe.transform is not None:
+                other = recipe.transform[1](case, random.Random(f"{seed}:{category}:perm"))
+                if other is not None:
+                    yield _create_fingerprint("product", _case_operands(other[0]))
+    for kind, labels, shapes, strides in _OP_CREATES:
+        strides = strides or [None] * len(shapes)
+        operands = [
+            (DType.R64, shape, _cm(*shape) if s is None else s, lbl)
+            for lbl, shape, s in zip(labels, shapes, strides)
+        ]
+        yield _create_fingerprint(kind, operands)
+        if kind != "unary" or "$" in labels[0]:
+            continue
+        for dtype in (DType.R32, DType.C32, DType.C64):
+            yield _create_fingerprint(kind, [(dtype, *x[1:]) for x in operands])
+    for dtype in (DType.R32, DType.C64):
+        for compute_dtype in (*DType, "r64"):
+            yield _create_fingerprint("product", [(dtype, (4,), (1,), "i")] * 4, compute_dtype)
+
+
+def test_plans_are_pinned():
+    # sha256 of the plan, or the create's code and reason, of every
+    # category's cases at seeds 0..9 (and of their metamorphic transforms)
+    # and of binary and unary creates, so that a planner change that
+    # moves a block shape, a layout, a load or an error shows here, where
+    # equal bits alone would not.
+    digest = hashlib.sha256()
+    count = 0
+    for fingerprint in _plan_fingerprints():
+        digest.update(repr(fingerprint).encode())
+        count += 1
+    assert count == 373
+    assert digest.hexdigest() == (
+        "4aab650320f0260afba610b32327affa545bcc493e6b22bd6b3ecd7244bc1299"
+    )
 
 
 def _plan_error(einsum, descs, **kwargs):
