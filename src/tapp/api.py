@@ -206,7 +206,7 @@ def tapp_destroy_handle(handle) -> ErrorCode:
 
 
 def _live_handle(handle) -> bool:
-    return isinstance(handle, Handle) and handle.alive
+    return isinstance(handle, Handle) and handle._alive  # the flag: the property is a call more
 
 
 def _failed(handle: Handle, code: ErrorCode, reason: str = "") -> ErrorCode:
@@ -287,7 +287,7 @@ def _create(
     if not _owned(handle, *infos):
         return _failed(handle, ErrorCode.ERR_INVALID_HANDLE)
     try:
-        key = kind, _label_tuples(*labels), tuple(i.desc for i in infos), compute_dtype
+        key = kind, _label_tuples(*labels), tuple([i.desc for i in infos]), compute_dtype
         try:
             plan = handle._plans(*key)
         except TypeError:  # an unhashable key part, or one raised in planning

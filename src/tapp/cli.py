@@ -42,6 +42,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -56,11 +57,13 @@ from .api import (
     tapp_get_default_executor,
 )
 from .core import (
-    DType, TensorDesc, TensorView, column_major_strides, integers, reach,
+    DType, TensorDesc, TensorView, column_major_strides, dtype_promote, integers, reach,
 )
 from .errors import ErrorCode, TappError
 from .labels import LabelSpec, parse_einsum
-from .oracle import DenseTensor, _addresses, _diagonal_weights, densify, oracle_contract
+from .oracle import (
+    DenseTensor, _addresses, _diagonal_weights, densify, oracle_contract, ordered_contract,
+)
 
 __all__ = [
     "load_case",
@@ -398,23 +401,22 @@ class OracleRun:
     dense: DenseTensor | None = None
 
 
+def _dense_operands(case: Case) -> tuple:
+    """The label spec over distinct labels, and A, B and C densified: the
+    oracles' first four arguments."""
+    (dense_a, ua), (dense_b, ub), (dense_c, uc) = (
+        densify(_view(entry), labels)
+        for entry, labels in zip((case.a, case.b, case.c), case.spec[:3])
+    )
+    return LabelSpec.of(ua, ub, uc, uc), dense_a, dense_b, dense_c  # C carries D's labels
+
+
 def oracle_case(case: Case) -> OracleRun:
     """Evaluate a case with the brute-force oracle."""
     code = _validate_case_contract(case)
     if code is not ErrorCode.OK:
         return OracleRun(code)
-    dense_a, ua = densify(_view(case.a), case.spec.labels_a)
-    dense_b, ub = densify(_view(case.b), case.spec.labels_b)
-    dense_c, uc = densify(_view(case.c), case.spec.labels_c)
-    dense = oracle_contract(
-        LabelSpec.of(ua, ub, uc, uc),  # C carries D's labels
-        dense_a,
-        dense_b,
-        dense_c,
-        case.alpha,
-        case.beta,
-        out_dtype=case.d.dtype,
-    )
+    dense = oracle_contract(*_dense_operands(case), case.alpha, case.beta, out_dtype=case.d.dtype)
     return OracleRun(ErrorCode.OK, dense=dense)
 
 
@@ -431,6 +433,26 @@ def _output(case: Case, run: EngineRun, layout: _TensorEntry | None = None) -> D
     """The engine's D over D's distinct labels, the first fastest (the
     oracle's dense order), read through ``layout``, by default D's own."""
     return densify(_view(layout or case.d, run.d_buffer), case.spec.labels_d)[0]
+
+
+def _index(position: int, extents) -> tuple[int, ...]:
+    """A dense position as an index, the first fastest."""
+    return tuple(int(i) for i in np.unravel_index(position, extents, order="F"))
+
+
+def _ordered_detail(case: Case, got: DenseTensor, perturb: float) -> str:
+    """Whether the engine's D, ``got``, holds the bits of the contract's
+    order (``oracle.ordered_contract``), each shifted by ``perturb`` as the
+    exact reference is, NaN's sign and payload aside; else the index where
+    it first differs."""
+    compute = reduce(dtype_promote, [e.dtype for e in (case.a, case.b, case.c, case.d)])
+    want = ordered_contract(*_dense_operands(case), case.alpha, case.beta, compute, case.d.dtype)
+    for pos, (g, w) in enumerate(zip(got.elements, want.elements)):
+        g, w = complex(g), complex(w + perturb if perturb else w)
+        for x, y in ((g.real, w.real), (g.imag, w.imag)):
+            if not (x == y and math.copysign(1, x) == math.copysign(1, y) or x != x and y != y):
+                return f"D's bits differ from the contract's order at index {list(_index(pos, got.extents))}"
+    return "D's bits equal the contract's order"
 
 
 def _max_rel_err(got, want) -> tuple[float, int | None]:
@@ -473,7 +495,11 @@ def check_case(
     """Run both paths on one case and compare.
 
     A case on which both paths report the same nonzero code counts as
-    agreement (the shared code becomes the process exit code).
+    agreement (the shared code becomes the process exit code).  A case
+    that fails the tolerance fails, and its detail also says whether D
+    holds the bits of the contract's summation order (see
+    :func:`_ordered_detail`), as an ill-conditioned sum can: then the
+    exact sum, not the engine, is what the order departs from.
     """
     run = execute_case(case)
     orun = oracle_case(case)
@@ -492,15 +518,16 @@ def check_case(
     tol = default_tolerance(case) if tolerance is None else tolerance
     got = _output(case, run)
     max_rel, worst = _max_rel_err(got.elements, [v + perturb for v in orun.dense.elements])
-    if worst is not None:  # the dense position as an index, the first fastest
-        worst = tuple(int(i) for i in np.unravel_index(worst, got.extents, order="F"))
+    detail = f"max relative error {max_rel:.3e} (tolerance {tol:.0e})"
+    if max_rel > tol:
+        detail += "; " + _ordered_detail(case, got, perturb)
     return CheckResult(
         ErrorCode.OK,
         ErrorCode.OK,
         max_rel_err=max_rel,
-        worst_index=worst,
+        worst_index=None if worst is None else _index(worst, got.extents),
         passed=max_rel <= tol,
-        detail=f"max relative error {max_rel:.3e} (tolerance {tol:.0e})",
+        detail=detail,
         run=run,
     )
 

@@ -11,6 +11,7 @@ beta are plain Python numbers; the engine's bind stage coerces them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -41,6 +42,10 @@ class DType(Enum):
     C32 = "c32", True, 32, np.complex64
     C64 = "c64", True, 64, np.complex128
 
+    # Members are singletons, so their identity is their value: a C-level
+    # hash, where Enum's hashes the member's name in a Python call.
+    __hash__ = object.__hash__
+
     def __new__(cls, name: str, is_complex: bool, width: int, np_type: type):
         member = object.__new__(cls)
         member._value_ = name
@@ -61,6 +66,8 @@ class DType(Enum):
 
 def dtype_promote(a: DType, b: DType) -> DType:
     """Widths promote to the maximum; complexness is contagious."""
+    if a is b:
+        return a
     if a.is_complex or b.is_complex:
         return DType.C64 if max(a.width, b.width) == 64 else DType.C32
     return DType.R64 if max(a.width, b.width) == 64 else DType.R32
@@ -104,7 +111,13 @@ def integral(value) -> int | None:
 
 
 def integers(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """``values`` as Python ints; a value that is not integral is an error."""
+    """``values`` as Python ints; a value that is not integral is an error.
+    Ints, bools and numpy integers convert in one C loop; any other value
+    sends all of them through :func:`integral`."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:  # a value without __index__, such as 2.0, or not a sequence
+        pass
     try:
         ints = tuple(integral(v) for v in values)
     except TypeError:  # not a sequence
@@ -132,12 +145,14 @@ def reach(extents: Sequence[int], strides: Sequence[int]) -> tuple[int, int]:
     lo = hi = 0
     for e, s in zip(extents, strides):
         span = s * (e - 1)
-        lo += min(0, span)
-        hi += max(0, span)
+        if span < 0:
+            lo += span
+        else:
+            hi += span
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TensorDesc:
     """Logical shape, strided physical layout and dtype of one operand.
 
@@ -148,23 +163,24 @@ class TensorDesc:
     strides: tuple[int, ...]
     dtype: DType
 
-    def __post_init__(self):
-        if not isinstance(self.dtype, DType):
+    def __init__(self, extents: Sequence[int], strides: Sequence[int], dtype: DType):
+        if not isinstance(dtype, DType):
             raise TappError(ErrorCode.ERR_DTYPE_MISMATCH, "dtype must be a DType")
-        object.__setattr__(self, "extents", integers(self.extents, "extents"))
-        object.__setattr__(self, "strides", integers(self.strides, "strides"))
-        if len(self.extents) != len(self.strides):
+        extents, strides = integers(extents, "extents"), integers(strides, "strides")
+        if len(extents) != len(strides):
             raise TappError(
                 ErrorCode.ERR_EXTENT_MISMATCH,
                 "extent and stride lists differ in length",
             )
-        if any(e < 1 for e in self.extents):
+        if extents and min(extents) < 1:
             raise TappError(ErrorCode.ERR_EXTENT_MISMATCH, "extents must be >= 1")
-        lo, hi = reach(self.extents, self.strides)
-        object.__setattr__(self, "_reach", (lo, hi))  # read by every view check
-        span = (hi - lo + 1) * self.dtype.np_dtype.itemsize
-        if max(self.size, span) > _INT64_MAX:
+        lo, hi = reach(extents, strides)
+        if max(math.prod(extents), (hi - lo + 1) * dtype.np_dtype.itemsize) > _INT64_MAX:
             raise TappError(ErrorCode.ERR_OUT_OF_BOUNDS, "size or reach exceeds int64")
+        # One write of every attribute, where the generated __init__ of a
+        # frozen dataclass makes one object.__setattr__ call each; _reach
+        # is read by every view check.
+        vars(self).update(extents=extents, strides=strides, dtype=dtype, _reach=(lo, hi))
 
     @property
     def nmodes(self) -> int:

@@ -166,7 +166,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from numbers import Number
 from typing import NamedTuple, Sequence
@@ -300,13 +300,19 @@ def _injective(extents, strides, budget: int) -> bool | None:
     of all modes below it shifts their addresses past that span with each
     of its values, so it is injective if they are: such modes are peeled
     off the top, and the modes left, if any, are enumerated."""
-    modes = sorted((abs(s), e) for e, s in zip(extents, strides) if e > 1)
+    modes = []
+    for e, s in zip(extents, strides):
+        if e > 1:
+            modes.append((abs(s), e))
+    modes.sort()
     if modes and modes[0][0] == 0:
         return False
-    spans = list(itertools.accumulate((s * (e - 1) for s, e in modes), initial=0))
-    n = len(modes)
-    while n and modes[n - 1][0] > spans[n - 1]:
-        n -= 1
+    # n: one past the last mode whose |stride| does not exceed the span below it.
+    n = span = 0
+    for k, (s, e) in enumerate(modes):
+        if s <= span:
+            n = k + 1
+        span += s * (e - 1)
     if n == 0:
         return True
     if math.prod(e for _, e in modes[:n]) > budget:
@@ -334,18 +340,23 @@ class _Layout(NamedTuple):
 
 def _layout(dtype: DType, *groups) -> _Layout:
     """The layout of ``(extents, strides)`` groups of ``dtype`` elements."""
-    axes = []
-    for extents, strides in groups:
-        axes += [(e, s) for e, s in zip(extents, strides) if e > 1][::-1] or [(1, 0)]
-    shape, steps = zip(*axes)
     element = dtype.np_dtype
-    strides = tuple([s * element.itemsize for s in steps])
-    broadcast = 0 in [s for e, s in axes if e > 1]
-    pairs = dtype.is_complex
-    if pairs:
+    size = element.itemsize
+    shape, strides, broadcast = [], [], False
+    for extents, steps in groups:
+        n = len(shape)
+        for e, s in zip(extents, steps):
+            if e > 1:  # before the group's faster labels
+                shape.insert(n, e)
+                strides.insert(n, s * size)
+                broadcast = broadcast or s == 0
+        if len(shape) == n:
+            shape.append(1)
+            strides.append(0)
+    if dtype.is_complex:
         element = _PARTS[element]
-        shape, strides = (2, *shape), (element.itemsize, *strides)
-    return _Layout(shape, strides, element, pairs, broadcast)
+        return _Layout((2, *shape), (element.itemsize, *strides), element, True, broadcast)
+    return _Layout(tuple(shape), tuple(strides), element, False, broadcast)
 
 
 def _box(k: int, cells: tuple[int, ...], pairs: bool, real: bool) -> tuple[int, ...]:
@@ -382,19 +393,21 @@ def _folded(layout: _Layout, shape: tuple[int, ...]) -> _Layout:
     merges without a copy where each of its strides is the next one's
     times that one's extent, and the merged axis takes the run's last
     stride (numpy's rule in C order); axes of 1 take stride 0."""
-    axes = [(n, s) for n, s in zip(layout.shape, layout.strides) if n > 1]
-    strides, k = [], 0
+    axes = zip(layout.shape, layout.strides)
+    strides = []
     for n in shape:
         size, stride = 1, 0
         while size < n:
-            extent, inner = axes[k]
+            extent, inner = next(axes)
+            if extent == 1:
+                continue
             if size > 1 and stride != inner * extent:
                 return layout
-            size, stride, k = size * extent, inner, k + 1
+            size, stride = size * extent, inner
         if size != n:
             return layout
         strides.append(stride)
-    return layout._replace(shape=shape, strides=tuple(strides))
+    return _Layout(shape, tuple(strides), layout.dtype, layout.pairs, layout.broadcast)
 
 
 class _Load(NamedTuple):
@@ -414,9 +427,10 @@ class _Load(NamedTuple):
     cut: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContractionPlan:
-    """Immutable preprocessed form of one ternary contraction."""
+    """Immutable preprocessed form of one ternary contraction, built from
+    its fields in order, by position or by name."""
 
     spec: LabelSpec
     desc_a: TensorDesc
@@ -463,6 +477,17 @@ class ContractionPlan:
     # Whether A is the unit operand U (a binary or unary plan): U is never
     # read, and execution skips *sum*.
     unit_a: bool = False
+
+    def __init__(self, *values, **named):
+        # One write of every field, where the generated __init__ of a
+        # frozen dataclass makes one object.__setattr__ call each.
+        vars(self).update(zip(_PLAN_FIELDS, values), **named)
+
+
+_PLAN_FIELDS = tuple(f.name for f in fields(ContractionPlan))
+
+# The unit operand of a binary or unary plan whose A lacks no output label.
+_UNIT = TensorDesc((), (), DType.R32)
 
 
 def _resolve_compute_dtype(requested: DType | None, *operands: DType) -> DType:
@@ -532,27 +557,26 @@ def make_plan(
     )
     # D's fastest label: the smallest |stride| of extent > 1 (no two are
     # equal, as D is injective).
-    moving = [
-        (abs(s), l)
-        for l, e, s in zip(merged_d.labels, merged_d.extents, merged_d.strides)
-        if e > 1
-    ]
+    moving = [(abs(s), l) for l, e, s in zip(*merged_d) if e > 1]
     swap_ab = bool(moving) and min(moving)[1] in cl.free_a.labels
-    outer, inner = (cl.free_b, cl.free_a) if swap_ab else (cl.free_a, cl.free_b)
-    groups = (cl.batch, outer, inner)
-    layout_d = _layout(desc_d.dtype, *((g.extents, g.strides_d) for g in groups))
+    batch, free_a, free_b = cl.batch, cl.free_a, cl.free_b
+    outer, inner = (free_b, free_a) if swap_ab else (free_a, free_b)
+    layout_d = _layout(desc_d.dtype, (batch.extents, batch.strides_d),
+                       (outer.extents, outer.strides_d), (inner.extents, inner.strides_d))
     layout_c = layout_d  # C is often D
-    if desc_c != desc_d:
-        merged_c = merge_repeats(spec.labels_c, desc_c)
-        strides_c = [tuple(map(merged_c.stride_of, g.labels)) for g in groups]
-        layout_c = _layout(desc_c.dtype, *zip((g.extents for g in groups), strides_c))
-    counts = tuple(g.size for g in (cl.reduced_a, cl.reduced_b, cl.contracted, *groups))
+    if desc_c is not desc_d and desc_c != desc_d:
+        stride_c = merge_repeats(spec.labels_c, desc_c).stride_of
+        layout_c = _layout(desc_c.dtype, *[(g.extents, tuple(map(stride_c, g.labels)))
+                                           for g in (batch, outer, inner)])
+    prod = math.prod
+    ra, rb, k = prod(cl.reduced_a.extents), prod(cl.reduced_b.extents), prod(cl.contracted.extents)
+    counts = ra, rb, k, prod(batch.extents), prod(outer.extents), prod(inner.extents)
     # An operand's input-only reduction is a group of its own only where
     # it has more than one element.
-    a_groups = ((cl.reduced_a,) if counts[0] > 1 else ()) + (cl.contracted, cl.batch, cl.free_a)
-    b_groups = ((cl.reduced_b,) if counts[1] > 1 else ()) + (cl.contracted, cl.batch, cl.free_b)
-    layout_a = _layout(desc_a.dtype, *((g.extents, g.strides_a) for g in a_groups))
-    layout_b = _layout(desc_b.dtype, *((g.extents, g.strides_b) for g in b_groups))
+    groups = (cl.reduced_a,) * (ra > 1) + (cl.contracted, batch, free_a)
+    layout_a = _layout(desc_a.dtype, *[(g.extents, g.strides_a) for g in groups])
+    groups = (cl.reduced_b,) * (rb > 1) + (cl.contracted, batch, free_b)
+    layout_b = _layout(desc_b.dtype, *[(g.extents, g.strides_b) for g in groups])
     part = _F32 if cdt.width == 32 else _F64
     # The sums are (re, im) pairs where an operand is complex; a real one
     # stays real, and multiplies each part of a complex one (see _cmul).
@@ -560,57 +584,39 @@ def make_plan(
     # are widened to it at once, which is exact, unless a reduction sums
     # in ``part`` first (widening after it adds a numpy call, measured
     # slower on tiny ops).
-    reduced = counts[0] > 1 or counts[1] > 1
     pairs = layout_a.pairs or layout_b.pairs
     cmul = layout_a.pairs and layout_b.pairs
-    dtype = _F64 if cmul and not reduced else part
+    dtype = _F64 if cmul and ra == rb == 1 else part
     # Loaded, F's operand spans the cells' H and F axes and G's their H
-    # and G axes, each with extent 1 on the other's.
+    # and G axes, each with extent 1 on the other's: H and F take one
+    # cell axis for each label above 1, or one for none.
     cells = layout_d.shape[layout_d.pairs :]
-    h, f = (max(1, sum(e > 1 for e in g.extents)) for g in groups[:2])
-    cuts = (h + f, len(cells)), (h, h + f)
-    box = _box(counts[2], cells, pairs, not cdt.is_complex)
-    parted = layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART
-    long_rows = not unit_a and counts[4] > 1 and counts[5] > 1 and box[-1] >= _ROW_BUFFER
+    h = max(1, len(batch.extents) - batch.extents.count(1))
+    f = h + max(1, len(outer.extents) - outer.extents.count(1))
+    box = _box(k, cells, pairs, not cdt.is_complex)
 
-    def load(slot: int, layout: _Layout, cut: tuple[int, int]) -> _Load:
+    def load(slot: int, layout: _Layout, i: int, j: int) -> _Load:
         reduced = counts[slot] > 1
-        shape = (2,) * layout.pairs + (counts[slot],) * reduced + (counts[2],) * (not unit_a)
+        shape = (2,) * layout.pairs + (counts[slot],) * reduced + (k,) * (not unit_a)
+        shape += cells[:i] + (1,) * (j - i) + cells[j:]
         # B of a plan whose A is U meets only alpha, so it reads each
         # element once and stays strided unless it is reduced (see _pass).
         dense = not unit_a or reduced
-        i, j = cut
-        shape += cells[:i] + (1,) * (j - i) + cells[j:]
         cast = layout.dtype != dtype
-        return _Load(slot, _folded(layout, shape), shape, dtype, cast, reduced, dense, cut)
+        return _Load(slot, _folded(layout, shape), shape, dtype, cast, reduced, dense, (i, j))
 
-    loads = (
-        None if unit_a else load(0, layout_a, cuts[swap_ab]),
-        load(1, layout_b, cuts[not swap_ab]),
-    )
+    # F's operand, then G's: A's then B's, or B's then A's where they trade places.
+    cuts = (f, len(cells)), (h, f)
+    loads = None if unit_a else load(0, layout_a, *cuts[swap_ab]), load(1, layout_b, *cuts[not swap_ab])
+    if swap_ab:
+        loads = loads[::-1]
     return ContractionPlan(
-        spec=spec,
-        desc_a=desc_a,
-        desc_b=desc_b,
-        desc_c=desc_c,
-        desc_d=desc_d,
-        compute_dtype=cdt,
-        layout_a=layout_a,
-        layout_b=layout_b,
-        layout_c=layout_c,
-        layout_d=layout_d,
-        swap_ab=swap_ab,
-        counts=counts,
-        cells=cells,
-        box=box,
-        part=part,
-        pairs=pairs,
-        cmul=cmul,
-        loads=loads[::-1] if swap_ab else loads,
-        whole=box == (counts[2], *cells),
-        parted=parted,
-        long_rows=long_rows,
-        unit_a=unit_a,
+        spec, desc_a, desc_b, desc_c, desc_d, cdt, layout_a, layout_b, layout_c, layout_d,
+        swap_ab, counts, cells, box, part, pairs, cmul, loads,
+        box == (k, *cells),  # whole
+        layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART,  # parted
+        not unit_a and counts[4] > 1 and counts[5] > 1 and box[-1] >= _ROW_BUFFER,  # long_rows
+        unit_a,
     )
 
 
@@ -1019,13 +1025,13 @@ def make_binary_plan(
 ) -> ContractionPlan:
     """Plan ``C := alpha*A + beta*B`` (B's labels name C); labels are
     checked first, then extents across A, B and C, then B must match C."""
-    labels_a = tuple(labels_a)
-    labels_b = tuple(labels_b)
-    labels_out = tuple(labels_out)
+    labels_a, labels_b, labels_out = tuple(labels_a), tuple(labels_b), tuple(labels_out)
     check_labels(labels_a, labels_b, labels_out)
-    merged_a = merge_repeats(labels_a, desc_a)
-    merged_b = merge_repeats(labels_b, desc_b)
-    label_extents(merged_a, merged_b, merge_repeats(labels_out, desc_out))
+    label_extents(
+        merge_repeats(labels_a, desc_a),
+        merge_repeats(labels_b, desc_b),
+        merge_repeats(labels_out, desc_out),
+    )
     if labels_b != labels_out or desc_b.extents != desc_out.extents:
         raise TappError(
             ErrorCode.ERR_OUTPUT_MISMATCH,
@@ -1033,10 +1039,11 @@ def make_binary_plan(
         )
     # The unit operand U carries, at stride zero, each output label A lacks.
     lacking = [k for k, l in enumerate(labels_out) if l not in labels_a]
-    desc_u = TensorDesc(
-        tuple(desc_out.extents[k] for k in lacking), (0,) * len(lacking), DType.R32
-    )
-    labels_u = tuple(labels_out[k] for k in lacking)
+    desc_u, labels_u = _UNIT, ()
+    if lacking:
+        extents = tuple([desc_out.extents[k] for k in lacking])
+        desc_u = TensorDesc(extents, (0,) * len(lacking), DType.R32)
+        labels_u = tuple([labels_out[k] for k in lacking])
     spec = LabelSpec(labels_u, labels_a, labels_out, labels_out)
     return make_plan(spec, desc_u, desc_a, desc_b, desc_out, unit_a=True)
 
@@ -1084,12 +1091,11 @@ def make_unary_plan(
     first, then output-only labels are rejected.  The plan is the binary
     plan of ``B := alpha*A + 0*B``: as A lacks no output label, its unit
     operand U has zero modes, so it runs ``B := alpha*U A + 0*B``."""
-    labels_a = tuple(labels_a)
-    labels_out = tuple(labels_out)
+    labels_a, labels_out = tuple(labels_a), tuple(labels_out)
     check_labels(labels_a, labels_out)
-    merged_a = merge_repeats(labels_a, desc_a)
+    merge_repeats(labels_a, desc_a)
     for lbl in merge_repeats(labels_out, desc_out).labels:
-        if lbl not in merged_a.labels:
+        if lbl not in labels_a:
             raise TappError(
                 ErrorCode.ERR_UNSUPPORTED,
                 f"output-only label {lbl!r} is not supported",

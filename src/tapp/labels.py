@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import TensorDesc
@@ -56,8 +55,9 @@ class LabelSpec(NamedTuple):
     any labels; :meth:`of` and :func:`parse_einsum` accept only single
     ASCII letters and digits (see :func:`check_labels`).
 
-    This record and the other two value records of this module,
-    :class:`MergedTensorLabels` and :class:`LabelGroup`, are NamedTuples:
+    This record and the other value records of this module,
+    :class:`MergedTensorLabels`, :class:`LabelGroup` and
+    :class:`ClassifiedLabels`, are NamedTuples:
     immutable, compared and hashed by value, and built at import without
     the generated methods a frozen dataclass compiles."""
 
@@ -113,11 +113,13 @@ class MergedTensorLabels(NamedTuple):
 def merge_repeats(labels: Sequence[str], desc: TensorDesc) -> MergedTensorLabels:
     """Collapse repeated labels: one entry per distinct label, stride
     equal to the sum of the strides of all modes carrying it."""
-    if len(labels) != desc.nmodes:
+    if len(labels) != len(desc.extents):
         raise TappError(
             ErrorCode.ERR_EXTENT_MISMATCH,
-            f"{len(labels)} labels for a tensor with {desc.nmodes} modes",
+            f"{len(labels)} labels for a tensor with {len(desc.extents)} modes",
         )
+    if len(set(labels)) == len(labels):  # no repeats: the descriptor's own lists
+        return MergedTensorLabels(tuple(labels), desc.extents, desc.strides)
     out_labels: list[str] = []
     out_extents: list[int] = []
     out_strides: list[int] = []
@@ -170,8 +172,7 @@ class LabelGroup(NamedTuple):
         return math.prod(self.extents)
 
 
-@dataclass(frozen=True)
-class ClassifiedLabels:
+class ClassifiedLabels(NamedTuple):
     """The seven disjoint label groups of one ternary operation."""
 
     contracted: LabelGroup
@@ -185,17 +186,9 @@ class ClassifiedLabels:
 
 _EMPTY_GROUP = LabelGroup((), (), (), (), ())
 
-# Each class by which of (A, B, D) hold its labels, in ClassifiedLabels'
-# field order.
-_CLASS_KEYS = (
-    (True, True, False),  # contracted
-    (True, False, True),  # free_a
-    (False, True, True),  # free_b
-    (True, True, True),  # batch
-    (True, False, False),  # reduced_a
-    (False, True, False),  # reduced_b
-    (False, False, True),  # broadcast_out
-)
+# Each class's index, 4 * (in A) + 2 * (in B) + (in D), in
+# ClassifiedLabels' field order.
+_CLASS_INDEX = (6, 5, 3, 7, 4, 2, 1)
 
 
 def classify(
@@ -212,26 +205,18 @@ def classify(
     loop nesting (and therefore summation order) downstream.
     """
     extent_of = label_extents(merged_a, merged_b, merged_d)
-
-    stride_a, stride_b, stride_d = (
-        dict(zip(m.labels, m.strides)) for m in (merged_a, merged_b, merged_d)
-    )
-
-    def group(names: list[str]) -> LabelGroup:
-        if not names:
-            return _EMPTY_GROUP
-        return LabelGroup(
-            tuple(names),
-            tuple([extent_of[n] for n in names]),
-            tuple([stride_a.get(n, 0) for n in names]),
-            tuple([stride_b.get(n, 0) for n in names]),
-            tuple([stride_d.get(n, 0) for n in names]),
-        )
-
+    stride_a = dict(zip(merged_a.labels, merged_a.strides))
+    stride_b = dict(zip(merged_b.labels, merged_b.strides))
+    stride_d = dict(zip(merged_d.labels, merged_d.strides))
     # Walking D's labels, then A's, then B's puts each class in the order
     # of the first tensor walked that holds it: D's for the classes in D,
-    # A's for contracted and reduced_a, B's for reduced_b.
-    members: dict[tuple[bool, bool, bool], list[str]] = {k: [] for k in _CLASS_KEYS}
-    for lbl in dict.fromkeys((*merged_d.labels, *merged_a.labels, *merged_b.labels)):
-        members[lbl in stride_a, lbl in stride_b, lbl in stride_d].append(lbl)
-    return ClassifiedLabels(*(group(members[k]) for k in _CLASS_KEYS))
+    # A's for contracted and reduced_a, B's for reduced_b.  Each label's
+    # row is (label, extent, stride in A, in B, in D), which one zip
+    # turns into its group's five tuples.
+    rows: list[list[tuple]] = [[], [], [], [], [], [], [], []]
+    for lbl in dict.fromkeys(merged_d.labels + merged_a.labels + merged_b.labels):
+        row = lbl, extent_of[lbl], stride_a.get(lbl, 0), stride_b.get(lbl, 0), stride_d.get(lbl, 0)
+        rows[(lbl in stride_a) * 4 + (lbl in stride_b) * 2 + (lbl in stride_d)].append(row)
+    return ClassifiedLabels(
+        *[LabelGroup(*zip(*rows[k])) if rows[k] else _EMPTY_GROUP for k in _CLASS_INDEX]
+    )

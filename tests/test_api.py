@@ -599,6 +599,25 @@ def test_planned_tiny_executes_make_few_python_calls(handle, dtype, alpha, beta,
         assert _tapp_calls(run) <= limits[kind], kind
 
 
+def test_a_cold_create_makes_few_python_calls():
+    # The fixed cost of creating a new operation, as a count that does not
+    # depend on the machine: a handle, four infos (the last equal to the
+    # third, so the handle's descriptor is shared), a 2x3x2 plan and the
+    # handle's destruction make at most this many calls into tapp.
+    def run():
+        handle = tapp_create_handle()
+        a, b, c, d = (
+            tapp_create_tensor_info(handle, DType.R64, 2, shape)
+            for shape in ((2, 3), (3, 2), (2, 2), (2, 2))
+        )
+        op = tapp_create_contraction(handle, a, "ij", b, "jk", c, "ik", d, "ik")
+        assert isinstance(op, tapp.OperationDescriptor)
+        return tapp_destroy_handle(handle)
+
+    run()  # anything done once per process is done
+    assert _tapp_calls(run) <= 88
+
+
 @pytest.mark.parametrize("labels, extents", [("ij->ji", (2, 2)), ("ijk->ki", (2, 3, 2))])
 def test_a_tiny_unary_checks_each_view_once_and_probes_nothing(
     handle, monkeypatch, labels, extents

@@ -203,6 +203,35 @@ def test_check_reports_the_empty_worst_index_of_a_scalar_output(tmp_path, capsys
     assert _strict_json(capsys.readouterr().out)["worst_index"] == []
 
 
+# r64 ``i,i->`` whose exact sum is 1 and whose ordered sum
+# ``((1e17 + 1) + -1e17)`` is 0.
+CANCELLATION_DOC = {
+    "einsum": "i,i->", "alpha": 1.0, "beta": 0.0,
+    "a": {"dtype": "r64", "extents": [3], "data": [1e17, 1.0, -1e17]},
+    "b": {"dtype": "r64", "extents": [3], "data": [1.0, 1.0, 1.0]},
+    "d": {"dtype": "r64", "extents": []},
+}
+
+
+@pytest.mark.parametrize(
+    "perturb, says",
+    [("0", "D's bits equal the contract's order"),
+     ("1e-3", "D's bits differ from the contract's order at index []")],
+)
+def test_check_says_whether_a_failing_d_holds_the_contracts_order(
+    tmp_path, capsys, monkeypatch, perturb, says
+):
+    # The verdict and exit code stay the exact comparison's; the detail
+    # adds the ordered oracle's, which only a failing case runs.
+    path = _write(tmp_path, CANCELLATION_DOC)
+    assert main(["check", path, "--perturb", perturb]) == 1
+    out = _strict_json(capsys.readouterr().out)
+    assert not out["passed"] and out["max_rel_err"] == 1.0
+    assert out["detail"] == f"max relative error 1.000e+00 (tolerance 1e-12); {says}"
+    monkeypatch.setattr(cli, "ordered_contract", None)  # a passing case never calls it
+    assert main(["check", _write(tmp_path, MATMUL_DOC)]) == 0
+
+
 def test_readme_example_case_runs_and_checks(tmp_path, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)

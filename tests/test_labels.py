@@ -135,7 +135,7 @@ def test_classify_partitions_the_label_universe():
     for _ in range(200):
         la, lb, ld = _random_label_sets(rng)
         got = classify(_merged(la), _merged(lb), _merged(ld))
-        groups = vars(got).values()
+        groups = got._asdict().values()
         union = set()
         total = 0
         for group in groups:
@@ -169,8 +169,8 @@ def test_classify_invariant_under_mode_permutation():
         )
         got_base = classify(base, _merged("jm", [4, 6]), _merged("km", [5, 6]))
         got_perm = classify(permuted, _merged("jm", [4, 6]), _merged("km", [5, 6]))
-        for name, group in vars(got_base).items():
-            other = vars(got_perm)[name]
+        for name, group in got_base._asdict().items():
+            other = got_perm._asdict()[name]
             assert set(group.labels) == set(other.labels)
             assert dict(zip(group.labels, group.strides_a)) == dict(
                 zip(other.labels, other.strides_a)
