@@ -184,7 +184,7 @@ from .core import (
     validate_view,
 )
 from .errors import ErrorCode, TappError
-from .labels import LabelSpec, check_labels, classify, label_extents, merge_repeats
+from .labels import LabelGroup, LabelSpec, check_labels, classify, label_extents, merge_repeats
 
 __all__ = [
     "StatusRecord",
@@ -267,6 +267,7 @@ _ENUMERATION_BUDGET = 1 << 20
 _OVERLAP_WORK = 1 << 12
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+_A, _B, _D = (LabelGroup._fields.index(f) for f in ("strides_a", "strides_b", "strides_d"))
 _ALL = slice(None)
 _PARTS = {np.dtype(np.complex64): _F32, np.dtype(np.complex128): _F64}
 
@@ -338,14 +339,15 @@ class _Layout(NamedTuple):
     broadcast: bool  # an axis has stride 0
 
 
-def _layout(dtype: DType, *groups) -> _Layout:
-    """The layout of ``(extents, strides)`` groups of ``dtype`` elements."""
+def _layout(dtype: DType, which: int, *groups: LabelGroup) -> _Layout:
+    """The layout of ``dtype`` elements over the labels of ``groups``, at
+    each group's stride field ``which``: ``_A``, ``_B`` or ``_D``."""
     element = dtype.np_dtype
     size = element.itemsize
     shape, strides, broadcast = [], [], False
-    for extents, steps in groups:
+    for group in groups:
         n = len(shape)
-        for e, s in zip(extents, steps):
+        for e, s in zip(group.extents, group[which]):
             if e > 1:  # before the group's faster labels
                 shape.insert(n, e)
                 strides.insert(n, s * size)
@@ -561,22 +563,19 @@ def make_plan(
     swap_ab = bool(moving) and min(moving)[1] in cl.free_a.labels
     batch, free_a, free_b = cl.batch, cl.free_a, cl.free_b
     outer, inner = (free_b, free_a) if swap_ab else (free_a, free_b)
-    layout_d = _layout(desc_d.dtype, (batch.extents, batch.strides_d),
-                       (outer.extents, outer.strides_d), (inner.extents, inner.strides_d))
-    layout_c = layout_d  # C is often D
+    layout_d = layout_c = _layout(desc_d.dtype, _D, batch, outer, inner)  # C is often D
     if desc_c is not desc_d and desc_c != desc_d:
         stride_c = merge_repeats(spec.labels_c, desc_c).stride_of
-        layout_c = _layout(desc_c.dtype, *[(g.extents, tuple(map(stride_c, g.labels)))
-                                           for g in (batch, outer, inner)])
+        layout_c = _layout(desc_c.dtype, _D, *[
+            g._replace(strides_d=tuple(map(stride_c, g.labels))) for g in (batch, outer, inner)
+        ])
     prod = math.prod
     ra, rb, k = prod(cl.reduced_a.extents), prod(cl.reduced_b.extents), prod(cl.contracted.extents)
     counts = ra, rb, k, prod(batch.extents), prod(outer.extents), prod(inner.extents)
     # An operand's input-only reduction is a group of its own only where
     # it has more than one element.
-    groups = (cl.reduced_a,) * (ra > 1) + (cl.contracted, batch, free_a)
-    layout_a = _layout(desc_a.dtype, *[(g.extents, g.strides_a) for g in groups])
-    groups = (cl.reduced_b,) * (rb > 1) + (cl.contracted, batch, free_b)
-    layout_b = _layout(desc_b.dtype, *[(g.extents, g.strides_b) for g in groups])
+    layout_a = _layout(desc_a.dtype, _A, *(cl.reduced_a,) * (ra > 1), cl.contracted, batch, free_a)
+    layout_b = _layout(desc_b.dtype, _B, *(cl.reduced_b,) * (rb > 1), cl.contracted, batch, free_b)
     part = _F32 if cdt.width == 32 else _F64
     # The sums are (re, im) pairs where an operand is complex; a real one
     # stays real, and multiplies each part of a complex one (see _cmul).

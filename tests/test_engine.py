@@ -16,6 +16,7 @@ import tapp
 from tapp import (
     DenseTensor,
     DType,
+    LabelGroup,
     LabelSpec,
     TappError,
     TensorDesc,
@@ -1057,7 +1058,8 @@ def test_overlap_too_hard_to_decide_falls_back_to_byte_intervals(monkeypatch):
 )
 @settings(max_examples=300, deadline=None)
 def test_folded_layouts_are_the_views_numpy_reshapes_into(modes, cuts, dtype):
-    layout = engine._layout(dtype, ([e for e, _ in modes], [s for _, s in modes]))
+    group = LabelGroup((), [e for e, _ in modes], (), (), [s for _, s in modes])
+    layout = engine._layout(dtype, engine._D, group)
     # A load shape: runs of the label axes merged, with axes of 1 between.
     axes, shape = list(layout.shape[layout.pairs :]), []
     for cut in cuts:  # 0 puts an axis of 1, else the next ``cut`` axes merge
