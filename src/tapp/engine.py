@@ -166,7 +166,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import reduce
 from numbers import Number
 from typing import NamedTuple, Sequence
@@ -429,10 +429,12 @@ class _Load(NamedTuple):
     cut: tuple[int, int]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ContractionPlan:
-    """Immutable preprocessed form of one ternary contraction, built from
-    its fields in order, by position or by name."""
+    """Immutable preprocessed form of one ternary contraction.  It keeps
+    the frozen dataclass's own __init__: an instance whose __dict__ is
+    written whole (``vars(plan).update``) is built faster, but each of
+    the reads every execute makes of it is slower (Python 3.11)."""
 
     spec: LabelSpec
     desc_a: TensorDesc
@@ -480,13 +482,6 @@ class ContractionPlan:
     # read, and execution skips *sum*.
     unit_a: bool = False
 
-    def __init__(self, *values, **named):
-        # One write of every field, where the generated __init__ of a
-        # frozen dataclass makes one object.__setattr__ call each.
-        vars(self).update(zip(_PLAN_FIELDS, values), **named)
-
-
-_PLAN_FIELDS = tuple(f.name for f in fields(ContractionPlan))
 
 # The unit operand of a binary or unary plan whose A lacks no output label.
 _UNIT = TensorDesc((), (), DType.R32)
