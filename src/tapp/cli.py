@@ -451,7 +451,8 @@ def _ordered_detail(case: Case, got: DenseTensor, perturb: float) -> str:
         g, w = complex(g), complex(w + perturb if perturb else w)
         for x, y in ((g.real, w.real), (g.imag, w.imag)):
             if not (x == y and math.copysign(1, x) == math.copysign(1, y) or x != x and y != y):
-                return f"D's bits differ from the contract's order at index {list(_index(pos, got.extents))}"
+                index = list(_index(pos, got.extents))
+                return f"D's bits differ from the contract's order at index {index}"
     return "D's bits equal the contract's order"
 
 

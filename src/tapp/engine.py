@@ -601,7 +601,8 @@ def make_plan(
 
     # F's operand, then G's: A's then B's, or B's then A's where they trade places.
     cuts = (f, len(cells)), (h, f)
-    loads = None if unit_a else load(0, layout_a, *cuts[swap_ab]), load(1, layout_b, *cuts[not swap_ab])
+    loads = (None if unit_a else load(0, layout_a, *cuts[swap_ab]),
+             load(1, layout_b, *cuts[not swap_ab]))
     if swap_ab:
         loads = loads[::-1]
     return ContractionPlan(
