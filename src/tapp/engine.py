@@ -108,19 +108,17 @@ products and one block's temporaries, at most 512 KiB each, whatever
 D's strides.
 
 A block's products ``A[k, f] * B[k, g]`` broadcast A along G and B along
-F, so numpy cannot fold them into one inner loop.  With a ufunc buffer
-longer than a row (numpy's default is 8,192 elements), numpy's buffered
-iterator copies the operands into buffers to run its inner loop past the
-row.  So a call whose blocks are such outer products, with F and G of
-more than one cell each and rows (a block's last axis) of at least
-``_ROW_BUFFER`` (128) cells (``ContractionPlan.long_rows``), runs with a
-buffer of 128 elements, and numpy runs each row without copying.  The
-buffer changes no bits: products and sums are formed element by element,
-and *sum* never lets numpy sum pairwise (see :func:`_sum_k`).
-:func:`contract` sets the size once for the whole call.  It runs under
-``np.errstate`` as a decorator, which ignores floating-point errors for
-the call and, as it leaves, also on an error, gives the calling thread
-its own error state and buffer size back.
+F, so numpy cannot fold them into one inner loop: its buffered iterator
+copies the operands into its ufunc buffer (8,192 elements by default) to
+run the inner loop past a row.  How large that buffer is for a plan's
+call is one rule, stated at ``_ROW_BUFFER``; the plan holds the size
+(``ContractionPlan.bufsize``) and :func:`contract` sets it once for the
+whole call.  The buffer changes no bits: products and sums are formed
+element by element, and *sum* never lets numpy sum pairwise (see
+:func:`_sum_k`).  :func:`contract` runs under ``np.errstate`` as a
+decorator, which ignores floating-point errors for the call and, as it
+leaves, also on an error, gives the calling thread its own error state
+and buffer size back.
 
 A sum of rows (K products, or R reduced values, per cell) is one numpy
 call (see :func:`_sum_k`): ``np.add`` of two rows; ``np.add.reduce``
@@ -241,22 +239,34 @@ _STEP_BYTES = 1 << 18
 # 128 KiB, at a time (see _pass), not whole: a 128x128 c64 one is 256 KiB.
 _PART_BY_PART = 256
 
-# numpy's ufunc buffer, in elements, for a call whose blocks are outer
-# products with long rows (``ContractionPlan.long_rows``), and the fewest
-# cells a block's row must have for it.  With a buffer longer than a row,
-# numpy copies the operands into buffers to run its inner loop past the
-# row (see the module docstring); with one no longer, it runs each row
-# without copying: a float64 (1, 256, 1) x (1, 1, 256) multiply into `out` took 80 us with
-# the default 8,192 elements against 23 us with 128 or 256 (best of 5
-# timeit runs of 200).  Planned executes with the rule on against off
-# (medians of 120 alternated rounds): r64 256x256 `i,j->ij` 274 -> 220
-# us, c64 at complex alpha and beta 1,530 -> 1,328 us, r64 512x512 888 ->
-# 582 us, r64 `ij,jk->ik` with i=128, j=16, k=256 1,248 -> 886 us.
-# Shorter rows stay out: rows of 64 moved +3% in r64 and 0% in c64, and
-# the 32x32x32 matmuls took 18% longer in r64 and c64.  The size is set
-# once per call, not around each block's products, as each switch costs
-# about 2 us.  (numpy 2.4, Python 3.11, 2-core x86-64 Linux.)
+# numpy's ufunc buffer, in elements, for a call.  The rule: where a
+# plan's blocks are outer products (F and G of more than one cell each, A
+# not U),
+# * rows (a block's last axis) of at least ``_ROW_BUFFER`` cells
+#   (``ContractionPlan.long_rows``) get ``_ROW_BUFFER`` elements, so that
+#   numpy runs each row without copying;
+# * shorter rows get ``_SHORT_ROW_BUFFER`` elements where a contracted
+#   step's products hold at least ``_SHORT_ROW_STEP`` float parts (16,384
+#   real products, or 8,192 complex ones), so that numpy's copies of them
+#   stay small;
+# every other plan (tiny steps, batch-only, binary and unary plans) keeps
+# numpy's own and sets nothing, as a switch costs 1-3 us.  Medians of
+# 500 round-robin calls of each op, the plan's buffer against numpy's own
+# in alternating order (numpy 2.4, Python 3.11, 2-core x86-64 Linux), in
+# two runs: long rows, r64 256x256 `i,j->ij` 217 -> 155 and 194 -> 141
+# us, c64 at complex alpha and beta 1,111 -> 892 and 1,012 -> 788 us, r64
+# `ij,jk->ik` with i=128, j=16, k=256 861 -> 527 and 801 -> 477 us; short
+# rows, the 32x32x32 matmuls in r64 87 -> 81 and 78 -> 70 us, c32 361 ->
+# 331 and 323 -> 287 us, c64 325 -> 299 and 295 -> 264 us, but r32 77 ->
+# 83 and 65 -> 69 us.  Below the step rule the short-row buffer lost:
+# `steady_large`'s `ijr,jk->ik`, 4,096 products a step, took 4% longer,
+# and matmuls of 8,192 to 13,824 real products a step 2-3% longer in r64
+# and 9-12% in r32 (interleaved planned executes).  Re-check with
+# ``python tools/faults.py``, whose ``numpy_us`` column times each op
+# with numpy's own buffer.
 _ROW_BUFFER = 128
+_SHORT_ROW_BUFFER = 1 << 10
+_SHORT_ROW_STEP = 1 << 14
 
 # The most output addresses enumerated where the sorted-stride test cannot
 # decide injectivity (8 MB of int64); a larger layout is ERR_UNSUPPORTED.
@@ -473,14 +483,19 @@ class ContractionPlan:
     loads: tuple[_Load | None, _Load | None] = field(repr=False, compare=False)
     whole: bool = field(repr=False, compare=False)
     parted: bool = field(repr=False, compare=False)
-    # Whether the blocks are outer products with long rows, for which
-    # contract runs numpy's ufuncs with a ``_ROW_BUFFER`` buffer: both F
-    # and G have more than one cell, A is not U, and a block's rows, its
-    # last axis, have at least ``_ROW_BUFFER`` cells.
-    long_rows: bool = field(repr=False, compare=False)
+    # The ufunc buffer, in elements, that contract sets for the call, or 0
+    # for numpy's own (see ``_ROW_BUFFER``).
+    bufsize: int = field(repr=False, compare=False)
     # Whether A is the unit operand U (a binary or unary plan): U is never
     # read, and execution skips *sum*.
     unit_a: bool = False
+
+    @property
+    def long_rows(self) -> bool:
+        """Whether the blocks are outer products with long rows: both F
+        and G have more than one cell, A is not U, and a block's rows, its
+        last axis, have at least ``_ROW_BUFFER`` cells."""
+        return self.bufsize == _ROW_BUFFER
 
 
 # The unit operand of a binary or unary plan whose A lacks no output label.
@@ -599,6 +614,15 @@ def make_plan(
         cast = layout.dtype != dtype
         return _Load(slot, _folded(layout, shape), shape, dtype, cast, reduced, dense, (i, j))
 
+    # The blocks are outer products where both F and G have more than one
+    # cell and A is not U; see ``_ROW_BUFFER`` for their buffer.
+    outer_products = not unit_a and counts[4] > 1 and counts[5] > 1
+    if outer_products and box[-1] >= _ROW_BUFFER:
+        bufsize = _ROW_BUFFER
+    elif outer_products and math.prod(box) * (1 + pairs) >= _SHORT_ROW_STEP:
+        bufsize = _SHORT_ROW_BUFFER
+    else:
+        bufsize = 0
     # F's operand, then G's: A's then B's, or B's then A's where they trade places.
     cuts = (f, len(cells)), (h, f)
     loads = (None if unit_a else load(0, layout_a, *cuts[swap_ab]),
@@ -610,7 +634,7 @@ def make_plan(
         swap_ab, counts, cells, box, part, pairs, cmul, loads,
         box == (k, *cells),  # whole
         layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART,  # parted
-        not unit_a and counts[4] > 1 and counts[5] > 1 and box[-1] >= _ROW_BUFFER,  # long_rows
+        bufsize,
         unit_a,
     )
 
@@ -995,8 +1019,8 @@ def contract(
     t0 = time.perf_counter()
     al, be, views, dv, in_place = _bind(plan, alpha, a, b, beta, c, d, names)
     read_ab = al != 0
-    if plan.long_rows:
-        np.setbufsize(_ROW_BUFFER)
+    if plan.bufsize:
+        np.setbufsize(plan.bufsize)
     if read_ab:
         loaded = _load(plan, views, in_place and b is c)
     cv = views[2] if be != 0 else None

@@ -737,8 +737,8 @@ def test_unexpected_exceptions_become_codes(handle, monkeypatch):
 
 def test_executes_leave_the_callers_numpy_state_as_it_was(handle, monkeypatch):
     # A 256x256 outer product runs with a small ufunc buffer, a 32^3 matmul
-    # and a binary transpose with numpy's; an error in the block loop
-    # restores the caller's state too.
+    # with the short-row one and a binary transpose with numpy's; an error
+    # in the block loop restores the caller's state too.
     from tapp import engine
 
     ex = tapp_get_default_executor(handle)
@@ -772,7 +772,7 @@ def test_executes_leave_the_callers_numpy_state_as_it_was(handle, monkeypatch):
             for run in runs[:2]:
                 assert run() is ErrorCode.ERR_INTERNAL
                 assert (np.getbufsize(), np.geterr()) == state
-        assert sizes == [engine._ROW_BUFFER, 4096]
+        assert sizes == [engine._ROW_BUFFER, engine._SHORT_ROW_BUFFER]
 
 
 def test_threads_keep_their_own_numpy_state_through_overflowing_executes(handle):

@@ -225,6 +225,38 @@ def test_long_rows_mark_outer_products_whose_rows_hold_128_cells():
     assert not _product_plan("i,i->", {"i": 4}).long_rows
 
 
+def test_outer_products_get_a_ufunc_buffer_by_their_rows_and_steps():
+    # Short rows whose contracted step forms products of at least 16,384
+    # float parts: 1,024 elements.  `steady_large`'s 32x32x32 matmuls
+    # (32,768 real products a step, or 8,192 complex ones) and batched
+    # `bij,bjk->bik` (32,768 products a step, rows of 16).
+    cube = {"i": 32, "j": 32, "k": 32}
+    for dtype in DType:
+        for row_major in (False, True):
+            plan = _product_plan("ij,jk->ik", cube, dtype, row_major)
+            assert plan.bufsize == engine._SHORT_ROW_BUFFER == 1024
+    batched = {"b": 8, "i": 16, "j": 16, "k": 16}
+    assert _product_plan("bij,bjk->bik", batched).bufsize == 1024
+    # Rows of at least 128 cells: 128 elements, whatever the step.
+    for dtype in (DType.R64, DType.C64):
+        plan = _product_plan("i,j->ij", {"i": 256, "j": 256}, dtype)
+        assert plan.bufsize == engine._ROW_BUFFER == 128 and plan.box[0] == 1
+    # numpy's own (0): tiny steps, steps of 4,096 products (`steady_large`'s
+    # input-only reduction), batch-only plans, and binary and unary plans.
+    for dtype in DType:
+        assert _product_plan("ij,jk->ik", {"i": 2, "j": 3, "k": 2}, dtype).bufsize == 0
+        small = TensorDesc.column_major((4, 4), dtype)
+        assert engine.make_binary_plan("ij", small, "ji", small, "ji", small).bufsize == 0
+        cube3, pair = (TensorDesc.column_major(s, dtype) for s in ((2, 2, 2), (2, 2)))
+        assert make_unary_plan("ijk", cube3, "ki", pair).bufsize == 0
+    assert _product_plan("ijr,jk->ik", {"i": 16, "j": 16, "k": 16, "r": 8}).bufsize == 0
+    assert _product_plan("i,i->", {"i": 4}).bufsize == 0
+    assert _product_plan("ijk,ijk->ij", {"i": 256, "j": 256, "k": 2}).bufsize == 0
+    square = TensorDesc.column_major((256, 256), DType.R64)
+    assert engine.make_binary_plan("ij", square, "ji", square, "ji", square).bufsize == 0
+    assert make_unary_plan("ij", square, "ji", square).bufsize == 0
+
+
 def _layout_fingerprint(layout) -> tuple:
     return layout.shape, layout.strides, str(layout.dtype), layout.pairs, layout.broadcast
 

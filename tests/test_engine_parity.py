@@ -714,23 +714,33 @@ def test_two_row_contracted_step_matches_scalar_loop(
     _check(plan, 1.5, a, b, -0.5, c, d)
 
 
-# Outer products with long rows (ContractionPlan.long_rows), over several
-# blocks where the compute dtype is complex and in contracted steps of one
-# to four rows, and plans with short rows or no F; whether the rule fires.
+# Outer products with long rows, which run with a ``_ROW_BUFFER`` buffer,
+# over several blocks where the compute dtype is complex and in
+# contracted steps of one to four rows; outer products with short rows
+# and large steps (the 32x32x32 matmul and `steady_large`'s batched one),
+# which run with a ``_SHORT_ROW_BUFFER`` buffer, over several steps where
+# the compute dtype is complex; and plans with small steps (`steady_large`'s
+# input-only reduction, 4,096 products a step) or no F, which keep numpy's
+# own (0); the buffer each plan gets.
 BUFFER_CASES = [
-    ("i,j->ij", {"i": 256, "j": 256}, True),
-    ("ij,jk->ik", {"i": 128, "j": 16, "k": 256}, True),
-    ("bij,bjk->bik", {"b": 2, "i": 16, "j": 8, "k": 256}, True),
-    ("ij,jk->ik", {"i": 32, "j": 32, "k": 32}, False),
-    ("ijk,ijk->ij", {"i": 64, "j": 64, "k": 3}, False),
+    ("i,j->ij", {"i": 256, "j": 256}, engine._ROW_BUFFER),
+    ("ij,jk->ik", {"i": 128, "j": 16, "k": 256}, engine._ROW_BUFFER),
+    ("bij,bjk->bik", {"b": 2, "i": 16, "j": 8, "k": 256}, engine._ROW_BUFFER),
+    ("ij,jk->ik", {"i": 32, "j": 32, "k": 32}, engine._SHORT_ROW_BUFFER),
+    ("bij,bjk->bik", {"b": 8, "i": 16, "j": 16, "k": 16}, engine._SHORT_ROW_BUFFER),
+    ("ijr,jk->ik", {"i": 16, "j": 16, "k": 16, "r": 8}, 0),
+    ("ijk,ijk->ij", {"i": 64, "j": 64, "k": 3}, 0),
 ]
 
 
-@pytest.mark.parametrize("einsum, extents, fires", BUFFER_CASES)
+@pytest.mark.parametrize("einsum, extents, bufsize", BUFFER_CASES)
 @pytest.mark.parametrize("dtype", list(DType))
-def test_outputs_do_not_depend_on_numpys_ufunc_buffer(einsum, extents, fires, dtype):
-    # The caller's buffer of 16 or 1 << 20 elements, and the plan run with
-    # numpy's default buffer throughout, give the default run's bits.
+def test_outputs_do_not_depend_on_numpys_ufunc_buffer(einsum, extents, bufsize, dtype):
+    # The plan run with its own buffer, with the caller's buffer of 16 or
+    # 1 << 20 elements, and with the plan's buffer replaced by numpy's own
+    # (8,192 elements by default) or by 32, all give the ordered oracle's
+    # bits, at complex alpha and nonzero beta, over operands that hold
+    # SPECIALS.
     rng = random.Random(f"{einsum}{dtype}")
     spec = parse_einsum(einsum)
     labels = (spec.labels_a, spec.labels_b, spec.labels_c, spec.labels_d)
@@ -739,11 +749,14 @@ def test_outputs_do_not_depend_on_numpys_ufunc_buffer(einsum, extents, fires, dt
         for k, ls in enumerate(labels)
     )
     plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
-    assert plan.long_rows is fires
+    assert plan.bufsize == bufsize
+    assert plan.long_rows is (bufsize == engine._ROW_BUFFER)
     alpha, beta = (1.25 - 0.5j, 0.5 + 0.75j) if dtype.is_complex else (1.25, 0.5)
+    want = _copy(d)
+    _ordered(plan, alpha, a, b, beta, c, want)
     default = np.getbufsize()
     runs = [(plan, None), (plan, 16), (plan, 1 << 20)]
-    runs.append((dataclasses.replace(plan, long_rows=False), None))
+    runs += [(dataclasses.replace(plan, bufsize=size), None) for size in (0, 32)]
     outputs = []
     for p, size in runs:
         out = _copy(d)
@@ -752,5 +765,6 @@ def test_outputs_do_not_depend_on_numpys_ufunc_buffer(einsum, extents, fires, dt
                 np.setbufsize(size)
             contract(p, alpha, a, b, beta, c, out)
             assert np.getbufsize() == (size or default)
+        _assert_same_bits(out.buffer, want.buffer)
         outputs.append(out.buffer.tobytes())
-    assert outputs[1:] == outputs[:1] * 3
+    assert outputs[1:] == outputs[:1] * 4

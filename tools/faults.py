@@ -1,11 +1,13 @@
 """Time a fixed mix of planned ops through tapp's public API and count the
 minor page faults each call takes: r32, r64, c32 and c64 32x32x32 matmuls,
+outer products with short rows (32 cells) and large contracted steps,
+which run with a 1,024-element ufunc buffer (``engine._SHORT_ROW_BUFFER``),
 a c64 128x128 transpose (unary ``ij->ji``) at complex alpha, two r64
 256x256 ops whose output is one 512 KiB block: the outer product
 ``i,j->ij`` and the transpose-add (binary ``ij,ji->ji``, beta 0), two
-outer products whose rows hold at least 128 cells, which run with a small
-ufunc buffer (``engine._ROW_BUFFER``): the c64 256x256 ``i,j->ij`` at
-complex alpha and beta, and an r64 ``ij,jk->ik`` with i=128, j=16,
+outer products whose rows hold at least 128 cells, which run with a
+128-element buffer (``engine._ROW_BUFFER``): the c64 256x256 ``i,j->ij``
+at complex alpha and beta, and an r64 ``ij,jk->ik`` with i=128, j=16,
 k=256, and two tiny ops, whose time is mostly the fixed cost of a call:
 an r64 ``ij,jk->ik`` with i=2, j=3, k=2 at beta 0.5, and a c64 4x4
 transpose-add (binary ``ij,ji->ji``) at complex alpha and beta.  The ops
@@ -16,9 +18,14 @@ warm-up, each op's line gives its median time per call in that pass
 a temporary that the allocator took from the kernel.  Round-robin, a tiny
 op's time is mostly the cache refill after the large ops, so each line
 also gives the median of the op's own calls run back to back after a
-warm-up of its own (``alone_us``), its fixed cost.  The header names
-numpy's version, as the ufunc buffer's behaviour is numpy's, and says
-which median is which.  Run from the repository root::
+warm-up of its own (``alone_us``), its fixed cost.  Each line names the
+ufunc buffer the op's plan sets (``ContractionPlan.bufsize``), in
+elements, or "numpy" where it keeps numpy's own; each round runs every
+op whose plan sets one once more with numpy's own, the two in
+alternating order, and ``numpy_us`` gives the median of those calls,
+which re-checks the buffer rule at ``engine._ROW_BUFFER``.  The header
+names numpy's version, as the ufunc buffer's behaviour is numpy's, and
+says which median is which.  Run from the repository root::
 
     python tools/faults.py [--calls N] [--warmup N]
 """
@@ -26,6 +33,8 @@ which median is which.  Run from the repository root::
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import resource
 import statistics
 import sys
@@ -42,8 +51,8 @@ _NP = {"r32": np.float32, "r64": np.float64, "c32": np.complex64, "c64": np.comp
 
 
 def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict, beta=0.0):
-    """The op's name and a function that executes it once, at ``beta``
-    where the op has one."""
+    """The op's name, a function that executes it once, at ``beta`` where
+    the op has one, and its plan's ufunc buffer (0 for numpy's own)."""
     head, out = labels.split("->")
     names = head.split(",") + [out] * (2 if kind == "product" else 1)  # binary: A, B, C
     infos, buffers = [], []
@@ -68,7 +77,15 @@ def _op(handle, executor, rng, kind: str, labels: str, dtype: str, extents: dict
     if isinstance(desc, tapp.ErrorCode):
         raise RuntimeError(f"planning {dtype} {labels} failed: {desc!r}")
     size = "x".join(str(extents[l]) for l in dict.fromkeys(head.replace(",", "")))
-    return f"{dtype} {labels} {size}", run
+    return f"{dtype} {labels} {size}", run, desc.plan.bufsize
+
+
+def _with_numpys_buffer(run):
+    """``run`` on a copy of its descriptor whose plan keeps numpy's own
+    ufunc buffer."""
+    desc = copy.copy(run.args[0])
+    desc.plan = dataclasses.replace(desc.plan, bufsize=0)
+    return partial(run.func, desc, *run.args[1:])
 
 
 def _call(name: str, run) -> float:
@@ -102,27 +119,37 @@ def main() -> None:
     tiny = dict(i=2, j=3, k=2)
     ops.append(_op(handle, executor, rng, "product", "ij,jk->ik", "r64", tiny, 0.5))
     ops.append(_op(handle, executor, rng, "binary", "ij,ji->ji", "c64", dict(i=4, j=4), 0.5 + 0.75j))
+    # Each op's runs in a round: its plan's, then, where the plan sets a
+    # buffer, numpy's own, the two in alternating order.
+    variants = [[run, _with_numpys_buffer(run)] if size else [run] for _, run, size in ops]
     for _ in range(args.warmup):
-        for _, run in ops:
-            run()
-    times = [[] for _ in ops]
+        for runs in variants:
+            for run in runs:
+                run()
+    times = [[[], []] for _ in ops]
     faults = [0] * len(ops)
-    for _ in range(args.calls):
-        for n, (name, run) in enumerate(ops):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            times[n].append(_call(name, run))
-            faults[n] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    for k in range(args.calls):
+        for n, ((name, _, _), runs) in enumerate(zip(ops, variants)):
+            for v in sorted(range(len(runs)), reverse=k % 2 == 1):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                times[n][v].append(_call(name, runs[v]))
+                if v == 0:
+                    faults[n] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     alone = []
-    for name, run in ops:
+    for name, run, _ in ops:
         for _ in range(args.warmup):
             run()
         alone.append(statistics.median(_call(name, run) for _ in range(args.calls)))
     print(f"numpy {np.__version__}, Python {sys.version.split()[0]}")
-    print("median_us: round-robin with the other ops; alone_us: the op's calls back to back")
-    print(f"{'op':28s} {'median_us':>10s} {'alone_us':>10s} {'faults/call':>12s}")
-    for (name, _), t, a, f in zip(ops, times, alone, faults):
-        median = statistics.median(t)
-        print(f"{name:28s} {median * 1e6:10.1f} {a * 1e6:10.1f} {f / args.calls:12.2f}")
+    print("median_us: round-robin with the other ops; alone_us: the op's calls back to back;"
+          " buffer: the ufunc buffer its plan sets, in elements;"
+          " numpy_us: round-robin with numpy's own buffer")
+    print(f"{'op':28s} {'median_us':>10s} {'alone_us':>10s} {'faults/call':>12s}"
+          f" {'buffer':>7s} {'numpy_us':>10s}")
+    for (name, _, size), (t, u), a, f in zip(ops, times, alone, faults):
+        numpy_us = f" {statistics.median(u) * 1e6:10.1f}" if u else ""
+        print(f"{name:28s} {statistics.median(t) * 1e6:10.1f} {a * 1e6:10.1f}"
+              f" {f / args.calls:12.2f} {size or 'numpy':>7}{numpy_us}")
 
 
 if __name__ == "__main__":
