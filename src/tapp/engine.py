@@ -60,7 +60,8 @@ replaced alone:
 * *load* (:func:`_load`) returns A and B in loop order as
   ``(K, *H, *F, 1...)`` and ``(K, *H, 1..., *G)`` arrays, one axis per
   cell axis, summed over their input-only reductions; for a plan whose A
-  is U, only B, with K dropped;
+  is U, only B, with K dropped; two c32 operands without one load as
+  whole complex128 elements (``ContractionPlan.c128``);
 * *sum* (:func:`_sum`), for one block of output cells, returns each
   cell's ordered sum over K, real or as ``(re, im)`` pairs; it is the
   only loop over elements, and an output that fits one block of one
@@ -71,35 +72,36 @@ replaced alone:
 
 Execution views each operand in place, as a numpy array over its buffer
 with byte strides = element strides x the buffer's byte stride; complex
-elements are viewed as float ``(re, im)`` pairs on a first axis.  Each
-of A and B takes its loaded shape, with its R and K one axis each: *bind*
-views it so where their labels fold (see :func:`_folded`), else *load*
-reshapes it by one strided copy.  Each is then copied C-contiguous
-before the first store unless it is so already or is a stride-0 view
-(which takes no memory).  The operand of a binary or unary op meets only
-alpha, so it reads each element once: it stays a view of its buffer
-unless it is cast, has an input-only reduction or is D's identical view,
-which copy it whole.  Where it is complex and D is stored part by part
-(see ``_PART_BY_PART``), each block of it is copied C-contiguous in
-turn, so that alpha's product comes out in D's order.  U has no buffer
-and is never loaded.  A block of complex values that *finish* multiplies
-by a complex alpha or beta, such as C's, or such an operand's below
-``_PART_BY_PART`` cells, is copied once C-contiguous in float64 first,
-as numpy runs the product's four ufuncs several times slower over the
-strided parts of an interleaved buffer (see :func:`_cmul`).
-Input-only reductions are summed in index order.  The output cells are
-then walked in blocks, a range on each cell axis with the last filled
-first: at most 65,536 cells where the compute dtype is real, whose
-float64 temporaries take 512 KiB each (see ``_BLOCK_BYTES``), and
-``_CHUNK`` (8,192) where it is complex, as ``(re, im)`` pairs.  A
-block's products ``A[k, h, f] * B[k, h, g]`` (with A and B exchanged
-when they trade places) are formed a contracted step of rows at a time,
-each step within a budget in bytes (see ``_STEP_BYTES``): 256 KiB of
-float64 products where A and B are real, all of K for a 32x32x32
-matmul, and ``_CHUNK`` products where either is complex, as ``(re,
-im)`` pairs whose float64 pair arrays take 128 KiB each; a block wider
-than its step's budget takes one row a step.  They are summed over k from left to right,
-``((p0 + p1) + p2) + ...``: every cell keeps the summation order of a
+elements are viewed as float ``(re, im)`` pairs on a first axis, but for
+c32 operands that load whole.  Each of A and B takes its loaded shape,
+with its R and K one axis each: *bind* views it so where their labels
+fold (see :func:`_folded`), else *load* reshapes it by one strided copy.
+Each is then copied C-contiguous before the first store unless it is so
+already or is a stride-0 view (which takes no memory).  The operand of a
+binary or unary op meets only alpha, so it reads each element once: it
+stays a view of its buffer unless it is cast, has an input-only
+reduction or is D's identical view, which copy it whole.  Where it is
+complex and D is stored part by part (see ``_PART_BY_PART``), each block
+of it is copied C-contiguous in turn, so that alpha's product comes out
+in D's order.  U has no buffer and is never loaded.  A block of complex
+values that *finish* multiplies by a complex alpha or beta, such as
+C's, or such an operand's below ``_PART_BY_PART`` cells, is copied once
+C-contiguous in float64 first, as numpy runs the product's four ufuncs
+several times slower over the strided parts of an interleaved buffer
+(see :func:`_cmul`).  Input-only reductions are summed in index order.
+The output cells are then walked in blocks, a range on each cell axis
+with the last filled first: at most 65,536 cells where the compute
+dtype is real, whose float64 temporaries take 512 KiB each (see
+``_BLOCK_BYTES``), and ``_CHUNK`` (8,192) where it is complex, as
+``(re, im)`` pairs.  A block's products ``A[k, h, f] * B[k, h, g]``
+(with A and B exchanged when they trade places) are formed a contracted
+step of rows at a time, each step within a budget in bytes (see
+``_STEP_BYTES``): 256 KiB of float64 products where A and B are real,
+all of K for a 32x32x32 matmul, and ``_CHUNK`` products where either is
+complex, as ``(re, im)`` pairs whose float64 pair arrays take 128 KiB
+each, or as one complex128 array of 128 KiB; a block wider than its
+step's budget takes one row a step.  They are summed over k from left
+to right, ``((p0 + p1) + p2) + ...``: every cell keeps the summation order of a
 scalar loop that runs batch, free-of-A and free-of-B outside and the
 contracted labels inside.  Then come ``alpha * acc``, ``+ beta * C``
 read through C's view, and one cast on store through a writable view of
@@ -150,10 +152,18 @@ signs aside):
   with imaginary part ``+0.0``.
 * c32 products of two complex values are formed in float64, each part
   rounded to float32 once, and then summed in float32.  Where neither
-  operand has an input-only reduction (which sums in float32), both are
-  widened to float64 once before the loop, which is exact.  A product
-  with a real factor is one float32 multiply per part, which rounds as
-  the float64 one rounded once.
+  operand has an input-only reduction (which sums in float32 first),
+  both load as complex128 elements, which is exact, and each product is
+  numpy's complex128 multiply, rounded to complex64: a product of two
+  float32 values is exact in float64 (Higham, *Accuracy and Stability of
+  Numerical Algorithms*, 2.1), so ``xr*yr - xi*yi`` rounds the exact
+  value once whether numpy fuses its multiply and add or not, and ±0,
+  ±inf and NaN come out as the formula's
+  (``test_numpys_complex128_multiply_of_float32_parts_is_the_unfused_formula``).
+  c64 products stay four real multiplies and two combines: numpy's
+  complex128 multiply of float64 parts may fuse, and so differs in the
+  last bits.  A product with a real factor is one float32 multiply per
+  part, which rounds as the float64 one rounded once.
 
 Following BLAS convention, ``beta == 0`` means C is never read and
 ``alpha == 0`` means A and B are never read.
@@ -201,8 +211,9 @@ __all__ = [
 # *finish* works on at once as (re, im) pairs, and the most products a
 # contracted step over pairs forms.  A complex pair array then takes at
 # most 128 KiB, at glibc's default mmap threshold.  A step of two complex
-# operands forms two float64 pair arrays (see _cmul) of 128 KiB each, so
-# steps over pairs keep this count: at 16,384 products the c32 and c64
+# operands forms two float64 pair arrays (see _cmul) of 128 KiB each, or
+# in c32 one complex128 array and its complex64 rounding, so steps over
+# pairs keep this count: at 16,384 products the c32 and c64
 # 32x32x32 matmuls of `steady_large`'s mix took 192 and 132 minor page
 # faults a call, and about twice the time.  Blocks keep it too: as one
 # 16,384-cell block, a planned c64 128x128 transpose at complex alpha
@@ -256,12 +267,13 @@ _PART_BY_PART = 256
 # two runs: long rows, r64 256x256 `i,j->ij` 217 -> 155 and 194 -> 141
 # us, c64 at complex alpha and beta 1,111 -> 892 and 1,012 -> 788 us, r64
 # `ij,jk->ik` with i=128, j=16, k=256 861 -> 527 and 801 -> 477 us; short
-# rows, the 32x32x32 matmuls in r64 87 -> 81 and 78 -> 70 us, c32 361 ->
-# 331 and 323 -> 287 us, c64 325 -> 299 and 295 -> 264 us, but r32 77 ->
-# 83 and 65 -> 69 us.  Below the step rule the short-row buffer lost:
-# `steady_large`'s `ijr,jk->ik`, 4,096 products a step, took 4% longer,
-# and matmuls of 8,192 to 13,824 real products a step 2-3% longer in r64
-# and 9-12% in r32 (interleaved planned executes).  Re-check with
+# rows, the 32x32x32 matmuls in r64 87 -> 81 and 78 -> 70 us, c32 (one
+# complex128 multiply a step) 163 -> 152 and 187 -> 181 us, c64 325 ->
+# 299 and 295 -> 264 us, but r32 77 -> 83 and 65 -> 69 us.  Below the
+# step rule the short-row buffer lost: `steady_large`'s `ijr,jk->ik`,
+# 4,096 products a step, took 4% longer, and matmuls of 8,192 to 13,824
+# real products a step 2-3% longer in r64 and 9-12% in r32 (interleaved
+# planned executes).  Re-check with
 # ``python tools/faults.py``, whose ``numpy_us`` column times each op
 # with numpy's own buffer.
 _ROW_BUFFER = 128
@@ -277,9 +289,13 @@ _ENUMERATION_BUDGET = 1 << 20
 _OVERLAP_WORK = 1 << 12
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+_C64, _C128 = np.dtype(np.complex64), np.dtype(np.complex128)
 _A, _B, _D = (LabelGroup._fields.index(f) for f in ("strides_a", "strides_b", "strides_d"))
 _ALL = slice(None)
-_PARTS = {np.dtype(np.complex64): _F32, np.dtype(np.complex128): _F64}
+_PARTS = {_C64: _F32, _C128: _F64}
+# The start of a reduce over complex values: numpy's -0.0 would become
+# (-0.0, +0.0), and turn an imaginary sum of -0.0 terms into +0.0.
+_COMPLEX_START = complex(-0.0, -0.0)
 
 
 @dataclass
@@ -472,14 +488,16 @@ class ContractionPlan:
     # What execution derives from the plan alone: the compute dtype's part
     # dtype, whether the sums are ``(re, im)`` pairs (an operand is
     # complex), whether the products are full complex products (both
-    # are), how A and B load in loop order (F's operand, then G's; None
-    # for U), and whether the box is the whole output in one contracted
-    # step; and whether D is complex with at least ``_PART_BY_PART``
-    # cells a block, which *finish* stores part by part (and for which
-    # _pass copies a complex operand a block at a time).
+    # are), whether those are c32 products of whole complex128 elements
+    # (see :func:`_sum`), how A and B load in loop order (F's operand,
+    # then G's; None for U), and whether the box is the whole output in
+    # one contracted step; and whether D is complex with at least
+    # ``_PART_BY_PART`` cells a block, which *finish* stores part by part
+    # (and for which _pass copies a complex operand a block at a time).
     part: np.dtype = field(repr=False, compare=False)
     pairs: bool = field(repr=False, compare=False)
     cmul: bool = field(repr=False, compare=False)
+    c128: bool = field(repr=False, compare=False)
     loads: tuple[_Load | None, _Load | None] = field(repr=False, compare=False)
     whole: bool = field(repr=False, compare=False)
     parted: bool = field(repr=False, compare=False)
@@ -589,13 +607,14 @@ def make_plan(
     part = _F32 if cdt.width == 32 else _F64
     # The sums are (re, im) pairs where an operand is complex; a real one
     # stays real, and multiplies each part of a complex one (see _cmul).
-    # Products of two complex operands are formed in float64, so these
-    # are widened to it at once, which is exact, unless a reduction sums
-    # in ``part`` first (widening after it adds a numpy call, measured
-    # slower on tiny ops).
+    # Products of two complex operands are formed in float64: two c32
+    # operands load as whole complex128 elements, which is exact, unless
+    # a reduction sums in float32 first (widening after it adds a numpy
+    # call, measured slower on tiny ops); see _sum.
     pairs = layout_a.pairs or layout_b.pairs
     cmul = layout_a.pairs and layout_b.pairs
-    dtype = _F64 if cmul and ra == rb == 1 else part
+    c128 = cmul and ra == rb == 1 and part is _F32
+    dtype = _C128 if c128 else part
     # Loaded, F's operand spans the cells' H and F axes and G's their H
     # and G axes, each with extent 1 on the other's: H and F take one
     # cell axis for each label above 1, or one for none.
@@ -606,6 +625,8 @@ def make_plan(
 
     def load(slot: int, layout: _Layout, i: int, j: int) -> _Load:
         reduced = counts[slot] > 1
+        if c128:  # the complex64 elements, without the pairs axis
+            layout = _Layout(layout.shape[1:], layout.strides[1:], _C64, False, layout.broadcast)
         shape = (2,) * layout.pairs + (counts[slot],) * reduced + (k,) * (not unit_a)
         shape += cells[:i] + (1,) * (j - i) + cells[j:]
         # B of a plan whose A is U meets only alpha, so it reads each
@@ -631,7 +652,7 @@ def make_plan(
         loads = loads[::-1]
     return ContractionPlan(
         spec, desc_a, desc_b, desc_c, desc_d, cdt, layout_a, layout_b, layout_c, layout_d,
-        swap_ab, counts, cells, box, part, pairs, cmul, loads,
+        swap_ab, counts, cells, box, part, pairs, cmul, c128, loads,
         box == (k, *cells),  # whole
         layout_d.pairs and math.prod(box[1:]) >= _PART_BY_PART,  # parted
         bufsize,
@@ -757,10 +778,12 @@ def _promoted(x: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _sum_k(x: np.ndarray, axis: int, acc: np.ndarray | None = None):
+def _sum_k(x: np.ndarray, axis: int, acc: np.ndarray | None = None, start=-0.0):
     """``acc + x[0] + x[1] + ...`` (without ``acc``, from ``x[0]``) along
     ``axis`` (K, or R before a reduction: 0, or 1 after a pairs axis),
-    left to right.  ``x`` itself is changed only when ``acc`` is given.
+    left to right, of real values or of whole complex ones (c32 products,
+    see :func:`_sum`), whose parts add alone.  ``x`` itself is changed
+    only when ``acc`` is given.
 
     One numpy call sums all rows.  Two rows are one ``np.add``, a pass
     fewer than the reduce, which first fills its output with its start.
@@ -770,7 +793,8 @@ def _sum_k(x: np.ndarray, axis: int, acc: np.ndarray | None = None):
     pairwise, so those go through ``np.add.accumulate``, which always sums
     in index order.  The reduce starts from -0.0, the identity of IEEE
     addition: numpy's own start, +0.0, would turn a sum of -0.0 terms into
-    +0.0."""
+    +0.0.  Over complex values the caller passes the ``start``
+    ``_COMPLEX_START``, ``(-0.0, -0.0)``."""
     lead = (_ALL,) * axis
     if acc is not None:
         x[(*lead, 0)] += acc
@@ -779,7 +803,7 @@ def _sum_k(x: np.ndarray, axis: int, acc: np.ndarray | None = None):
     if x.shape[axis] == 2:
         return np.add(x[(*lead, 0)], x[(*lead, 1)])
     if math.prod(x.shape[axis + 1 :]) > 1 and x.flags.c_contiguous:
-        return np.add.reduce(x, axis, None, None, False, -0.0)
+        return np.add.reduce(x, axis, None, None, False, start)
     return np.add.accumulate(x, axis)[(*lead, -1)]
 
 
@@ -794,7 +818,10 @@ def _cmul(x: np.ndarray, y, part: np.dtype, pairs: bool = True) -> np.ndarray:
     complex product ``(xr*yr - xi*yi, xr*yi + xi*yr)``, formed in float64
     and rounded to ``part`` once.  Float32 parts are widened first and the
     parts are combined in the first products' array, as a ufunc that
-    casts its inputs or into its output takes about twice as long.
+    casts its inputs or into its output takes about twice as long.  Here
+    float32 parts are c32 sums that *finish* scales, or operands that a
+    reduction summed in float32; *sum* forms other c32 products of two
+    complex operands as whole complex128 elements (see :func:`_sum`).
 
     Where ``y`` is a complex scalar, an ``x`` in float32 or not
     C-contiguous, such as a block of C's interleaved view, is copied once
@@ -917,7 +944,12 @@ def _sum(plan: ContractionPlan, loaded, block):
     of ``plan.box[0]`` rows, from A and B as *load* returns them.  A
     ``block`` of None is the whole output in one step, which needs no
     slicing.  Returns the sums, real, or as ``(re, im)`` pairs where an
-    operand is complex (``plan.pairs``)."""
+    operand is complex (``plan.pairs``).
+
+    Where ``plan.c128``, A and B are complex128 elements with float32
+    parts, and each step is numpy's complex multiply rounded to complex64,
+    which is the contract's product (see the module docstring); the
+    complex64 sums are handed on as a float32 ``(re, im)`` view."""
     av, bv = loaded
     if block is None:
         steps = ((av, bv),)
@@ -927,8 +959,16 @@ def _sum(plan: ContractionPlan, loaded, block):
         a, b = _cut(f, block), _cut(g, block)
         ks = [slice(t, t + step) for t in range(0, k, step)] if step < k else [_ALL]
         steps = ((av[(..., s, *a)], bv[(..., s, *b)]) for s in ks)
-    part, cmul, axis = plan.part, plan.cmul, int(plan.pairs)
     acc = None
+    if plan.c128:
+        for x, y in steps:
+            acc = _sum_k((x * y).astype(_C64), 0, acc, _COMPLEX_START)
+        # The sums' float32 (re, im) view, a first axis of two, as *finish*
+        # reads them: 1.2 us a block, where a C-contiguous copy
+        # (np.moveaxis and np.ascontiguousarray) takes about 5 us.
+        n = acc.ndim
+        return acc.view(_F32).reshape(*acc.shape, 2).transpose(n, *range(n))
+    part, cmul, axis = plan.part, plan.cmul, int(plan.pairs)
     for x, y in steps:
         # A real operand broadcasts over the pairs axis of a complex one.
         acc = _sum_k(_cmul(x, y, part) if cmul else x * y, axis, acc)

@@ -391,7 +391,7 @@ def test_plans_are_pinned():
         count += 1
     assert count == 373
     assert digest.hexdigest() == (
-        "4aab650320f0260afba610b32327affa545bcc493e6b22bd6b3ecd7244bc1299"
+        "9e08aaeb39d5876bef867db5029b951d79ae5a821bab044dd197dbbc088f5e40"
     )
 
 

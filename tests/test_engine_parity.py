@@ -404,6 +404,110 @@ def test_a_complex_scalar_multiplies_a_strided_block_as_its_contiguous_copy(dtyp
     _assert_same_bits(got, want)
 
 
+# c32 products of two complex operands without an input-only reduction
+# are numpy's complex128 multiply of whole elements (``plan.c128``),
+# here at sizes where numpy runs its vectorized loops: the 32x32x32
+# matmul column-major (A and B trade places) and row-major, the batched
+# matmul of `steady_large`, and a B whose k has stride 0.
+C128_CASES = [
+    ("ij,jk->ik", {"i": 32, "j": 32, "k": 32}, "F", None),
+    ("ij,jk->ik", {"i": 32, "j": 32, "k": 32}, "C", None),
+    ("bij,bjk->bik", {"b": 8, "i": 16, "j": 16, "k": 16}, "F", None),
+    ("ij,jk->ik", {"i": 32, "j": 32, "k": 32}, "F", (1, 0)),
+]
+
+
+def _c32_views(einsum, extents, order, strides_b, values):
+    """A, B, C and D of ``einsum`` over ``extents`` in c32, column-major
+    (``order`` "F") or row-major ("C"), B at ``strides_b`` where given,
+    each filled by ``values(count)``."""
+    spec = parse_einsum(einsum)
+    views = []
+    for k, ls in enumerate((spec.labels_a, spec.labels_b, spec.labels_c, spec.labels_d)):
+        shape = [extents[l] for l in ls]
+        desc = TensorDesc.column_major(shape, DType.C32)
+        strides = desc.strides if order == "F" else desc.strides[::-1]
+        if k == 1 and strides_b is not None:
+            strides = strides_b
+        desc = TensorDesc(tuple(shape), tuple(strides), DType.C32)
+        lo, hi = reach(desc.extents, desc.strides)
+        views.append(TensorView(desc, values(hi - lo + 1), -lo))
+    return spec, views
+
+
+@pytest.mark.parametrize("einsum, extents, order, strides_b", C128_CASES)
+def test_c32_products_of_whole_complex128_elements_match_scalar_loop(
+    einsum, extents, order, strides_b
+):
+    # Without SPECIALS, and with them at 10% (which make most cells of a
+    # 32-term sum infinite or NaN), at complex and real scalars.
+    rng = random.Random(f"{einsum}{order}{strides_b}")
+    for special in (0.0, 0.1):
+        spec, (a, b, c, d) = _c32_views(
+            einsum, extents, order, strides_b, lambda n: _values(rng, n, DType.C32, special)
+        )
+        plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
+        assert plan.c128 and plan.loads[0].dtype == np.complex128
+        for alpha, beta in ((1.25 - 0.5j, 0.5 + 0.75j), (1.0, 0.0), (1.5, -0.5)):
+            _check(plan, alpha, a, b, beta, c, d)
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_c32_sums_of_negative_zero_imaginary_parts_stay_negative(order):
+    # Every product is (1.0, -0.0) * (0.0, -0.0) = (+0.0, -0.0), so each
+    # cell's imaginary sum is -0.0: the complex reduce starts from
+    # (-0.0, -0.0), where numpy's -0.0 start would be (-0.0, +0.0) and
+    # give +0.0.  No product of two complex values is (-0.0, -0.0): its
+    # real part would need xr*yr = -0.0 and xi*yi = +0.0, and its
+    # imaginary part xr*yi and xi*yr both -0.0, and no signs of xr, xi,
+    # yr, yi give all four.
+    fill = iter((complex(1.0, -0.0), complex(0.0, -0.0)))
+    spec, (a, b, c, d) = _c32_views(
+        "ij,jk->ik", {"i": 32, "j": 32, "k": 32}, order, None,
+        lambda n: np.full(n, next(fill, 7.0), np.complex64),
+    )
+    plan = make_plan(spec, a.desc, b.desc, c.desc, d.desc)
+    assert plan.c128 and plan.box[0] > 2  # steps of more than two rows are reduced
+    _check(plan, 1.0, a, b, 0.0, c, d)
+    contract(plan, 1.0, a, b, 0.0, c, d)
+    parts = d.buffer.view(np.float32)
+    assert not parts.any() and np.signbit(parts[1::2]).all() and not np.signbit(parts[::2]).any()
+
+
+def test_numpys_complex128_multiply_of_float32_parts_is_the_unfused_formula():
+    # engine._sum forms c32 products with numpy's complex128 multiply.
+    # That gives the contract's (ar*br - ai*bi, ar*bi + ai*br), each part
+    # rounded once, because a product of two float32 values is exact in
+    # float64: a fused multiply-add, which numpy may use, then rounds the
+    # same exact value once.  A numpy whose complex multiply differs on
+    # these values, such as one that recovers infinities as C99 Annex G's
+    # _Cmul does, fails here.  Over every pair of a grid of float32
+    # parts: as two contiguous arrays of 20,736 values (numpy's SIMD
+    # loops), three values at a time (their scalar tails), and broadcast
+    # against each other either way.
+    f32 = np.finfo(np.float32)
+    grid = np.array(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, f32.max, -f32.max,
+         f32.smallest_subnormal, -f32.smallest_subnormal, 1.0, -1.0 / 3.0, 0.1],
+        np.float32,
+    ).astype(np.float64)
+    values = np.empty((grid.size, grid.size), np.complex128)  # all 144 complex values
+    values.real, values.imag = grid[:, None], grid[None, :]
+    values = values.ravel()
+    x, y = np.repeat(values, values.size), np.tile(values, values.size)
+    with np.errstate(all="ignore"):
+        want = np.stack([x.real * y.real - x.imag * y.imag,
+                         x.real * y.imag + x.imag * y.real], -1)
+        runs = [
+            x * y,
+            np.concatenate([x[t : t + 3] * y[t : t + 3] for t in range(0, x.size, 3)]),
+            (values[:, None] * values[None, :]).ravel(),
+            (values[None, :] * values[:, None]).T.ravel(),
+        ]
+    for got in runs:
+        _assert_same_bits(got.view(np.float64).reshape(-1, 2), want)
+
+
 # Sums of rows of `cells` cells each on both sides of the split in
 # `engine._sum_k`: one cell a row goes through np.add.accumulate, more
 # through np.add.reduce.  The contracted sum has K rows of H*F*G cells
